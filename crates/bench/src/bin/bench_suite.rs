@@ -7,9 +7,11 @@
 //! (events, stale counters, queue depth, makespan) are byte-stable across
 //! runs and machines — only the wall-clock fields (`wall_ns_best`,
 //! `events_per_sec`, `wall_ns_per_sim_s`) vary, which is why the
-//! regression gate tolerates 2x before failing. `--check` gates against
-//! the **best historical** events/sec per scenario across every entry in
-//! the baseline file (v1 single-report files still parse).
+//! regression gate tolerates 2x before failing. `--check` gates each
+//! scenario's best wall time against the **best historical** wall time
+//! across every entry in the baseline file (v1 single-report files still
+//! parse). Wall time, not events/sec: a change that simulates fewer
+//! events for the same outcome is a gain, not a regression.
 //!
 //! ```text
 //! cargo run --release -p strings-bench --bin bench_suite                # full (5 reps)
@@ -38,9 +40,9 @@ const USAGE: &str = "bench_suite options:
                    files are upgraded in place)
   --label S        label stamped on the appended trajectory entry
                    (default \"dev\")
-  --check PATH     compare against a baseline JSON; exit 1 on a >2x
-                   events/sec regression vs the best historical entry for
-                   any shared scenario
+  --check PATH     compare against a baseline JSON; exit 1 when any shared
+                   scenario's best wall time is more than 2x the best
+                   historical wall time
   --attr-gate F    exit 1 if the attributed fig12 run costs more than F
                    times the plain fig12 run's best wall time (CI: 1.15)
   --flight-gate F  exit 1 if the serve run with the always-on flight
@@ -133,7 +135,6 @@ struct Row {
     makespan_ns: u64,
     cancelled: u64,
     stale_pops: u64,
-    peak_queue_depth: u64,
     peak_live_queue_depth: u64,
     wall_ns_best: u64,
     events_per_sec: u64,
@@ -158,7 +159,6 @@ fn measure(name: &'static str, run: &dyn Fn() -> RunStats, reps: usize) -> Row {
         makespan_ns: warm.makespan_ns,
         cancelled: warm.cancelled_wakeups,
         stale_pops: warm.stale_pops,
-        peak_queue_depth: warm.peak_queue_depth,
         peak_live_queue_depth: warm.peak_live_queue_depth,
         wall_ns_best: best,
         events_per_sec: (warm.events as f64 / (best as f64 / 1e9)) as u64,
@@ -208,10 +208,6 @@ fn render_entry(label: &str, rows: &[Row], phases: Option<&PhaseProfile>) -> Str
         out.push_str(&format!(
             "          \"stale_pop_ratio\": {:.6},\n",
             stale_ratio(r)
-        ));
-        out.push_str(&format!(
-            "          \"peak_queue_depth\": {},\n",
-            r.peak_queue_depth
         ));
         out.push_str(&format!(
             "          \"peak_live_queue_depth\": {},\n",
@@ -295,11 +291,11 @@ fn render_trajectory(
     }
 }
 
-/// Pull the **best historical** `events_per_sec` per scenario out of a
+/// Pull the **best historical** `wall_ns_best` per scenario out of a
 /// baseline file. Line-based on purpose: the formats above are the only
 /// producers and the vendored tree has no JSON parser; v1 single reports
-/// and v2 trajectories both reduce to repeated name/events_per_sec pairs,
-/// folded here by max.
+/// and v2 trajectories both reduce to repeated name/wall_ns_best pairs,
+/// folded here by min.
 fn parse_baseline(text: &str) -> Vec<(String, u64)> {
     let mut best = std::collections::BTreeMap::<String, u64>::new();
     let mut name: Option<String> = None;
@@ -307,14 +303,14 @@ fn parse_baseline(text: &str) -> Vec<(String, u64)> {
         let line = line.trim();
         if let Some(rest) = line.strip_prefix("\"name\": \"") {
             name = rest.strip_suffix("\",").map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("\"events_per_sec\": ") {
+        } else if let Some(rest) = line.strip_prefix("\"wall_ns_best\": ") {
             let v: u64 = rest
                 .trim_end_matches(',')
                 .parse()
-                .unwrap_or_else(|_| panic!("bad events_per_sec line: {line}"));
+                .unwrap_or_else(|_| panic!("bad wall_ns_best line: {line}"));
             if let Some(n) = name.take() {
-                let slot = best.entry(n).or_insert(0);
-                *slot = (*slot).max(v);
+                let slot = best.entry(n).or_insert(u64::MAX);
+                *slot = (*slot).min(v);
             }
         }
     }
@@ -324,20 +320,22 @@ fn parse_baseline(text: &str) -> Vec<(String, u64)> {
 fn check(rows: &[Row], baseline_text: &str) -> bool {
     let baseline = parse_baseline(baseline_text);
     let mut ok = true;
-    for (name, base_eps) in &baseline {
+    for (name, base_ns) in &baseline {
         let Some(row) = rows.iter().find(|r| r.name == name.as_str()) else {
             println!("check: {name}: not in this run (skipped)");
             continue;
         };
-        let factor = row.events_per_sec as f64 / *base_eps as f64;
+        let factor = *base_ns as f64 / row.wall_ns_best.max(1) as f64;
         let verdict = if factor < 0.5 {
             "FAIL (>2x regression)"
         } else {
             "ok"
         };
         println!(
-            "check: {name}: {} ev/s vs best historical {} ({factor:.2}x) {verdict}",
-            row.events_per_sec, base_eps
+            "check: {name}: best {:.1} ms vs best historical {:.1} ms ({factor:.2}x, {} ev/s) {verdict}",
+            row.wall_ns_best as f64 / 1e6,
+            *base_ns as f64 / 1e6,
+            row.events_per_sec,
         );
         if factor < 0.5 {
             ok = false;
@@ -433,7 +431,7 @@ fn main() {
             row.events_per_sec,
             row.events,
             stale_ratio(&row),
-            row.peak_queue_depth,
+            row.peak_live_queue_depth,
             row.wall_ns_best as f64 / 1e6,
         );
         rows.push(row);

@@ -150,18 +150,22 @@ impl GpuScheduler {
     }
 
     /// Close an epoch in which no registered app had dispatchable work and
-    /// the previous decision is already in force: only the LAS decay (Eq. 1)
-    /// rolls — the awake set would be empty by construction, so recomputing
-    /// it (and re-applying the gates) is pure overhead. Executives use this
-    /// from their idle fast path; see [`GpuScheduler::tracing_epochs`] for
-    /// when it must not be taken.
+    /// the previous (empty) decision is already in force: only the LAS
+    /// decay (Eq. 1) rolls — the awake set would be empty by construction,
+    /// so recomputing it (and re-applying the gates) is pure overhead. An
+    /// executive that stops ticking an idle device calls this once per
+    /// skipped epoch boundary when the device wakes: one call per boundary
+    /// (not a closed-form power of `1 − k`) keeps the f64 decay bit-identical
+    /// to ticking through them. See [`GpuScheduler::tracing_epochs`] for
+    /// when the shortcut must not be taken.
     pub fn roll_idle_epoch(&mut self) {
         self.rcb.roll_epoch();
     }
 
     /// True when epoch decisions are being traced — each tick then emits an
-    /// instant that an idle fast path would skip, so callers must run the
-    /// full [`GpuScheduler::epoch_tick`] to keep traces complete.
+    /// instant that an idle or unchanged-decision shortcut would skip, so
+    /// callers must run the full [`GpuScheduler::epoch_tick`] every epoch
+    /// to keep traces complete.
     pub fn tracing_epochs(&self) -> bool {
         self.tracer.is_on()
     }

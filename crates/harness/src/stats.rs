@@ -40,7 +40,8 @@ pub struct RunStats {
     /// Device-memory allocation failures observed (the paper assumes the
     /// arrival rate keeps this at zero; we verify).
     pub oom_events: u64,
-    /// Total events processed (diagnostics).
+    /// Events popped from the queue: every dispatched event plus stale
+    /// wheel pops (diagnostics).
     pub events: u64,
     /// Requests that completed.
     pub completed_requests: u64,
@@ -68,23 +69,16 @@ pub struct RunStats {
     /// "now" by the event queue (diagnostics; should stay 0).
     pub clamped_events: u64,
     /// Superseded device wakeups cancelled in their queue slot without ever
-    /// entering the heap (counted in [`RunStats::events`] at their legacy
-    /// pop position) — the queue-cancellation win.
+    /// entering the wheel. They never pop, so they are not in
+    /// [`RunStats::events`].
     pub cancelled_wakeups: u64,
-    /// Superseded device wakeups that still reached the heap pop path
+    /// Superseded device wakeups that still reached the wheel pop path
     /// before dying (spilled by a same-key reschedule). Slot cancellation
     /// keeps this near zero; also counted in [`RunStats::events`].
     pub stale_pops: u64,
-    /// High-water mark of pending events in the queue. Counts every entry
-    /// physically held by the queue, including graveyard tombstones for
-    /// slot-cancelled wakeups and spilled superseded duplicates — the
-    /// legacy definition the golden outputs pin.
-    pub peak_queue_depth: u64,
     /// High-water mark of *live* backlog: cancelled and superseded entries
-    /// excluded the moment they die, not when they surface at the pop
-    /// point. This is the honest queue-pressure number; it is deliberately
-    /// absent from the golden `Debug` rendering (which is byte-pinned to
-    /// the legacy field set) and reported via the bench JSON instead.
+    /// are excluded the moment they die. Rendered as `peak_queue_depth` by
+    /// the `Debug` impl.
     pub peak_live_queue_depth: u64,
     /// Structured trace of the run (None unless the scenario asked for
     /// tracing; see [`crate::scenario::Scenario::trace`]).
@@ -190,7 +184,7 @@ impl std::fmt::Debug for RunStats {
             .field("clamped_events", &self.clamped_events)
             .field("cancelled_wakeups", &self.cancelled_wakeups)
             .field("stale_pops", &self.stale_pops)
-            .field("peak_queue_depth", &self.peak_queue_depth)
+            .field("peak_queue_depth", &self.peak_live_queue_depth)
             .field("trace", &self.trace);
         if self.shed_requests != 0 {
             d.field("shed_requests", &self.shed_requests);

@@ -205,6 +205,28 @@ impl EngineWindow {
     }
 }
 
+/// Where a device's dispatcher epoch chain stands. The dispatcher re-decides
+/// the awake set every epoch (paper §III.C), but a decision can only change
+/// when the device does, so the executive keeps epochs queued only where
+/// one can.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EpochState {
+    /// No [`Event::Epoch`] is queued: no app is registered on the device,
+    /// or no device policy runs.
+    Disarmed,
+    /// An [`Event::Epoch`] is queued. `settled` holds while the gates in
+    /// force are the device's `applied_awake` set, derived for its current
+    /// app set; an app registering or unregistering clears it, and it is
+    /// never set while epoch decisions are traced.
+    Armed { settled: bool },
+    /// No epoch is queued: the epoch at boundary `T` found the device idle,
+    /// settled and fully gated, rolled the LAS decay and stopped the chain.
+    /// Until the device changes, every later epoch would re-derive the same
+    /// empty awake set and only roll the decay; [`World::wake_epoch`]
+    /// replays those rolls and re-arms the chain on its original phase.
+    Parked(SimTime),
+}
+
 /// The executive.
 pub struct World {
     cfg: StackConfig,
@@ -223,15 +245,12 @@ pub struct World {
     schedulers: Vec<GpuScheduler>,
     packers: Vec<ContextPacker>,
     device_apps: Vec<Vec<AppId>>,
-    epoch_armed: Vec<bool>,
-    /// Per-device: the last full [`World::apply_gating`] pass left the
-    /// device idle, so as long as it stays idle and its app set does not
-    /// change, each epoch tick re-derives the exact same (empty) awake set
-    /// and gate state — [`World::on_epoch`] then takes a fast path that
-    /// only rolls the LAS decay. Cleared whenever an app registers or
-    /// unregisters on the device. Epochs dominate the event mix and most
-    /// fire on idle devices, so this flag carries the DES hot path.
-    epoch_idle_ok: Vec<bool>,
+    /// Per-device dispatcher epoch chain (see [`EpochState`]).
+    epochs: Vec<EpochState>,
+    /// Per-device: the awake set the last full [`World::apply_gating`]
+    /// pass put in force. Meaningful while the device's epoch state is
+    /// settled; reused in place so the epoch path stays allocation-free.
+    applied_awake: Vec<Vec<AppId>>,
     shared_ctx: Vec<Option<ContextId>>,
     master_q: Vec<VecDeque<(AppId, PackedCall)>>,
     master_stall: Vec<Option<BlockOn>>,
@@ -388,8 +407,8 @@ impl World {
             schedulers,
             packers,
             device_apps: vec![Vec::new(); n],
-            epoch_armed: vec![false; n],
-            epoch_idle_ok: vec![false; n],
+            epochs: vec![EpochState::Disarmed; n],
+            applied_awake: vec![Vec::new(); n],
             shared_ctx: vec![None; n],
             master_q: (0..n).map(|_| VecDeque::new()).collect(),
             master_stall: vec![None; n],
@@ -918,12 +937,9 @@ impl World {
                 self.requests.len()
             );
         }
-        // Includes stale wakeups cancelled in-queue: they count exactly as
-        // they did when the dispatcher popped and discarded them.
         self.stats.events = self.queue.popped();
         self.stats.cancelled_wakeups = self.queue.cancelled();
         self.stats.stale_pops = self.queue.stale_pops();
-        self.stats.peak_queue_depth = self.queue.peak_len() as u64;
         self.stats.peak_live_queue_depth = self.queue.peak_live_len() as u64;
         self.stats.completed_requests = self.finished as u64;
         self.stats.device_telemetry = self.devices.iter().map(|d| d.telemetry.clone()).collect();
@@ -1171,6 +1187,24 @@ impl World {
             .stage_charge(self.trk_slots[slot], until, app.index() as u64, stage, from);
     }
 
+    /// A failure at `now` overtook `app`: charges it made up to a future
+    /// instant (an RPC's delivery or reply) cover time that never happened
+    /// that way. Cut them back to `now`, so what follows (the failover
+    /// window, the replay, or the abort) charges on from `now`.
+    fn retract_attribution(&mut self, app: AppId, now: SimTime) {
+        if !self.tracer.is_on() {
+            return;
+        }
+        let a = self.app_mut(app);
+        if a.attr_cursor <= now {
+            return;
+        }
+        a.attr_cursor = now;
+        let slot = a.slot;
+        self.tracer
+            .retract_charges_after(self.trk_slots[slot], app.index() as u64, now);
+    }
+
     /// A blocked wait on `cond` released at `rel`: decompose the elapsed
     /// window into context-switch glitch time, engine queue wait, and
     /// engine service using the completed-work window recorded for the
@@ -1218,7 +1252,11 @@ impl World {
         };
         m.set("sim_virtual_time_ns", &[], now as f64);
         m.set("sim_events_total", &[], self.queue.popped() as f64);
-        m.set("sim_queue_peak_depth", &[], self.queue.peak_len() as f64);
+        m.set(
+            "sim_queue_peak_depth",
+            &[],
+            self.queue.peak_live_len() as f64,
+        );
         m.set("requests_completed_total", &[], self.finished as f64);
         m.set(
             "requests_failed_total",
@@ -1959,18 +1997,12 @@ impl World {
             node.0 as u64,
         );
         // Request Manager registration (RT-signal three-way handshake).
-        self.schedulers[gid.index()]
+        let g = gid.index();
+        self.wake_epoch(g, now, true);
+        self.schedulers[g]
             .register(app, stream, tenant, weight, now)
             .expect("RT signal space exhausted");
-        self.device_apps[gid.index()].push(app);
-        self.epoch_idle_ok[gid.index()] = false;
-        if self.cfg.gpu_policy != GpuPolicy::None && !self.epoch_armed[gid.index()] {
-            self.epoch_armed[gid.index()] = true;
-            self.queue.schedule(
-                now + self.cfg.epoch.as_ns(),
-                Event::Epoch(gid.index() as u32),
-            );
-        }
+        self.device_apps[g].push(app);
         let setup = if fresh {
             self.costs.ctx_create_ns
         } else {
@@ -2135,13 +2167,13 @@ impl World {
             (a.node, a.class)
         };
         // Feedback Engine: piggyback the record, then unregister.
+        self.wake_epoch(gid.index(), now, true);
         if let Some(rec) = self.schedulers[gid.index()].unregister(app, now) {
             if !self.mappers.is_empty() {
                 self.feedback_to_mapper(node, gid, class, rec);
             }
         }
         self.device_apps[gid.index()].retain(|a| *a != app);
-        self.epoch_idle_ok[gid.index()] = false;
         self.unbind_gid(gid, node, class);
         if !self.cfg.design.shares_context() {
             // Design I: the app's private backend process and context die.
@@ -2165,6 +2197,7 @@ impl World {
     fn submit_job(&mut self, app: AppId, kind: JobKind, now: SimTime) -> gpu_sim::ids::JobId {
         let (gid, ctx) = self.binding(app);
         let stream = self.app(app).stream;
+        self.wake_epoch(gid.index(), now, false);
         let jid = self.devices[gid.index()]
             .submit(ctx, stream, kind, app.0 as u64, now)
             .expect("submit to bound context");
@@ -2523,12 +2556,12 @@ impl World {
         };
         if let (Some(gid), Some(ctx)) = (gid, ctx) {
             let g = gid.index();
+            self.wake_epoch(g, now, true);
             for jid in self.devices[g].cancel_stream(ctx, stream) {
                 self.pending.complete(jid);
             }
             self.schedulers[g].unregister(app, now);
             self.device_apps[g].retain(|a| *a != app);
-            self.epoch_idle_ok[g] = false;
             self.master_q[g].retain(|(a, _)| *a != app);
             if !self.mappers.is_empty() {
                 self.unbind_gid(gid, node, class);
@@ -2551,6 +2584,7 @@ impl World {
             }
             (a.slot, a.tenant, a.gid, a.node)
         };
+        self.retract_attribution(app, now);
         self.detach_app(app, now);
         let a = self.app_mut(app);
         a.incarnation += 1; // poison in-flight events
@@ -2608,6 +2642,7 @@ impl World {
             }
             (a.slot, a.tenant, a.node, a.gid)
         };
+        self.retract_attribution(app, now);
         self.detach_app(app, now);
         // Failure detection (one deadline) plus backend respawn/backoff.
         let policy = self.cfg.retry;
@@ -2724,22 +2759,57 @@ impl World {
 
     fn on_epoch(&mut self, gid: usize, now: SimTime) {
         if self.device_apps[gid].is_empty() {
-            self.epoch_armed[gid] = false;
+            self.epochs[gid] = EpochState::Disarmed;
             return;
         }
-        // Idle fast path: the previous full pass gated every stream of an
-        // idle device, and nothing has registered or unregistered since. As
-        // long as the device is still idle the dispatcher would re-derive
-        // the identical empty awake set and identical gates, the device
-        // step would be a no-op, and no wakeup would be (re)armed — only
-        // the per-epoch LAS decay (Eq. 1) is observable. Roll it and go.
-        if self.epoch_idle_ok[gid] && self.devices[gid].is_idle() {
+        let settled = self.epochs[gid] == EpochState::Armed { settled: true };
+        // Park: the gates in force close every stream and the device is
+        // idle, so the dispatcher would re-derive the same empty awake set,
+        // the device step would be a no-op, and no wakeup would be armed —
+        // only the per-epoch LAS decay (Eq. 1) is observable. Roll it and
+        // stop the chain until the device changes.
+        if settled && self.applied_awake[gid].is_empty() && self.devices[gid].is_idle() {
             self.schedulers[gid].roll_idle_epoch();
-        } else {
-            self.apply_gating(gid, now);
+            self.epochs[gid] = EpochState::Parked(now);
+            return;
         }
+        self.apply_gating(gid, now, settled);
         self.queue
             .schedule(now + self.cfg.epoch.as_ns(), Event::Epoch(gid as u32));
+    }
+
+    /// The device is about to change: an app registers or unregisters
+    /// (`apps_changed`), or work is submitted. A disarmed chain (the first
+    /// app registering under a device policy) arms one epoch out. A parked
+    /// chain first rolls the LAS decay once per boundary it skipped
+    /// strictly before `now` — one call per boundary, so the f64 decay is
+    /// bit-identical to ticking through them — then re-arms at the next
+    /// boundary on its original phase. A changed app set unsettles the
+    /// gates.
+    fn wake_epoch(&mut self, gid: usize, now: SimTime, apps_changed: bool) {
+        match self.epochs[gid] {
+            EpochState::Disarmed if apps_changed && self.cfg.gpu_policy != GpuPolicy::None => {
+                self.epochs[gid] = EpochState::Armed { settled: false };
+                self.queue
+                    .schedule(now + self.cfg.epoch.as_ns(), Event::Epoch(gid as u32));
+            }
+            EpochState::Parked(at) => {
+                let epoch = self.cfg.epoch.as_ns();
+                let mut next = at + epoch;
+                while next < now {
+                    self.schedulers[gid].roll_idle_epoch();
+                    next += epoch;
+                }
+                self.queue.schedule(next, Event::Epoch(gid as u32));
+                self.epochs[gid] = EpochState::Armed {
+                    settled: !apps_changed,
+                };
+            }
+            EpochState::Armed { .. } if apps_changed => {
+                self.epochs[gid] = EpochState::Armed { settled: false };
+            }
+            _ => {}
+        }
     }
 
     /// If everything dispatchable is gated but work exists, re-run the
@@ -2750,11 +2820,15 @@ impl World {
         }
         if self.devices[gid].next_event_time(now).is_none() && self.devices[gid].total_pending() > 0
         {
-            self.apply_gating(gid, now);
+            self.apply_gating(gid, now, false);
         }
     }
 
-    fn apply_gating(&mut self, gid: usize, now: SimTime) {
+    /// One dispatcher pass: roll the decay, derive the awake set, gate the
+    /// device's streams to match and re-sync it. With `settled`, a pass
+    /// whose awake set equals the one already in force stops after the
+    /// decay: the gates would not change, so neither would the device.
+    fn apply_gating(&mut self, gid: usize, now: SimTime, settled: bool) {
         // Reused buffers keep this path allocation-free; a re-entrant call
         // (sync_device → maybe_retick) takes empty stand-ins and is still
         // correct, just unamortized.
@@ -2787,19 +2861,29 @@ impl World {
             gates.push((ctx, a.stream, app));
         }
         self.schedulers[gid].epoch_tick_into(&work, now, &mut awake);
-        for &(ctx, stream, app) in &gates {
-            self.devices[gid].set_stream_gate(ctx, stream, !awake.contains(&app));
+        let unchanged = settled && awake == self.applied_awake[gid];
+        if !unchanged {
+            for &(ctx, stream, app) in &gates {
+                self.devices[gid].set_stream_gate(ctx, stream, !awake.contains(&app));
+            }
+            self.applied_awake[gid].clone_from(&awake);
         }
         self.work_buf = work;
         self.gate_buf = gates;
         self.awake_buf = awake;
+        if unchanged {
+            return;
+        }
+        // The gates now match the app set, so later passes may compare
+        // against them — unless the scheduler is tracing epoch decisions,
+        // which the shortcuts would not emit. Settle before the sync: an
+        // app unregistering inside it unsettles them again.
+        if !self.schedulers[gid].tracing_epochs() {
+            if let EpochState::Armed { settled } = &mut self.epochs[gid] {
+                *settled = true;
+            }
+        }
         self.sync_device(gid, now);
-        // A pass that ends with the device idle implies nothing was
-        // dispatchable (anything started would still be in flight), so the
-        // next epoch may take the idle fast path — unless the scheduler is
-        // tracing epoch decisions, which the fast path would not emit.
-        self.epoch_idle_ok[gid] =
-            self.devices[gid].is_idle() && !self.schedulers[gid].tracing_epochs();
     }
 }
 

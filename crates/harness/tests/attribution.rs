@@ -135,3 +135,28 @@ fn stage_totals_are_bounded() {
     let rebuilt: u64 = rep.totals().iter().sum();
     assert_eq!(rebuilt, total, "aggregate additivity follows per-request");
 }
+
+/// Regression: a blocking RPC charges `Rpc` up to its delivery instant
+/// when it is sent. A node loss that fails the request over before that
+/// instant used to leave the attribution cursor ahead of the clock, so the
+/// replay's first released wait panicked (`clamp` with min > max) and
+/// requests aborted mid-RPC were flagged inconsistent. The failure now
+/// cuts the pre-charged tail back to the failure instant.
+#[test]
+fn node_loss_during_a_precharged_rpc_stays_additive() {
+    let args: Vec<String> = "--topology 32x4:c2050@calibrated --tenants 64 --apps GA,MC \
+         --arrivals poisson:75rps --duration 4s --faults nodeloss@3s:node3 \
+         --attribution --seed 1"
+        .split_whitespace()
+        .map(str::to_string)
+        .collect();
+    let run = strings_harness::cli::parse_serve_args(&args).expect("valid serve args");
+    let stats = run.spec.run_with_seed(1);
+    assert!(stats.failovers > 0, "the node loss fails requests over");
+    let rep = run.spec.attribution(&stats);
+    assert_eq!(rep.inconsistent, 0, "every request attributes exactly");
+    assert_eq!(rep.unfinished, 0);
+    for r in &rep.requests {
+        assert_eq!(r.stage_ns.iter().sum::<u64>(), r.total_ns());
+    }
+}

@@ -31,25 +31,15 @@
 //! Keyed wakeups never touch the wheel in the common case. Each key owns a
 //! one-entry *slot* beside the wheel; scheduling parks the entry there in
 //! O(1) and [`EventQueue::invalidate`] cancels it in O(1) — tallied in
-//! [`EventQueue::cancelled`]. Only when a second wakeup is scheduled while
-//! one is already parked (a component rescheduling without superseding)
-//! does the parked entry spill into the wheel, where a later invalidation
-//! kills it lazily at pop time ([`EventQueue::stale_pops`], ~0 in
-//! practice).
+//! [`EventQueue::cancelled`] — and a cancelled entry is simply gone: it
+//! never pops, never advances the clock, never counts as an event. Only
+//! when a second wakeup is scheduled while one is already parked (a
+//! component rescheduling without superseding) does the parked entry spill
+//! into the wheel, where a later invalidation kills it lazily at pop time
+//! ([`EventQueue::stale_pops`], ~0 in practice).
 //!
-//! Crucially for determinism, cancellation is *accounting-preserving*: a
-//! cancelled slot entry leaves its `(time, seq)` behind in a graveyard that
-//! is drained at exactly the pop positions where the legacy
-//! dispatch-and-discard path would have popped and skipped it — advancing
-//! the virtual clock and the popped counter identically — so
-//! [`EventQueue::popped`] is byte-identical to the legacy pattern.
-//!
-//! Depth is reported two ways: [`EventQueue::len`] / [`EventQueue::peak_len`]
-//! keep the legacy convention (tombstones and spilled-then-superseded
-//! entries still occupy their pop slots, so the numbers match the old
-//! dispatch-and-discard queue byte for byte), while [`EventQueue::live_len`]
-//! / [`EventQueue::peak_live_len`] count only events that can still
-//! dispatch — the honest backlog, what a capacity planner would want.
+//! Depth ([`EventQueue::live_len`] / [`EventQueue::peak_live_len`]) counts
+//! only events that can still dispatch: the honest backlog.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -180,13 +170,11 @@ struct KeySlot<E> {
 /// q.schedule_keyed(key, 30, "wakeup@30");
 ///
 /// assert_eq!(q.pop(), Some((10, "tick")));
-/// // The cancelled entry still advances the clock and the popped counter
-/// // at its original position (accounting-preserving), but is never
-/// // dispatched.
+/// // The cancelled entry is gone: it never pops and never counts.
 /// assert_eq!(q.pop(), Some((30, "wakeup@30")));
 /// assert_eq!(q.pop(), None);
 /// assert_eq!(q.cancelled(), 1);
-/// assert_eq!(q.popped(), 3);
+/// assert_eq!(q.popped(), 2);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -211,26 +199,17 @@ pub struct EventQueue<E> {
     min_slot: Option<u32>,
     /// Number of slots with a parked entry.
     parked_count: usize,
-    /// `(time << 64) | seq` of cancelled parked entries, drained at the pop
-    /// positions where the legacy path would have popped-and-skipped them.
-    graveyard: BinaryHeap<Reverse<u128>>,
     /// Wheel/overflow entries already superseded (their key's generation
     /// moved on) — dead weight awaiting a lazy stale pop.
     dead_in_wheel: usize,
     stale_pops: u64,
     cancelled: u64,
-    peak_len: usize,
     peak_live: usize,
     /// Sequence number of the most recently popped live event; schedules
     /// stamp it into new entries as their cause.
     cur_id: u64,
     /// That event's own cause, exposed for provenance recording.
     cur_cause: u64,
-}
-
-#[inline]
-fn grave_key(time: SimTime, seq: u64) -> u128 {
-    ((time as u128) << 64) | seq as u128
 }
 
 impl<E> Default for EventQueue<E> {
@@ -255,11 +234,9 @@ impl<E> EventQueue<E> {
             slots: Vec::new(),
             min_slot: None,
             parked_count: 0,
-            graveyard: BinaryHeap::new(),
             dead_in_wheel: 0,
             stale_pops: 0,
             cancelled: 0,
-            peak_len: 0,
             peak_live: 0,
             cur_id: u64::MAX,
             cur_cause: u64::MAX,
@@ -287,11 +264,9 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events popped so far (for progress reporting / loop caps).
-    /// Includes superseded keyed entries — counted at the pop position they
-    /// would have occupied, exactly as when the dispatcher popped and
-    /// discarded them itself — so this is byte-identical to the legacy
-    /// dispatch-and-discard event count.
+    /// Number of events popped so far (for progress reporting / loop caps):
+    /// every dispatched event plus the wheel's stale pops. Wakeups
+    /// cancelled in their slot never pop and are not counted.
     #[inline]
     pub fn popped(&self) -> u64 {
         self.popped
@@ -312,30 +287,12 @@ impl<E> EventQueue<E> {
         self.cancelled
     }
 
-    /// High-water mark of pending events (wheel + parked + cancelled entries
-    /// still occupying their legacy pop slots). Matches the legacy
-    /// dispatch-and-discard queue's depth byte for byte; for the honest
-    /// backlog see [`EventQueue::peak_live_len`].
-    #[inline]
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// High-water mark of *live* pending events: graveyard tombstones and
-    /// spilled-then-superseded entries are excluded — they occupy legacy
-    /// pop slots but can never dispatch, so counting them overstates the
-    /// backlog on cancel-heavy runs.
+    /// High-water mark of [`EventQueue::live_len`]. Spilled-then-superseded
+    /// entries are excluded: they can never dispatch, so counting them
+    /// would overstate the backlog on cancel-heavy runs.
     #[inline]
     pub fn peak_live_len(&self) -> usize {
         self.peak_live
-    }
-
-    /// Number of pending events, counted the legacy way (graveyard
-    /// tombstones and superseded spills included — they still occupy pop
-    /// slots and advance the clock).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len() + self.parked_count + self.graveyard.len()
     }
 
     /// Number of pending events that can still dispatch.
@@ -344,10 +301,10 @@ impl<E> EventQueue<E> {
         self.wheel_len + self.overflow.len() + self.parked_count - self.dead_in_wheel
     }
 
-    /// True if no events are pending.
+    /// True if no pending event can still dispatch.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live_len() == 0
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -437,23 +394,20 @@ impl<E> EventQueue<E> {
     }
 
     /// Cancel the wakeup(s) currently scheduled under `key`. The parked
-    /// entry (if any) dies here in O(1), never touching the wheel; its
-    /// `(time, seq)` is kept in a graveyard and accounted at exactly the
-    /// pop position the legacy dispatch-and-discard path would have popped
-    /// it, so [`EventQueue::popped`] is unchanged. Wheel-spilled entries die
-    /// lazily at their own pop position ([`EventQueue::stale_pops`]).
+    /// entry (if any) dies here in O(1), never touching the wheel.
+    /// Wheel-spilled entries die lazily at their own pop position
+    /// ([`EventQueue::stale_pops`]).
     #[inline]
     pub fn invalidate(&mut self, key: EventKey) {
         let slot = &mut self.slots[key.0 as usize];
         slot.gen += 1;
         // Any current-generation spills in the wheel just became dead
-        // weight: still occupying their legacy pop slots, no longer live.
+        // weight: still in the wheel, no longer live.
         self.dead_in_wheel += slot.spilled_live as usize;
         slot.spilled_live = 0;
-        if let Some(p) = slot.pending.take() {
+        if slot.pending.take().is_some() {
             self.parked_count -= 1;
             self.cancelled += 1;
-            self.graveyard.push(Reverse(grave_key(p.time, p.seq)));
             if self.min_slot == Some(key.0) {
                 self.rescan_min();
             }
@@ -554,11 +508,7 @@ impl<E> EventQueue<E> {
 
     #[inline]
     fn note_depth(&mut self) {
-        let depth = self.wheel_len + self.overflow.len() + self.parked_count + self.graveyard.len();
-        self.peak_len = self.peak_len.max(depth);
-        self.peak_live = self
-            .peak_live
-            .max(depth - self.graveyard.len() - self.dead_in_wheel);
+        self.peak_live = self.peak_live.max(self.live_len());
     }
 
     /// Number of schedules whose timestamp lay in the past and was clamped
@@ -575,28 +525,11 @@ impl<E> EventQueue<E> {
         self.schedule(at, event);
     }
 
-    /// Account graveyard entries ordered before `(time, seq)`: each one
-    /// advances the clock to its own timestamp and increments the popped
-    /// counter, exactly as the legacy path popped-and-discarded it. (They
-    /// were already tallied in [`EventQueue::cancelled`] when invalidated.)
-    fn reap_before(&mut self, time: SimTime, seq: u64) {
-        let cutoff = grave_key(time, seq);
-        while let Some(&Reverse(g)) = self.graveyard.peek() {
-            if g >= cutoff {
-                break;
-            }
-            self.graveyard.pop();
-            self.now = (g >> 64) as SimTime;
-            self.popped += 1;
-        }
-    }
-
     /// Pop the earliest live event, advancing the clock to its timestamp.
     ///
-    /// Cancelled entries ordered before it are accounted on the way (clock
-    /// advance + popped counter, as the legacy dispatch-and-discard path
-    /// did); wheel-spilled stale entries are skipped the same way. Neither is
-    /// ever returned.
+    /// Wheel-spilled stale entries ordered before it are skipped on the way
+    /// (each advances the clock and counts in [`EventQueue::popped`] and
+    /// [`EventQueue::stale_pops`]); they are never returned.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
             let cand = self.wheel_candidate();
@@ -611,12 +544,7 @@ impl<E> EventQueue<E> {
                 (p.time, p.seq)
             });
             let from_wheel = match (wheel_at, slot_at) {
-                (None, None) => {
-                    // Drained: account any trailing cancelled entries the
-                    // legacy path would still have popped and skipped.
-                    self.reap_before(SimTime::MAX, u64::MAX);
-                    return None;
-                }
+                (None, None) => return None,
                 (Some(h), Some(s)) => h < s,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
@@ -637,7 +565,6 @@ impl<E> EventQueue<E> {
                 self.rescan_min();
                 s
             };
-            self.reap_before(s.time, s.seq);
             debug_assert!(s.time >= self.now);
             self.now = s.time;
             self.popped += 1;
@@ -656,8 +583,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Timestamp of the next event without popping it (superseded entries
-    /// included — they still occupy their legacy pop slot).
+    /// Timestamp of the next entry without popping it (a wheel-spilled
+    /// stale entry included: it still pops, and advances the clock).
     pub fn peek_time(&self) -> Option<SimTime> {
         let wheel = match self.wheel_candidate() {
             Some((_, _, t, _)) => Some(t),
@@ -670,11 +597,7 @@ impl<E> EventQueue<E> {
                 .expect("min slot occupied")
                 .time
         });
-        let grave = self
-            .graveyard
-            .peek()
-            .map(|&Reverse(g)| (g >> 64) as SimTime);
-        [wheel, slot, grave].into_iter().flatten().min()
+        wheel.into_iter().chain(slot).min()
     }
 }
 
@@ -796,7 +719,7 @@ mod tests {
         q.schedule(far, "far");
         q.schedule(farther, "farther");
         q.schedule(10, "near");
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.live_len(), 3);
         assert_eq!(q.pop(), Some((10, "near")));
         assert_eq!(q.pop(), Some((far, "far")));
         // Inserts after a window advance still order correctly.
@@ -831,27 +754,27 @@ mod tests {
         q.schedule_keyed(k, 10, "live");
         q.schedule(20, "plain");
         assert_eq!(q.pop(), Some((10, "live")));
-        // The cancelled entry never reached the wheel but still counts at
-        // its legacy pop position.
+        // The cancelled entry never reached the wheel and never counts.
         assert_eq!(q.cancelled(), 1);
         assert_eq!(q.stale_pops(), 0);
-        assert_eq!(q.popped(), 2);
+        assert_eq!(q.popped(), 1);
         assert_eq!(q.pop(), Some((20, "plain")));
-        assert_eq!(q.popped(), 3);
+        assert_eq!(q.popped(), 2);
     }
 
     #[test]
-    fn cancelled_entry_advances_clock_like_a_discarded_pop() {
+    fn cancelled_entry_leaves_no_trace() {
         let mut q = EventQueue::new();
         let k = q.register_key();
         q.schedule_keyed(k, 10, ());
         q.invalidate(k);
-        // Queue drained through a cancelled-only prefix: pop returns None
-        // but the clock stands at the cancelled entry's time, exactly as if
-        // the dispatcher had popped and discarded it.
+        // Only a cancelled entry was ever pending: nothing pops, the clock
+        // stays put, and the queue reads empty.
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
         assert_eq!(q.pop(), None);
-        assert_eq!(q.now(), 10);
-        assert_eq!(q.popped(), 1);
+        assert_eq!(q.now(), 0);
+        assert_eq!(q.popped(), 0);
         assert_eq!(q.stale_pops(), 0);
         assert_eq!(q.cancelled(), 1);
     }
@@ -865,7 +788,7 @@ mod tests {
         q.schedule_keyed(b, 6, "b");
         q.invalidate(a);
         assert_eq!(q.pop(), Some((6, "b")));
-        assert_eq!(q.popped(), 2, "cancelled entry accounted before b");
+        assert_eq!(q.popped(), 1, "cancelled entry never pops");
         assert_eq!(q.cancelled(), 1);
     }
 
@@ -898,8 +821,12 @@ mod tests {
         assert_eq!(q.stale_pops(), 1);
         assert_eq!(q.cancelled(), 1);
         assert_eq!(q.pop(), None);
-        assert_eq!(q.now(), 30, "trailing cancelled entry advances the clock");
-        assert_eq!(q.popped(), 3);
+        assert_eq!(
+            q.now(),
+            20,
+            "the cancelled entry does not advance the clock"
+        );
+        assert_eq!(q.popped(), 2);
     }
 
     #[test]
@@ -918,34 +845,32 @@ mod tests {
     }
 
     #[test]
-    fn peak_len_tracks_high_water_mark() {
+    fn peak_live_len_tracks_high_water_mark() {
         let mut q = EventQueue::new();
-        assert_eq!(q.peak_len(), 0);
+        assert_eq!(q.peak_live_len(), 0);
         q.schedule(1, ());
         q.schedule(2, ());
         q.pop();
         q.schedule(3, ());
-        assert_eq!(q.peak_len(), 2);
+        assert_eq!(q.peak_live_len(), 2);
     }
 
     #[test]
-    fn len_and_is_empty() {
+    fn live_len_and_is_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.schedule(1, ());
         q.schedule(2, ());
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.live_len(), 2);
         q.pop();
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.live_len(), 1);
         assert!(!q.is_empty());
     }
 
-    /// Satellite fix, pinned by hand: graveyard tombstones and
-    /// spilled-then-superseded entries occupy legacy pop slots (so `len` /
-    /// `peak_len` count them, byte-compatible with the old queue) but are
-    /// *not* live backlog — `live_len` / `peak_live_len` exclude them.
+    /// Cancelled parked entries and spilled-then-superseded entries are not
+    /// backlog: `live_len` / `peak_live_len` exclude them.
     #[test]
-    fn live_depth_excludes_tombstones_and_superseded_spills() {
+    fn live_depth_excludes_cancelled_and_superseded_spills() {
         let mut q = EventQueue::new();
         let k = q.register_key();
         let j = q.register_key();
@@ -953,57 +878,58 @@ mod tests {
         q.schedule(100, "plain");
         q.schedule_keyed(k, 10, "will-spill");
         q.schedule_keyed(k, 30, "parked-then-cancelled");
-        assert_eq!(q.len(), 3);
         assert_eq!(q.live_len(), 3, "all three still dispatchable");
 
-        // Kills both of k's entries: the parked one becomes a tombstone,
-        // the spilled one becomes dead weight in the wheel.
+        // Kills both of k's entries: the parked one vanishes, the spilled
+        // one becomes dead weight in the wheel.
         q.invalidate(k);
         assert_eq!(q.cancelled(), 1);
-        assert_eq!(q.len(), 3, "legacy depth still counts both corpses");
         assert_eq!(q.live_len(), 1, "only the plain event is live");
 
         // New live work on another key raises the live depth again.
         q.schedule_keyed(j, 50, "live-wakeup");
         assert_eq!(q.live_len(), 2);
-        assert_eq!(q.len(), 4);
+        assert_eq!(q.peak_live_len(), 3, "the pre-invalidate high-water mark");
 
-        // Peaks: legacy peak saw all four slots, live peak never exceeded 3
-        // (the pre-invalidate high-water mark).
-        assert_eq!(q.peak_len(), 4);
-        assert_eq!(q.peak_live_len(), 3);
-
-        // Draining keeps the two views consistent: the stale spill pops
-        // (not returned), the tombstone reaps, live events dispatch.
+        // Draining: the stale spill pops (not returned), live events
+        // dispatch, the cancelled entry never shows up.
         assert_eq!(q.pop(), Some((50, "live-wakeup")));
         assert_eq!(q.stale_pops(), 1, "spilled corpse died on the way");
         assert_eq!(q.pop(), Some((100, "plain")));
         assert_eq!(q.pop(), None);
-        assert_eq!(q.len(), 0);
         assert_eq!(q.live_len(), 0);
-        assert_eq!(q.popped(), 4, "all four legacy pop slots accounted");
+        assert_eq!(q.popped(), 3, "two dispatches plus one stale pop");
     }
 }
 
 #[cfg(test)]
 mod differential {
-    //! Wheel-vs-heap differential harness: the timing-wheel queue must be
-    //! observationally identical to the legacy binary-heap queue — same pop
-    //! sequence, clock, popped/clamped accounting — under any interleaving
-    //! of schedules, keyed schedules, invalidations and pops.
+    //! Wheel-vs-heap differential harness: the timing-wheel queue must pop
+    //! exactly what a plain binary heap pops — same sequence (FIFO
+    //! tie-break at equal timestamps), same clock, same popped / stale /
+    //! cancelled / clamped accounting, same live depth — under any
+    //! interleaving of schedules, keyed schedules, invalidations and pops.
 
     use super::*;
 
-    /// The legacy all-in-heap queue: every entry (keyed or not) sits in one
-    //  binary heap; invalidation bumps the key's generation and stale
-    /// entries are popped-and-skipped at their own `(time, seq)` position.
-    /// This is the exact pre-wheel dispatch semantics.
+    /// The reference queue: every entry (keyed or not) sits in one binary
+    /// heap. A key's latest wakeup is its *parked* entry until it pops;
+    /// invalidation removes the parked entry outright and turns the key's
+    /// older (spilled) entries stale, to be popped and skipped at their own
+    /// `(time, seq)` position.
     pub struct HeapQueue<E> {
         heap: BinaryHeap<Reverse<Scheduled<E>>>,
         gens: Vec<u64>,
+        parked: Vec<Option<u64>>,
+        /// Per key: current-generation entries in the heap.
+        current: Vec<usize>,
+        /// Stale entries still in the heap.
+        stale: usize,
         next_seq: u64,
         now: SimTime,
         popped: u64,
+        stale_pops: u64,
+        cancelled: u64,
         clamped: u64,
     }
 
@@ -1012,9 +938,14 @@ mod differential {
             HeapQueue {
                 heap: BinaryHeap::new(),
                 gens: vec![0; keys],
+                parked: vec![None; keys],
+                current: vec![0; keys],
+                stale: 0,
                 next_seq: 0,
                 now: 0,
                 popped: 0,
+                stale_pops: 0,
+                cancelled: 0,
                 clamped: 0,
             }
         }
@@ -1024,6 +955,8 @@ mod differential {
         }
 
         pub fn schedule_keyed(&mut self, key: usize, at: SimTime, event: E) {
+            self.parked[key] = Some(self.next_seq);
+            self.current[key] += 1;
             let gen = self.gens[key];
             self.push(at, key as u32, gen, event);
         }
@@ -1045,6 +978,12 @@ mod differential {
         }
 
         pub fn invalidate(&mut self, key: usize) {
+            if let Some(seq) = self.parked[key].take() {
+                self.heap.retain(|Reverse(e)| e.seq != seq);
+                self.current[key] -= 1;
+                self.cancelled += 1;
+            }
+            self.stale += std::mem::take(&mut self.current[key]);
             self.gens[key] += 1;
         }
 
@@ -1052,8 +991,17 @@ mod differential {
             while let Some(Reverse(s)) = self.heap.pop() {
                 self.now = s.time;
                 self.popped += 1;
-                if s.key != NO_KEY && self.gens[s.key as usize] != s.key_gen {
-                    continue; // stale: skipped, but counted
+                if s.key != NO_KEY {
+                    let k = s.key as usize;
+                    if self.gens[k] != s.key_gen {
+                        self.stale -= 1;
+                        self.stale_pops += 1;
+                        continue; // stale: skipped, but counted
+                    }
+                    self.current[k] -= 1;
+                    if self.parked[k] == Some(s.seq) {
+                        self.parked[k] = None;
+                    }
                 }
                 return Some((s.time, s.event));
             }
@@ -1063,12 +1011,20 @@ mod differential {
         pub fn now(&self) -> SimTime {
             self.now
         }
-        pub fn popped(&self) -> u64 {
-            self.popped
+
+        pub fn live_len(&self) -> usize {
+            self.heap.len() - self.stale
         }
-        pub fn clamped(&self) -> u64 {
-            self.clamped
-        }
+    }
+
+    /// Every observable besides the pop itself agrees.
+    fn assert_same_state(q: &EventQueue<u64>, h: &HeapQueue<u64>) {
+        assert_eq!(q.now(), h.now(), "clock diverged");
+        assert_eq!(q.popped(), h.popped, "popped accounting diverged");
+        assert_eq!(q.stale_pops(), h.stale_pops, "stale pops diverged");
+        assert_eq!(q.cancelled(), h.cancelled, "cancellations diverged");
+        assert_eq!(q.clamped(), h.clamped, "clamping diverged");
+        assert_eq!(q.live_len(), h.live_len(), "live depth diverged");
     }
 
     const KEYS: usize = 3;
@@ -1102,12 +1058,9 @@ mod differential {
                 q.invalidate(keys[k]);
                 h.invalidate(k);
             }
-            _ => {
-                assert_eq!(q.pop(), h.pop(), "wheel diverged from heap");
-                assert_eq!(q.popped(), h.popped(), "popped accounting diverged");
-                assert_eq!(q.now(), h.now(), "clock diverged");
-            }
+            _ => assert_eq!(q.pop(), h.pop(), "wheel diverged from heap"),
         }
+        assert_same_state(q, h);
     }
 
     fn drain_both(q: &mut EventQueue<u64>, h: &mut HeapQueue<u64>) {
@@ -1115,13 +1068,11 @@ mod differential {
             let got = q.pop();
             let want = h.pop();
             assert_eq!(got, want, "drain diverged");
-            assert_eq!(q.now(), h.now());
-            assert_eq!(q.popped(), h.popped());
+            assert_same_state(q, h);
             if got.is_none() {
                 break;
             }
         }
-        assert_eq!(q.clamped(), h.clamped());
     }
 
     /// Deterministic dense-timer cancellation storm mirroring the fig12
@@ -1165,6 +1116,11 @@ mod differential {
             }
             if x & 3 != 0 {
                 assert_eq!(q.pop(), h.pop(), "storm pop diverged at step {i}");
+                assert_eq!(
+                    q.live_len(),
+                    h.live_len(),
+                    "storm depth diverged at step {i}"
+                );
             }
         }
         drain_both(&mut q, &mut h);
@@ -1178,10 +1134,9 @@ mod differential {
 
         proptest! {
             /// The timing-wheel queue is observationally identical to the
-            /// legacy binary-heap dispatch-and-discard queue: same pop
-            /// sequence (FIFO tie-break at equal timestamps), same clock,
-            /// same popped/clamped accounting — cancellation never
-            /// reorders or miscounts survivors.
+            /// reference heap: same pop sequence (FIFO tie-break at equal
+            /// timestamps), same clock, same accounting and live depth —
+            /// cancellation never reorders or miscounts survivors.
             #[test]
             fn wheel_matches_heap(
                 ops in proptest::collection::vec((0u8..8, 0u8..8, 0u16..400), 1..120)
@@ -1227,6 +1182,7 @@ mod differential {
                         _ => {
                             prop_assert_eq!(q.pop(), h.pop());
                             prop_assert_eq!(q.now(), h.now());
+                            prop_assert_eq!(q.live_len(), h.live_len());
                         }
                     }
                 }
@@ -1243,129 +1199,7 @@ mod proptests {
 
     const KEYS: usize = 3;
 
-    /// Reference model of the legacy semantics: every entry (keyed or not)
-    /// lives in one flat list; stale entries are popped and skipped at
-    /// their own `(time, seq)` position.
-    struct Model {
-        entries: Vec<(SimTime, u64, Option<usize>, u64)>, // (time, seq, key, gen-at-schedule)
-        gens: [u64; KEYS],
-        next_seq: u64,
-        now: SimTime,
-        popped: u64,
-        clamped: u64,
-    }
-
-    impl Model {
-        fn new() -> Self {
-            Model {
-                entries: Vec::new(),
-                gens: [0; KEYS],
-                next_seq: 0,
-                now: 0,
-                popped: 0,
-                clamped: 0,
-            }
-        }
-
-        fn schedule(&mut self, at: SimTime, key: Option<usize>) {
-            if at < self.now {
-                self.clamped += 1;
-            }
-            let gen = key.map(|k| self.gens[k]).unwrap_or(0);
-            self.entries
-                .push((at.max(self.now), self.next_seq, key, gen));
-            self.next_seq += 1;
-        }
-
-        fn invalidate(&mut self, k: usize) {
-            self.gens[k] += 1;
-        }
-
-        /// Pop the earliest live entry, counting skipped stale entries at
-        /// their own positions — the legacy dispatch-and-discard loop.
-        fn pop(&mut self) -> Option<(SimTime, u64)> {
-            loop {
-                let best = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &(t, s, _, _))| (t, s))?;
-                let (i, &(t, s, key, gen)) = best;
-                self.entries.remove(i);
-                self.now = t;
-                self.popped += 1;
-                if let Some(k) = key {
-                    if self.gens[k] != gen {
-                        continue; // stale: skipped, but counted
-                    }
-                }
-                return Some((t, s));
-            }
-        }
-    }
-
-    /// One generated operation against both implementations.
-    /// sel picks the op, k the key, dt the (possibly past) timestamp offset.
-    fn apply(q: &mut EventQueue<u64>, keys: &[EventKey], m: &mut Model, sel: u8, k: u8, dt: u16) {
-        let k = (k as usize) % KEYS;
-        match sel % 4 {
-            0 => {
-                // Absolute target time around `now`; dt < 100 lands in the
-                // past to exercise clamping.
-                let at = (m.now + dt as SimTime).saturating_sub(100);
-                q.schedule_keyed(keys[k], at, m.next_seq);
-                m.schedule(at, Some(k));
-            }
-            1 => {
-                let at = (m.now + dt as SimTime).saturating_sub(100);
-                q.schedule(at, m.next_seq);
-                m.schedule(at, None);
-            }
-            2 => {
-                q.invalidate(keys[k]);
-                m.invalidate(k);
-            }
-            _ => {
-                let got = q.pop();
-                let want = m.pop();
-                assert_eq!(got, want, "pop diverged from the legacy model");
-                assert_eq!(q.popped(), m.popped, "popped accounting diverged");
-                assert_eq!(q.now(), m.now, "clock diverged");
-            }
-        }
-    }
-
     proptest! {
-        /// The slot/graveyard queue is observationally identical to the
-        /// legacy all-in-heap dispatch-and-discard queue: same pop
-        /// sequence (FIFO tie-break at equal timestamps), same clock,
-        /// same popped/clamped accounting — cancellation never reorders
-        /// or miscounts survivors.
-        #[test]
-        fn matches_legacy_model(
-            ops in proptest::collection::vec((0u8..8, 0u8..8, 0u16..400), 1..120)
-        ) {
-            let mut q: EventQueue<u64> = EventQueue::new();
-            let keys: Vec<EventKey> = (0..KEYS).map(|_| q.register_key()).collect();
-            let mut m = Model::new();
-            for (sel, k, dt) in ops {
-                apply(&mut q, &keys, &mut m, sel, k, dt);
-            }
-            // Drain: the tails must agree too, including trailing
-            // cancelled entries (clock + popped accounting).
-            loop {
-                let got = q.pop();
-                let want = m.pop();
-                prop_assert_eq!(got, want);
-                prop_assert_eq!(q.now(), m.now);
-                prop_assert_eq!(q.popped(), m.popped);
-                if got.is_none() {
-                    break;
-                }
-            }
-            prop_assert_eq!(q.clamped(), m.clamped);
-        }
-
         /// Clamp semantics are data-dependent only (no debug_assert paths):
         /// scheduling into the past always lands at `now` and is counted,
         /// so debug and release builds take the identical path.
@@ -1416,30 +1250,6 @@ mod proptests {
                     }
                 }
             }
-        }
-
-        /// The live-depth view never exceeds the legacy view, and both hit
-        /// zero together once the queue drains.
-        #[test]
-        fn live_depth_is_bounded_by_legacy_depth(
-            ops in proptest::collection::vec((0u8..8, 0u8..8, 0u16..300), 1..100)
-        ) {
-            let mut q: EventQueue<u64> = EventQueue::new();
-            let keys: Vec<EventKey> = (0..KEYS).map(|_| q.register_key()).collect();
-            for (sel, k, dt) in ops {
-                let key = keys[(k as usize) % KEYS];
-                match sel % 4 {
-                    0 => q.schedule_keyed(key, q.now() + dt as u64, 0),
-                    1 => q.schedule(q.now() + dt as u64, 0),
-                    2 => q.invalidate(key),
-                    _ => { q.pop(); }
-                }
-                prop_assert!(q.live_len() <= q.len());
-                prop_assert!(q.peak_live_len() <= q.peak_len());
-            }
-            while q.pop().is_some() {}
-            prop_assert_eq!(q.live_len(), 0);
-            prop_assert_eq!(q.len(), 0);
         }
     }
 }

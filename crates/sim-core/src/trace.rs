@@ -311,6 +311,43 @@ impl Tracer {
         }
     }
 
+    /// Cut `request`'s stage charges on `track` back to `to`: charges that
+    /// end after `to` end there instead, and charges that start at or
+    /// after it are dropped. An executive may charge a stage up to a known
+    /// future instant (an RPC's delivery); when a failure overtakes that
+    /// instant, the pre-charged tail never happened. Only the newest
+    /// charges can run past `to`, so the scan walks back from the end and
+    /// stops at the first charge of the request that ends by `to`.
+    pub fn retract_charges_after(&self, track: TrackId, request: u64, to: SimTime) {
+        let Some(buf) = &self.inner else {
+            return;
+        };
+        let events = &mut buf.borrow_mut().events;
+        for i in (0..events.len()).rev() {
+            let TraceEvent::StageCharge {
+                track: t,
+                at,
+                request: r,
+                from,
+                ..
+            } = &mut events[i]
+            else {
+                continue;
+            };
+            if *t != track || *r != request {
+                continue;
+            }
+            if *at <= to {
+                break;
+            }
+            if *from < to {
+                *at = to;
+                break;
+            }
+            events.remove(i);
+        }
+    }
+
     /// Record a counter sample.
     #[inline]
     pub fn counter(&self, track: TrackId, at: SimTime, name: &'static str, value: f64) {
@@ -606,6 +643,32 @@ mod tests {
         assert_eq!(trace.end_time(), 30);
         // finish() drains the buffer.
         assert_eq!(t2.finish().unwrap().events.len(), 0);
+    }
+
+    #[test]
+    fn retracted_charges_end_at_the_cut() {
+        let t = Tracer::buffered();
+        let trk = t.track("requests", "slot0");
+        t.stage_charge(trk, 10, 7, Stage::HostCpu, 0);
+        t.stage_charge(trk, 50, 7, Stage::Rpc, 10);
+        t.stage_charge(trk, 60, 8, Stage::Rpc, 0); // another request
+        t.stage_charge(trk, 90, 7, Stage::Rpc, 50);
+        t.retract_charges_after(trk, 7, 30);
+        let charges: Vec<_> = t
+            .finish()
+            .unwrap()
+            .events
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::StageCharge {
+                    at, request, from, ..
+                } => Some((request, from, at)),
+                _ => None,
+            })
+            .collect();
+        // Request 7's [10, 50) is cut to [10, 30) and its [50, 90) is
+        // dropped; request 8 and everything before the cut are untouched.
+        assert_eq!(charges, vec![(7, 0, 10), (7, 10, 30), (8, 0, 60)]);
     }
 
     #[test]
