@@ -24,6 +24,7 @@ use std::time::Instant;
 use strings_core::config::StackConfig;
 use strings_core::device_sched::GpuPolicy;
 use strings_core::mapper::LbPolicy;
+use strings_harness::cli::parse_serve_args;
 use strings_harness::experiments::common::{pair_streams, ExpScale};
 use strings_harness::scenario::{Scenario, StreamSpec};
 use strings_harness::serve::ServeSpec;
@@ -83,6 +84,12 @@ fn serve_spec() -> ServeSpec {
     serve
 }
 
+/// The 64×4 capstone as `strings-sim serve` arguments: 2048 tenants under
+/// Poisson 300 rps with 1 s metrics sampling, the cluster-scale row whose
+/// per-event cost must not grow with the device count.
+const CLUSTER_SERVE_ARGS: &str = "--topology 64x4:c2050@calibrated --tenants 2048 \
+     --arrivals poisson:300rps --duration 5s --metrics-every 1s";
+
 /// The fixed scenario set. Names are part of the JSON contract — the CI
 /// gate matches baseline entries by name; entries absent from the
 /// committed baseline are measured and reported but not gated, so new
@@ -116,6 +123,13 @@ fn scenarios() -> Vec<Entry> {
     // wall-time delta between this row and the plain one is the whole
     // profiler overhead, which `--attr-gate` bounds in CI.
     let fig12_attr = fig12.clone().with_attribution();
+    let args: Vec<String> = CLUSTER_SERVE_ARGS
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+    let cluster = parse_serve_args(&args)
+        .expect("the cluster row's serve arguments parse")
+        .spec;
     vec![
         ("fig12_pair_I_supernode", Box::new(move || fig12.run())),
         (
@@ -125,6 +139,7 @@ fn scenarios() -> Vec<Entry> {
         ("single_node_mix", Box::new(move || single.run())),
         ("supernode_mix3", Box::new(move || mix3.run())),
         ("serve_open_loop", Box::new(move || serve.run())),
+        ("cluster_serve_64x4", Box::new(move || cluster.run())),
     ]
 }
 

@@ -61,6 +61,9 @@ impl DeviceStatus {
 #[derive(Debug, Clone)]
 pub struct DeviceStatusTable {
     rows: Vec<DeviceStatus>,
+    /// Rows retired so far, so [`DeviceStatusTable::live_len`] answers
+    /// every selection without a walk over the pool.
+    retired: usize,
     /// Binds that found no free slice and fell back to time-sharing
     /// (meaningful only once [`DeviceStatusTable::enable_slices`] ran).
     slice_overflows: u64,
@@ -83,6 +86,7 @@ impl DeviceStatusTable {
                     slice_allocs: Vec::new(),
                 })
                 .collect(),
+            retired: 0,
             slice_overflows: 0,
         }
     }
@@ -179,13 +183,17 @@ impl DeviceStatusTable {
     /// failures) but selection policies skip it from now on. Idempotent.
     pub fn retire(&mut self, gid: Gid) {
         if let Some(i) = self.idx_of(gid) {
-            self.rows[i].retired = true;
+            let row = &mut self.rows[i];
+            if !row.retired {
+                row.retired = true;
+                self.retired += 1;
+            }
         }
     }
 
     /// Number of devices still accepting placements.
     pub fn live_len(&self) -> usize {
-        self.rows.iter().filter(|r| !r.retired).count()
+        self.rows.len() - self.retired
     }
 }
 

@@ -30,7 +30,7 @@
 //! currency, and the built-in trait impls delegate to the enum's selection
 //! code so both paths are byte-identical.
 
-use super::dst::DeviceStatusTable;
+use super::dst::{DeviceStatus, DeviceStatusTable};
 use super::sft::SchedulerFeedbackTable;
 use super::slices::slice_demand;
 use super::WorkloadClass;
@@ -171,58 +171,58 @@ impl LbPolicy {
         class: WorkloadClass,
         app_node: NodeId,
     ) -> Gid {
+        let new = sft.estimate(class);
+        let new_runtime_s = new.runtime_ns / 1e9;
+        // Expected seconds to drain a device's queue plus the new arrival,
+        // from measured GPU-specific runtimes (RTF's metric; DTF and MBF
+        // build on it — the paper notes MBF "includes the benefits of both
+        // RTF and DTF"). Only those three policies pay for its SFT
+        // lookups; the DST-only family never touches the SFT.
+        let busy_s = |row: &DeviceStatus| {
+            (row.bound()
+                .iter()
+                .map(|c| sft.runtime_on(*c, row.gid))
+                .sum::<f64>()
+                + sft.runtime_on(class, row.gid))
+                / 1e9
+        };
         let mut best: Option<((f64, f64, Gid), Gid)> = None;
         for row in dst.rows() {
             if row.is_retired() {
                 continue;
             }
-            // Expected seconds to drain this device's queue plus the new
-            // arrival, from measured GPU-specific runtimes (RTF's metric;
-            // DTF and MBF build on it — the paper notes MBF "includes the
-            // benefits of both RTF and DTF").
-            let busy_s = (row
-                .bound()
-                .iter()
-                .map(|c| sft.runtime_on(*c, row.gid))
-                .sum::<f64>()
-                + sft.runtime_on(class, row.gid))
-                / 1e9;
-            let new_runtime_s = sft.estimate(class).runtime_ns / 1e9;
             let mut score = match self {
                 LbPolicy::GMin => row.load() as f64,
                 LbPolicy::GWtMin => row.weighted_load(),
-                LbPolicy::Rtf => busy_s,
+                LbPolicy::Rtf => busy_s(row),
                 LbPolicy::Guf => {
-                    let new_util = sft.estimate(class).gpu_util;
                     let penalty: f64 = row
                         .bound()
                         .iter()
-                        .map(|c| sft.estimate(*c).gpu_util * new_util)
+                        .map(|c| sft.estimate(*c).gpu_util * new.gpu_util)
                         .sum();
                     row.weighted_load() + GUF_PENALTY_WEIGHT * penalty
                 }
                 LbPolicy::Dtf => {
                     // Similar transfer intensity → both fight for the same
                     // engine; contrast → compute overlaps transfer.
-                    let new_tf = sft.estimate(class).transfer_frac;
                     let penalty: f64 = row
                         .bound()
                         .iter()
-                        .map(|c| 1.0 - (sft.estimate(*c).transfer_frac - new_tf).abs())
+                        .map(|c| 1.0 - (sft.estimate(*c).transfer_frac - new.transfer_frac).abs())
                         .sum();
                     // A same-character collocation costs about a fraction
                     // of the arriving application's own runtime.
-                    busy_s + DTF_PENALTY_WEIGHT * penalty * new_runtime_s
+                    busy_s(row) + DTF_PENALTY_WEIGHT * penalty * new_runtime_s
                 }
                 LbPolicy::Mbf => {
                     // Shared bandwidth appetite is the harm: min(m_a, m_b).
-                    let new_m = sft.estimate(class).mem_intensity;
                     let penalty: f64 = row
                         .bound()
                         .iter()
-                        .map(|c| sft.estimate(*c).mem_intensity.min(new_m))
+                        .map(|c| sft.estimate(*c).mem_intensity.min(new.mem_intensity))
                         .sum();
-                    busy_s + MBF_PENALTY_WEIGHT * penalty * new_runtime_s
+                    busy_s(row) + MBF_PENALTY_WEIGHT * penalty * new_runtime_s
                 }
                 LbPolicy::Frag => match row.slices() {
                     // Feasible placements score by post-placement
@@ -820,5 +820,103 @@ mod tests {
         let sft = SchedulerFeedbackTable::new();
         let mut rr = 0;
         LbPolicy::Grr.select(&dst, &sft, WorkloadClass(0), NodeId(0), &mut rr);
+    }
+
+    /// A seeded placement history on a 64-node × 4-GPU heterogeneous DST:
+    /// every step picks a device through both the enum path and the boxed
+    /// [`LbPolicy::build`] path, binds the pick, and then either unbinds a
+    /// random earlier placement, folds a feedback record into the SFT, or
+    /// does nothing. Returns the enum path's picks (the boxed path is
+    /// asserted equal at every step).
+    fn cluster_pick_history(policy: LbPolicy) -> Vec<u32> {
+        use gpu_sim::spec::GpuModel::{Quadro2000, Quadro4000, TeslaC2050, TeslaC2070};
+        let models = [Quadro2000, TeslaC2050, Quadro4000, TeslaC2070];
+        let nodes: Vec<NodeSpec> = (0..64u32)
+            .map(|n| NodeSpec::new(n, (0..4).map(|d| models[(n as usize + d) % 4]).collect()))
+            .collect();
+        let mut dst_a = DeviceStatusTable::from_gmap(&GMap::build(&nodes));
+        if policy == LbPolicy::Frag {
+            dst_a.enable_slices(8);
+        }
+        let mut dst_b = dst_a.clone();
+        let mut sft = SchedulerFeedbackTable::new();
+        let mut boxed = policy.build();
+        let mut rr = 0;
+        let mut bound: Vec<(Gid, WorkloadClass)> = Vec::new();
+        let mut picks = Vec::new();
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for step in 0..600 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let class = WorkloadClass(((x >> 40) % 6) as u32);
+            let node = NodeId(((x >> 20) % 64) as u32);
+            let via_enum = policy.select(&dst_a, &sft, class, node, &mut rr);
+            let via_box = boxed.select(&dst_b, &sft, class, node);
+            assert_eq!(
+                via_enum, via_box,
+                "{policy:?} paths diverged at step {step}"
+            );
+            picks.push(via_enum.0);
+            dst_a.bind(via_enum, class);
+            dst_b.bind(via_box, class);
+            bound.push((via_enum, class));
+            match x >> 61 {
+                0..=2 => {
+                    let (gid, c) = bound.swap_remove((x >> 8) as usize % bound.len());
+                    dst_a.unbind(gid, c);
+                    dst_b.unbind(gid, c);
+                }
+                3 | 4 => {
+                    let runtime_ns = 1_000_000 + (x >> 30) % 50_000_000;
+                    let gpu_time_ns = runtime_ns * ((x >> 12) % 100) / 100;
+                    sft.record(
+                        WorkloadClass(((x >> 50) % 6) as u32),
+                        Gid(((x >> 3) % 256) as u32),
+                        FeedbackRecord {
+                            runtime_ns,
+                            gpu_time_ns,
+                            transfer_ns: gpu_time_ns * ((x >> 24) % 100) / 100,
+                            bytes_moved: (x >> 34) % (1 << 26),
+                        },
+                    );
+                }
+                _ => {}
+            }
+        }
+        picks
+    }
+
+    /// FNV-1a over a pick sequence.
+    fn fnv1a(picks: &[u32]) -> u64 {
+        picks.iter().fold(0xcbf2_9ce4_8422_2325, |h, &g| {
+            g.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// The pick sequences on a 64×4 cluster are pinned per policy: the
+    /// scores each policy computes, and so its placements, must not move
+    /// when the scoring code is reorganised. A mismatch prints the hash
+    /// to compare against.
+    #[test]
+    fn cluster_pick_sequences_are_pinned() {
+        const PINNED: [(LbPolicy, u64); 8] = [
+            (LbPolicy::Grr, 0xbcff_7e66_6f41_2e65),
+            (LbPolicy::GMin, 0x74a4_3c03_47d3_a717),
+            (LbPolicy::GWtMin, 0xb2f9_e29b_c76d_3456),
+            (LbPolicy::Frag, 0x4348_7cac_f2a8_08bf),
+            (LbPolicy::Rtf, 0x2c6d_c47a_4cf7_cb88),
+            (LbPolicy::Guf, 0x555a_6b9b_9568_5581),
+            (LbPolicy::Dtf, 0xeb15_f392_5e4d_147c),
+            (LbPolicy::Mbf, 0x618e_ec7b_5110_dba4),
+        ];
+        assert_eq!(PINNED.map(|(p, _)| p), LbPolicy::ALL);
+        for (policy, want) in PINNED {
+            let picks = cluster_pick_history(policy);
+            let got = fnv1a(&picks);
+            assert_eq!(got, want, "{policy:?} pick sequence moved: 0x{got:016x}");
+        }
     }
 }

@@ -406,6 +406,25 @@ impl Device {
         self.switch.is_none() && self.total_pending() == 0
     }
 
+    /// Drop `(ctx, stream)`'s row from the context's stream table once its
+    /// owner is gone, so per-step stream walks stay proportional to live
+    /// streams. A stream still holding queued or running work keeps its
+    /// row (that work must complete), and the default stream is never
+    /// dropped. Returns true if the row was removed.
+    pub fn drop_stream(&mut self, ctx: ContextId, stream: StreamId) -> bool {
+        if stream.is_default() || self.stream_has_work(ctx, stream) {
+            return false;
+        }
+        self.contexts
+            .get_mut(ctx)
+            .is_some_and(|c| c.streams.remove(stream).is_some())
+    }
+
+    /// Stream-table rows across all contexts.
+    pub fn stream_rows(&self) -> usize {
+        self.contexts.values().map(|c| c.streams.len()).sum()
+    }
+
     /// Drop every *queued* (not yet running) job of `(ctx, stream)` —
     /// backend-fault cleanup. In-flight engine work drains normally.
     /// Returns the cancelled job ids so callers can clear their trackers.
@@ -1201,6 +1220,38 @@ mod tests {
         assert!(!d.is_idle());
         run_to_idle(&mut d, 0);
         assert!(d.is_idle());
+    }
+
+    #[test]
+    fn drop_stream_keeps_rows_with_work_and_the_default_stream() {
+        let mut d = dev();
+        let ctx = ContextId(0);
+        d.create_context(ctx);
+        d.submit(ctx, StreamId::DEFAULT, kernel(100), 0, 0).unwrap();
+        d.submit(ctx, StreamId(1), kernel(100), 1, 0).unwrap();
+        d.submit(ctx, StreamId(2), kernel(100), 2, 0).unwrap();
+        d.set_stream_gate(ctx, StreamId(3), true);
+        assert_eq!(d.stream_rows(), 4);
+        // Queued work pins its row.
+        assert!(!d.drop_stream(ctx, StreamId(1)));
+        // A gated stream with nothing queued goes.
+        assert!(d.drop_stream(ctx, StreamId(3)));
+        assert!(!d.drop_stream(ctx, StreamId(3)), "already gone");
+        // Running work pins its row too.
+        d.step(0);
+        assert!(d.stream_busy(ctx, StreamId(1)));
+        assert!(!d.drop_stream(ctx, StreamId(1)));
+        run_to_idle(&mut d, 0);
+        assert!(d.drop_stream(ctx, StreamId(1)));
+        assert!(d.drop_stream(ctx, StreamId(2)));
+        // The default stream is never dropped, even when idle.
+        assert!(!d.drop_stream(ctx, StreamId::DEFAULT));
+        assert!(!d.drop_stream(ContextId(9), StreamId(1)), "unknown context");
+        assert_eq!(d.stream_rows(), 1);
+        // A dropped stream that is submitted to again comes back.
+        d.submit(ctx, StreamId(2), kernel(100), 3, 0).unwrap();
+        assert_eq!(d.stream_rows(), 2);
+        assert_eq!(d.total_pending(), 1);
     }
 }
 

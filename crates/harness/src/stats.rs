@@ -109,6 +109,11 @@ pub struct RunStats {
     /// The complete flight-record chain of the request singled out by
     /// [`crate::world::World::set_explain`], immune to ring eviction.
     pub explain_records: Vec<FlightRecord>,
+    /// Stream-table rows left across all devices' contexts at the end of
+    /// the run. Private streams are dropped when their app exits, so this
+    /// stays bounded by the apps alive at the end plus default streams,
+    /// however many apps ran.
+    pub stream_rows: u64,
     /// Wall-clock self-profile (None unless
     /// [`crate::world::World::enable_self_profile`] was called). Never
     /// rendered into any golden surface — wall-clock is nondeterministic.

@@ -42,7 +42,7 @@ use strings_core::device_sched::{AppWork, GpuPolicy, GpuScheduler, Phase, Tenant
 use strings_core::mapper::{GpuAffinityMapper, WorkloadClass};
 use strings_core::packer::{ContextPacker, PackedCall};
 use strings_metrics::alerts::{BurnRateConfig, BurnRateEngine};
-use strings_metrics::registry::{MetricKind, MetricsRegistry};
+use strings_metrics::registry::{HistogramId, MetricKind, MetricsRegistry, SeriesId};
 use strings_metrics::slo::SloRecord;
 use strings_metrics::CompletionSet;
 
@@ -227,6 +227,75 @@ enum EpochState {
     Parked(SimTime),
 }
 
+/// Unlabelled counter/gauge families, in the order
+/// [`World::sample_metrics`] lists their values.
+const RUN_SERIES: [&str; 15] = [
+    "sim_virtual_time_ns",
+    "sim_events_total",
+    "sim_queue_peak_depth",
+    "requests_completed_total",
+    "requests_failed_total",
+    "requests_shed_total",
+    "cuda_pending_jobs",
+    "cuda_contexts_active",
+    "cuda_streams_active",
+    "rpc_sent_total",
+    "rpc_delivered_total",
+    "rpc_replies_total",
+    "rpc_dropped_total",
+    "rpc_bytes_total",
+    "rpc_in_flight",
+];
+
+/// Per-device families, labelled `gid="N"`.
+const GPU_SERIES: [&str; 5] = [
+    "gpu_compute_occupancy",
+    "gpu_copy_busy",
+    "gpu_context_switches_total",
+    "gpu_kernels_completed_total",
+    "gpu_copies_completed_total",
+];
+
+/// Per-node rollup families, labelled `node="N"`.
+const NODE_SERIES: [&str; 4] = [
+    "node_devices_live",
+    "node_kernels_completed_total",
+    "node_copies_completed_total",
+    "node_compute_occupancy",
+];
+
+/// Burn-rate alert families.
+const BURN_SERIES: [&str; 3] = ["slo_burn_short", "slo_burn_long", "slo_alerts_fired_total"];
+
+/// Metrics series handles, resolved once so sampling and latency
+/// observations store by index without building strings. Each resolves
+/// the first time its value is written: the run-wide and burn-rate sets
+/// at the first sample, the labelled ones when their device, node or
+/// tenant is first seen.
+#[derive(Debug, Default)]
+struct MetricSeries {
+    run: Option<[SeriesId; RUN_SERIES.len()]>,
+    burn: Option<[SeriesId; BURN_SERIES.len()]>,
+    gpu: Vec<Option<[SeriesId; GPU_SERIES.len()]>>,
+    node: Vec<Option<[SeriesId; NODE_SERIES.len()]>>,
+    latency: Vec<Option<HistogramId>>,
+}
+
+/// The handle cached at `slots[i]`, resolving it on first use.
+fn cached<T: Copy>(slots: &mut Vec<Option<T>>, i: usize, resolve: impl FnOnce() -> T) -> T {
+    if slots.len() <= i {
+        slots.resize(i + 1, None);
+    }
+    *slots[i].get_or_insert_with(resolve)
+}
+
+/// Store one value per handle.
+fn set_all<const N: usize>(m: &mut MetricsRegistry, ids: [SeriesId; N], values: [f64; N]) {
+    for (id, v) in ids.into_iter().zip(values) {
+        m.set_series(id, v);
+    }
+}
+
 /// The executive.
 pub struct World {
     cfg: StackConfig,
@@ -312,6 +381,8 @@ pub struct World {
     attr_ctx: FxHashMap<ContextId, EngineWindow>,
     /// Unified metrics registry (None unless `enable_metrics` was called).
     metrics: Option<MetricsRegistry>,
+    /// Series handles into `metrics`.
+    metric_series: MetricSeries,
     /// Virtual-time metrics sampling cadence, ns.
     metrics_every: u64,
     /// Sample per-node rollup families too (opt-in: cluster topologies).
@@ -450,6 +521,7 @@ impl World {
             attr_stream: FxHashMap::default(),
             attr_ctx: FxHashMap::default(),
             metrics: None,
+            metric_series: MetricSeries::default(),
             metrics_every: 0,
             node_metrics: false,
             rpc: RpcCounters::default(),
@@ -949,6 +1021,7 @@ impl World {
             .map(|d| d.telemetry.context_switches)
             .sum();
         self.stats.clamped_events = self.queue.clamped();
+        self.stats.stream_rows = self.devices.iter().map(|d| d.stream_rows() as u64).sum();
         if let Some(adm) = &self.admission {
             self.stats.admission = Some(adm.stats());
         }
@@ -1250,34 +1323,55 @@ impl World {
         let Some(mut m) = self.metrics.take() else {
             return;
         };
-        m.set("sim_virtual_time_ns", &[], now as f64);
-        m.set("sim_events_total", &[], self.queue.popped() as f64);
-        m.set(
-            "sim_queue_peak_depth",
-            &[],
-            self.queue.peak_live_len() as f64,
+        let h = &mut self.metric_series;
+        let run = *h
+            .run
+            .get_or_insert_with(|| RUN_SERIES.map(|name| m.series(name, &[])));
+        set_all(
+            &mut m,
+            run,
+            [
+                now as f64,
+                self.queue.popped() as f64,
+                self.queue.peak_live_len() as f64,
+                self.finished as f64,
+                self.stats.failed_requests as f64,
+                self.stats.shed_requests as f64,
+                self.pending.total() as f64,
+                self.pending.contexts_active() as f64,
+                self.pending.streams_active() as f64,
+                self.rpc.sent as f64,
+                self.rpc.delivered as f64,
+                self.rpc.replies as f64,
+                self.rpc.dropped as f64,
+                self.rpc.bytes as f64,
+                self.rpc.in_flight() as f64,
+            ],
         );
-        m.set("requests_completed_total", &[], self.finished as f64);
-        m.set(
-            "requests_failed_total",
-            &[],
-            self.stats.failed_requests as f64,
-        );
-        m.set("requests_shed_total", &[], self.stats.shed_requests as f64);
         for (gid, d) in self.devices.iter().enumerate() {
-            let g = gid.to_string();
-            let l: &[(&str, &str)] = &[("gid", g.as_str())];
+            let ids = cached(&mut h.gpu, gid, || {
+                let g = gid.to_string();
+                GPU_SERIES.map(|name| m.series(name, &[("gid", g.as_str())]))
+            });
             let t = &d.telemetry;
-            m.set("gpu_compute_occupancy", l, t.compute.level_at(now));
-            m.set("gpu_copy_busy", l, t.copy.level_at(now));
-            m.set("gpu_context_switches_total", l, t.context_switches as f64);
-            m.set("gpu_kernels_completed_total", l, t.kernels_completed as f64);
-            m.set("gpu_copies_completed_total", l, t.copies_completed as f64);
+            set_all(
+                &mut m,
+                ids,
+                [
+                    t.compute.level_at(now),
+                    t.copy.level_at(now),
+                    t.context_switches as f64,
+                    t.kernels_completed as f64,
+                    t.copies_completed as f64,
+                ],
+            );
         }
         if self.node_metrics {
             for (node, shard) in self.gpool.shards() {
-                let n = node.0.to_string();
-                let l: &[(&str, &str)] = &[("node", n.as_str())];
+                let ids = cached(&mut h.node, node.0 as usize, || {
+                    let n = node.0.to_string();
+                    NODE_SERIES.map(|name| m.series(name, &[("node", n.as_str())]))
+                });
                 let (mut kernels, mut copies, mut occ) = (0u64, 0u64, 0.0f64);
                 for e in shard.entries() {
                     let t = &self.devices[e.gid.index()].telemetry;
@@ -1285,34 +1379,24 @@ impl World {
                     copies += t.copies_completed;
                     occ += t.compute.level_at(now);
                 }
-                m.set("node_devices_live", l, shard.live_len() as f64);
-                m.set("node_kernels_completed_total", l, kernels as f64);
-                m.set("node_copies_completed_total", l, copies as f64);
-                m.set("node_compute_occupancy", l, occ / shard.len().max(1) as f64);
+                set_all(
+                    &mut m,
+                    ids,
+                    [
+                        shard.live_len() as f64,
+                        kernels as f64,
+                        copies as f64,
+                        occ / shard.len().max(1) as f64,
+                    ],
+                );
             }
         }
-        m.set("cuda_pending_jobs", &[], self.pending.total() as f64);
-        m.set(
-            "cuda_contexts_active",
-            &[],
-            self.pending.contexts_active() as f64,
-        );
-        m.set(
-            "cuda_streams_active",
-            &[],
-            self.pending.streams_active() as f64,
-        );
-        m.set("rpc_sent_total", &[], self.rpc.sent as f64);
-        m.set("rpc_delivered_total", &[], self.rpc.delivered as f64);
-        m.set("rpc_replies_total", &[], self.rpc.replies as f64);
-        m.set("rpc_dropped_total", &[], self.rpc.dropped as f64);
-        m.set("rpc_bytes_total", &[], self.rpc.bytes as f64);
-        m.set("rpc_in_flight", &[], self.rpc.in_flight() as f64);
         if let Some(eng) = self.alerts.as_ref() {
+            let ids = *h
+                .burn
+                .get_or_insert_with(|| BURN_SERIES.map(|name| m.series(name, &[])));
             let (short, long) = eng.current_burns();
-            m.set("slo_burn_short", &[], short);
-            m.set("slo_burn_long", &[], long);
-            m.set("slo_alerts_fired_total", &[], eng.fired_total() as f64);
+            set_all(&mut m, ids, [short, long, eng.fired_total() as f64]);
         }
         m.snapshot(now);
         self.metrics = Some(m);
@@ -1500,12 +1584,11 @@ impl World {
             return;
         }
         let app = AppId(idx as u32);
-        let mut host = HostThread::new(
-            app,
-            ProcessId(HOST_PID_BASE + idx as u32),
-            r.program.clone(),
-            now,
-        );
+        // A request starts once, and a failover replays the host's own
+        // copy, so the planned program moves into the host uncopied.
+        let program = std::mem::take(&mut self.requests[idx].program);
+        let r = &self.requests[idx];
+        let mut host = HostThread::new(app, ProcessId(HOST_PID_BASE + idx as u32), program, now);
         host.arrived_at = r.arrival; // queueing at the server counts
         self.slot_inflight[r.slot] += 1;
         self.apps[idx] = Some(AppInstance {
@@ -1643,8 +1726,11 @@ impl World {
                 o.completed += 1;
             }
             if let Some(m) = self.metrics.as_mut() {
-                let t = tenant.0.to_string();
-                m.observe("request_latency_ns", &[("tenant", t.as_str())], turnaround);
+                let id = cached(&mut self.metric_series.latency, tenant.0 as usize, || {
+                    let t = tenant.0.to_string();
+                    m.histogram("request_latency_ns", &[("tenant", t.as_str())])
+                });
+                m.observe_series(id, turnaround);
             }
             // The burn-rate rule's latency target doubles as the breach
             // threshold for the flight recorder's SLO dump class.
@@ -2181,6 +2267,12 @@ impl World {
             self.devices[gid.index()].destroy_context(ctx);
             self.pending.forget_ctx(ctx);
             self.sync_device(gid.index(), now);
+        } else {
+            // Designs II/III: the shared context outlives the app, but its
+            // private stream does not; without this every app that ever
+            // ran keeps a row the device walks on each step.
+            let stream = self.app(app).stream;
+            self.devices[gid.index()].drop_stream(ctx, stream);
         }
     }
 
@@ -2560,6 +2652,9 @@ impl World {
             for jid in self.devices[g].cancel_stream(ctx, stream) {
                 self.pending.complete(jid);
             }
+            // The app never submits on this stream again (a re-bind gets a
+            // fresh one); drop its row unless work is still running on it.
+            self.devices[g].drop_stream(ctx, stream);
             self.schedulers[g].unregister(app, now);
             self.device_apps[g].retain(|a| *a != app);
             self.master_q[g].retain(|(a, _)| *a != app);

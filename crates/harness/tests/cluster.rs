@@ -151,3 +151,30 @@ fn node_loss_blast_radius_is_node_local_on_design_ii() {
         }
     }
 }
+
+/// Device stream tables stay bounded by the apps alive, not by the apps
+/// that ever ran: a private stream's row goes when its app exits or is
+/// detached by a failover. Thousands of apps pass through this 64×4 run,
+/// partitions included, and no row outlives its app.
+#[test]
+fn stream_tables_stay_bounded_by_live_apps() {
+    let args: Vec<String> = "--topology 64x4:c2050@calibrated --tenants 2048 \
+         --arrivals poisson:300rps --duration 8s \
+         --faults partition@2s+2s:node3;partition@5s+1s:node7"
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+    let spec = strings_harness::cli::parse_serve_args(&args)
+        .expect("serve arguments parse")
+        .spec;
+    let planned = spec.plan_with_seed(spec.seed).len() as u64;
+    let stats = spec.run();
+    assert!(stats.completed_requests > 1000, "the run served real load");
+    assert!(stats.rpc_timeouts > 0, "the partitions disrupted requests");
+    let live_apps = planned - stats.completed_requests;
+    assert!(
+        stats.stream_rows <= live_apps,
+        "{} stream rows left for {live_apps} live apps",
+        stats.stream_rows
+    );
+}

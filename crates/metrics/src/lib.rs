@@ -49,6 +49,6 @@ pub use alerts::{AlertEvent, AlertReport, BurnRateConfig, BurnRateEngine};
 pub use attribution::{AttributionReport, RequestAttribution};
 pub use disruption::{DisruptionReport, TenantDisruption};
 pub use fairness::jain_fairness;
-pub use registry::{MetricKind, MetricsRegistry};
+pub use registry::{HistogramId, MetricKind, MetricsRegistry, SeriesId};
 pub use slo::{SloRecord, SloReport};
 pub use speedup::{weighted_speedup, CompletionSet};

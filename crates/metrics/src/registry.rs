@@ -19,8 +19,9 @@
 //! across reruns and host thread counts.
 
 use sim_core::SimTime;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// What kind of metric a family is (drives the `# TYPE` line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,17 +106,165 @@ fn label_str(labels: &[(&str, &str)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
+/// Handle to one counter/gauge series, from [`MetricsRegistry::series`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SeriesId(u32);
+
+/// Handle to one histogram series, from [`MetricsRegistry::histogram`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct HistogramId(u32);
+
+/// Series of one kind, addressed by handle and rendered in
+/// `(name, rendered labels)` order. A series' state is `None` until its
+/// first write, so a resolved-but-unwritten series renders nowhere.
+#[derive(Debug, Clone, PartialEq)]
+struct SeriesTable<T> {
+    /// `(name, rendered labels)` → handle; iteration order is the render
+    /// order.
+    index: BTreeMap<(String, String), u32>,
+    /// Per handle: the JSONL fields between the timestamp and the value
+    /// (`,"name":"…","labels":"…","value":` or `…"count":`), as a byte
+    /// range into `mids`.
+    mid: Vec<(u32, u32)>,
+    /// Every handle's JSONL mid-fields, rendered once, back to back.
+    mids: String,
+    /// Per handle: the current value.
+    state: Vec<Option<T>>,
+    /// Written handles in render order, for snapshots; rebuilt by the
+    /// first snapshot after a series is first written.
+    order: Vec<u32>,
+    order_stale: bool,
+    /// The JSONL field that follows the labels (`value` or `count`).
+    field: &'static str,
+}
+
+impl<T> SeriesTable<T> {
+    fn new(field: &'static str) -> Self {
+        SeriesTable {
+            index: BTreeMap::new(),
+            mid: Vec::new(),
+            mids: String::new(),
+            state: Vec::new(),
+            order: Vec::new(),
+            order_stale: false,
+            field,
+        }
+    }
+
+    /// The handle index of `(name, labels)`, resolving it on first use.
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)]) -> u32 {
+        let next = self.state.len() as u32;
+        match self.index.entry((name.to_string(), label_str(labels))) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let (name, labels) = e.key();
+                let start = self.mids.len() as u32;
+                write!(
+                    self.mids,
+                    ",\"name\":\"{name}\",\"labels\":\"{}\",\"{}\":",
+                    labels.replace('"', "'"),
+                    self.field
+                )
+                .unwrap();
+                self.mid.push((start, self.mids.len() as u32));
+                self.state.push(None);
+                *e.insert(next)
+            }
+        }
+    }
+
+    /// The state of handle `i`, marking the render order stale when this
+    /// is the series' first write.
+    #[inline]
+    fn write(&mut self, i: u32) -> &mut Option<T> {
+        let state = &mut self.state[i as usize];
+        self.order_stale |= state.is_none();
+        state
+    }
+
+    /// Written series in render order, as `(JSONL mid-fields, state)`.
+    fn written(&mut self) -> impl Iterator<Item = (&str, &T)> {
+        if self.order_stale {
+            let state = &self.state;
+            self.order = self
+                .index
+                .values()
+                .copied()
+                .filter(|&i| state[i as usize].is_some())
+                .collect();
+            self.order_stale = false;
+        }
+        self.order.iter().map(|&i| {
+            let (a, b) = self.mid[i as usize];
+            let state = self.state[i as usize].as_ref().expect("written");
+            (&self.mids[a as usize..b as usize], state)
+        })
+    }
+
+    /// Written series of family `name`, as `(rendered labels, state)` in
+    /// label order.
+    fn family<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (&'a str, &'a T)> {
+        self.index
+            .range((name.to_string(), String::new())..)
+            .take_while(move |((n, _), _)| n == name)
+            .filter_map(|((_, labels), &i)| {
+                self.state[i as usize]
+                    .as_ref()
+                    .map(|v| (labels.as_str(), v))
+            })
+    }
+
+    fn written_count(&self) -> usize {
+        self.state.iter().filter(|s| s.is_some()).count()
+    }
+}
+
 /// The unified registry. See the module docs for the contract.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Series are addressed by handle: [`MetricsRegistry::series`] and
+/// [`MetricsRegistry::histogram`] resolve a `(name, labels)` pair once,
+/// and [`MetricsRegistry::set_series`] / [`MetricsRegistry::observe_series`]
+/// then store without building any string. A series exists — in
+/// snapshots, the exposition and [`MetricsRegistry::series_count`] —
+/// from its first write on; resolving a handle alone changes nothing.
+///
+/// ```
+/// use strings_metrics::registry::{MetricKind, MetricsRegistry};
+///
+/// let mut r = MetricsRegistry::new();
+/// r.register("gpu_busy", MetricKind::Gauge, "Busy fraction");
+/// let gid0 = r.series("gpu_busy", &[("gid", "0")]);
+/// let _unused = r.series("gpu_busy", &[("gid", "1")]);
+/// r.set_series(gid0, 0.5);
+/// r.snapshot(1_000);
+/// assert_eq!(
+///     r.jsonl(),
+///     "{\"t\":1000,\"name\":\"gpu_busy\",\"labels\":\"{gid='0'}\",\"value\":0.5}\n"
+/// );
+/// assert_eq!(r.series_count(), 1);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
     families: BTreeMap<&'static str, Family>,
-    /// (family, rendered-labels) → current value.
-    values: BTreeMap<(String, String), f64>,
-    histograms: BTreeMap<(String, String), Hist>,
-    /// Pre-rendered JSONL snapshot lines, in snapshot order.
-    snapshots: Vec<String>,
+    values: SeriesTable<f64>,
+    histograms: SeriesTable<Hist>,
+    /// Every snapshot's JSONL lines, each newline-terminated, in snapshot
+    /// order.
+    jsonl: String,
     /// Virtual times at which snapshots were taken.
     sample_times: Vec<SimTime>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            families: BTreeMap::new(),
+            values: SeriesTable::new("value"),
+            histograms: SeriesTable::new("count"),
+            jsonl: String::new(),
+            sample_times: Vec::new(),
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -130,12 +279,32 @@ impl MetricsRegistry {
         self.families.entry(name).or_insert(Family { kind, help });
     }
 
+    /// Resolve the counter/gauge series `(name, labels)` to a handle for
+    /// [`MetricsRegistry::set_series`]. Resolving the same pair again
+    /// returns the same handle.
+    pub fn series(&mut self, name: &str, labels: &[(&str, &str)]) -> SeriesId {
+        SeriesId(self.values.resolve(name, labels))
+    }
+
+    /// Resolve the histogram series `(name, labels)` to a handle for
+    /// [`MetricsRegistry::observe_series`].
+    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> HistogramId {
+        HistogramId(self.histograms.resolve(name, labels))
+    }
+
     /// Set the current value of a counter or gauge series. Counters are
     /// set to their absolute running total (the executive owns the
     /// monotonicity), gauges to the current level.
+    #[inline]
+    pub fn set_series(&mut self, id: SeriesId, value: f64) {
+        *self.values.write(id.0) = Some(value);
+    }
+
+    /// [`MetricsRegistry::set_series`] by name, resolving the series on
+    /// the way.
     pub fn set(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.values
-            .insert((name.to_string(), label_str(labels)), value);
+        let id = self.series(name, labels);
+        self.set_series(id, value);
     }
 
     /// Record one observation into a fixed-bucket latency histogram.
@@ -145,11 +314,11 @@ impl MetricsRegistry {
     /// boundary's bucket. Observations above the largest finite bucket
     /// are visible only in `le="+Inf"`, which by construction always
     /// equals the series' total `_count`.
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value_ns: u64) {
+    pub fn observe_series(&mut self, id: HistogramId, value_ns: u64) {
         let h = self
             .histograms
-            .entry((name.to_string(), label_str(labels)))
-            .or_default();
+            .write(id.0)
+            .get_or_insert_with(Hist::default);
         for (i, &le) in LATENCY_BUCKETS_NS.iter().enumerate() {
             if value_ns <= le {
                 h.counts[i] += 1;
@@ -159,9 +328,16 @@ impl MetricsRegistry {
         h.count += 1;
     }
 
-    /// Number of live series (counter/gauge plus histogram).
+    /// [`MetricsRegistry::observe_series`] by name, resolving the series
+    /// on the way.
+    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value_ns: u64) {
+        let id = self.histogram(name, labels);
+        self.observe_series(id, value_ns);
+    }
+
+    /// Number of live (written) series, counter/gauge plus histogram.
     pub fn series_count(&self) -> usize {
-        self.values.len() + self.histograms.len()
+        self.values.written_count() + self.histograms.written_count()
     }
 
     /// Number of snapshots taken so far.
@@ -170,23 +346,20 @@ impl MetricsRegistry {
     }
 
     /// Capture the current state as one JSONL snapshot stamped `now`
-    /// (virtual time, ns).
+    /// (virtual time, ns), rendered into the JSONL buffer right away.
     pub fn snapshot(&mut self, now: SimTime) {
         self.sample_times.push(now);
-        for ((name, labels), value) in &self.values {
-            self.snapshots.push(format!(
-                "{{\"t\":{now},\"name\":\"{name}\",\"labels\":\"{}\",\"value\":{}}}",
-                labels.replace('"', "'"),
-                fmt_value(*value),
-            ));
+        let prefix = format!("{{\"t\":{now}");
+        let out = &mut self.jsonl;
+        for (mid, value) in self.values.written() {
+            out.push_str(&prefix);
+            out.push_str(mid);
+            writeln!(out, "{}}}", FmtValue(*value)).unwrap();
         }
-        for ((name, labels), h) in &self.histograms {
-            self.snapshots.push(format!(
-                "{{\"t\":{now},\"name\":\"{name}\",\"labels\":\"{}\",\"count\":{},\"sum\":{}}}",
-                labels.replace('"', "'"),
-                h.count,
-                h.sum,
-            ));
+        for (mid, h) in self.histograms.written() {
+            out.push_str(&prefix);
+            out.push_str(mid);
+            writeln!(out, "{},\"sum\":{}}}", h.count, h.sum).unwrap();
         }
     }
 
@@ -194,12 +367,7 @@ impl MetricsRegistry {
     /// separated, trailing newline included (empty string when no
     /// snapshot was taken).
     pub fn jsonl(&self) -> String {
-        if self.snapshots.is_empty() {
-            return String::new();
-        }
-        let mut out = self.snapshots.join("\n");
-        out.push('\n');
-        out
+        self.jsonl.clone()
     }
 
     /// OpenMetrics text exposition of the latest values.
@@ -209,10 +377,7 @@ impl MetricsRegistry {
             writeln!(out, "# HELP {name} {}", fam.help).unwrap();
             writeln!(out, "# TYPE {name} {}", fam.kind.as_str()).unwrap();
             if fam.kind == MetricKind::Histogram {
-                for ((n, labels), h) in &self.histograms {
-                    if n != name {
-                        continue;
-                    }
+                for (labels, h) in self.histograms.family(name) {
                     for (i, &le) in LATENCY_BUCKETS_NS.iter().enumerate() {
                         writeln!(
                             out,
@@ -236,11 +401,8 @@ impl MetricsRegistry {
                     writeln!(out, "{name}_count{labels} {}", h.count).unwrap();
                 }
             } else {
-                for ((n, labels), value) in &self.values {
-                    if n != name {
-                        continue;
-                    }
-                    writeln!(out, "{name}{labels} {}", fmt_value(*value)).unwrap();
+                for (labels, value) in self.values.family(name) {
+                    writeln!(out, "{name}{labels} {}", FmtValue(*value)).unwrap();
                 }
             }
         }
@@ -260,11 +422,16 @@ fn merge_label(labels: &str, key: &str, value: &str) -> String {
 
 /// Deterministic value formatting: integral values print without a
 /// decimal point, everything else through shortest-round-trip Display.
-fn fmt_value(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+struct FmtValue(f64);
+
+impl fmt::Display for FmtValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if v.fract() == 0.0 && v.abs() < 9e15 {
+            write!(f, "{}", v as i64)
+        } else {
+            write!(f, "{v}")
+        }
     }
 }
 
@@ -387,6 +554,7 @@ mod tests {
 
     #[test]
     fn fmt_value_shapes() {
+        let fmt_value = |v: f64| FmtValue(v).to_string();
         assert_eq!(fmt_value(3.0), "3");
         assert_eq!(fmt_value(0.25), "0.25");
         assert_eq!(fmt_value(-2.0), "-2");
@@ -495,5 +663,194 @@ mod tests {
         r.set("g", &[("tenant", "we\"ird\nname\\7")], 0.5);
         r.register("g", MetricKind::Gauge, "hostile-label gauge");
         assert_conformant(&r.render_openmetrics());
+    }
+
+    /// A registry exercising every rendering path: counters, gauges and
+    /// histograms, a label value needing every escape, lexicographic label
+    /// order (`gid="10"` before `gid="2"`), a family nobody registered, an
+    /// observation above the top bucket, and series first written after
+    /// earlier snapshots.
+    fn pinned_registry() -> MetricsRegistry {
+        let mut r = MetricsRegistry::new();
+        r.register("sim_events_total", MetricKind::Counter, "Events dispatched");
+        r.register("gpu_occupancy", MetricKind::Gauge, "Compute occupancy");
+        r.register("request_latency_ns", MetricKind::Histogram, "Latency");
+        r.register("tenant_level", MetricKind::Gauge, "Hostile labels");
+        r.set("sim_events_total", &[], 1234.0);
+        r.set("gpu_occupancy", &[("gid", "2")], 0.75);
+        r.set("gpu_occupancy", &[("gid", "10")], 0.5);
+        r.observe("request_latency_ns", &[("tenant", "0")], 3_000_000);
+        r.observe("request_latency_ns", &[("tenant", "0")], 40_000_000);
+        r.observe("request_latency_ns", &[("tenant", "1")], 7_000_000_000);
+        r.snapshot(1_000_000_000);
+        r.set(
+            "tenant_level",
+            &[("tenant", "acme \"prod\"\nbeta\\x"), ("zone", "b")],
+            0.125,
+        );
+        r.set("unregistered_gauge", &[("k", "v")], 3.0);
+        r.observe("request_latency_ns", &[("tenant", "2")], 1_000_000);
+        r.set("sim_events_total", &[], 2000.0);
+        r.snapshot(2_000_000_000);
+        r.set("gpu_occupancy", &[("gid", "2")], 1e20);
+        r.set("gpu_occupancy", &[("gid", "10")], -2.5);
+        r.snapshot(3_000_000_000);
+        r
+    }
+
+    /// JSONL bytes of [`pinned_registry`]. Snapshot rendering is an
+    /// output format other tools read, so any byte change must fail here.
+    const PINNED_JSONL: &str = concat!(
+        "{\"t\":1000000000,\"name\":\"gpu_occupancy\",\"labels\":\"{gid='10'}\",\"value\":0.5}\n",
+        "{\"t\":1000000000,\"name\":\"gpu_occupancy\",\"labels\":\"{gid='2'}\",\"value\":0.75}\n",
+        "{\"t\":1000000000,\"name\":\"sim_events_total\",\"labels\":\"\",\"value\":1234}\n",
+        "{\"t\":1000000000,\"name\":\"request_latency_ns\",\"labels\":\"{tenant='0'}\",\"count\":2,\"sum\":43000000}\n",
+        "{\"t\":1000000000,\"name\":\"request_latency_ns\",\"labels\":\"{tenant='1'}\",\"count\":1,\"sum\":7000000000}\n",
+        "{\"t\":2000000000,\"name\":\"gpu_occupancy\",\"labels\":\"{gid='10'}\",\"value\":0.5}\n",
+        "{\"t\":2000000000,\"name\":\"gpu_occupancy\",\"labels\":\"{gid='2'}\",\"value\":0.75}\n",
+        "{\"t\":2000000000,\"name\":\"sim_events_total\",\"labels\":\"\",\"value\":2000}\n",
+        "{\"t\":2000000000,\"name\":\"tenant_level\",\"labels\":\"{tenant='acme \\'prod\\'\\nbeta\\\\x',zone='b'}\",\"value\":0.125}\n",
+        "{\"t\":2000000000,\"name\":\"unregistered_gauge\",\"labels\":\"{k='v'}\",\"value\":3}\n",
+        "{\"t\":2000000000,\"name\":\"request_latency_ns\",\"labels\":\"{tenant='0'}\",\"count\":2,\"sum\":43000000}\n",
+        "{\"t\":2000000000,\"name\":\"request_latency_ns\",\"labels\":\"{tenant='1'}\",\"count\":1,\"sum\":7000000000}\n",
+        "{\"t\":2000000000,\"name\":\"request_latency_ns\",\"labels\":\"{tenant='2'}\",\"count\":1,\"sum\":1000000}\n",
+        "{\"t\":3000000000,\"name\":\"gpu_occupancy\",\"labels\":\"{gid='10'}\",\"value\":-2.5}\n",
+        "{\"t\":3000000000,\"name\":\"gpu_occupancy\",\"labels\":\"{gid='2'}\",\"value\":100000000000000000000}\n",
+        "{\"t\":3000000000,\"name\":\"sim_events_total\",\"labels\":\"\",\"value\":2000}\n",
+        "{\"t\":3000000000,\"name\":\"tenant_level\",\"labels\":\"{tenant='acme \\'prod\\'\\nbeta\\\\x',zone='b'}\",\"value\":0.125}\n",
+        "{\"t\":3000000000,\"name\":\"unregistered_gauge\",\"labels\":\"{k='v'}\",\"value\":3}\n",
+        "{\"t\":3000000000,\"name\":\"request_latency_ns\",\"labels\":\"{tenant='0'}\",\"count\":2,\"sum\":43000000}\n",
+        "{\"t\":3000000000,\"name\":\"request_latency_ns\",\"labels\":\"{tenant='1'}\",\"count\":1,\"sum\":7000000000}\n",
+        "{\"t\":3000000000,\"name\":\"request_latency_ns\",\"labels\":\"{tenant='2'}\",\"count\":1,\"sum\":1000000}\n",
+    );
+
+    /// OpenMetrics bytes of [`pinned_registry`], recorded alongside
+    /// [`PINNED_JSONL`].
+    const PINNED_OPENMETRICS: &str = concat!(
+        "# HELP gpu_occupancy Compute occupancy\n",
+        "# TYPE gpu_occupancy gauge\n",
+        "gpu_occupancy{gid=\"10\"} -2.5\n",
+        "gpu_occupancy{gid=\"2\"} 100000000000000000000\n",
+        "# HELP request_latency_ns Latency\n",
+        "# TYPE request_latency_ns histogram\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"1000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"2000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"5000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"10000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"20000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"50000000\"} 2\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"100000000\"} 2\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"200000000\"} 2\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"500000000\"} 2\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"1000000000\"} 2\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"2000000000\"} 2\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"5000000000\"} 2\n",
+        "request_latency_ns_bucket{tenant=\"0\",le=\"+Inf\"} 2\n",
+        "request_latency_ns_sum{tenant=\"0\"} 43000000\n",
+        "request_latency_ns_count{tenant=\"0\"} 2\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"1000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"2000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"5000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"10000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"20000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"50000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"100000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"200000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"500000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"1000000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"2000000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"5000000000\"} 0\n",
+        "request_latency_ns_bucket{tenant=\"1\",le=\"+Inf\"} 1\n",
+        "request_latency_ns_sum{tenant=\"1\"} 7000000000\n",
+        "request_latency_ns_count{tenant=\"1\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"1000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"2000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"5000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"10000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"20000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"50000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"100000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"200000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"500000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"1000000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"2000000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"5000000000\"} 1\n",
+        "request_latency_ns_bucket{tenant=\"2\",le=\"+Inf\"} 1\n",
+        "request_latency_ns_sum{tenant=\"2\"} 1000000\n",
+        "request_latency_ns_count{tenant=\"2\"} 1\n",
+        "# HELP sim_events_total Events dispatched\n",
+        "# TYPE sim_events_total counter\n",
+        "sim_events_total 2000\n",
+        "# HELP tenant_level Hostile labels\n",
+        "# TYPE tenant_level gauge\n",
+        "tenant_level{tenant=\"acme \\\"prod\\\"\\nbeta\\\\x\",zone=\"b\"} 0.125\n",
+        "# EOF\n",
+    );
+
+    #[test]
+    fn registry_bytes_are_pinned() {
+        let r = pinned_registry();
+        assert_eq!(r.jsonl(), PINNED_JSONL);
+        assert_eq!(r.render_openmetrics(), PINNED_OPENMETRICS);
+        assert_eq!(r.series_count(), 8);
+    }
+
+    /// The same history written through handles renders the same bytes,
+    /// and handles resolved but never written render nowhere: not in a
+    /// snapshot, the exposition or the series count, even when their
+    /// family is registered.
+    #[test]
+    fn handles_match_names_and_unwritten_handles_render_nowhere() {
+        let mut r = MetricsRegistry::new();
+        let ghost = r.series("gpu_occupancy", &[("gid", "99")]);
+        let ghost_hist = r.histogram("request_latency_ns", &[("tenant", "99")]);
+        let events = r.series("sim_events_total", &[]);
+        assert_eq!(
+            r.series("sim_events_total", &[]),
+            events,
+            "resolution is idempotent"
+        );
+        r.register("sim_events_total", MetricKind::Counter, "Events dispatched");
+        r.register("gpu_occupancy", MetricKind::Gauge, "Compute occupancy");
+        r.register("request_latency_ns", MetricKind::Histogram, "Latency");
+        r.register("tenant_level", MetricKind::Gauge, "Hostile labels");
+        let gid2 = r.series("gpu_occupancy", &[("gid", "2")]);
+        let gid10 = r.series("gpu_occupancy", &[("gid", "10")]);
+        let t0 = r.histogram("request_latency_ns", &[("tenant", "0")]);
+        let t1 = r.histogram("request_latency_ns", &[("tenant", "1")]);
+        let t2 = r.histogram("request_latency_ns", &[("tenant", "2")]);
+        let level = r.series(
+            "tenant_level",
+            &[("tenant", "acme \"prod\"\nbeta\\x"), ("zone", "b")],
+        );
+        let unregistered = r.series("unregistered_gauge", &[("k", "v")]);
+        r.set_series(events, 1234.0);
+        r.set_series(gid2, 0.75);
+        r.set_series(gid10, 0.5);
+        r.observe_series(t0, 3_000_000);
+        r.observe_series(t0, 40_000_000);
+        r.observe_series(t1, 7_000_000_000);
+        r.snapshot(1_000_000_000);
+        r.set_series(level, 0.125);
+        r.set_series(unregistered, 3.0);
+        r.observe_series(t2, 1_000_000);
+        r.set_series(events, 2000.0);
+        r.snapshot(2_000_000_000);
+        r.set_series(gid2, 1e20);
+        r.set_series(gid10, -2.5);
+        r.snapshot(3_000_000_000);
+        assert_eq!(r.jsonl(), PINNED_JSONL);
+        assert_eq!(r.render_openmetrics(), PINNED_OPENMETRICS);
+        assert_eq!(r.series_count(), 8);
+        assert!(!r.jsonl().contains("99"));
+        assert!(!r.render_openmetrics().contains("99"));
+        // A later write brings the series into existence from then on.
+        r.set_series(ghost, 1.0);
+        r.observe_series(ghost_hist, 1);
+        assert_eq!(r.series_count(), 10);
+        assert!(r
+            .render_openmetrics()
+            .contains("gpu_occupancy{gid=\"99\"} 1"));
+        assert!(!r.jsonl().contains("99"), "earlier snapshots are unchanged");
     }
 }

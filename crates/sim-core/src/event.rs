@@ -29,14 +29,23 @@
 //! every state change.
 //!
 //! Keyed wakeups never touch the wheel in the common case. Each key owns a
-//! one-entry *slot* beside the wheel; scheduling parks the entry there in
-//! O(1) and [`EventQueue::invalidate`] cancels it in O(1) — tallied in
+//! one-entry *slot* beside the wheel; scheduling parks the entry there and
+//! [`EventQueue::invalidate`] cancels it, each in O(log keys) — tallied in
 //! [`EventQueue::cancelled`] — and a cancelled entry is simply gone: it
 //! never pops, never advances the clock, never counts as an event. Only
 //! when a second wakeup is scheduled while one is already parked (a
 //! component rescheduling without superseding) does the parked entry spill
 //! into the wheel, where a later invalidation kills it lazily at pop time
 //! ([`EventQueue::stale_pops`], ~0 in practice).
+//!
+//! The earliest parked entry across all keys is kept by a tournament
+//! (winner) tree over the slots: every internal node holds the smaller
+//! `(time, seq)` of its two children, so the root is the cross-slot
+//! minimum in O(1), and parking, cancelling or popping one slot replays
+//! only the matches on that slot's leaf-to-root path — O(log keys), with
+//! no walk over the other slots however many devices the cluster has.
+//! `(time, seq)` is unique per entry, so the winner is exactly the entry
+//! a full scan would find.
 //!
 //! Depth ([`EventQueue::live_len`] / [`EventQueue::peak_live_len`]) counts
 //! only events that can still dispatch: the honest backlog.
@@ -136,6 +145,15 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// A tournament-tree node: the `(time, seq)` of the earliest parked entry
+/// in its subtree, and the slot holding it. Empty subtrees carry
+/// [`NO_ENTRY`], which loses every match.
+type Contender = (SimTime, u64, u32);
+
+/// The contender of an empty slot (and of the padding leaves past the last
+/// key). No real entry reaches it: sequence numbers never hit `u64::MAX`.
+const NO_ENTRY: Contender = (SimTime::MAX, u64::MAX, NO_KEY);
+
 /// Per-key state: the current generation (for wheel-spilled entries), the
 /// parked pending wakeup, if any, and how many spilled entries of the
 /// *current* generation are still in the wheel (so an invalidation knows
@@ -154,7 +172,7 @@ struct KeySlot<E> {
 ///
 /// Plain events pop in `(time, insertion-order)` order; a self-rescheduling
 /// component uses a keyed slot so a superseded wakeup can be cancelled in
-/// O(1) instead of being popped and discarded:
+/// O(log keys) instead of being popped and discarded:
 ///
 /// ```
 /// use sim_core::event::EventQueue;
@@ -195,8 +213,14 @@ pub struct EventQueue<E> {
     popped: u64,
     clamped: u64,
     slots: Vec<KeySlot<E>>,
-    /// Index of the parked entry with the smallest `(time, seq)`, if any.
-    min_slot: Option<u32>,
+    /// Tournament tree over `slots`, heap-indexed from 1: leaf `i` lives
+    /// at `leaves + i`, node `n`'s children at `2n` and `2n + 1`, and the
+    /// root `tournament[1]` is the earliest parked entry. Empty until the
+    /// first key is registered.
+    tournament: Vec<Contender>,
+    /// Leaf capacity of `tournament`: the smallest power of two ≥ the
+    /// number of keys.
+    leaves: usize,
     /// Number of slots with a parked entry.
     parked_count: usize,
     /// Wheel/overflow entries already superseded (their key's generation
@@ -232,7 +256,8 @@ impl<E> EventQueue<E> {
             popped: 0,
             clamped: 0,
             slots: Vec::new(),
-            min_slot: None,
+            tournament: Vec::new(),
+            leaves: 0,
             parked_count: 0,
             dead_in_wheel: 0,
             stale_pops: 0,
@@ -342,7 +367,52 @@ impl<E> EventQueue<E> {
             pending: None,
             spilled_live: 0,
         });
+        if self.slots.len() > self.leaves {
+            self.grow_tournament();
+        }
         EventKey(idx)
+    }
+
+    /// Double the tournament's leaf capacity (keys are registered at set-up,
+    /// so this runs O(log keys) times) and replay every match.
+    fn grow_tournament(&mut self) {
+        self.leaves = self.slots.len().next_power_of_two();
+        self.tournament = vec![NO_ENTRY; 2 * self.leaves];
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some(p) = &slot.pending {
+                self.tournament[self.leaves + i] = (p.time, p.seq, i as u32);
+            }
+        }
+        for n in (1..self.leaves).rev() {
+            self.tournament[n] = self.tournament[2 * n].min(self.tournament[2 * n + 1]);
+        }
+    }
+
+    /// Slot `key`'s parked entry changed: refresh its leaf and replay the
+    /// matches up to the root, stopping early once a node's winner is
+    /// unchanged (every ancestor above it is then unchanged too).
+    #[inline]
+    fn replay(&mut self, key: u32) {
+        let leaf = match &self.slots[key as usize].pending {
+            Some(p) => (p.time, p.seq, key),
+            None => NO_ENTRY,
+        };
+        let mut n = self.leaves + key as usize;
+        self.tournament[n] = leaf;
+        while n > 1 {
+            n >>= 1;
+            let winner = self.tournament[2 * n].min(self.tournament[2 * n + 1]);
+            if self.tournament[n] == winner {
+                break;
+            }
+            self.tournament[n] = winner;
+        }
+    }
+
+    /// The earliest parked entry across all slots, if any slot is parked.
+    #[inline]
+    fn slot_min(&self) -> Option<Contender> {
+        self.tournament.get(1).copied().filter(|c| c.2 != NO_KEY)
     }
 
     /// Schedule `event` at absolute time `at` under `key`: the entry is
@@ -367,7 +437,6 @@ impl<E> EventQueue<E> {
             cause,
             event,
         };
-        let (t, s) = (entry.time, entry.seq);
         if let Some(prev) = slot.pending.replace(entry) {
             // Rare: a second live wakeup for the same key. The older one
             // spills into the wheel so both dispatch in (time, seq) order.
@@ -375,26 +444,15 @@ impl<E> EventQueue<E> {
             // so the spill is live until the next invalidate.
             slot.spilled_live += 1;
             self.insert(prev);
-            // The parked entry changed, so the cross-slot minimum may have
-            // moved to another key.
-            self.rescan_min();
         } else {
             self.parked_count += 1;
-            match self.min_slot {
-                Some(m) => {
-                    let q = self.slots[m as usize].pending.as_ref().unwrap();
-                    if (t, s) < (q.time, q.seq) {
-                        self.min_slot = Some(key.0);
-                    }
-                }
-                None => self.min_slot = Some(key.0),
-            }
         }
+        self.replay(key.0);
         self.note_depth();
     }
 
     /// Cancel the wakeup(s) currently scheduled under `key`. The parked
-    /// entry (if any) dies here in O(1), never touching the wheel.
+    /// entry (if any) dies here in O(log keys), never touching the wheel.
     /// Wheel-spilled entries die lazily at their own pop position
     /// ([`EventQueue::stale_pops`]).
     #[inline]
@@ -408,20 +466,8 @@ impl<E> EventQueue<E> {
         if slot.pending.take().is_some() {
             self.parked_count -= 1;
             self.cancelled += 1;
-            if self.min_slot == Some(key.0) {
-                self.rescan_min();
-            }
+            self.replay(key.0);
         }
-    }
-
-    fn rescan_min(&mut self) {
-        self.min_slot = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.pending.as_ref().map(|p| (p.time, p.seq, i as u32)))
-            .min()
-            .map(|(_, _, i)| i);
     }
 
     /// Route an entry into its wheel bucket, or to the calendar overflow
@@ -539,10 +585,8 @@ impl<E> EventQueue<E> {
                 // cascading — the window only advances if it actually wins.
                 None => self.overflow.peek().map(|Reverse(s)| (s.time, s.seq)),
             };
-            let slot_at = self.min_slot.map(|i| {
-                let p = self.slots[i as usize].pending.as_ref().unwrap();
-                (p.time, p.seq)
-            });
+            let slot_min = self.slot_min();
+            let slot_at = slot_min.map(|(t, s, _)| (t, s));
             let from_wheel = match (wheel_at, slot_at) {
                 (None, None) => return None,
                 (Some(h), Some(s)) => h < s,
@@ -559,10 +603,13 @@ impl<E> EventQueue<E> {
                     }
                 }
             } else {
-                let i = self.min_slot.expect("checked above") as usize;
-                let s = self.slots[i].pending.take().expect("min slot occupied");
+                let (_, _, i) = slot_min.expect("checked above");
+                let s = self.slots[i as usize]
+                    .pending
+                    .take()
+                    .expect("min slot occupied");
                 self.parked_count -= 1;
-                self.rescan_min();
+                self.replay(i);
                 s
             };
             debug_assert!(s.time >= self.now);
@@ -590,13 +637,7 @@ impl<E> EventQueue<E> {
             Some((_, _, t, _)) => Some(t),
             None => self.overflow.peek().map(|Reverse(s)| s.time),
         };
-        let slot = self.min_slot.map(|i| {
-            self.slots[i as usize]
-                .pending
-                .as_ref()
-                .expect("min slot occupied")
-                .time
-        });
+        let slot = self.slot_min().map(|(t, _, _)| t);
         wheel.into_iter().chain(slot).min()
     }
 }
@@ -814,7 +855,7 @@ mod tests {
         let k = q.register_key();
         q.schedule_keyed(k, 10, "spilled");
         q.schedule_keyed(k, 30, "parked");
-        q.invalidate(k); // kills both: the parked one in O(1), the spilled one lazily
+        q.invalidate(k); // kills both: the parked one in its slot, the spilled one lazily
         q.schedule(20, "plain");
         assert_eq!(q.pop(), Some((20, "plain")));
         assert_eq!(q.popped(), 2, "spilled stale skipped first");
@@ -1128,11 +1169,131 @@ mod differential {
         assert_eq!(q.clamped(), 0);
     }
 
+    /// Keys in the cluster-scale cases: more than a 64×4 cluster's 256
+    /// device slots, and not a power of two, so the tournament has padding
+    /// leaves.
+    const CLUSTER_KEYS: usize = 300;
+
+    /// The cancellation storm at cluster scale: hundreds of keyed devices
+    /// superseding their wakeups on a coarse time grid, so many parked
+    /// entries share a timestamp and only the sequence number orders them.
+    #[test]
+    fn cluster_scale_storm_matches_heap() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let keys: Vec<EventKey> = (0..CLUSTER_KEYS).map(|_| q.register_key()).collect();
+        let mut h: HeapQueue<u64> = HeapQueue::new(CLUSTER_KEYS);
+        let grid = |t: SimTime| t - t % 1_000;
+        for (d, key) in keys.iter().enumerate() {
+            // Every device wakes at one of four instants.
+            let at = 1_000 * (d as u64 % 4 + 1);
+            q.schedule_keyed(*key, at, d as u64);
+            h.schedule_keyed(d, at, d as u64);
+        }
+        let mut x: u64 = 0x1319_8a2e_0370_7344;
+        for i in 0..60_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let d = (x >> 33) as usize % CLUSTER_KEYS;
+            let op = x >> 61;
+            match op {
+                // Supersede (the common case), or leave the old wakeup
+                // parked so it spills into the wheel.
+                0..=4 => {
+                    if op != 4 {
+                        q.invalidate(keys[d]);
+                        h.invalidate(d);
+                    }
+                    let at = grid(h.now() + 1_000 + ((x >> 17) & 0x7fff));
+                    q.schedule_keyed(keys[d], at, i);
+                    h.schedule_keyed(d, at, i);
+                }
+                5 => {
+                    q.invalidate(keys[d]);
+                    h.invalidate(d);
+                }
+                _ => {
+                    let at = grid(h.now() + ((x >> 20) & 0xffff));
+                    q.schedule(at, i);
+                    h.schedule(at, i);
+                }
+            }
+            if (x >> 58) & 3 != 0 {
+                assert_eq!(q.pop(), h.pop(), "cluster pop diverged at step {i}");
+                assert_same_state(&q, &h);
+            }
+        }
+        drain_both(&mut q, &mut h);
+        assert!(q.cancelled() > 5_000, "storm actually cancelled heavily");
+        assert!(q.stale_pops() > 0, "spilled entries died in the wheel");
+    }
+
+    /// Keys registered while others are parked grow the tournament in
+    /// place; the parked entries keep their order.
+    #[test]
+    fn keys_registered_mid_run_keep_heap_order() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut h: HeapQueue<u64> = HeapQueue::new(CLUSTER_KEYS);
+        let mut keys = Vec::new();
+        for d in 0..CLUSTER_KEYS {
+            keys.push(q.register_key());
+            // Equal timestamps across keys: the parked order is the
+            // registration order, preserved through every regrowth.
+            let at = h.now() + 10 * (d as u64 % 3);
+            q.schedule_keyed(keys[d], at, d as u64);
+            h.schedule_keyed(d, at, d as u64);
+            if d % 5 == 0 {
+                assert_eq!(q.pop(), h.pop(), "pop diverged after key {d}");
+                assert_same_state(&q, &h);
+            }
+        }
+        drain_both(&mut q, &mut h);
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            /// The differential at cluster scale: ops spread over hundreds
+            /// of keys, with timestamps drawn from a few instants around
+            /// `now` so equal timestamps across keys are the norm.
+            #[test]
+            fn wheel_matches_heap_at_cluster_scale(
+                ops in proptest::collection::vec(
+                    (0u8..8, 0u16..CLUSTER_KEYS as u16, 0u8..4), 1..600)
+            ) {
+                let mut q: EventQueue<u64> = EventQueue::new();
+                let keys: Vec<EventKey> =
+                    (0..CLUSTER_KEYS).map(|_| q.register_key()).collect();
+                let mut h = HeapQueue::new(CLUSTER_KEYS);
+                for (sel, k, dt) in ops {
+                    let payload = h.next_seq;
+                    let k = k as usize;
+                    let at = h.now() + 100 * dt as SimTime;
+                    match sel % 4 {
+                        0 => {
+                            q.schedule_keyed(keys[k], at, payload);
+                            h.schedule_keyed(k, at, payload);
+                        }
+                        1 => {
+                            q.schedule(at, payload);
+                            h.schedule(at, payload);
+                        }
+                        2 => {
+                            q.invalidate(keys[k]);
+                            h.invalidate(k);
+                        }
+                        _ => {
+                            prop_assert_eq!(q.pop(), h.pop());
+                            prop_assert_eq!(q.now(), h.now());
+                            prop_assert_eq!(q.live_len(), h.live_len());
+                        }
+                    }
+                }
+                drain_both(&mut q, &mut h);
+            }
+
             /// The timing-wheel queue is observationally identical to the
             /// reference heap: same pop sequence (FIFO tie-break at equal
             /// timestamps), same clock, same accounting and live depth —

@@ -75,8 +75,13 @@ impl UtilizationTracker {
         &self.samples
     }
 
-    /// Signal level at time `t`.
+    /// Signal level at time `t`. Queries at or after the last step (the
+    /// executive's metrics sample at `now`) read the tail without a
+    /// search.
     pub fn level_at(&self, t: SimTime) -> f64 {
+        if let Some(last) = self.samples.last().filter(|s| s.at <= t) {
+            return last.level;
+        }
         match self.samples.partition_point(|s| s.at <= t) {
             0 => 0.0,
             i => self.samples[i - 1].level,
