@@ -29,6 +29,7 @@ use strings_harness::experiments::common::{pair_streams, ExpScale};
 use strings_harness::scenario::{Scenario, StreamSpec};
 use strings_harness::serve::ServeSpec;
 use strings_harness::stats::{PhaseProfile, RunStats};
+use strings_metrics::forensics::{dump_chrome, dump_jsonl};
 use strings_workloads::arrivals::ArrivalProcess;
 use strings_workloads::pairs::workload_pairs;
 use strings_workloads::profile::AppKind;
@@ -90,6 +91,24 @@ fn serve_spec() -> ServeSpec {
 const CLUSTER_SERVE_ARGS: &str = "--topology 64x4:c2050@calibrated --tenants 2048 \
      --arrivals poisson:300rps --duration 5s --metrics-every 1s";
 
+/// The incident review at bench scale, as `strings-sim serve` arguments:
+/// the 64×4 serve above under a link degrade and two partitions, with
+/// attribution, 1 s metrics and a burn-rate alert that fires. The row
+/// also renders what a review reads: the attribution report and every
+/// flight dump.
+const INCIDENT_ARGS: &str = "--topology 64x4:c2050@calibrated --tenants 2048 \
+     --arrivals poisson:300rps --duration 5s --metrics-every 1s \
+     --faults degrade@2s+1s:node5x4;partition@1s+1s:node3;partition@3s+1s:node7 \
+     --attribution --burn-alert 2040ms --alert-windows 1s:3s";
+
+/// Parse a bench row's `strings-sim serve` arguments.
+fn serve_args(args: &str) -> ServeSpec {
+    let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+    parse_serve_args(&args)
+        .expect("the bench row's serve arguments parse")
+        .spec
+}
+
 /// The fixed scenario set. Names are part of the JSON contract — the CI
 /// gate matches baseline entries by name; entries absent from the
 /// committed baseline are measured and reported but not gated, so new
@@ -123,13 +142,9 @@ fn scenarios() -> Vec<Entry> {
     // wall-time delta between this row and the plain one is the whole
     // profiler overhead, which `--attr-gate` bounds in CI.
     let fig12_attr = fig12.clone().with_attribution();
-    let args: Vec<String> = CLUSTER_SERVE_ARGS
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-    let cluster = parse_serve_args(&args)
-        .expect("the cluster row's serve arguments parse")
-        .spec;
+    let cluster = serve_args(CLUSTER_SERVE_ARGS);
+    let mut incident = serve_args(INCIDENT_ARGS);
+    incident.dump_final = true;
     vec![
         ("fig12_pair_I_supernode", Box::new(move || fig12.run())),
         (
@@ -140,6 +155,18 @@ fn scenarios() -> Vec<Entry> {
         ("supernode_mix3", Box::new(move || mix3.run())),
         ("serve_open_loop", Box::new(move || serve.run())),
         ("cluster_serve_64x4", Box::new(move || cluster.run())),
+        (
+            "incident_fault_alert_dump",
+            Box::new(move || {
+                let stats = incident.run();
+                let mut bytes = incident.attribution(&stats).render(10).len();
+                for dump in &stats.flight_dumps {
+                    bytes += dump_jsonl(dump).len() + dump_chrome(dump).len();
+                }
+                std::hint::black_box(bytes);
+                stats
+            }),
+        ),
     ]
 }
 
@@ -192,11 +219,25 @@ fn stale_ratio(r: &Row) -> f64 {
 /// Render one trajectory entry (hand-rolled JSON with a fixed key order so
 /// reports diff cleanly). `phases` is the executive self-profile of one
 /// fig12 run: wall-clock per event-loop phase, so the trajectory records
-/// where simulator time goes PR over PR, not just how much.
-fn render_entry(label: &str, rows: &[Row], phases: Option<&PhaseProfile>) -> String {
+/// where simulator time goes PR over PR, not just how much. `gates` are
+/// the paired overhead ratios measured in this run (`--attr-gate`,
+/// `--flight-gate`), recorded whether or not they passed.
+fn render_entry(
+    label: &str,
+    rows: &[Row],
+    phases: Option<&PhaseProfile>,
+    gates: &[(&str, f64)],
+) -> String {
     let mut out = String::new();
     out.push_str("    {\n");
     out.push_str(&format!("      \"label\": \"{label}\",\n"));
+    if !gates.is_empty() {
+        let ratios: Vec<String> = gates
+            .iter()
+            .map(|(gate, ratio)| format!("\"{gate}\": {ratio:.3}"))
+            .collect();
+        out.push_str(&format!("      \"gates\": {{{}}},\n", ratios.join(", ")));
+    }
     if let Some(p) = phases {
         out.push_str("      \"phases\": {");
         out.push_str(&format!("\"wall_ns\": {}", p.wall_ns));
@@ -259,10 +300,11 @@ fn render_trajectory(
     label: &str,
     rows: &[Row],
     phases: Option<&PhaseProfile>,
+    gates: &[(&str, f64)],
 ) -> String {
     const HEADER: &str = "{\n  \"schema\": \"bench_hotpath/v2\",\n  \"trajectory\": [\n";
     const FOOTER: &str = "  ]\n}\n";
-    let entry = render_entry(label, rows, phases);
+    let entry = render_entry(label, rows, phases, gates);
     match existing {
         Some(text) if text.contains("\"schema\": \"bench_hotpath/v2\"") => {
             let body = text
@@ -366,13 +408,14 @@ fn check(rows: &[Row], baseline_text: &str) -> bool {
 /// older comparison of two rows measured minutes apart). Used for both
 /// the attribution profiler (`--attr-gate`) and the always-on flight
 /// recorder (`--flight-gate`).
+/// Returns the measured ratio and whether it is within `factor`.
 fn check_paired_overhead(
     gate: &str,
     plain: &dyn Fn() -> RunStats,
     instrumented: &dyn Fn() -> RunStats,
     reps: usize,
     factor: f64,
-) -> bool {
+) -> (f64, bool) {
     let mut best_plain = u64::MAX;
     let mut best_inst = u64::MAX;
     for _ in 0..reps.max(3) {
@@ -391,7 +434,7 @@ fn check_paired_overhead(
         best_plain as f64 / 1e6,
         if ok { "ok" } else { "FAIL" }
     );
-    ok
+    (got, ok)
 }
 
 fn main() {
@@ -479,15 +522,8 @@ fn main() {
             .join(" + ")
     );
 
-    let existing = std::fs::read_to_string(&out_path).ok();
-    let report = render_trajectory(existing.as_deref(), &label, &rows, Some(&profile));
-    std::fs::write(&out_path, &report).expect("write report");
-    println!("wrote {out_path} (entry \"{label}\")");
-
     let mut ok = true;
-    if let Some(text) = baseline_text {
-        ok &= check(&rows, &text);
-    }
+    let mut gates: Vec<(&str, f64)> = Vec::new();
     if let Some(factor) = attr_gate {
         let find = |n: &str| {
             scens
@@ -497,13 +533,15 @@ fn main() {
                 .1
                 .as_ref()
         };
-        ok &= check_paired_overhead(
+        let (ratio, pass) = check_paired_overhead(
             "attr-gate",
             find("fig12_pair_I_supernode"),
             find("fig12_pair_I_attributed"),
             reps,
             factor,
         );
+        gates.push(("attr_gate", ratio));
+        ok &= pass;
     }
     if let Some(factor) = flight_gate {
         // Recorder-off baseline (ring depth 0) vs the always-on default
@@ -512,13 +550,23 @@ fn main() {
         let mut off = serve_spec();
         off.flight_depth = Some(0);
         let on = serve_spec();
-        ok &= check_paired_overhead(
+        let (ratio, pass) = check_paired_overhead(
             "flight-gate",
             &move || off.run(),
             &move || on.run(),
             reps,
             factor,
         );
+        gates.push(("flight_gate", ratio));
+        ok &= pass;
+    }
+
+    let existing = std::fs::read_to_string(&out_path).ok();
+    let report = render_trajectory(existing.as_deref(), &label, &rows, Some(&profile), &gates);
+    std::fs::write(&out_path, &report).expect("write report");
+    println!("wrote {out_path} (entry \"{label}\")");
+    if let Some(text) = baseline_text {
+        ok &= check(&rows, &text);
     }
     if !ok {
         std::process::exit(1);

@@ -114,6 +114,12 @@ pub struct RunStats {
     /// stays bounded by the apps alive at the end plus default streams,
     /// however many apps ran.
     pub stream_rows: u64,
+    /// Latency-attribution windows left in the executive's side tables at
+    /// the end of the run (0 without attribution). A job window exists
+    /// only while a synchronous copy waits on it and an app's stream
+    /// window goes when it detaches, so this stays bounded by the apps
+    /// alive at the end plus shared contexts, however many apps ran.
+    pub attr_windows: u64,
     /// Wall-clock self-profile (None unless
     /// [`crate::world::World::enable_self_profile`] was called). Never
     /// rendered into any golden surface — wall-clock is nondeterministic.

@@ -10,6 +10,7 @@
 use crate::scenario::Scenario;
 use crate::stats::RunStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Sweep-parallelism override: 0 means "one worker per core".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -44,8 +45,7 @@ where
         return (0..total).map(run).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<RunStats>>> =
-        (0..total).map(|_| parking_lot::Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<RunStats>>> = (0..total).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
@@ -55,7 +55,9 @@ where
                         break;
                     }
                     let stats = run(i);
-                    *slots[i].lock() = Some(stats);
+                    // Held only for the store, so never poisoned: a
+                    // panicking run unwinds before it takes the lock.
+                    *slots[i].lock().expect("slot lock") = Some(stats);
                 })
             })
             .collect();
@@ -72,6 +74,7 @@ where
         .into_iter()
         .map(|slot| {
             slot.into_inner()
+                .expect("slot lock")
                 .expect("worker loop claimed every index in 0..total")
         })
         .collect()

@@ -373,10 +373,12 @@ pub struct World {
     /// Fault-injection track (injections, windows, gMap rebuilds).
     trk_faults: TrackId,
     /// Attribution windows awaiting a synchronization (recording only).
-    /// Fx-hashed: one insert per device completion while attribution is
-    /// on, and `attr_job` retains every never-awaited job to end of run —
-    /// both make SipHash measurable against the attribution overhead gate.
-    attr_job: FxHashMap<JobId, EngineWindow>,
+    /// Fx-hashed: stream and context windows take one update per device
+    /// completion while attribution is on. A job has an entry only while
+    /// a synchronous copy waits on it (`None` until the job completes);
+    /// an app's private stream window goes when the app detaches, and a
+    /// private context's windows when the context is destroyed.
+    attr_job: FxHashMap<JobId, Option<EngineWindow>>,
     attr_stream: FxHashMap<(ContextId, StreamId), EngineWindow>,
     attr_ctx: FxHashMap<ContextId, EngineWindow>,
     /// Unified metrics registry (None unless `enable_metrics` was called).
@@ -560,7 +562,7 @@ impl World {
     /// carries the recorded [`sim_core::trace::Trace`]. Call before
     /// [`World::run`].
     pub fn enable_tracing(&mut self) {
-        let tracer = Tracer::buffered();
+        let tracer = Tracer::folding();
         self.trk_sim = tracer.track("sim", "executive");
         self.trk_faults = tracer.track("sim", "faults");
         // Cluster runs (3+ nodes) prefix device tracks with their node so
@@ -607,9 +609,11 @@ impl World {
     }
 
     /// Turn on the lightweight latency-attribution recorder: only the
-    /// executive and per-request-slot tracks exist, and the executive
-    /// emits request spans plus `stage` charge marks — exactly what
-    /// [`strings_metrics::attribution::AttributionReport`] needs, without
+    /// executive and per-request-slot tracks exist, the executive records
+    /// request spans, and stage charges are folded into one row per
+    /// request as the run goes instead of being recorded — the
+    /// [`sim_core::trace::Trace::ledger`] that
+    /// [`strings_metrics::attribution::AttributionReport`] reads, without
     /// paying for full device/scheduler/mapper tracing. A no-op when
     /// [`World::enable_tracing`] already ran (full traces are a
     /// superset).
@@ -617,7 +621,7 @@ impl World {
         if self.tracer.is_on() {
             return;
         }
-        let tracer = Tracer::buffered();
+        let tracer = Tracer::attribution();
         self.trk_sim = tracer.track("sim", "executive");
         self.trk_faults = tracer.track("sim", "faults");
         self.make_slot_tracks(&tracer);
@@ -1022,6 +1026,8 @@ impl World {
             .sum();
         self.stats.clamped_events = self.queue.clamped();
         self.stats.stream_rows = self.devices.iter().map(|d| d.stream_rows() as u64).sum();
+        self.stats.attr_windows =
+            (self.attr_job.len() + self.attr_stream.len() + self.attr_ctx.len()) as u64;
         if let Some(adm) = &self.admission {
             self.stats.admission = Some(adm.stats());
         }
@@ -1287,7 +1293,7 @@ impl World {
             return;
         }
         let win = match cond {
-            BlockOn::Job(j) => self.attr_job.remove(&j),
+            BlockOn::Job(j) => self.attr_job.remove(&j).flatten(),
             BlockOn::StreamIdle(c, s) => self.attr_stream.remove(&(c, s)),
             BlockOn::CtxIdle(c) => self.attr_ctx.remove(&c),
             BlockOn::Reply(_) => None,
@@ -1534,14 +1540,16 @@ impl World {
         if self.tracer.is_on() {
             // The request span opens at arrival so it covers server-queue
             // wait; spans on a slot track overlap, hence the async id.
-            self.tracer.span_begin(
+            let class = r.class.to_string();
+            self.tracer.request_begin(
                 self.trk_slots[slot],
                 now,
-                "request",
-                Some(idx as u64),
+                idx as u64,
+                r.tenant.0,
+                &class,
                 vec![
                     ("tenant", r.tenant.to_string()),
-                    ("class", r.class.to_string()),
+                    ("class", class.clone()),
                     ("node", r.node.to_string()),
                 ],
             );
@@ -1576,7 +1584,7 @@ impl World {
             }
             if self.tracer.is_on() {
                 self.tracer
-                    .span_end(self.trk_slots[slot], now, "request", Some(idx as u64));
+                    .request_end(self.trk_slots[slot], now, idx as u64);
             }
             if let Some(next) = self.slot_backlog[slot].pop_front() {
                 self.start_request(next, now);
@@ -1752,12 +1760,8 @@ impl World {
             // Residual tail (final host step, reply unpacking): Other.
             self.charge_stage(app, Stage::Other, now);
             if self.tracer.is_on() {
-                self.tracer.span_end(
-                    self.trk_slots[slot],
-                    now,
-                    "request",
-                    Some(app.index() as u64),
-                );
+                self.tracer
+                    .request_end(self.trk_slots[slot], now, app.index() as u64);
             }
             // A server thread freed up: admit the next queued request.
             self.slot_inflight[slot] -= 1;
@@ -1801,6 +1805,7 @@ impl World {
                         bytes,
                         pinned: false,
                     },
+                    true,
                     now,
                 );
                 self.block_or_advance(app, BlockOn::Job(jid), 0, now)
@@ -1813,13 +1818,14 @@ impl World {
                         bytes,
                         pinned: false,
                     },
+                    false,
                     now,
                 );
                 self.app_mut(app).host.advance(now);
                 true
             }
             CudaCall::LaunchKernel { kernel } => {
-                self.submit_job(app, JobKind::Kernel(kernel), now);
+                self.submit_job(app, JobKind::Kernel(kernel), false, now);
                 self.busy_then_advance(app, self.costs.kernel_issue_ns, now)
             }
             CudaCall::StreamSynchronize => {
@@ -1839,6 +1845,7 @@ impl World {
                 // wakeups are stale (historical semantics: discarded unrun).
                 self.queue.invalidate(self.dev_keys[gid.index()]);
                 self.pending.forget_ctx(ctx);
+                self.drop_ctx_windows(ctx, self.app(app).stream);
                 self.app_mut(app).host.advance(now);
                 self.after_host_step(app, now);
                 true
@@ -2196,6 +2203,7 @@ impl World {
                         bytes,
                         pinned: packed.pinned,
                     },
+                    blocks,
                     now,
                 );
                 if blocks {
@@ -2204,7 +2212,7 @@ impl World {
                 None
             }
             CudaCall::LaunchKernel { kernel } => {
-                self.submit_job(app, JobKind::Kernel(kernel), now);
+                self.submit_job(app, JobKind::Kernel(kernel), false, now);
                 None
             }
             CudaCall::StreamSynchronize => {
@@ -2267,12 +2275,15 @@ impl World {
             self.devices[gid.index()].destroy_context(ctx);
             self.pending.forget_ctx(ctx);
             self.sync_device(gid.index(), now);
+            // After the sync: it may still harvest the context's last work.
+            self.drop_ctx_windows(ctx, self.app(app).stream);
         } else {
             // Designs II/III: the shared context outlives the app, but its
             // private stream does not; without this every app that ever
             // ran keeps a row the device walks on each step.
             let stream = self.app(app).stream;
             self.devices[gid.index()].drop_stream(ctx, stream);
+            self.drop_stream_window(ctx, stream);
         }
     }
 
@@ -2286,13 +2297,26 @@ impl World {
         )
     }
 
-    fn submit_job(&mut self, app: AppId, kind: JobKind, now: SimTime) -> gpu_sim::ids::JobId {
+    /// Submit `app`'s work to its bound stream. `awaited` marks a
+    /// synchronous call that blocks on this job, so attribution keeps the
+    /// job's completed-work window for the wait to consume.
+    fn submit_job(
+        &mut self,
+        app: AppId,
+        kind: JobKind,
+        awaited: bool,
+        now: SimTime,
+    ) -> gpu_sim::ids::JobId {
         let (gid, ctx) = self.binding(app);
         let stream = self.app(app).stream;
         self.wake_epoch(gid.index(), now, false);
         let jid = self.devices[gid.index()]
             .submit(ctx, stream, kind, app.0 as u64, now)
             .expect("submit to bound context");
+        if awaited && self.tracer.is_on() {
+            // Before the sync below: the job may complete in it.
+            self.attr_job.insert(jid, None);
+        }
         self.pending.submit(ctx, stream, jid);
         self.sync_device(gid.index(), now);
         jid
@@ -2351,7 +2375,10 @@ impl World {
             if self.tracer.is_on() {
                 // Record the finished work for wait decomposition: the
                 // window keyed by whatever condition a host might block on.
-                self.attr_job.insert(c.job.id, EngineWindow::from_job(c));
+                // Only a synchronous copy waits on its job.
+                if let Some(w) = self.attr_job.get_mut(&c.job.id) {
+                    *w = Some(EngineWindow::from_job(c));
+                }
                 self.attr_stream
                     .entry((c.job.ctx, c.job.stream))
                     .and_modify(|w| w.merge(c))
@@ -2655,6 +2682,7 @@ impl World {
             // The app never submits on this stream again (a re-bind gets a
             // fresh one); drop its row unless work is still running on it.
             self.devices[g].drop_stream(ctx, stream);
+            self.drop_stream_window(ctx, stream);
             self.schedulers[g].unregister(app, now);
             self.device_apps[g].retain(|a| *a != app);
             self.master_q[g].retain(|(a, _)| *a != app);
@@ -2665,7 +2693,29 @@ impl World {
             // re-sync so its event chain keeps driving the survivors.
             self.sync_device(g, now);
         }
+        // A job window exists only while its copy's wait is pending.
+        for w in self.waiters.iter().filter(|w| w.app == app) {
+            if let BlockOn::Job(j) = w.cond {
+                self.attr_job.remove(&j);
+            }
+        }
         self.waiters.retain(|w| w.app != app);
+    }
+
+    /// Forget the attribution window of an app's private stream when the
+    /// app leaves it: nothing waits on that stream again (a re-bind gets a
+    /// fresh one). Default streams are shared and keep theirs.
+    fn drop_stream_window(&mut self, ctx: ContextId, stream: StreamId) {
+        if !stream.is_default() {
+            self.attr_stream.remove(&(ctx, stream));
+        }
+    }
+
+    /// Forget every attribution window of a destroyed context: its id is
+    /// never reused, so nothing can wait on it again.
+    fn drop_ctx_windows(&mut self, ctx: ContextId, stream: StreamId) {
+        self.attr_ctx.remove(&ctx);
+        self.attr_stream.remove(&(ctx, stream));
     }
 
     /// Tear down a killed application: purge its queued device work,
@@ -2712,12 +2762,8 @@ impl World {
                     ),
                 ],
             );
-            self.tracer.span_end(
-                self.trk_slots[slot],
-                now,
-                "request",
-                Some(app.index() as u64),
-            );
+            self.tracer
+                .request_end(self.trk_slots[slot], now, app.index() as u64);
         }
         self.slot_inflight[slot] -= 1;
         if let Some(next) = self.slot_backlog[slot].pop_front() {

@@ -2,84 +2,27 @@
 //!
 //! The paper explains its scheduling wins (Figs 9–13) by decomposing
 //! end-to-end request time into queueing, copy-engine, compute, remoting
-//! and context-switch "glitch" components. This module reconstructs that
-//! decomposition from a recorded [`Trace`]: the executive charges every
-//! nanosecond of a request's life to exactly one [`Stage`] (emitted as
-//! `"stage"` instants on the request's slot track), and
-//! [`AttributionReport::from_trace`] reassembles the charges into
-//! per-request breakdowns with an **exact additivity check** — the stage
-//! totals of a consistent request sum to its end-to-end latency, to the
-//! nanosecond.
+//! and context-switch "glitch" components. The executive charges every
+//! nanosecond of a request's life to exactly one [`Stage`], and the
+//! charges are folded online: the recorder's [`StageFold`] keeps a short
+//! charge list per request in flight and closes it into one
+//! [`RequestAttribution`] row, with an **exact additivity check** — the
+//! stage totals of a consistent request sum to its end-to-end latency, to
+//! the nanosecond. [`AttributionReport::from_trace`] takes those rows off
+//! the finished [`Trace`]; for a trace recorded without a ledger (hand
+//! built, or produced elsewhere) it runs the same fold over the recorded
+//! `"request"` spans and `"stage"` charges.
 //!
 //! Aggregations are byte-stable: per-tenant tables are keyed through
 //! `BTreeMap`, shares are integer-ratio formatted, and the top-K slowest
 //! view breaks ties on request id.
 
 use crate::report::{fmt_pct, Table};
-use sim_core::trace::{Stage, Trace, TraceEvent};
+use sim_core::trace::{Stage, StageFold, StageLedger, Trace, TraceEvent, REQUEST_SPAN};
 use sim_core::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
-/// Number of stages in the canonical breakdown.
-pub const N_STAGES: usize = Stage::ALL.len();
-
-/// One request's reconstructed critical path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestAttribution {
-    /// Stable request id (the executive's app index).
-    pub request: u64,
-    /// Owning tenant.
-    pub tenant: u32,
-    /// Workload class label (e.g. `"MC"`).
-    pub class: String,
-    /// Arrival time (request span begin).
-    pub arrival: SimTime,
-    /// Completion time (request span end).
-    pub end: SimTime,
-    /// Nanoseconds charged to each stage, indexed by [`Stage::index`].
-    pub stage_ns: [u64; N_STAGES],
-    /// True when the charges tile `[arrival, end)` exactly — gapless,
-    /// non-overlapping, additive. Aborted/failed-over requests whose
-    /// pre-charged stages outlive the abort are flagged false and
-    /// excluded from aggregates.
-    pub consistent: bool,
-}
-
-impl RequestAttribution {
-    /// End-to-end latency in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.end - self.arrival
-    }
-
-    /// Nanoseconds charged to one stage.
-    pub fn stage(&self, s: Stage) -> u64 {
-        self.stage_ns[s.index()]
-    }
-
-    /// Time spent waiting for a resource rather than using one:
-    /// admission queueing plus engine queue-wait on both copy directions
-    /// and compute.
-    pub fn queue_wait_ns(&self) -> u64 {
-        self.stage(Stage::AdmissionWait)
-            + self.stage(Stage::H2dWait)
-            + self.stage(Stage::ComputeWait)
-            + self.stage(Stage::D2hWait)
-    }
-
-    /// The stage with the largest charge (ties resolve to the earlier
-    /// stage in [`Stage::ALL`] order).
-    pub fn dominant_stage(&self) -> Stage {
-        let mut best = Stage::ALL[0];
-        let mut best_ns = self.stage_ns[0];
-        for s in Stage::ALL {
-            if self.stage_ns[s.index()] > best_ns {
-                best = s;
-                best_ns = self.stage_ns[s.index()];
-            }
-        }
-        best
-    }
-}
+pub use sim_core::trace::{RequestAttribution, N_STAGES};
 
 /// Aggregated attribution over one run's trace.
 #[derive(Debug, Clone, Default)]
@@ -94,15 +37,6 @@ pub struct AttributionReport {
     pub unfinished: u64,
 }
 
-/// Partially reconstructed request while scanning the event stream.
-struct OpenRequest {
-    tenant: u32,
-    class: String,
-    arrival: SimTime,
-    /// Charged intervals `(from, to, stage)` in emission order.
-    charges: Vec<(SimTime, SimTime, Stage)>,
-}
-
 fn arg<'a>(args: &'a [(&'static str, String)], key: &str) -> Option<&'a str> {
     args.iter()
         .find(|(k, _)| *k == key)
@@ -110,22 +44,29 @@ fn arg<'a>(args: &'a [(&'static str, String)], key: &str) -> Option<&'a str> {
 }
 
 impl AttributionReport {
-    /// Reconstruct per-request breakdowns from a recorded trace.
+    /// The attribution of a recorded run: the rows its recorder folded
+    /// online ([`Trace::ledger`]), or, for a trace without a ledger, the
+    /// fold of its recorded events ([`AttributionReport::from_events`]).
+    pub fn from_trace(trace: &Trace) -> AttributionReport {
+        match &trace.ledger {
+            Some(ledger) => ledger.clone().into(),
+            None => AttributionReport::from_events(trace),
+        }
+    }
+
+    /// Fold a trace's recorded events, ignoring any ledger it carries.
     ///
     /// Scans the `"requests"`-process tracks for `"request"` spans
-    /// (arrival/completion) and `"stage"` instants (one charge each:
-    /// `[from, at)` attributed to `stage`), then verifies per request
-    /// that the charges are contiguous from arrival and bounded by the
-    /// completion; any remainder before completion is charged to
-    /// [`Stage::Other`].
-    pub fn from_trace(trace: &Trace) -> AttributionReport {
-        let slot_tracks: std::collections::HashSet<_> = trace
+    /// (arrival/completion) and stage charges — compact
+    /// [`TraceEvent::StageCharge`] events or `"stage"` instants with
+    /// `request`/`stage`/`from` args, each charging `[from, at)` — and
+    /// feeds them to a [`StageFold`] in recording order.
+    pub fn from_events(trace: &Trace) -> AttributionReport {
+        let slot_tracks: HashSet<_> = trace
             .find_tracks(|d| d.process == "requests")
             .into_iter()
             .collect();
-        let mut open: BTreeMap<u64, OpenRequest> = BTreeMap::new();
-        let mut done: BTreeMap<u64, RequestAttribution> = BTreeMap::new();
-        let mut inconsistent = 0u64;
+        let mut fold = StageFold::default();
         for ev in &trace.events {
             if !slot_tracks.contains(&ev.track()) {
                 continue;
@@ -133,80 +74,52 @@ impl AttributionReport {
             match ev {
                 TraceEvent::SpanBegin {
                     at,
-                    name: "request",
+                    name: REQUEST_SPAN,
                     id: Some(idx),
                     args,
                     ..
-                } => {
-                    open.insert(
-                        *idx,
-                        OpenRequest {
-                            // The executive stamps tenants in their
-                            // Display form ("T3"); accept bare ids too.
-                            tenant: arg(args, "tenant")
-                                .map(|v| v.strip_prefix('T').unwrap_or(v))
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or(0),
-                            class: arg(args, "class").unwrap_or("?").to_string(),
-                            arrival: *at,
-                            charges: Vec::new(),
-                        },
-                    );
-                }
+                } => fold.open(
+                    *idx,
+                    // The executive stamps tenants in their Display form
+                    // ("T3"); accept bare ids too.
+                    arg(args, "tenant")
+                        .map(|v| v.strip_prefix('T').unwrap_or(v))
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or(0),
+                    arg(args, "class").unwrap_or("?"),
+                    *at,
+                ),
                 TraceEvent::Instant {
                     at,
                     name: "stage",
                     args,
                     ..
                 } => {
-                    let (Some(idx), Some(stage), Some(from)) = (
+                    if let (Some(idx), Some(stage), Some(from)) = (
                         arg(args, "request").and_then(|v| v.parse::<u64>().ok()),
                         arg(args, "stage").and_then(Stage::parse),
                         arg(args, "from").and_then(|v| v.parse::<SimTime>().ok()),
-                    ) else {
-                        continue;
-                    };
-                    if let Some(req) = open.get_mut(&idx) {
-                        req.charges.push((from, *at, stage));
+                    ) {
+                        fold.charge(idx, stage, from, *at);
                     }
                 }
-                // The compact form the executive actually records; the
-                // `"stage"` instant arm above keeps hand-built and
-                // externally produced traces parsing.
                 TraceEvent::StageCharge {
                     at,
                     request,
                     stage,
                     from,
                     ..
-                } => {
-                    if let Some(req) = open.get_mut(request) {
-                        req.charges.push((*from, *at, *stage));
-                    }
-                }
+                } => fold.charge(*request, *stage, *from, *at),
                 TraceEvent::SpanEnd {
                     at,
-                    name: "request",
+                    name: REQUEST_SPAN,
                     id: Some(idx),
                     ..
-                } => {
-                    let Some(req) = open.remove(idx) else {
-                        continue;
-                    };
-                    let r = finish_request(*idx, req, *at);
-                    if !r.consistent {
-                        inconsistent += 1;
-                    }
-                    done.insert(*idx, r);
-                }
+                } => fold.close(*idx, *at),
                 _ => {}
             }
         }
-        AttributionReport {
-            requests: done.into_values().collect(),
-            inconsistent,
-            unfinished: open.len() as u64,
-        }
+        fold.finish().into()
     }
 
     /// Consistent requests only (what every aggregate is computed over).
@@ -392,45 +305,13 @@ impl AttributionReport {
     }
 }
 
-/// Close one request: order its charges, fill gaps conservatively and
-/// verify additivity.
-fn finish_request(idx: u64, req: OpenRequest, end: SimTime) -> RequestAttribution {
-    let mut stage_ns = [0u64; N_STAGES];
-    let mut charges = req.charges;
-    charges.sort_by_key(|&(from, to, _)| (from, to));
-    let mut cursor = req.arrival;
-    let mut consistent = end >= req.arrival;
-    for (from, to, stage) in charges {
-        // Writer-side charging is contiguous by construction; anything
-        // else (a gap, an overlap, a charge past the end) marks the
-        // request inconsistent rather than silently mis-summing.
-        if from != cursor || to < from || to > end {
-            consistent = false;
-            break;
+impl From<StageLedger> for AttributionReport {
+    fn from(ledger: StageLedger) -> Self {
+        AttributionReport {
+            requests: ledger.requests,
+            inconsistent: ledger.inconsistent,
+            unfinished: ledger.unfinished,
         }
-        stage_ns[stage.index()] += to - from;
-        cursor = to;
-    }
-    if consistent {
-        // Residual up to completion is real time the request spent not
-        // attributable to a finer stage.
-        stage_ns[Stage::Other.index()] += end - cursor;
-        debug_assert_eq!(
-            stage_ns.iter().sum::<u64>(),
-            end - req.arrival,
-            "stage charges must sum to end-to-end latency"
-        );
-    } else {
-        stage_ns = [0; N_STAGES];
-    }
-    RequestAttribution {
-        request: idx,
-        tenant: req.tenant,
-        class: req.class,
-        arrival: req.arrival,
-        end,
-        stage_ns,
-        consistent,
     }
 }
 

@@ -51,4 +51,7 @@ pub use rng::SimRng;
 pub use stats::OnlineStats;
 pub use telemetry::UtilizationTracker;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Stage, Trace, TraceEvent, TraceSink, Tracer, TrackDesc, TrackId};
+pub use trace::{
+    RequestAttribution, Stage, StageFold, StageLedger, Trace, TraceEvent, TraceSink, Tracer,
+    TrackDesc, TrackId,
+};

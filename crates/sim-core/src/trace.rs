@@ -32,7 +32,16 @@
 //! with [`Tracer::is_on`] before building names or argument strings.
 //! The simulation is single-threaded, so the shared buffer is an
 //! `Rc<RefCell<..>>`, not a lock.
+//!
+//! Latency attribution ([`Stage`] charges) is folded as the run goes: a
+//! [`StageFold`] keeps a short charge list per request still in flight
+//! and turns it into one [`RequestAttribution`] row when the request
+//! closes. A [`Tracer::attribution`] recorder only folds the charges; a
+//! [`Tracer::folding`] recorder also records them as events, so full
+//! traces export exactly as before. The finished rows travel on
+//! [`Trace::ledger`].
 
+use crate::fxhash::FxHashMap;
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -193,12 +202,23 @@ impl TraceSink for TraceBuffer {
     }
 }
 
+/// What an enabled [`Tracer`] shares between its clones: the buffer, and
+/// what happens to stage charges.
+#[derive(Debug)]
+struct Recorder {
+    buf: TraceBuffer,
+    /// Folds stage charges into per-request rows (`None`: no ledger).
+    fold: Option<StageFold>,
+    /// Also record stage charges as [`TraceEvent::StageCharge`] events.
+    record_charges: bool,
+}
+
 /// Cheap cloneable handle components emit through. Disabled by default
-/// ([`Tracer::off`]); every clone of a [`Tracer::buffered`] handle
-/// appends to the same underlying [`TraceBuffer`].
+/// ([`Tracer::off`]); every clone of an enabled handle appends to the
+/// same underlying [`TraceBuffer`].
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    inner: Option<Rc<RefCell<TraceBuffer>>>,
+    inner: Option<Rc<RefCell<Recorder>>>,
 }
 
 impl Tracer {
@@ -208,11 +228,36 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// An enabled tracer recording into a fresh shared buffer.
-    pub fn buffered() -> Self {
+    fn with(fold: bool, record_charges: bool) -> Self {
+        let rec = Recorder {
+            buf: TraceBuffer::default(),
+            fold: fold.then(StageFold::default),
+            record_charges,
+        };
         Tracer {
-            inner: Some(Rc::new(RefCell::new(TraceBuffer::default()))),
+            inner: Some(Rc::new(RefCell::new(rec))),
         }
+    }
+
+    /// An enabled tracer recording every event into a fresh shared
+    /// buffer. Keeps no ledger: attribution of such a trace folds its
+    /// recorded events afterwards.
+    pub fn buffered() -> Self {
+        Tracer::with(false, true)
+    }
+
+    /// Like [`Tracer::buffered`], and also folds stage charges online:
+    /// the finished [`Trace`] carries both the charge events and the
+    /// [`Trace::ledger`] they fold to.
+    pub fn folding() -> Self {
+        Tracer::with(true, true)
+    }
+
+    /// The attribution recorder: stage charges are folded online and not
+    /// recorded as events, so the trace grows with requests rather than
+    /// with stage transitions. Every other event is recorded.
+    pub fn attribution() -> Self {
+        Tracer::with(true, false)
     }
 
     /// True when events are being recorded. Emission sites check this
@@ -227,8 +272,8 @@ impl Tracer {
     pub fn track(&self, process: impl Into<String>, thread: impl Into<String>) -> TrackId {
         match &self.inner {
             None => TrackId::INVALID,
-            Some(buf) => {
-                let mut buf = buf.borrow_mut();
+            Some(rec) => {
+                let buf = &mut rec.borrow_mut().buf;
                 let id = TrackId(buf.tracks.len() as u32);
                 let desc = TrackDesc {
                     process: process.into(),
@@ -250,10 +295,10 @@ impl Tracer {
         id: Option<u64>,
         args: TraceArgs,
     ) {
-        if let Some(buf) = &self.inner {
+        if let Some(rec) = &self.inner {
             // Push by value: routing through `TraceSink::event` would clone
             // the args (and their strings) a second time.
-            buf.borrow_mut().events.push(TraceEvent::SpanBegin {
+            rec.borrow_mut().buf.events.push(TraceEvent::SpanBegin {
                 track,
                 at,
                 name,
@@ -266,8 +311,8 @@ impl Tracer {
     /// Close a span.
     #[inline]
     pub fn span_end(&self, track: TrackId, at: SimTime, name: &'static str, id: Option<u64>) {
-        if let Some(buf) = &self.inner {
-            buf.borrow_mut().events.push(TraceEvent::SpanEnd {
+        if let Some(rec) = &self.inner {
+            rec.borrow_mut().buf.events.push(TraceEvent::SpanEnd {
                 track,
                 at,
                 name,
@@ -279,8 +324,8 @@ impl Tracer {
     /// Record a point event.
     #[inline]
     pub fn instant(&self, track: TrackId, at: SimTime, name: &'static str, args: TraceArgs) {
-        if let Some(buf) = &self.inner {
-            buf.borrow_mut().events.push(TraceEvent::Instant {
+        if let Some(rec) = &self.inner {
+            rec.borrow_mut().buf.events.push(TraceEvent::Instant {
                 track,
                 at,
                 name,
@@ -289,8 +334,52 @@ impl Tracer {
         }
     }
 
-    /// Record an attribution stage charge (the allocation-free form of a
-    /// `"stage"` instant; see [`TraceEvent::StageCharge`]).
+    /// Open request `request`'s `"request"` span on `track` (its async id
+    /// is the request id) and, when folding, its stage-fold row owned by
+    /// `tenant` with workload class label `class`.
+    pub fn request_begin(
+        &self,
+        track: TrackId,
+        at: SimTime,
+        request: u64,
+        tenant: u32,
+        class: &str,
+        args: TraceArgs,
+    ) {
+        if let Some(rec) = &self.inner {
+            let rec = &mut *rec.borrow_mut();
+            rec.buf.events.push(TraceEvent::SpanBegin {
+                track,
+                at,
+                name: REQUEST_SPAN,
+                id: Some(request),
+                args,
+            });
+            if let Some(fold) = &mut rec.fold {
+                fold.open(request, tenant, class, at);
+            }
+        }
+    }
+
+    /// Close request `request`'s span and, when folding, emit its row.
+    pub fn request_end(&self, track: TrackId, at: SimTime, request: u64) {
+        if let Some(rec) = &self.inner {
+            let rec = &mut *rec.borrow_mut();
+            rec.buf.events.push(TraceEvent::SpanEnd {
+                track,
+                at,
+                name: REQUEST_SPAN,
+                id: Some(request),
+            });
+            if let Some(fold) = &mut rec.fold {
+                fold.close(request, at);
+            }
+        }
+    }
+
+    /// Charge `[from, at)` of request `request` to `stage`: folded into
+    /// the request's row, recorded as a [`TraceEvent::StageCharge`], or
+    /// both, as the tracer was built.
     #[inline]
     pub fn stage_charge(
         &self,
@@ -300,14 +389,20 @@ impl Tracer {
         stage: Stage,
         from: SimTime,
     ) {
-        if let Some(buf) = &self.inner {
-            buf.borrow_mut().events.push(TraceEvent::StageCharge {
-                track,
-                at,
-                request,
-                stage,
-                from,
-            });
+        if let Some(rec) = &self.inner {
+            let rec = &mut *rec.borrow_mut();
+            if rec.record_charges {
+                rec.buf.events.push(TraceEvent::StageCharge {
+                    track,
+                    at,
+                    request,
+                    stage,
+                    from,
+                });
+            }
+            if let Some(fold) = &mut rec.fold {
+                fold.charge(request, stage, from, at);
+            }
         }
     }
 
@@ -315,14 +410,23 @@ impl Tracer {
     /// end after `to` end there instead, and charges that start at or
     /// after it are dropped. An executive may charge a stage up to a known
     /// future instant (an RPC's delivery); when a failure overtakes that
-    /// instant, the pre-charged tail never happened. Only the newest
-    /// charges can run past `to`, so the scan walks back from the end and
-    /// stops at the first charge of the request that ends by `to`.
+    /// instant, the pre-charged tail never happened. The fold cuts the
+    /// request's open charge list ([`StageFold::retract`]). Recorded
+    /// charges are cut too: only the newest can run past `to`, so the scan
+    /// walks back from the end and stops at the first charge of the
+    /// request that ends by `to`.
     pub fn retract_charges_after(&self, track: TrackId, request: u64, to: SimTime) {
-        let Some(buf) = &self.inner else {
+        let Some(rec) = &self.inner else {
             return;
         };
-        let events = &mut buf.borrow_mut().events;
+        let rec = &mut *rec.borrow_mut();
+        if let Some(fold) = &mut rec.fold {
+            fold.retract(request, to);
+        }
+        if !rec.record_charges {
+            return;
+        }
+        let events = &mut rec.buf.events;
         for i in (0..events.len()).rev() {
             let TraceEvent::StageCharge {
                 track: t,
@@ -351,8 +455,8 @@ impl Tracer {
     /// Record a counter sample.
     #[inline]
     pub fn counter(&self, track: TrackId, at: SimTime, name: &'static str, value: f64) {
-        if let Some(buf) = &self.inner {
-            buf.borrow_mut().events.push(TraceEvent::Counter {
+        if let Some(rec) = &self.inner {
+            rec.borrow_mut().buf.events.push(TraceEvent::Counter {
                 track,
                 at,
                 name,
@@ -362,16 +466,23 @@ impl Tracer {
     }
 
     /// Take the recorded trace out of the shared buffer (leaving it
-    /// empty). `None` when the tracer is disabled.
+    /// empty), with the ledger of folded rows when the tracer folds.
+    /// `None` when the tracer is disabled.
     pub fn finish(&self) -> Option<Trace> {
-        let buf = self.inner.as_ref()?;
-        let taken = buf.replace(TraceBuffer::default());
+        let rec = &mut *self.inner.as_ref()?.borrow_mut();
+        let buf = std::mem::take(&mut rec.buf);
+        let ledger = rec.fold.as_mut().map(|fold| std::mem::take(fold).finish());
         Some(Trace {
-            tracks: taken.tracks,
-            events: taken.events,
+            tracks: buf.tracks,
+            events: buf.events,
+            ledger,
         })
     }
 }
+
+/// Name of the async span a request lives in, from arrival to
+/// completion, on its `"requests"`-process slot track.
+pub const REQUEST_SPAN: &str = "request";
 
 /// A finished recording: the track table plus events in emission order.
 /// Event timestamps are globally *near*-sorted (components append as the
@@ -383,6 +494,10 @@ pub struct Trace {
     pub tracks: Vec<TrackDesc>,
     /// Recorded events.
     pub events: Vec<TraceEvent>,
+    /// Per-request attribution rows folded while the run went (`None`
+    /// when the recorder did not fold: see [`Tracer::folding`] and
+    /// [`Tracer::attribution`]).
+    pub ledger: Option<StageLedger>,
 }
 
 impl Trace {
@@ -474,11 +589,11 @@ impl Trace {
 /// latency attribution. Every nanosecond between a request's arrival and
 /// its completion is charged to exactly one stage, so per-request stage
 /// totals are additive by construction: they sum to the end-to-end
-/// latency (asserted by `strings-metrics::attribution` when it
-/// reconstructs breakdowns from a trace).
+/// latency (checked by [`StageFold`] when it closes a request).
 ///
-/// Stages are emitted as [`TraceEvent::StageCharge`] events on the
-/// request's slot track (exporters render them as `"stage"` instants with
+/// Stages are charged through [`Tracer::stage_charge`]. A full trace also
+/// records them as [`TraceEvent::StageCharge`] events on the request's
+/// slot track (exporters render them as `"stage"` instants with
 /// `request`, `stage` and `from` args): the event's timestamp is the
 /// charge's exclusive end, `from` its inclusive start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -552,14 +667,242 @@ impl Stage {
     }
 
     /// Dense index into [`Stage::ALL`] (and per-request stage arrays).
+    /// [`Stage::ALL`] lists the stages in declaration order.
+    #[inline]
     pub fn index(self) -> usize {
-        Stage::ALL.iter().position(|&s| s == self).expect("in ALL")
+        self as usize
     }
 }
 
 impl std::fmt::Display for Stage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// Number of stages in the canonical breakdown.
+pub const N_STAGES: usize = Stage::ALL.len();
+
+/// One request's folded critical path: a row of the stage ledger.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestAttribution {
+    /// Stable request id (the executive's app index).
+    pub request: u64,
+    /// Owning tenant.
+    pub tenant: u32,
+    /// Workload class label (e.g. `"W0"`).
+    pub class: String,
+    /// Arrival time (request span begin).
+    pub arrival: SimTime,
+    /// Completion time (request span end).
+    pub end: SimTime,
+    /// Nanoseconds charged to each stage, indexed by [`Stage::index`].
+    pub stage_ns: [u64; N_STAGES],
+    /// True when the charges tile `[arrival, end)` exactly — gapless,
+    /// non-overlapping, additive. Aborted/failed-over requests whose
+    /// pre-charged stages outlive the abort are flagged false and
+    /// excluded from aggregates.
+    pub consistent: bool,
+}
+
+impl RequestAttribution {
+    /// End-to-end latency in nanoseconds.
+    pub fn total_ns(&self) -> u64 {
+        self.end - self.arrival
+    }
+
+    /// Nanoseconds charged to one stage.
+    pub fn stage(&self, s: Stage) -> u64 {
+        self.stage_ns[s.index()]
+    }
+
+    /// Time spent waiting for a resource rather than using one:
+    /// admission queueing plus engine queue-wait on both copy directions
+    /// and compute.
+    pub fn queue_wait_ns(&self) -> u64 {
+        self.stage(Stage::AdmissionWait)
+            + self.stage(Stage::H2dWait)
+            + self.stage(Stage::ComputeWait)
+            + self.stage(Stage::D2hWait)
+    }
+
+    /// The stage with the largest charge (ties resolve to the earlier
+    /// stage in [`Stage::ALL`] order).
+    pub fn dominant_stage(&self) -> Stage {
+        let mut best = Stage::ALL[0];
+        let mut best_ns = self.stage_ns[0];
+        for s in Stage::ALL {
+            if self.stage_ns[s.index()] > best_ns {
+                best = s;
+                best_ns = self.stage_ns[s.index()];
+            }
+        }
+        best
+    }
+}
+
+/// The folded attribution of one run: what a [`StageFold`] hands over
+/// when the run ends.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StageLedger {
+    /// One row per closed request, sorted by request id. A request id
+    /// closed twice keeps its latest row.
+    pub requests: Vec<RequestAttribution>,
+    /// Closes whose charges failed the additivity check (every close
+    /// counts, including one whose row a later close of the same id
+    /// replaced).
+    pub inconsistent: u64,
+    /// Requests still open when the fold finished.
+    pub unfinished: u64,
+}
+
+/// One charge `[from, to)` of an open request.
+type Charge = (SimTime, SimTime, Stage);
+
+/// A request between open and close.
+#[derive(Debug)]
+struct OpenRequest {
+    tenant: u32,
+    class: String,
+    arrival: SimTime,
+    /// Charges in emission order.
+    charges: Vec<Charge>,
+}
+
+/// Folds stage charges into per-request rows as they are made. It keeps a
+/// charge list only for requests still open; closing a request turns its
+/// list into one [`RequestAttribution`] row, so the fold's size follows
+/// the requests in flight plus one row per finished request.
+///
+/// The four operations mirror a request's life: [`StageFold::open`] at
+/// arrival, [`StageFold::charge`] per stage transition,
+/// [`StageFold::retract`] when a failure overtakes pre-charged time, and
+/// [`StageFold::close`] at completion or abort. Charges to a request that
+/// is not open count for nothing, and re-opening an open id starts it
+/// over.
+#[derive(Debug, Default)]
+pub struct StageFold {
+    open: FxHashMap<u64, OpenRequest>,
+    rows: Vec<RequestAttribution>,
+    inconsistent: u64,
+    /// Emptied charge lists of closed requests, reused by the next opens.
+    spare: Vec<Vec<Charge>>,
+}
+
+impl StageFold {
+    /// Open `request`, arrived at `arrival`.
+    pub fn open(&mut self, request: u64, tenant: u32, class: &str, arrival: SimTime) {
+        let charges = self.spare.pop().unwrap_or_default();
+        let req = OpenRequest {
+            tenant,
+            class: class.to_string(),
+            arrival,
+            charges,
+        };
+        if let Some(old) = self.open.insert(request, req) {
+            self.recycle(old.charges);
+        }
+    }
+
+    /// Charge `[from, to)` of `request` to `stage`.
+    #[inline]
+    pub fn charge(&mut self, request: u64, stage: Stage, from: SimTime, to: SimTime) {
+        if let Some(req) = self.open.get_mut(&request) {
+            req.charges.push((from, to, stage));
+        }
+    }
+
+    /// Cut `request`'s charges back to `to`: the newest charges that end
+    /// after `to` end there instead, or go when they start at or after
+    /// it.
+    pub fn retract(&mut self, request: u64, to: SimTime) {
+        let Some(req) = self.open.get_mut(&request) else {
+            return;
+        };
+        while let Some(last) = req.charges.last_mut() {
+            if last.1 <= to {
+                break;
+            }
+            if last.0 < to {
+                last.1 = to;
+                break;
+            }
+            req.charges.pop();
+        }
+    }
+
+    /// Close `request` at `end` and fold its charges into its row.
+    pub fn close(&mut self, request: u64, end: SimTime) {
+        let Some(mut req) = self.open.remove(&request) else {
+            return;
+        };
+        let row = finish_request(request, &mut req, end);
+        if !row.consistent {
+            self.inconsistent += 1;
+        }
+        self.rows.push(row);
+        self.recycle(req.charges);
+    }
+
+    fn recycle(&mut self, mut charges: Vec<Charge>) {
+        charges.clear();
+        self.spare.push(charges);
+    }
+
+    /// The ledger: rows sorted by request id (a repeated id keeps its
+    /// latest row), with the requests still open counted as unfinished.
+    pub fn finish(self) -> StageLedger {
+        let mut rows = self.rows;
+        // Latest close first among equal ids; the sort is stable.
+        rows.reverse();
+        rows.sort_by_key(|r| r.request);
+        rows.dedup_by_key(|r| r.request);
+        StageLedger {
+            requests: rows,
+            inconsistent: self.inconsistent,
+            unfinished: self.open.len() as u64,
+        }
+    }
+}
+
+/// Close one request: order its charges, fill the residual up to `end`
+/// and verify additivity.
+fn finish_request(request: u64, req: &mut OpenRequest, end: SimTime) -> RequestAttribution {
+    let mut stage_ns = [0u64; N_STAGES];
+    req.charges.sort_by_key(|&(from, to, _)| (from, to));
+    let mut cursor = req.arrival;
+    let mut consistent = end >= req.arrival;
+    for &(from, to, stage) in &req.charges {
+        // Writer-side charging is contiguous by construction; anything
+        // else (a gap, an overlap, a charge past the end) marks the
+        // request inconsistent rather than silently mis-summing.
+        if from != cursor || to < from || to > end {
+            consistent = false;
+            break;
+        }
+        stage_ns[stage.index()] += to - from;
+        cursor = to;
+    }
+    if consistent {
+        // Residual up to completion is real time the request spent not
+        // attributable to a finer stage.
+        stage_ns[Stage::Other.index()] += end - cursor;
+        debug_assert_eq!(
+            stage_ns.iter().sum::<u64>(),
+            end - req.arrival,
+            "stage charges must sum to end-to-end latency"
+        );
+    } else {
+        stage_ns = [0; N_STAGES];
+    }
+    RequestAttribution {
+        request,
+        tenant: req.tenant,
+        class: std::mem::take(&mut req.class),
+        arrival: req.arrival,
+        end,
+        stage_ns,
+        consistent,
     }
 }
 
@@ -669,6 +1012,89 @@ mod tests {
         // Request 7's [10, 50) is cut to [10, 30) and its [50, 90) is
         // dropped; request 8 and everything before the cut are untouched.
         assert_eq!(charges, vec![(7, 0, 10), (7, 10, 30), (8, 0, 60)]);
+    }
+
+    /// Drive one request through a tracer's request and charge calls.
+    fn one_request(t: &Tracer) {
+        let trk = t.track("requests", "slot0");
+        t.request_begin(trk, 0, 7, 3, "W1", vec![("tenant", "T3".into())]);
+        t.stage_charge(trk, 10, 7, Stage::HostCpu, 0);
+        t.stage_charge(trk, 50, 7, Stage::Rpc, 10);
+        t.stage_charge(trk, 90, 7, Stage::Rpc, 50);
+        t.retract_charges_after(trk, 7, 30);
+        t.stage_charge(trk, 40, 7, Stage::Other, 30);
+        t.request_end(trk, 45, 7);
+    }
+
+    #[test]
+    fn folding_tracers_fold_retracted_charges_into_one_row() {
+        let expect = {
+            let mut stage_ns = [0; N_STAGES];
+            stage_ns[Stage::HostCpu.index()] = 10;
+            stage_ns[Stage::Rpc.index()] = 20;
+            stage_ns[Stage::Other.index()] = 15; // 10 charged + 5 residual
+            RequestAttribution {
+                request: 7,
+                tenant: 3,
+                class: "W1".into(),
+                arrival: 0,
+                end: 45,
+                stage_ns,
+                consistent: true,
+            }
+        };
+        let full = Tracer::folding();
+        one_request(&full);
+        let full = full.finish().unwrap();
+        let charges = full
+            .events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::StageCharge { .. }))
+            .count();
+        assert_eq!(charges, 3, "a full trace records the surviving charges");
+        let light = Tracer::attribution();
+        one_request(&light);
+        let light = light.finish().unwrap();
+        assert!(light
+            .events
+            .iter()
+            .all(|e| !matches!(e, TraceEvent::StageCharge { .. })));
+        assert_eq!(light.events.len(), 2, "the request span only");
+        for trace in [full, light] {
+            let ledger = trace.ledger.expect("folding tracers keep a ledger");
+            assert_eq!(ledger.requests, vec![expect.clone()]);
+            assert_eq!((ledger.inconsistent, ledger.unfinished), (0, 0));
+        }
+        // A plain buffered tracer keeps no ledger.
+        let plain = Tracer::buffered();
+        one_request(&plain);
+        assert!(plain.finish().unwrap().ledger.is_none());
+    }
+
+    #[test]
+    fn fold_counts_only_charges_inside_a_span_and_keeps_the_latest_row() {
+        let mut f = StageFold::default();
+        f.charge(1, Stage::Rpc, 0, 5); // before the open: ignored
+        f.open(1, 0, "W0", 0);
+        f.charge(1, Stage::Rpc, 0, 5);
+        f.close(1, 5);
+        f.charge(1, Stage::Rpc, 5, 9); // after the close: ignored
+        f.open(4, 0, "W0", 0);
+        f.charge(4, Stage::Rpc, 0, 20); // past the end: inconsistent
+        f.close(4, 10);
+        f.open(4, 1, "W2", 10); // the id closes again, consistently
+        f.close(4, 12);
+        f.open(2, 0, "W0", 3); // still open at the end
+        let ledger = f.finish();
+        let rows: Vec<_> = ledger
+            .requests
+            .iter()
+            .map(|r| (r.request, r.tenant, r.consistent, r.total_ns()))
+            .collect();
+        assert_eq!(rows, vec![(1, 0, true, 5), (4, 1, true, 2)]);
+        assert_eq!(ledger.requests[0].stage(Stage::Rpc), 5);
+        assert_eq!(ledger.inconsistent, 1, "the replaced row still counts");
+        assert_eq!(ledger.unfinished, 1);
     }
 
     #[test]

@@ -1,0 +1,167 @@
+//! The online stage ledger: latency attribution folded while the run goes.
+//!
+//! The executive charges every nanosecond of a request's life to one
+//! stage. The recorder folds those charges into one row per request as
+//! the run goes, so an attribution-only trace holds request spans but no
+//! per-transition charge events, and its size follows the requests served
+//! rather than the stage transitions they made. These tests pin that the
+//! online rows are exactly what folding a full trace's recorded charges
+//! gives, on a faulty cluster run where failover, replay and retraction
+//! of pre-charged RPC time all happen, and that attribution memory stays
+//! bounded as the run gets longer.
+
+use strings_repro::harness::cli::parse_serve_args;
+use strings_repro::harness::serve::ServeSpec;
+use strings_repro::harness::RunStats;
+use strings_repro::metrics::AttributionReport;
+use strings_repro::sim::trace::{Trace, TraceEvent};
+
+/// A small cluster serve: a partition fails requests over (timeouts,
+/// retries, replays), a device crash fails over requests mid-RPC (their
+/// pre-charged RPC time is retracted), and a degrade slows a node.
+fn faulty_serve(duration: &str) -> ServeSpec {
+    let args = format!(
+        "--topology 8x4:c2050@calibrated --tenants 64 --apps GA,MC \
+         --arrivals poisson:60rps --duration {duration} --seed 7 \
+         --faults partition@2s+1s:node3;degrade@2s+1s:node5x4;crash@3s:gid9"
+    );
+    let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+    parse_serve_args(&args).expect("valid serve args").spec
+}
+
+fn attributed(duration: &str) -> ServeSpec {
+    let mut s = faulty_serve(duration);
+    s.attribution = true;
+    s
+}
+
+fn traced(duration: &str) -> ServeSpec {
+    let mut s = faulty_serve(duration);
+    s.trace = true;
+    s
+}
+
+fn stage_charges(trace: &Trace) -> usize {
+    trace
+        .events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::StageCharge { .. }))
+        .count()
+}
+
+fn named(trace: &Trace, name: &str) -> usize {
+    trace
+        .events
+        .iter()
+        .filter(|e| match e {
+            TraceEvent::Instant { name: n, .. } | TraceEvent::SpanBegin { name: n, .. } => {
+                *n == name
+            }
+            _ => false,
+        })
+        .count()
+}
+
+fn trace_of(stats: &RunStats) -> &Trace {
+    stats.trace.as_ref().expect("the run records a trace")
+}
+
+#[test]
+fn online_ledger_equals_the_fold_of_recorded_charges() {
+    let full_spec = traced("8s");
+    let full = full_spec.run();
+    let trace = trace_of(&full);
+    assert!(full.failovers > 0, "the faults fail requests over");
+    assert!(named(trace, "replay") > 0, "failed-over requests replay");
+
+    let online = trace.ledger.as_ref().expect("a full trace folds online");
+    let offline = AttributionReport::from_events(trace);
+    assert!(!online.requests.is_empty());
+    assert_eq!(online.unfinished, 0, "serve runs drain");
+    assert!(
+        stage_charges(trace) > 20 * online.requests.len(),
+        "the full trace records every stage transition"
+    );
+
+    assert_eq!(online.requests, offline.requests);
+    assert_eq!(online.inconsistent, offline.inconsistent);
+    assert_eq!(online.unfinished, offline.unfinished);
+
+    let light_spec = attributed("8s");
+    let light = light_spec.run();
+    let a = light_spec.attribution(&light);
+    let b = full_spec.attribution(&full);
+    assert_eq!(a.requests, b.requests);
+    assert_eq!(a.render(10), b.render(10));
+
+    let light_trace = trace_of(&light);
+    assert_eq!(
+        stage_charges(light_trace),
+        0,
+        "attribution-only mode folds charges"
+    );
+    let planned = light_spec.plan_with_seed(light_spec.seed).len();
+    assert!(
+        light_trace.events.len() <= 8 * planned,
+        "{} events for {planned} planned requests",
+        light_trace.events.len()
+    );
+}
+
+/// Devices in [`faulty_serve`]'s `8x4` topology. Strings shares one
+/// context per device, and a shared context keeps its attribution window
+/// for whichever app synchronizes on it next.
+const DEVICES: u64 = 32;
+
+/// Requests not finished (served, failed or shed) when the run ended.
+fn in_flight(spec: &ServeSpec, stats: &RunStats) -> u64 {
+    let planned = spec.plan_with_seed(spec.seed).len() as u64;
+    planned - stats.completed_requests
+}
+
+#[test]
+fn attribution_memory_follows_requests_not_stage_charges() {
+    let runs: Vec<(ServeSpec, RunStats)> = ["6s", "12s"]
+        .into_iter()
+        .map(|d| {
+            let spec = attributed(d);
+            let stats = spec.run();
+            (spec, stats)
+        })
+        .collect();
+    let per_request = |(spec, stats): &(ServeSpec, RunStats)| {
+        let planned = spec.plan_with_seed(spec.seed).len() as f64;
+        trace_of(stats).events.len() as f64 / planned
+    };
+    let (short, long) = (&runs[0], &runs[1]);
+    assert!(
+        long.1.completed_requests > short.1.completed_requests * 3 / 2,
+        "the longer run serves more requests"
+    );
+    // The trace grows with the requests served, not with their stage
+    // transitions: events per planned request do not grow with length.
+    assert!(
+        per_request(long) <= per_request(short) * 1.05,
+        "{:.2} events per request at 12 s vs {:.2} at 6 s",
+        per_request(long),
+        per_request(short)
+    );
+    for (spec, stats) in &runs {
+        let trace = trace_of(stats);
+        let ledger = trace.ledger.as_ref().expect("attribution folds");
+        assert_eq!(
+            ledger.requests.len(),
+            named(trace, "request"),
+            "one row per request"
+        );
+        // Job windows live only while a synchronous copy waits and stream
+        // windows only while their app is attached: what is left at the
+        // end is the shared contexts' windows plus the apps in flight.
+        let bound = DEVICES + 3 * in_flight(spec, stats);
+        assert!(
+            stats.attr_windows <= bound,
+            "{} attribution windows left at the end (bound {bound})",
+            stats.attr_windows
+        );
+    }
+}
