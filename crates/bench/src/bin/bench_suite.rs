@@ -115,7 +115,7 @@ fn serve_args(args: &str) -> ServeSpec {
 /// entries can land before their baseline is regenerated.
 fn scenarios() -> Vec<Entry> {
     let fig12 = fig12_scenario();
-    // A single-node mix (same shape as the `simulator` criterion bench).
+    // A single-node mix of Monte Carlo and DXTC streams.
     let single = Scenario::single_node(
         StackConfig::strings(LbPolicy::GMin),
         vec![

@@ -54,7 +54,7 @@ pub use admission::{
 };
 pub use config::{SchedulerMode, StackConfig};
 pub use device_sched::{GpuPolicy, GpuScheduler};
-pub use mapper::{FeedbackRecord, GpuAffinityMapper, LbPolicy, MapperPolicy, WorkloadClass};
+pub use mapper::{FeedbackRecord, GpuAffinityMapper, LbPolicy, WorkloadClass};
 pub use packer::{ContextPacker, PackedCall, PackerConfig};
-pub use placement::{ClusterPlacer, NodePolicy, PlacementPolicy};
+pub use placement::{ClusterPlacer, NodePolicy};
 pub use zoo::{registry, PolicyInfo, PolicyLayer};

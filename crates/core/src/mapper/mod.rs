@@ -16,11 +16,7 @@ mod slices;
 
 pub use arbiter::PolicyArbiter;
 pub use dst::{DeviceStatus, DeviceStatusTable};
-pub use policy::{
-    BandwidthFeedbackMapper, FragAwareMapper, LbPolicy, LeastLoadedMapper, MapperPolicy,
-    RoundRobinMapper, RuntimeFeedbackMapper, TransferFeedbackMapper, UtilizationFeedbackMapper,
-    WeightedLeastLoadedMapper,
-};
+pub use policy::LbPolicy;
 pub use sft::{FeedbackRecord, SchedulerFeedbackTable, SftEntry};
 pub use slices::{slice_demand, SliceState};
 
@@ -47,10 +43,6 @@ pub struct GpuAffinityMapper {
     dst: DeviceStatusTable,
     sft: SchedulerFeedbackTable,
     arbiter: PolicyArbiter,
-    /// Overrides the arbiter's enum policy when set (the pluggable trait
-    /// layer); the arbiter still ingests feedback so switching back is
-    /// well-defined.
-    custom: Option<Box<dyn MapperPolicy>>,
     rr_next: usize,
     tracer: Tracer,
     track: TrackId,
@@ -64,7 +56,6 @@ impl GpuAffinityMapper {
             dst: DeviceStatusTable::from_gmap(gmap),
             sft: SchedulerFeedbackTable::new(),
             arbiter,
-            custom: None,
             rr_next: 0,
             tracer: Tracer::off(),
             track: TrackId::INVALID,
@@ -76,14 +67,6 @@ impl GpuAffinityMapper {
     /// the fragmentation-aware policy gets real occupancy to score.
     pub fn enable_slices(&mut self, units: u8) {
         self.dst.enable_slices(units);
-    }
-
-    /// Replace the arbiter-driven enum policy with a pluggable
-    /// [`MapperPolicy`] trait object. The built-in boxes
-    /// ([`LbPolicy::build`]) are byte-identical to their enum twins;
-    /// custom implementations can score however they like.
-    pub fn set_policy(&mut self, policy: Box<dyn MapperPolicy>) {
-        self.custom = Some(policy);
     }
 
     /// Attach a tracer; placement decisions reported through
@@ -127,10 +110,8 @@ impl GpuAffinityMapper {
         }
     }
 
-    /// The enum policy currently in force at the arbiter (may change as
-    /// feedback accumulates). A custom [`MapperPolicy`] installed via
-    /// [`GpuAffinityMapper::set_policy`] overrides it for selection; see
-    /// [`GpuAffinityMapper::policy_label`] for the effective name.
+    /// The policy currently in force at the arbiter (may change as
+    /// feedback accumulates).
     pub fn current_policy(&self) -> LbPolicy {
         self.arbiter.current()
     }
@@ -138,21 +119,16 @@ impl GpuAffinityMapper {
     /// Label of the policy that will answer the next
     /// [`GpuAffinityMapper::select_device`] call.
     pub fn policy_label(&self) -> &'static str {
-        match &self.custom {
-            Some(p) => p.label(),
-            None => self.arbiter.current().label(),
-        }
+        self.arbiter.current().label()
     }
 
     /// Select the target GPU for a new application instance of `class`
     /// arriving on `app_node`. Does **not** bind — call
     /// [`GpuAffinityMapper::bind`] once the selection is acted upon.
     pub fn select_device(&mut self, class: WorkloadClass, app_node: NodeId) -> Gid {
-        if let Some(custom) = self.custom.as_mut() {
-            return custom.select(&self.dst, &self.sft, class, app_node);
-        }
-        let policy = self.arbiter.current();
-        policy.select(&self.dst, &self.sft, class, app_node, &mut self.rr_next)
+        self.arbiter
+            .current()
+            .select(&self.dst, &self.sft, class, app_node, &mut self.rr_next)
     }
 
     /// Record that an instance of `class` is now bound to `gid` (updates
@@ -356,24 +332,6 @@ mod tests {
         m.bind(Gid(0), cold);
         let pick = m.select_device(hot, NodeId(0));
         assert_ne!(pick, Gid(1), "GUF must not stack two hot apps");
-    }
-
-    #[test]
-    fn set_policy_overrides_arbiter_and_matches_enum() {
-        let gmap = GMap::build(&[NodeSpec::node_a(0), NodeSpec::node_b(1)]);
-        let mut via_enum = GpuAffinityMapper::new(&gmap, PolicyArbiter::fixed(LbPolicy::GWtMin));
-        let mut via_box = GpuAffinityMapper::new(&gmap, PolicyArbiter::fixed(LbPolicy::Grr));
-        via_box.set_policy(LbPolicy::GWtMin.build());
-        assert_eq!(via_box.policy_label(), "GWtMin");
-        assert_eq!(via_box.current_policy(), LbPolicy::Grr, "arbiter untouched");
-        for i in 0..10u32 {
-            let class = WorkloadClass(i % 2);
-            let a = via_enum.select_device(class, NodeId(0));
-            let b = via_box.select_device(class, NodeId(0));
-            assert_eq!(a, b, "boxed GWtMin diverged from enum at step {i}");
-            via_enum.bind(a, class);
-            via_box.bind(b, class);
-        }
     }
 
     #[test]

@@ -24,11 +24,9 @@
 //!   (see [`crate::mapper::SliceState`]); degenerates to GWtMin scoring on
 //!   unpartitioned pools.
 //!
-//! Every variant is also available as a boxed [`MapperPolicy`] trait
-//! object ([`LbPolicy::build`]) so harnesses can plug in policies the enum
-//! does not know about; the enum remains the `Copy` + `Serialize` config
-//! currency, and the built-in trait impls delegate to the enum's selection
-//! code so both paths are byte-identical.
+//! Each policy is one variant plus one arm of a `match` — GRR's cursor in
+//! [`LbPolicy::select`], every other policy's score in its argmin — and
+//! one row in [`crate::zoo::registry`].
 
 use super::dst::{DeviceStatus, DeviceStatusTable};
 use super::sft::SchedulerFeedbackTable;
@@ -112,28 +110,6 @@ impl LbPolicy {
             LbPolicy::Dtf => "DTF",
             LbPolicy::Mbf => "MBF",
             LbPolicy::Frag => "Frag",
-        }
-    }
-
-    /// Box this policy as a pluggable [`MapperPolicy`] trait object.
-    ///
-    /// ```
-    /// use strings_core::mapper::LbPolicy;
-    ///
-    /// let p = LbPolicy::GWtMin.build();
-    /// assert_eq!(p.label(), "GWtMin");
-    /// assert!(!p.is_feedback());
-    /// ```
-    pub fn build(self) -> Box<dyn MapperPolicy> {
-        match self {
-            LbPolicy::Grr => Box::new(RoundRobinMapper::default()),
-            LbPolicy::GMin => Box::new(LeastLoadedMapper),
-            LbPolicy::GWtMin => Box::new(WeightedLeastLoadedMapper),
-            LbPolicy::Rtf => Box::new(RuntimeFeedbackMapper),
-            LbPolicy::Guf => Box::new(UtilizationFeedbackMapper),
-            LbPolicy::Dtf => Box::new(TransferFeedbackMapper),
-            LbPolicy::Mbf => Box::new(BandwidthFeedbackMapper),
-            LbPolicy::Frag => Box::new(FragAwareMapper),
         }
     }
 
@@ -259,280 +235,6 @@ impl LbPolicy {
         best.expect("non-empty pool").1
     }
 }
-
-/// A pluggable device-selection policy — the trait layer behind the GPU
-/// Affinity Mapper.
-///
-/// Every [`LbPolicy`] variant ships a built-in implementation (via
-/// [`LbPolicy::build`]) that delegates to the enum's selection code, so
-/// plugging the trait object into
-/// [`crate::mapper::GpuAffinityMapper::set_policy`] is byte-identical to
-/// configuring the enum. Custom implementations see exactly what the
-/// built-ins see: the Device Status Table (static weights + live load +
-/// slice occupancy) and the Scheduler Feedback Table (per-class history).
-///
-/// Implementations must be deterministic: same tables, same arguments,
-/// same internal state ⇒ same GID. The simulator's byte-stable golden
-/// surfaces depend on it.
-///
-/// # Examples
-///
-/// ```
-/// use remoting::gpool::{GMap, Gid, NodeId, NodeSpec};
-/// use strings_core::mapper::{
-///     DeviceStatusTable, MapperPolicy, SchedulerFeedbackTable, WorkloadClass,
-/// };
-///
-/// /// Always picks the first live device: a minimal custom policy.
-/// #[derive(Debug, Clone)]
-/// struct FirstLive;
-///
-/// impl MapperPolicy for FirstLive {
-///     fn label(&self) -> &'static str {
-///         "FirstLive"
-///     }
-///     fn is_feedback(&self) -> bool {
-///         false
-///     }
-///     fn select(
-///         &mut self,
-///         dst: &DeviceStatusTable,
-///         _sft: &SchedulerFeedbackTable,
-///         _class: WorkloadClass,
-///         _app_node: NodeId,
-///     ) -> Gid {
-///         dst.rows().iter().find(|r| !r.is_retired()).expect("live device").gid
-///     }
-///     fn clone_box(&self) -> Box<dyn MapperPolicy> {
-///         Box::new(self.clone())
-///     }
-/// }
-///
-/// let gmap = GMap::build(&[NodeSpec::node_a(0)]);
-/// let dst = DeviceStatusTable::from_gmap(&gmap);
-/// let sft = SchedulerFeedbackTable::new();
-/// let mut p = FirstLive;
-/// assert_eq!(p.select(&dst, &sft, WorkloadClass(0), NodeId(0)), Gid(0));
-/// ```
-pub trait MapperPolicy: std::fmt::Debug + Send {
-    /// Display label for reports and traces.
-    fn label(&self) -> &'static str;
-
-    /// True if the policy consults SFT history (the feedback family).
-    fn is_feedback(&self) -> bool;
-
-    /// Choose the target GID for a new instance of `class` arriving on
-    /// `app_node`. `&mut self` so stateful policies (round robin) can
-    /// advance; panics on a pool with no live devices, like the enum.
-    fn select(
-        &mut self,
-        dst: &DeviceStatusTable,
-        sft: &SchedulerFeedbackTable,
-        class: WorkloadClass,
-        app_node: NodeId,
-    ) -> Gid;
-
-    /// Clone into a fresh box (trait objects cannot derive `Clone`).
-    fn clone_box(&self) -> Box<dyn MapperPolicy>;
-}
-
-impl Clone for Box<dyn MapperPolicy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// Declares one built-in [`MapperPolicy`] delegating to an [`LbPolicy`]
-/// variant's selection code (the stateless argmin family).
-macro_rules! stateless_mapper {
-    ($(#[$doc:meta])* $name:ident, $variant:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, Default)]
-        pub struct $name;
-
-        impl MapperPolicy for $name {
-            fn label(&self) -> &'static str {
-                $variant.label()
-            }
-            fn is_feedback(&self) -> bool {
-                $variant.is_feedback()
-            }
-            fn select(
-                &mut self,
-                dst: &DeviceStatusTable,
-                sft: &SchedulerFeedbackTable,
-                class: WorkloadClass,
-                app_node: NodeId,
-            ) -> Gid {
-                let mut rr = 0;
-                $variant.select(dst, sft, class, app_node, &mut rr)
-            }
-            fn clone_box(&self) -> Box<dyn MapperPolicy> {
-                Box::new(*self)
-            }
-        }
-    };
-}
-
-/// GRR as a pluggable policy: the round-robin cursor lives in the struct
-/// (the enum path keeps it in the mapper).
-///
-/// # Examples
-///
-/// ```
-/// use remoting::gpool::{GMap, Gid, NodeId, NodeSpec};
-/// use strings_core::mapper::{
-///     DeviceStatusTable, MapperPolicy, RoundRobinMapper, SchedulerFeedbackTable, WorkloadClass,
-/// };
-///
-/// let gmap = GMap::build(&[NodeSpec::node_a(0)]); // 2 GPUs
-/// let dst = DeviceStatusTable::from_gmap(&gmap);
-/// let sft = SchedulerFeedbackTable::new();
-/// let mut p = RoundRobinMapper::default();
-/// let picks: Vec<Gid> = (0..3)
-///     .map(|_| p.select(&dst, &sft, WorkloadClass(0), NodeId(0)))
-///     .collect();
-/// assert_eq!(picks, vec![Gid(0), Gid(1), Gid(0)]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RoundRobinMapper {
-    next: usize,
-}
-
-impl MapperPolicy for RoundRobinMapper {
-    fn label(&self) -> &'static str {
-        LbPolicy::Grr.label()
-    }
-    fn is_feedback(&self) -> bool {
-        false
-    }
-    fn select(
-        &mut self,
-        dst: &DeviceStatusTable,
-        sft: &SchedulerFeedbackTable,
-        class: WorkloadClass,
-        app_node: NodeId,
-    ) -> Gid {
-        LbPolicy::Grr.select(dst, sft, class, app_node, &mut self.next)
-    }
-    fn clone_box(&self) -> Box<dyn MapperPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-stateless_mapper!(
-    /// GMin as a pluggable policy: least raw device load, local ties
-    /// preferred.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use strings_core::mapper::{LeastLoadedMapper, MapperPolicy};
-    ///
-    /// assert_eq!(LeastLoadedMapper.label(), "GMin");
-    /// assert!(!LeastLoadedMapper.is_feedback());
-    /// ```
-    LeastLoadedMapper,
-    LbPolicy::GMin
-);
-
-stateless_mapper!(
-    /// GWtMin as a pluggable policy: least load normalized by static
-    /// device weight — the paper's strongest non-feedback balancer.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use strings_core::mapper::{MapperPolicy, WeightedLeastLoadedMapper};
-    ///
-    /// assert_eq!(WeightedLeastLoadedMapper.label(), "GWtMin");
-    /// assert!(!WeightedLeastLoadedMapper.is_feedback());
-    /// ```
-    WeightedLeastLoadedMapper,
-    LbPolicy::GWtMin
-);
-
-stateless_mapper!(
-    /// RTF as a pluggable policy: shortest expected queue drain from
-    /// measured per-class, per-device runtimes.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use strings_core::mapper::{MapperPolicy, RuntimeFeedbackMapper};
-    ///
-    /// assert_eq!(RuntimeFeedbackMapper.label(), "RTF");
-    /// assert!(RuntimeFeedbackMapper.is_feedback());
-    /// ```
-    RuntimeFeedbackMapper,
-    LbPolicy::Rtf
-);
-
-stateless_mapper!(
-    /// GUF as a pluggable policy: avoid collocating two high-GPU-
-    /// utilization classes on one device.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use strings_core::mapper::{MapperPolicy, UtilizationFeedbackMapper};
-    ///
-    /// assert_eq!(UtilizationFeedbackMapper.label(), "GUF");
-    /// assert!(UtilizationFeedbackMapper.is_feedback());
-    /// ```
-    UtilizationFeedbackMapper,
-    LbPolicy::Guf
-);
-
-stateless_mapper!(
-    /// DTF as a pluggable policy: collocate contrasting transfer
-    /// intensities so computation overlaps data movement.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use strings_core::mapper::{MapperPolicy, TransferFeedbackMapper};
-    ///
-    /// assert_eq!(TransferFeedbackMapper.label(), "DTF");
-    /// assert!(TransferFeedbackMapper.is_feedback());
-    /// ```
-    TransferFeedbackMapper,
-    LbPolicy::Dtf
-);
-
-stateless_mapper!(
-    /// MBF as a pluggable policy: keep memory-bandwidth hogs apart so
-    /// compute-bound work hides their latencies.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use strings_core::mapper::{BandwidthFeedbackMapper, MapperPolicy};
-    ///
-    /// assert_eq!(BandwidthFeedbackMapper.label(), "MBF");
-    /// assert!(BandwidthFeedbackMapper.is_feedback());
-    /// ```
-    BandwidthFeedbackMapper,
-    LbPolicy::Mbf
-);
-
-stateless_mapper!(
-    /// Frag as a pluggable policy: on MIG-partitioned devices, prefer the
-    /// placement whose post-placement slice free-space is least
-    /// fragmented; requests that fit nowhere fall back to weighted-load
-    /// time-sharing. Degenerates to GWtMin on unpartitioned pools.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use strings_core::mapper::{FragAwareMapper, MapperPolicy};
-    ///
-    /// assert_eq!(FragAwareMapper.label(), "Frag");
-    /// assert!(!FragAwareMapper.is_feedback());
-    /// ```
-    FragAwareMapper,
-    LbPolicy::Frag
-);
 
 #[cfg(test)]
 mod tests {
@@ -776,44 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn boxed_policies_match_enum_selection() {
-        // The trait layer must be byte-identical to the enum path: replay
-        // an identical bind history through both and compare every pick.
-        for policy in LbPolicy::ALL {
-            let (mut dst_a, sft) = fixtures();
-            let (mut dst_b, _) = fixtures();
-            if policy == LbPolicy::Frag {
-                dst_a.enable_slices(8);
-                dst_b.enable_slices(8);
-            }
-            let mut rr = 0;
-            let mut boxed = policy.build();
-            assert_eq!(boxed.label(), policy.label());
-            assert_eq!(boxed.is_feedback(), policy.is_feedback());
-            for i in 0..12u32 {
-                let class = WorkloadClass(i % 3);
-                let node = NodeId(i % 2);
-                let via_enum = policy.select(&dst_a, &sft, class, node, &mut rr);
-                let via_box = boxed.select(&dst_b, &sft, class, node);
-                assert_eq!(via_enum, via_box, "{policy:?} diverged at step {i}");
-                dst_a.bind(via_enum, class);
-                dst_b.bind(via_box, class);
-            }
-        }
-    }
-
-    #[test]
-    fn cloned_box_carries_round_robin_state() {
-        let (dst, sft) = fixtures();
-        let mut p = LbPolicy::Grr.build();
-        let first = p.select(&dst, &sft, WorkloadClass(0), NodeId(0));
-        assert_eq!(first, Gid(0));
-        let mut q = p.clone();
-        assert_eq!(q.select(&dst, &sft, WorkloadClass(0), NodeId(0)), Gid(1));
-        assert_eq!(p.select(&dst, &sft, WorkloadClass(0), NodeId(0)), Gid(1));
-    }
-
-    #[test]
     #[should_panic]
     fn empty_pool_panics() {
         let dst = DeviceStatusTable::from_gmap(&GMap::build(&[]));
@@ -823,49 +487,38 @@ mod tests {
     }
 
     /// A seeded placement history on a 64-node × 4-GPU heterogeneous DST:
-    /// every step picks a device through both the enum path and the boxed
-    /// [`LbPolicy::build`] path, binds the pick, and then either unbinds a
-    /// random earlier placement, folds a feedback record into the SFT, or
-    /// does nothing. Returns the enum path's picks (the boxed path is
-    /// asserted equal at every step).
+    /// every step picks a device, binds the pick, and then either unbinds
+    /// a random earlier placement, folds a feedback record into the SFT,
+    /// or does nothing. Returns the picks.
     fn cluster_pick_history(policy: LbPolicy) -> Vec<u32> {
         use gpu_sim::spec::GpuModel::{Quadro2000, Quadro4000, TeslaC2050, TeslaC2070};
         let models = [Quadro2000, TeslaC2050, Quadro4000, TeslaC2070];
         let nodes: Vec<NodeSpec> = (0..64u32)
             .map(|n| NodeSpec::new(n, (0..4).map(|d| models[(n as usize + d) % 4]).collect()))
             .collect();
-        let mut dst_a = DeviceStatusTable::from_gmap(&GMap::build(&nodes));
+        let mut dst = DeviceStatusTable::from_gmap(&GMap::build(&nodes));
         if policy == LbPolicy::Frag {
-            dst_a.enable_slices(8);
+            dst.enable_slices(8);
         }
-        let mut dst_b = dst_a.clone();
         let mut sft = SchedulerFeedbackTable::new();
-        let mut boxed = policy.build();
         let mut rr = 0;
         let mut bound: Vec<(Gid, WorkloadClass)> = Vec::new();
         let mut picks = Vec::new();
         let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
-        for step in 0..600 {
+        for _ in 0..600 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let class = WorkloadClass(((x >> 40) % 6) as u32);
             let node = NodeId(((x >> 20) % 64) as u32);
-            let via_enum = policy.select(&dst_a, &sft, class, node, &mut rr);
-            let via_box = boxed.select(&dst_b, &sft, class, node);
-            assert_eq!(
-                via_enum, via_box,
-                "{policy:?} paths diverged at step {step}"
-            );
-            picks.push(via_enum.0);
-            dst_a.bind(via_enum, class);
-            dst_b.bind(via_box, class);
-            bound.push((via_enum, class));
+            let gid = policy.select(&dst, &sft, class, node, &mut rr);
+            picks.push(gid.0);
+            dst.bind(gid, class);
+            bound.push((gid, class));
             match x >> 61 {
                 0..=2 => {
                     let (gid, c) = bound.swap_remove((x >> 8) as usize % bound.len());
-                    dst_a.unbind(gid, c);
-                    dst_b.unbind(gid, c);
+                    dst.unbind(gid, c);
                 }
                 3 | 4 => {
                     let runtime_ns = 1_000_000 + (x >> 30) % 50_000_000;

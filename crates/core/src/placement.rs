@@ -57,166 +57,21 @@ impl NodePolicy {
         }
     }
 
-    /// Box this policy as a pluggable [`PlacementPolicy`] trait object.
-    ///
-    /// ```
-    /// use strings_core::placement::NodePolicy;
-    ///
-    /// assert_eq!(NodePolicy::Hash.build().label(), "hash");
-    /// ```
-    pub fn build(self) -> Box<dyn PlacementPolicy> {
+    /// Choose a slot for `tenant` from `live` (slot indices into `nodes`
+    /// of live nodes, ascending, never empty); `counts` holds the tenants
+    /// currently assigned per slot.
+    fn pick(self, tenant: u32, live: &[usize], counts: &[usize], nodes: &[NodeId]) -> usize {
         match self {
-            NodePolicy::RoundRobin => Box::new(RoundRobinPlacement),
-            NodePolicy::Hash => Box::new(HashPlacement),
-            NodePolicy::LeastTenants => Box::new(LeastTenantsPlacement),
+            NodePolicy::RoundRobin => live[tenant as usize % live.len()],
+            NodePolicy::Hash => {
+                let h = (tenant as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
+                live[(h % live.len() as u64) as usize]
+            }
+            NodePolicy::LeastTenants => *live
+                .iter()
+                .min_by_key(|&&s| (counts[s], nodes[s]))
+                .expect("non-empty live set"),
         }
-    }
-}
-
-/// What a [`PlacementPolicy`] sees when asked to place a tenant: the
-/// placer's slot-indexed bookkeeping, read-only.
-#[derive(Debug)]
-pub struct PlacementView<'a> {
-    /// Slot indices (into [`PlacementView::nodes`]) of live nodes,
-    /// ascending. Never empty.
-    pub live: &'a [usize],
-    /// Tenants currently assigned, per slot.
-    pub counts: &'a [usize],
-    /// Node id per slot.
-    pub nodes: &'a [NodeId],
-}
-
-/// A pluggable tenant → node placement policy — the trait layer behind
-/// [`ClusterPlacer`].
-///
-/// Every [`NodePolicy`] variant ships a built-in implementation (via
-/// [`NodePolicy::build`]) that reproduces the enum's choice byte-for-byte;
-/// custom implementations plug in through
-/// [`ClusterPlacer::with_policy`]. Implementations must return a member of
-/// `view.live` and be deterministic in `(tenant, view, own state)` — the
-/// serve planner's byte-stable goldens depend on it.
-///
-/// # Examples
-///
-/// ```
-/// use remoting::gpool::NodeId;
-/// use strings_core::placement::{ClusterPlacer, PlacementPolicy, PlacementView};
-///
-/// /// Sends every tenant to the highest-numbered live node.
-/// #[derive(Debug, Clone)]
-/// struct LastNode;
-///
-/// impl PlacementPolicy for LastNode {
-///     fn label(&self) -> &'static str {
-///         "last"
-///     }
-///     fn pick(&mut self, _tenant: u32, view: &PlacementView<'_>) -> usize {
-///         *view.live.last().expect("live set never empty")
-///     }
-///     fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-///         Box::new(self.clone())
-///     }
-/// }
-///
-/// let nodes = [NodeId(0), NodeId(1), NodeId(2)];
-/// let mut placer = ClusterPlacer::with_policy(&nodes, Box::new(LastNode));
-/// assert_eq!(placer.place(7), NodeId(2));
-/// ```
-pub trait PlacementPolicy: std::fmt::Debug + Send {
-    /// Short label for reports.
-    fn label(&self) -> &'static str;
-
-    /// Choose a slot for `tenant` from `view.live`. Called once per
-    /// tenant (assignments are sticky); `&mut self` so stateful policies
-    /// can advance.
-    fn pick(&mut self, tenant: u32, view: &PlacementView<'_>) -> usize;
-
-    /// Clone into a fresh box (trait objects cannot derive `Clone`).
-    fn clone_box(&self) -> Box<dyn PlacementPolicy>;
-}
-
-impl Clone for Box<dyn PlacementPolicy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// Static striping as a pluggable policy: tenant *t* → *t*-th live slot,
-/// round robin.
-///
-/// # Examples
-///
-/// ```
-/// use strings_core::placement::{NodePolicy, RoundRobinPlacement, PlacementPolicy};
-///
-/// assert_eq!(RoundRobinPlacement.label(), NodePolicy::RoundRobin.label());
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobinPlacement;
-
-impl PlacementPolicy for RoundRobinPlacement {
-    fn label(&self) -> &'static str {
-        NodePolicy::RoundRobin.label()
-    }
-    fn pick(&mut self, tenant: u32, view: &PlacementView<'_>) -> usize {
-        view.live[tenant as usize % view.live.len()]
-    }
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(*self)
-    }
-}
-
-/// Multiplicative hashing as a pluggable policy: decorrelates adjacent
-/// tenants from adjacent nodes.
-///
-/// # Examples
-///
-/// ```
-/// use strings_core::placement::{HashPlacement, NodePolicy, PlacementPolicy};
-///
-/// assert_eq!(HashPlacement.label(), NodePolicy::Hash.label());
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HashPlacement;
-
-impl PlacementPolicy for HashPlacement {
-    fn label(&self) -> &'static str {
-        NodePolicy::Hash.label()
-    }
-    fn pick(&mut self, tenant: u32, view: &PlacementView<'_>) -> usize {
-        let h = (tenant as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
-        view.live[(h % view.live.len() as u64) as usize]
-    }
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(*self)
-    }
-}
-
-/// Fewest-tenants-first as a pluggable policy, lowest node id on ties.
-///
-/// # Examples
-///
-/// ```
-/// use strings_core::placement::{LeastTenantsPlacement, NodePolicy, PlacementPolicy};
-///
-/// assert_eq!(LeastTenantsPlacement.label(), NodePolicy::LeastTenants.label());
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastTenantsPlacement;
-
-impl PlacementPolicy for LeastTenantsPlacement {
-    fn label(&self) -> &'static str {
-        NodePolicy::LeastTenants.label()
-    }
-    fn pick(&mut self, _tenant: u32, view: &PlacementView<'_>) -> usize {
-        *view
-            .live
-            .iter()
-            .min_by_key(|&&s| (view.counts[s], view.nodes[s]))
-            .expect("non-empty live set")
-    }
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(*self)
     }
 }
 
@@ -235,7 +90,7 @@ pub struct PlacementDecision {
 /// Sticky tenant → node assignment over a fixed node set.
 #[derive(Debug, Clone)]
 pub struct ClusterPlacer {
-    policy: Box<dyn PlacementPolicy>,
+    policy: NodePolicy,
     nodes: Vec<NodeId>,
     /// tenant → slot in `nodes`. BTreeMap for deterministic iteration.
     assigned: BTreeMap<u32, usize>,
@@ -249,12 +104,6 @@ impl ClusterPlacer {
     /// A placer over the given nodes. Panics on an empty node set — there
     /// is nowhere to place anything.
     pub fn new(nodes: &[NodeId], policy: NodePolicy) -> Self {
-        Self::with_policy(nodes, policy.build())
-    }
-
-    /// A placer driven by a pluggable [`PlacementPolicy`] (the general
-    /// constructor [`ClusterPlacer::new`] delegates to).
-    pub fn with_policy(nodes: &[NodeId], policy: Box<dyn PlacementPolicy>) -> Self {
         assert!(!nodes.is_empty(), "placement over zero nodes");
         ClusterPlacer {
             policy,
@@ -286,17 +135,10 @@ impl ClusterPlacer {
         self.nodes[slot]
     }
 
-    fn pick_slot(&mut self, tenant: u32) -> usize {
+    fn pick_slot(&self, tenant: u32) -> usize {
         let live: Vec<usize> = (0..self.nodes.len()).filter(|&s| !self.lost[s]).collect();
         assert!(!live.is_empty(), "placement with every node lost");
-        let slot = self.policy.pick(
-            tenant,
-            &PlacementView {
-                live: &live,
-                counts: &self.counts,
-                nodes: &self.nodes,
-            },
-        );
+        let slot = self.policy.pick(tenant, &live, &self.counts, &self.nodes);
         assert!(
             live.binary_search(&slot).is_ok(),
             "policy {} picked slot {slot}, which is not live",
@@ -439,23 +281,43 @@ mod tests {
         let _ = ClusterPlacer::new(&[], NodePolicy::RoundRobin);
     }
 
+    /// Node ids picked for tenants 0..24 as a digit string.
+    fn picks(p: &mut ClusterPlacer) -> String {
+        (0..24u32).map(|t| p.place(t).0.to_string()).collect()
+    }
+
+    /// Each policy's picks over 5 nodes, the tenants evicted by losing
+    /// node 2, and the picks after the loss are pinned: the pick formulas
+    /// must not move when the placer is reorganised.
     #[test]
-    fn boxed_policies_match_enum_path_including_node_loss() {
-        for policy in NodePolicy::ALL {
-            let mut via_enum = ClusterPlacer::new(&nodes(5), policy);
-            let mut via_box = ClusterPlacer::with_policy(&nodes(5), policy.build());
-            assert_eq!(via_box.policy_label(), policy.label());
-            for t in 0..24u32 {
-                assert_eq!(via_enum.place(t), via_box.place(t), "{policy:?} t={t}");
-            }
-            assert_eq!(via_enum.node_lost(NodeId(2)), via_box.node_lost(NodeId(2)));
-            for t in 0..24u32 {
-                assert_eq!(
-                    via_enum.place(t),
-                    via_box.place(t),
-                    "{policy:?} post-loss t={t}"
-                );
-            }
+    fn pick_sequences_are_pinned_including_node_loss() {
+        const PINNED: [(NodePolicy, &str, &[u32], &str); 3] = [
+            (
+                NodePolicy::RoundRobin,
+                "012340123401234012340123",
+                &[2, 7, 12, 17, 22],
+                "013340143401034011340133",
+            ),
+            (
+                NodePolicy::Hash,
+                "041124410244022430223302",
+                &[4, 9, 13, 14, 18, 19, 23],
+                "041134410344013430133301",
+            ),
+            (
+                NodePolicy::LeastTenants,
+                "012340123401234012340123",
+                &[2, 7, 12, 17, 22],
+                "014340103401134013340143",
+            ),
+        ];
+        assert_eq!(PINNED.map(|(p, ..)| p), NodePolicy::ALL);
+        for (policy, before, evicted, after) in PINNED {
+            let mut p = ClusterPlacer::new(&nodes(5), policy);
+            assert_eq!(p.policy_label(), policy.label());
+            assert_eq!(picks(&mut p), before, "{policy:?} before the loss");
+            assert_eq!(p.node_lost(NodeId(2)), evicted, "{policy:?} evicted");
+            assert_eq!(picks(&mut p), after, "{policy:?} after the loss");
         }
     }
 
@@ -468,26 +330,5 @@ mod tests {
         b.place(2);
         assert_eq!(b.tenants_on(NodeId(2)), 1);
         assert_eq!(a.tenants_on(NodeId(2)), 0, "clone state is independent");
-    }
-
-    #[test]
-    #[should_panic(expected = "not live")]
-    fn policy_returning_lost_slot_is_caught() {
-        #[derive(Debug, Clone)]
-        struct AlwaysZero;
-        impl PlacementPolicy for AlwaysZero {
-            fn label(&self) -> &'static str {
-                "zero"
-            }
-            fn pick(&mut self, _tenant: u32, _view: &PlacementView<'_>) -> usize {
-                0
-            }
-            fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-                Box::new(self.clone())
-            }
-        }
-        let mut p = ClusterPlacer::with_policy(&nodes(2), Box::new(AlwaysZero));
-        p.node_lost(NodeId(0));
-        p.place(1);
     }
 }

@@ -1,10 +1,12 @@
 //! The scheduler zoo: a registry of every shipped policy.
 //!
-//! One flat, ordered list of everything pluggable across the three
-//! decision layers — cluster placement (tenant → node,
-//! [`crate::placement::PlacementPolicy`]), device mapping (request →
-//! device, [`crate::mapper::MapperPolicy`]), and admission (accept/shed at
-//! the front door). Documentation surfaces (SCHEDULING.md, the
+//! One flat, ordered list of every policy across the three decision
+//! layers — cluster placement (tenant → node,
+//! [`crate::placement::NodePolicy`]), device mapping (request → device,
+//! [`crate::mapper::LbPolicy`]), and admission (accept/shed at the front
+//! door). Each policy is one enum variant and one `match` arm in its
+//! layer; adding a policy means adding both and a row here.
+//! Documentation surfaces (SCHEDULING.md, the
 //! `policy_explorer` example) enumerate this registry instead of
 //! hardcoding variant lists, and a staleness test asserts the two never
 //! drift apart.
@@ -13,10 +15,10 @@
 //! use strings_core::zoo::{registry, PolicyLayer};
 //!
 //! let zoo = registry();
-//! // Every mapper policy in the registry is buildable as a trait object.
+//! // Every mapper entry carries the enum variant it names.
 //! for info in zoo.iter().filter(|i| i.layer == PolicyLayer::Mapper) {
 //!     let lb = info.lb.expect("mapper entries carry their enum");
-//!     assert_eq!(lb.build().label(), info.name);
+//!     assert_eq!(lb.label(), info.name);
 //! }
 //! assert!(zoo.iter().any(|i| i.name == "Frag"));
 //! ```
@@ -27,9 +29,9 @@ use crate::placement::NodePolicy;
 /// Which decision layer a policy plugs into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyLayer {
-    /// Cluster tier: tenant → node ([`crate::placement::PlacementPolicy`]).
+    /// Cluster tier: tenant → node ([`crate::placement::NodePolicy`]).
     Placement,
-    /// Node/pool tier: request → device ([`crate::mapper::MapperPolicy`]).
+    /// Node/pool tier: request → device ([`crate::mapper::LbPolicy`]).
     Mapper,
     /// Front door: admit or shed ([`crate::admission`]).
     Admission,
@@ -151,12 +153,10 @@ mod tests {
         for info in registry() {
             if let Some(lb) = info.lb {
                 assert_eq!(info.name, lb.label());
-                assert_eq!(info.name, lb.build().label());
                 assert_eq!(info.feedback, lb.is_feedback());
             }
             if let Some(node) = info.node {
                 assert_eq!(info.name, node.label());
-                assert_eq!(info.name, node.build().label());
             }
         }
     }

@@ -473,6 +473,9 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeRun, CliError> {
             TopologySpec::node_a()
         }
     });
+    faults
+        .check_targets(topo.num_nodes(), topo.num_devices())
+        .map_err(CliError)?;
     let mut spec = ServeSpec::on(topo, stack, process, duration, seed);
     spec.placement = placement;
     spec.node_metrics = node_metrics;
@@ -878,6 +881,11 @@ mod tests {
     #[test]
     fn serve_observability_flags_reject_bad_input() {
         assert!(parse_serve_args(&args("--faults warp9@10s:node1")).is_err());
+        // Targets beyond the topology: the default 2-node supernode has 4
+        // devices, and 4x2 has 4 nodes.
+        assert!(parse_serve_args(&args("--faults nodeloss@1s:node99 --duration 2s")).is_err());
+        assert!(parse_serve_args(&args("--faults crash@1s:gid99")).is_err());
+        assert!(parse_serve_args(&args("--topology 4x2 --faults partition@1s+1s:node9")).is_err());
         assert!(parse_serve_args(&args("--burn-alert 0s")).is_err());
         assert!(parse_serve_args(&args("--burn-alert 40ms:1.5")).is_err());
         assert!(parse_serve_args(&args("--burn-alert 40ms --alert-windows 600s:60s")).is_err());

@@ -25,7 +25,7 @@ use gpu_sim::job::{CopyDirection, JobKind};
 use remoting::backend::{BackendDesign, APP_PID_BASE, HOST_PID_BASE};
 use remoting::channel::ChannelSpec;
 use remoting::gpool::{Gid, NodeId, ShardedGPool};
-use remoting::network::NetworkModel;
+use remoting::network::NetworkSpec;
 use remoting::telemetry::RpcCounters;
 use remoting::topology::TopologySpec;
 use sim_core::event::EventQueue;
@@ -302,10 +302,7 @@ pub struct World {
     scope: LbScope,
     costs: HostCosts,
     /// Inter-node network: answers "which channel joins these two nodes?".
-    /// Boxed so exotic fabrics can be plugged in via
-    /// [`World::set_network`]; scenarios install their declarative
-    /// [`remoting::NetworkSpec`].
-    net: Box<dyn NetworkModel + Send>,
+    net: NetworkSpec,
     /// The cluster gPool, sharded per node. The global map drives device
     /// construction and failure bookkeeping; local-scope balancers see
     /// their node's shard (same global GIDs — no renumbering anywhere).
@@ -474,7 +471,7 @@ impl World {
             cfg,
             scope,
             costs,
-            net: Box::new(topology.network().clone()),
+            net: topology.network().clone(),
             gpool,
             devices,
             schedulers,
@@ -547,14 +544,6 @@ impl World {
             }
         }
         world
-    }
-
-    /// Replace the inter-node network model. Scenarios install their
-    /// topology's declarative [`remoting::NetworkSpec`]; custom
-    /// [`NetworkModel`] implementations (oversubscribed switches, WAN
-    /// links) plug in here. Call before [`World::run`].
-    pub fn set_network(&mut self, net: Box<dyn NetworkModel + Send>) {
-        self.net = net;
     }
 
     /// Turn on structured tracing: every device engine, scheduler, mapper
@@ -743,28 +732,15 @@ impl World {
         self.node_metrics = true;
     }
 
-    /// Schedule a backend-process crash on device `gid` at time `at`
-    /// (fault-injection experiments; interposed modes only).
-    pub fn inject_fault(&mut self, at: SimTime, gid: usize) {
-        assert!(gid < self.devices.len());
-        self.plan
-            .push(at, FaultKind::BackendCrash { gid: gid as u32 });
-    }
-
-    /// Install a full fault plan (merged with any previously injected
+    /// Install a full fault plan (merged with any previously installed
     /// faults). Targets are validated against the topology up front so a
-    /// bad plan fails loudly before the run starts.
+    /// bad plan fails loudly before the run starts; panics with
+    /// [`FaultPlan::check_targets`]'s message.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
+        if let Err(e) = plan.check_targets(self.node_lost.len(), self.devices.len()) {
+            panic!("{e}");
+        }
         for ev in plan.events() {
-            let ok = match ev.kind {
-                FaultKind::BackendCrash { gid } | FaultKind::DeviceFailure { gid } => {
-                    (gid as usize) < self.devices.len()
-                }
-                FaultKind::NodeLoss { node }
-                | FaultKind::LinkDegraded { node, .. }
-                | FaultKind::Partition { node, .. } => (node as usize) < self.node_lost.len(),
-            };
-            assert!(ok, "fault plan references unknown target: {}", ev.kind);
             self.plan.push(ev.at, ev.kind);
         }
     }

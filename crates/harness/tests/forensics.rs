@@ -149,7 +149,7 @@ fn explain_chain_charges_sum_exactly_to_latency() {
         report.contains("** SLO BREACH **"),
         "40 ms target must breach"
     );
-    // The acceptance criterion: stage charges tile the request's lifetime
+    // The acceptance check: stage charges tile the request's lifetime
     // exactly, so the table footer asserts equality to the nanosecond.
     assert!(
         report.contains("(= end-to-end latency, exact)"),

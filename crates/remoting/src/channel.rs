@@ -7,7 +7,7 @@
 //! fixed latency plus a bandwidth term, with no queueing across apps.
 //!
 //! Which channel joins which pair of nodes is decided by a
-//! [`crate::network::NetworkModel`]; the canned media live there as
+//! [`crate::network::NetworkSpec`]; the canned media live there as
 //! constants ([`crate::network::SHARED_MEMORY`],
 //! [`crate::network::GIGABIT_ETHERNET`], [`crate::network::CALIBRATED_GBE`]).
 
@@ -32,31 +32,6 @@ pub struct ChannelSpec {
 }
 
 impl ChannelSpec {
-    /// Default shared-memory channel: ~3 µs per message, 8 GB/s.
-    #[deprecated(since = "0.2.0", note = "use `network::SHARED_MEMORY`")]
-    pub fn shared_memory() -> Self {
-        crate::network::SHARED_MEMORY
-    }
-
-    /// Default Gigabit Ethernet channel: ~60 µs per message, 125 MB/s wire
-    /// rate (1 Gb/s).
-    #[deprecated(since = "0.2.0", note = "use `network::GIGABIT_ETHERNET`")]
-    pub fn gigabit_ethernet() -> Self {
-        crate::network::GIGABIT_ETHERNET
-    }
-
-    /// The calibrated cross-node channel used by the experiments.
-    #[deprecated(since = "0.2.0", note = "use `network::CALIBRATED_GBE`")]
-    pub fn calibrated_network() -> Self {
-        crate::network::CALIBRATED_GBE
-    }
-
-    /// Spec for a [`ChannelKind`] with default parameters.
-    #[deprecated(since = "0.2.0", note = "use `network::for_kind`")]
-    pub fn for_kind(kind: ChannelKind) -> Self {
-        crate::network::for_kind(kind)
-    }
-
     /// One-way transfer time for a message of `bytes` payload.
     ///
     /// Saturates at `u64::MAX` ns instead of overflowing: multi-exabyte
@@ -134,21 +109,5 @@ mod tests {
         // A fast channel with huge payload still saturates the cast.
         let g = GIGABIT_ETHERNET;
         assert!(g.transfer_ns(u64::MAX) >= g.transfer_ns(u64::MAX / 2));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_forward_to_network_consts() {
-        assert_eq!(ChannelSpec::shared_memory(), SHARED_MEMORY);
-        assert_eq!(ChannelSpec::gigabit_ethernet(), GIGABIT_ETHERNET);
-        assert_eq!(ChannelSpec::calibrated_network(), CALIBRATED_GBE);
-        assert_eq!(
-            ChannelSpec::for_kind(ChannelKind::SharedMemory),
-            SHARED_MEMORY
-        );
-        assert_eq!(
-            ChannelSpec::for_kind(ChannelKind::Network),
-            GIGABIT_ETHERNET
-        );
     }
 }

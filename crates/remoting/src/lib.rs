@@ -9,7 +9,7 @@
 //! * [`rpc`] — packet marshalling/unmarshalling (`bytes`-based) and the RPC
 //!   cost model (per-call marshal time + per-byte costs),
 //! * [`channel`] — shared-memory and Gigabit-Ethernet channel timing,
-//! * [`network`] — pluggable [`NetworkModel`] between nodes; the canned
+//! * [`network`] — the [`NetworkSpec`] graph between nodes; the canned
 //!   shm/GbE media live here as constants,
 //! * [`topology`] — [`TopologySpec`]: N nodes × M devices plus the network
 //!   joining them, with a builder and the `--topology` CLI grammar,
@@ -43,7 +43,7 @@ pub use backend::BackendDesign;
 pub use channel::{ChannelKind, ChannelSpec};
 pub use error::{Error, Result};
 pub use gpool::{GMap, Gid, NodeId, NodeSpec, ShardedGPool};
-pub use network::{NetworkModel, NetworkSpec};
+pub use network::NetworkSpec;
 pub use retry::RetryPolicy;
 pub use rpc::{RpcCostModel, RpcPacket};
 pub use telemetry::RpcCounters;
@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::channel::{ChannelKind, ChannelSpec};
     pub use crate::error::{Error, Result};
     pub use crate::gpool::{GMap, GMapEntry, Gid, NodeId, NodeSpec, ShardedGPool};
-    pub use crate::network::{LinkSpec, NetworkModel, NetworkSpec};
+    pub use crate::network::{LinkSpec, NetworkSpec};
     pub use crate::retry::RetryPolicy;
     pub use crate::rpc::{RpcCostModel, RpcPacket};
     pub use crate::telemetry::RpcCounters;

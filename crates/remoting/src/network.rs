@@ -1,16 +1,12 @@
-//! Pluggable inter-node network models.
+//! Inter-node network models.
 //!
 //! The paper's supernode joins two nodes with a fixed shared-memory /
-//! Gigabit-Ethernet channel pair. A [`NetworkModel`] generalizes that to an
-//! arbitrary latency/bandwidth graph over N nodes: the harness asks the
-//! model for the [`ChannelSpec`] between a frontend's node and a device's
-//! node, and everything downstream (RPC timing, bulk copies, attribution)
-//! works unchanged.
-//!
-//! [`NetworkSpec`] is the serializable, declarative subset used by
-//! scenarios and the CLI; custom `NetworkModel` implementations can be
-//! plugged into a world directly for exotic fabrics (oversubscribed ToR
-//! switches, WAN links, …).
+//! Gigabit-Ethernet channel pair. A [`NetworkSpec`] generalizes that to a
+//! latency/bandwidth graph over N nodes: the harness asks it for the
+//! [`ChannelSpec`] between a frontend's node and a device's node, and
+//! everything downstream (RPC timing, bulk copies, attribution) works
+//! unchanged. It is serializable, so scenarios, serve specs and the CLI
+//! all describe the fabric the same way.
 
 use crate::channel::{ChannelKind, ChannelSpec};
 use crate::gpool::NodeId;
@@ -50,34 +46,6 @@ pub fn for_kind(kind: ChannelKind) -> ChannelSpec {
     }
 }
 
-/// A latency/bandwidth graph between nodes.
-///
-/// `channel(src, dst)` answers "what medium does a frontend on `src` use to
-/// reach a backend on `dst`?". Implementations must be deterministic: the
-/// simulator calls this on the hot path and byte-stable replay depends on
-/// identical answers for identical arguments.
-pub trait NetworkModel {
-    /// Channel from a frontend on `src` to a backend daemon on `dst`.
-    fn channel(&self, src: NodeId, dst: NodeId) -> ChannelSpec;
-
-    /// Short human-readable label for reports.
-    fn label(&self) -> String;
-
-    /// One-way transfer time for `bytes` between the two nodes.
-    fn transfer_ns(&self, src: NodeId, dst: NodeId, bytes: u64) -> u64 {
-        self.channel(src, dst).transfer_ns(bytes)
-    }
-
-    /// Which medium class the pair uses (same node ⇒ shared memory).
-    fn kind(&self, src: NodeId, dst: NodeId) -> ChannelKind {
-        if src == dst {
-            ChannelKind::SharedMemory
-        } else {
-            ChannelKind::Network
-        }
-    }
-}
-
 /// One cross-node link override in a [`NetworkSpec::Graph`]. Links are
 /// symmetric: `(a, b)` also answers `(b, a)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,8 +58,8 @@ pub struct LinkSpec {
     pub channel: ChannelSpec,
 }
 
-/// Declarative, serializable network description — the concrete
-/// [`NetworkModel`] used by scenarios, serve specs, and the CLI.
+/// Declarative, serializable network description: a latency/bandwidth
+/// graph between nodes, used by scenarios, serve specs, and the CLI.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NetworkSpec {
     /// Every same-node pair uses `local`, every cross-node pair `remote`
@@ -116,9 +84,7 @@ pub enum NetworkSpec {
 
 impl NetworkSpec {
     /// The experiments' default fabric: shared memory locally, the
-    /// calibrated GbE channel across nodes. Reproduces the historical
-    /// `ChannelSpec::shared_memory()` / `calibrated_network()` pair
-    /// byte-for-byte.
+    /// calibrated GbE channel across nodes.
     pub fn calibrated() -> Self {
         NetworkSpec::Uniform {
             local: SHARED_MEMORY,
@@ -127,8 +93,6 @@ impl NetworkSpec {
     }
 
     /// Raw Gigabit Ethernet across nodes (the paper's wire-rate medium).
-    /// Reproduces the historical `ChannelSpec::shared_memory()` /
-    /// `gigabit_ethernet()` pair byte-for-byte.
     pub fn gigabit_ethernet() -> Self {
         NetworkSpec::Uniform {
             local: SHARED_MEMORY,
@@ -210,10 +174,11 @@ impl NetworkSpec {
             },
         })
     }
-}
 
-impl NetworkModel for NetworkSpec {
-    fn channel(&self, src: NodeId, dst: NodeId) -> ChannelSpec {
+    /// Channel from a frontend on `src` to a backend daemon on `dst`.
+    /// Deterministic: the simulator calls this on the hot path, and
+    /// byte-stable replay depends on identical answers.
+    pub fn channel(&self, src: NodeId, dst: NodeId) -> ChannelSpec {
         match self {
             NetworkSpec::Uniform { local, remote } => {
                 if src == dst {
@@ -239,7 +204,8 @@ impl NetworkModel for NetworkSpec {
         }
     }
 
-    fn label(&self) -> String {
+    /// Short human-readable label for reports.
+    pub fn label(&self) -> String {
         match self {
             NetworkSpec::Uniform { remote, .. } if *remote == CALIBRATED_GBE => "calibrated".into(),
             NetworkSpec::Uniform { remote, .. } if *remote == GIGABIT_ETHERNET => "gbe".into(),
@@ -252,6 +218,15 @@ impl NetworkModel for NetworkSpec {
             NetworkSpec::Graph { links, .. } => format!("graph({} links)", links.len()),
         }
     }
+
+    /// Which medium class the pair uses (same node ⇒ shared memory).
+    pub fn kind(&self, src: NodeId, dst: NodeId) -> ChannelKind {
+        if src == dst {
+            ChannelKind::SharedMemory
+        } else {
+            ChannelKind::Network
+        }
+    }
 }
 
 #[cfg(test)]
@@ -261,24 +236,6 @@ mod tests {
     const N0: NodeId = NodeId(0);
     const N1: NodeId = NodeId(1);
     const N2: NodeId = NodeId(2);
-
-    #[test]
-    #[allow(deprecated)]
-    fn canned_instances_reproduce_legacy_constructors_exactly() {
-        // The deprecated constructors and the new canned instances must be
-        // bit-identical — goldens depend on it.
-        assert_eq!(ChannelSpec::shared_memory(), SHARED_MEMORY);
-        assert_eq!(ChannelSpec::gigabit_ethernet(), GIGABIT_ETHERNET);
-        assert_eq!(ChannelSpec::calibrated_network(), CALIBRATED_GBE);
-        assert_eq!(
-            ChannelSpec::for_kind(ChannelKind::SharedMemory),
-            for_kind(ChannelKind::SharedMemory)
-        );
-        assert_eq!(
-            ChannelSpec::for_kind(ChannelKind::Network),
-            for_kind(ChannelKind::Network)
-        );
-    }
 
     #[test]
     fn canned_transfer_times_are_byte_exact() {

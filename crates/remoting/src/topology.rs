@@ -141,7 +141,6 @@ impl TopologySpec {
     /// Short label for report headers, e.g. `supernode` or
     /// `64x4:TeslaC2050`.
     pub fn label(&self) -> String {
-        use crate::network::NetworkModel;
         let mut shape = if self.nodes == vec![NodeSpec::node_a(0), NodeSpec::node_b(1)] {
             "supernode".to_string()
         } else if self.nodes == vec![NodeSpec::node_a(0)] {
@@ -307,7 +306,7 @@ impl TopologyBuilder {
 mod tests {
     use super::*;
     use crate::gpool::NodeId;
-    use crate::network::{NetworkModel, CALIBRATED_GBE, SHARED_MEMORY};
+    use crate::network::{CALIBRATED_GBE, SHARED_MEMORY};
 
     #[test]
     fn supernode_matches_paper_testbed() {

@@ -22,11 +22,10 @@
 //!
 //! Components that re-derive their own next event whenever their state
 //! changes (e.g. a GPU compute engine re-solving kernel completion times when
-//! a kernel joins) used to carry [`Generation`] stamps in their payloads and
-//! discard stale pops themselves. That pattern is now built into the queue:
-//! a component registers an [`EventKey`] once, schedules its wakeups with
-//! [`EventQueue::schedule_keyed`], and calls [`EventQueue::invalidate`] on
-//! every state change.
+//! a kernel joins) need their stale wakeups discarded. That is built into
+//! the queue: a component registers an [`EventKey`] once, schedules its
+//! wakeups with [`EventQueue::schedule_keyed`], and calls
+//! [`EventQueue::invalidate`] on every state change.
 //!
 //! Keyed wakeups never touch the wheel in the common case. Each key owns a
 //! one-entry *slot* beside the wheel; scheduling parks the entry there and
@@ -97,19 +96,6 @@ const WORDS: usize = NBUCKETS / 64;
 /// Width of the near window: events past `base + SPAN` overflow to the
 /// calendar heap until the window advances over them.
 const SPAN: u64 = (NBUCKETS as u64) << SHIFT;
-
-/// Monotonic stamp used to invalidate previously scheduled self-events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Generation(pub u64);
-
-impl Generation {
-    /// Advance to the next generation, invalidating all outstanding events
-    /// stamped with the current one.
-    #[inline]
-    pub fn bump(&mut self) {
-        self.0 += 1;
-    }
-}
 
 #[derive(Debug)]
 struct Scheduled<E> {
@@ -712,15 +698,6 @@ mod tests {
         q.pop();
         q.schedule_after(5, 1u32);
         assert_eq!(q.pop(), Some((15, 1)));
-    }
-
-    #[test]
-    fn generation_bump_distinguishes() {
-        let mut g = Generation::default();
-        let g0 = g;
-        g.bump();
-        assert_ne!(g0, g);
-        assert!(g0 < g);
     }
 
     #[test]

@@ -153,6 +153,35 @@ impl FaultPlan {
         &self.events
     }
 
+    /// Check every target against a topology of `n_nodes` nodes holding
+    /// `n_devices` devices; the error names the first unknown target.
+    ///
+    /// ```
+    /// use sim_core::fault::FaultPlan;
+    ///
+    /// let plan = FaultPlan::parse("nodeloss@1s:node3").unwrap();
+    /// assert!(plan.check_targets(4, 16).is_ok());
+    /// assert!(plan.check_targets(2, 16).is_err());
+    /// ```
+    pub fn check_targets(&self, n_nodes: usize, n_devices: usize) -> Result<(), String> {
+        for ev in &self.events {
+            let limit = match ev.kind {
+                FaultKind::BackendCrash { .. } | FaultKind::DeviceFailure { .. } => n_devices,
+                FaultKind::NodeLoss { .. }
+                | FaultKind::LinkDegraded { .. }
+                | FaultKind::Partition { .. } => n_nodes,
+            };
+            if ev.kind.target() >= limit as u64 {
+                return Err(format!(
+                    "fault plan references unknown target: {} \
+                     (topology has {n_nodes} nodes, {n_devices} devices)",
+                    ev.kind
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Add an injection, keeping the schedule time-sorted and stable.
     pub fn push(&mut self, at: SimTime, kind: FaultKind) -> &mut Self {
         self.events.push(FaultEvent { at, kind });

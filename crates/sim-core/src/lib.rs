@@ -8,7 +8,7 @@
 //! * [`time`] — virtual time as integer nanoseconds ([`SimTime`],
 //!   [`SimDuration`]) with ergonomic constructors and formatting,
 //! * [`event`] — a total-ordered event queue ([`event::EventQueue`]) with
-//!   generation counters for components that re-schedule themselves,
+//!   keyed wakeups for components that re-schedule themselves,
 //! * [`rng`] — a seedable deterministic random source ([`rng::SimRng`])
 //!   including the paper's negative-exponential inter-arrival sampler
 //!   (Eq. 4: `T = -λ · ln X`),
@@ -44,7 +44,7 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventId, EventKey, EventQueue, Generation};
+pub use event::{EventId, EventKey, EventQueue};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use flight::{DumpReason, FlightDump, FlightKind, FlightRecord, FlightRecorder};
 pub use rng::SimRng;

@@ -67,11 +67,11 @@ fn policy_explorer_enumerates_the_registry_not_a_hardcoded_list() {
 }
 
 #[test]
-fn scheduling_md_documents_the_trait_layer_and_slice_model() {
+fn scheduling_md_documents_the_policy_enums_and_slice_model() {
     let doc = read("SCHEDULING.md");
     for needle in [
-        "PlacementPolicy",
-        "MapperPolicy",
+        "NodePolicy",
+        "LbPolicy",
         "SliceCapability",
         "fragmentation",
         "policy_matrix",
