@@ -5,11 +5,13 @@
 //! nanoseconds (see `experiments::attribution`).
 
 use strings_harness::experiments::attribution;
+use strings_harness::experiments::ExpScale;
 
 fn main() {
-    strings_bench::run_experiment(
+    strings_bench::run_fault_experiment(
         "Extension — latency attribution (Poisson load, supernode)",
         "Strings moves latency out of queue-wait and into actual service",
+        ExpScale::serve_topology,
         |scale| attribution::table(&attribution::run(scale)).render(),
     );
 }

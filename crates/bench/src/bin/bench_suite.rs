@@ -26,6 +26,7 @@ use strings_core::device_sched::GpuPolicy;
 use strings_core::mapper::LbPolicy;
 use strings_harness::cli::parse_serve_args;
 use strings_harness::experiments::common::{pair_streams, ExpScale};
+use strings_harness::experiments::policy_matrix;
 use strings_harness::scenario::{Scenario, StreamSpec};
 use strings_harness::serve::ServeSpec;
 use strings_harness::stats::{PhaseProfile, RunStats};
@@ -109,6 +110,31 @@ fn serve_args(args: &str) -> ServeSpec {
         .spec
 }
 
+/// `policy_matrix --quick`: every stack × mix × fault-plan serve run of
+/// the ranked matrix and its SLO report. The row sums the runs' counts and
+/// simulated time; its peak queue depth is the largest of any run.
+fn policy_matrix_quick() -> RunStats {
+    let scale = ExpScale::quick();
+    let mut total = RunStats::default();
+    for (_, apps) in policy_matrix::mixes() {
+        for (_, plan) in policy_matrix::fault_plans() {
+            for entry in policy_matrix::stacks() {
+                let spec = policy_matrix::spec(&entry, &apps, &plan, &scale);
+                let stats = spec.run();
+                std::hint::black_box(spec.slo(&stats));
+                total.events += stats.events;
+                total.completed_requests += stats.completed_requests;
+                total.makespan_ns += stats.makespan_ns;
+                total.cancelled_wakeups += stats.cancelled_wakeups;
+                total.stale_pops += stats.stale_pops;
+                total.peak_live_queue_depth =
+                    total.peak_live_queue_depth.max(stats.peak_live_queue_depth);
+            }
+        }
+    }
+    total
+}
+
 /// The fixed scenario set. Names are part of the JSON contract — the CI
 /// gate matches baseline entries by name; entries absent from the
 /// committed baseline are measured and reported but not gated, so new
@@ -167,6 +193,7 @@ fn scenarios() -> Vec<Entry> {
                 stats
             }),
         ),
+        ("policy_matrix_quick", Box::new(policy_matrix_quick)),
     ]
 }
 

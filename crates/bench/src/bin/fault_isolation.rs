@@ -6,9 +6,10 @@
 use strings_harness::experiments::faults;
 
 fn main() {
-    strings_bench::run_experiment(
+    strings_bench::run_fault_experiment(
         "Extension — fault isolation (one backend crash, busy single GPU)",
         "Design I isolates per process; Design II loses everyone; Design III replays",
+        |_| faults::topology(),
         |scale| faults::table(&faults::run(scale)).render(),
     );
 }

@@ -5,11 +5,13 @@
 //! fairness for each stack (see `experiments::serve`).
 
 use strings_harness::experiments::serve;
+use strings_harness::experiments::ExpScale;
 
 fn main() {
-    strings_bench::run_experiment(
+    strings_bench::run_fault_experiment(
         "Extension — open-loop serving SLOs (Poisson load, supernode)",
         "the interposed stacks keep tail latency and shed rate below bare CUDA",
+        ExpScale::serve_topology,
         |scale| serve::table(&serve::run(scale)).render(),
     );
 }

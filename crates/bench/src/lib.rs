@@ -1,15 +1,16 @@
 //! # strings-bench
 //!
 //! Benchmark harness for the Strings reproduction: one **regeneration
-//! binary** per paper table/figure (printing the same rows/series the paper
-//! plots) and one **Criterion bench** per experiment (micro-scale, tracking
-//! simulation throughput and policy overheads).
+//! binary** per paper table/figure, printing the same rows/series the paper
+//! plots, plus the `bench_suite` hot-path timer.
 //!
 //! Every regeneration binary is a ~10-line declaration over the shared
 //! [`run_experiment`] entry point, which owns the common CLI ([`Cli`]):
 //! `--quick`, `--seeds`, `--requests`, `--trace` and `--faults` parse in
 //! one place and reach the experiment through
-//! [`strings_harness::experiments::ExpScale`].
+//! [`strings_harness::experiments::ExpScale`]. Experiments that inject
+//! `--faults` start through [`run_fault_experiment`], which rejects a
+//! fault target outside the experiment's cluster before anything runs.
 //!
 //! Regeneration binaries (run with `--release`; pass `--quick` for a
 //! reduced run):
@@ -126,6 +127,14 @@ impl Cli {
         })
     }
 
+    /// Check every `--faults` target against the cluster an experiment
+    /// runs on; the error names the first target outside it.
+    pub fn check_faults(&self, topology: &TopologySpec) -> Result<(), String> {
+        self.scale
+            .faults
+            .check_targets(topology.num_nodes(), topology.num_devices())
+    }
+
     /// Parse the process arguments; print usage and exit on `--help` or a
     /// parse error.
     pub fn parse() -> Cli {
@@ -147,12 +156,33 @@ impl Cli {
 /// The whole body of a regeneration binary: parse the common CLI, print
 /// the banner, run `body` at the requested scale, print what it returns.
 pub fn run_experiment(figure: &str, paper_note: &str, body: impl FnOnce(&ExpScale) -> String) {
-    let cli = Cli::parse();
+    run_parsed(Cli::parse(), figure, paper_note, body);
+}
+
+fn run_parsed(cli: Cli, figure: &str, paper_note: &str, body: impl FnOnce(&ExpScale) -> String) {
     if let Some(n) = cli.threads {
         strings_harness::sweep::set_threads(n);
     }
     banner(figure, paper_note);
     print!("{}", body(&cli.scale));
+}
+
+/// [`run_experiment`] for an experiment that layers `--faults` onto runs
+/// on the cluster `topology` returns for the scale. A fault target outside
+/// that cluster is a usage error, reported as `error: ...` with exit code
+/// 2 (as `strings-sim serve` does), not a panic in the middle of a run.
+pub fn run_fault_experiment(
+    figure: &str,
+    paper_note: &str,
+    topology: impl FnOnce(&ExpScale) -> TopologySpec,
+    body: impl FnOnce(&ExpScale) -> String,
+) {
+    let cli = Cli::parse();
+    if let Err(msg) = cli.check_faults(&topology(&cli.scale)) {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    }
+    run_parsed(cli, figure, paper_note, body);
 }
 
 /// Derive a sibling path for a second trace file: `out.json` + `seq` →

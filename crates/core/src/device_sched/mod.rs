@@ -35,6 +35,8 @@ pub struct GpuScheduler {
     policy: GpuPolicy,
     epoch_ns: u64,
     rcb: Rcb,
+    /// Scratch copy of `rcb` for looking one epoch ahead.
+    lookahead: Rcb,
     monitor: RequestMonitor,
     signals: SignalProtocol,
     tracer: Tracer,
@@ -48,6 +50,7 @@ impl GpuScheduler {
             policy,
             epoch_ns,
             rcb: Rcb::new(),
+            lookahead: Rcb::new(),
             monitor: RequestMonitor::new(),
             signals: SignalProtocol::new(),
             tracer: Tracer::off(),
@@ -149,21 +152,71 @@ impl GpuScheduler {
         }
     }
 
-    /// Close an epoch in which no registered app had dispatchable work and
-    /// the previous (empty) decision is already in force: only the LAS
-    /// decay (Eq. 1) rolls — the awake set would be empty by construction,
-    /// so recomputing it (and re-applying the gates) is pure overhead. An
-    /// executive that stops ticking an idle device calls this once per
-    /// skipped epoch boundary when the device wakes: one call per boundary
-    /// (not a closed-form power of `1 − k`) keeps the f64 decay bit-identical
-    /// to ticking through them. See [`GpuScheduler::tracing_epochs`] for
-    /// when the shortcut must not be taken.
-    pub fn roll_idle_epoch(&mut self) {
+    /// Close an epoch whose dispatcher pass the executive skipped because it
+    /// could not change the awake set in force: only the LAS decay (Eq. 1)
+    /// rolls. An executive that stops ticking a device between device
+    /// changes calls this once per skipped epoch boundary when the device
+    /// changes: one call per boundary (not a closed-form power of `1 − k`)
+    /// keeps the f64 decay bit-identical to ticking through them. See
+    /// [`GpuScheduler::tracing_epochs`] for when passes must not be skipped.
+    pub fn roll_skipped_epoch(&mut self) {
         self.rcb.roll_epoch();
     }
 
+    /// The awake set the next epoch's [`GpuScheduler::epoch_tick_into`]
+    /// would derive from `work` if nothing changed before it. The LAS decay
+    /// it would roll first is rolled on a scratch copy of the RCB; the live
+    /// table is untouched.
+    pub fn next_awake_into(&mut self, work: &[AppWork], awake: &mut Vec<AppId>) {
+        let rcb = if self.policy == GpuPolicy::Las {
+            self.lookahead.clone_from(&self.rcb);
+            self.lookahead.roll_epoch();
+            &self.lookahead
+        } else {
+            &self.rcb
+        };
+        dispatcher::awake_set_into(self.policy, rcb, work, awake);
+    }
+
+    /// How many epochs after the last pass the LAS dispatcher would stop
+    /// picking `awake`, if nothing changes on the device meanwhile; `None`
+    /// if not within `max` epochs or not under LAS. With no service
+    /// accruing, Eq. 1 shrinks every `cgs_ns` by the same factor, which
+    /// keeps their order until rounding makes two of them equal: a ready
+    /// app with a lower id then wins the tie. The decay is iterated with
+    /// [`rcb::eq1`], so the prediction is exact. `work` is the snapshot the
+    /// last pass decided on.
+    pub fn las_handover_in(&self, work: &[AppWork], awake: AppId, max: u64) -> Option<u64> {
+        if self.policy != GpuPolicy::Las || max == 0 {
+            return None;
+        }
+        // The first roll folds in whatever service this epoch has accrued;
+        // later ones only decay, which is monotone, so from there on the
+        // least-served lower-id contender ties first.
+        let first = |e: &RcbEntry| rcb::eq1(e.cgs_ns, e.epoch_service_ns);
+        let mut mine = first(self.rcb.get(awake)?);
+        let mut rival = work
+            .iter()
+            .filter(|w| w.has_ready && w.app < awake)
+            .filter_map(|w| self.rcb.get(w.app))
+            .map(first)
+            .min_by(f64::total_cmp)?;
+        // Both values reach 0 within ~1,100 steps, so the loop is short
+        // even when `max` is not.
+        for n in 1..=max {
+            if n > 1 {
+                mine = rcb::eq1(mine, 0);
+                rival = rcb::eq1(rival, 0);
+            }
+            if mine.total_cmp(&rival).is_eq() {
+                return Some(n);
+            }
+        }
+        None
+    }
+
     /// True when epoch decisions are being traced — each tick then emits an
-    /// instant that an idle or unchanged-decision shortcut would skip, so
+    /// instant that a skipped or unchanged-decision shortcut would drop, so
     /// callers must run the full [`GpuScheduler::epoch_tick`] every epoch
     /// to keep traces complete.
     pub fn tracing_epochs(&self) -> bool {
@@ -231,6 +284,90 @@ mod tests {
         let s = GpuScheduler::new(GpuPolicy::Ps, 42);
         assert_eq!(s.policy(), GpuPolicy::Ps);
         assert_eq!(s.epoch_ns(), 42);
+    }
+
+    fn ready(app: u32) -> AppWork {
+        AppWork {
+            app: AppId(app),
+            has_ready: true,
+            phase: Phase::KernelLaunch,
+        }
+    }
+
+    fn las_pair() -> GpuScheduler {
+        let mut s = GpuScheduler::new(GpuPolicy::Las, 5_000_000);
+        for app in 0..2 {
+            s.register(AppId(app), StreamId(app + 1), TenantId(app), 1.0, 0)
+                .unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn las_handover_prediction_matches_ticking() {
+        // App 0 has service, so app 1 (none) is awake while both wait.
+        let mut s = las_pair();
+        s.record_service(AppId(0), 10_000_000, false, 0);
+        let work = [ready(0), ready(1)];
+        let mut awake = Vec::new();
+        s.epoch_tick_into(&work, 0, &mut awake);
+        assert_eq!(awake, [AppId(1)]);
+        // Decay alone ties the two (both reach zero); the lower id wins.
+        let n = s
+            .las_handover_in(&work, AppId(1), u64::MAX)
+            .expect("decay ties eventually");
+        assert!(n > 400, "a 10 ms lead takes ~470 epochs to decay, got {n}");
+        assert_eq!(s.las_handover_in(&work, AppId(1), n - 1), None);
+        for _ in 1..n {
+            s.epoch_tick_into(&work, 0, &mut awake);
+            assert_eq!(awake, [AppId(1)]);
+        }
+        s.epoch_tick_into(&work, 0, &mut awake);
+        assert_eq!(awake, [AppId(0)], "handover at epoch {n}");
+    }
+
+    #[test]
+    fn las_handover_folds_the_open_epochs_service() {
+        // Service recorded after the last pass is folded by the next roll.
+        let mut s = las_pair();
+        let work = [ready(0), ready(1)];
+        let mut awake = Vec::new();
+        s.epoch_tick_into(&work, 0, &mut awake);
+        assert_eq!(awake, [AppId(0)], "tie at zero: lower id");
+        s.record_service(AppId(0), 1_000, false, 0);
+        s.next_awake_into(&work, &mut awake);
+        assert_eq!(awake, [AppId(1)]);
+        assert_eq!(
+            s.rcb().get(AppId(0)).unwrap().epoch_service_ns,
+            1_000,
+            "looking ahead leaves the table alone"
+        );
+        let n = s.las_handover_in(&work, AppId(1), u64::MAX).unwrap();
+        for _ in 1..n {
+            s.epoch_tick_into(&work, 0, &mut awake);
+            assert_eq!(awake, [AppId(1)]);
+        }
+        s.epoch_tick_into(&work, 0, &mut awake);
+        assert_eq!(awake, [AppId(0)]);
+    }
+
+    #[test]
+    fn no_handover_without_a_ready_lower_id_rival_or_outside_las() {
+        let mut s = las_pair();
+        s.record_service(AppId(1), 10_000_000, false, 0);
+        let work = [ready(0), ready(1)];
+        s.epoch_tick(&work, 0);
+        // App 0 is awake; app 1 has the higher id, so a tie keeps app 0.
+        assert_eq!(s.las_handover_in(&work, AppId(0), u64::MAX), None);
+        let idle = AppWork {
+            has_ready: false,
+            ..ready(0)
+        };
+        assert_eq!(s.las_handover_in(&[idle, ready(1)], AppId(1), 10), None);
+        let mut tfs = GpuScheduler::new(GpuPolicy::Tfs, 5_000_000);
+        tfs.register(AppId(0), StreamId(1), TenantId(0), 1.0, 0)
+            .unwrap();
+        assert_eq!(tfs.las_handover_in(&work, AppId(0), u64::MAX), None);
     }
 
     #[test]

@@ -18,6 +18,14 @@ use sim_core::SimTime;
 /// Decay constant of Eq. 1.
 pub const LAS_K: f64 = 0.8;
 
+/// One step of Eq. 1: fold an epoch's attained service into the decayed
+/// cumulative GPU service. The one place this arithmetic lives, so anything
+/// that predicts the decay computes exactly what [`Rcb::roll_epoch`] does.
+#[inline]
+pub fn eq1(cgs_ns: f64, epoch_service_ns: u64) -> f64 {
+    LAS_K * epoch_service_ns as f64 + (1.0 - LAS_K) * cgs_ns
+}
+
 /// A tenant (cloud customer) identity; weights are per tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TenantId(pub u32);
@@ -64,6 +72,22 @@ pub struct Rcb {
     /// new busy period would restart at vruntime 0 and starve everyone
     /// that joins behind it until it caught up.
     min_vruntime_floor: f64,
+}
+
+impl Clone for Rcb {
+    fn clone(&self) -> Self {
+        Rcb {
+            rows: self.rows.clone(),
+            min_vruntime_floor: self.min_vruntime_floor,
+        }
+    }
+
+    /// Reuses `self`'s row storage: a scratch copy refreshed every epoch
+    /// does not allocate.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows.clone_from(&source.rows);
+        self.min_vruntime_floor = source.min_vruntime_floor;
+    }
 }
 
 impl Rcb {
@@ -141,7 +165,7 @@ impl Rcb {
     /// decayed CGS (Eq. 1) and reset the epoch accumulator.
     pub fn roll_epoch(&mut self) {
         for e in &mut self.rows {
-            e.cgs_ns = LAS_K * e.epoch_service_ns as f64 + (1.0 - LAS_K) * e.cgs_ns;
+            e.cgs_ns = eq1(e.cgs_ns, e.epoch_service_ns);
             e.epoch_service_ns = 0;
         }
     }

@@ -48,7 +48,7 @@ impl ExpScale {
         }
     }
 
-    /// Reduced scale for Criterion benches and smoke tests.
+    /// Reduced scale for smoke tests and `--quick` runs.
     pub fn quick() -> Self {
         ExpScale {
             requests: 8,
@@ -58,6 +58,14 @@ impl ExpScale {
             faults: FaultPlan::none(),
             topology: None,
         }
+    }
+
+    /// The cluster the serving experiments run on: the `--topology`
+    /// override, or the paper's supernode.
+    pub fn serve_topology(&self) -> TopologySpec {
+        self.topology
+            .clone()
+            .unwrap_or_else(TopologySpec::supernode)
     }
 }
 

@@ -49,9 +49,13 @@ pub struct Results {
     pub outcomes: Vec<Outcome>,
 }
 
+/// The cluster every design runs on: one GPU, so every request shares the
+/// faulting backend.
+pub fn topology() -> TopologySpec {
+    TopologySpec::of_nodes(vec![NodeSpec::new(0, vec![GpuModel::TeslaC2050])])
+}
+
 fn measure(design_cfg: StackConfig, label: &'static str, scale: &ExpScale) -> Outcome {
-    // One GPU so every request shares the faulting backend.
-    let node = NodeSpec::new(0, vec![GpuModel::TeslaC2050]);
     let stream = StreamSpec {
         app: AppKind::MC,
         node: NodeId(0),
@@ -62,7 +66,7 @@ fn measure(design_cfg: StackConfig, label: &'static str, scale: &ExpScale) -> Ou
         server_threads: 8,
     };
     let mut scen = Scenario::single_node(design_cfg, vec![stream], 17);
-    scen.topology = TopologySpec::of_nodes(vec![node]);
+    scen.topology = topology();
     scen.faults = FaultPlan::none().crash_at(FAULT_AT_NS, 0);
     for ev in scale.faults.events() {
         scen.faults.push(ev.at, ev.kind);

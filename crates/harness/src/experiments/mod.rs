@@ -1,9 +1,9 @@
 //! Experiment definitions — one module per paper figure/table.
 //!
 //! Each module exposes `run(&ExpScale) -> Results` plus a `table(&Results)`
-//! renderer; the regeneration binaries in `strings-bench` print the tables,
-//! and the Criterion benches call `run` at [`common::ExpScale::quick`]
-//! scale. EXPERIMENTS.md records paper-vs-measured values for each.
+//! renderer; the regeneration binaries in `strings-bench` print the tables
+//! (`--quick` runs at [`common::ExpScale::quick`] scale). EXPERIMENTS.md
+//! records paper-vs-measured values for each.
 
 pub mod ablation;
 pub mod attribution;

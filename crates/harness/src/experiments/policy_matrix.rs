@@ -17,7 +17,7 @@
 
 use super::common::ExpScale;
 use crate::serve::ServeSpec;
-use remoting::topology::{SliceCapability, TopologySpec};
+use remoting::topology::SliceCapability;
 use sim_core::fault::FaultPlan;
 use sim_core::SimDuration;
 use strings_core::admission::SloAdmission;
@@ -143,12 +143,16 @@ pub struct Results {
     pub rows: Vec<Outcome>,
 }
 
-fn spec(entry: &PolicyStack, apps: &[AppKind], plan: &FaultPlan, scale: &ExpScale) -> ServeSpec {
+/// The serve run behind one matrix entry: `entry`'s stack on the mix
+/// `apps` under `plan`, plus any `--faults` from `scale`.
+pub fn spec(
+    entry: &PolicyStack,
+    apps: &[AppKind],
+    plan: &FaultPlan,
+    scale: &ExpScale,
+) -> ServeSpec {
     let duration = SimDuration::from_secs(scale.requests.max(4) as u64);
-    let base = scale
-        .topology
-        .clone()
-        .unwrap_or_else(TopologySpec::supernode);
+    let base = scale.serve_topology();
     let rate_rps = RATE_RPS * base.num_devices() as f64 / 4.0;
     let topo = if entry.sliced {
         base.with_slices(SliceCapability { units: SLICE_UNITS })

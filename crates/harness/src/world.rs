@@ -206,9 +206,10 @@ impl EngineWindow {
 }
 
 /// Where a device's dispatcher epoch chain stands. The dispatcher re-decides
-/// the awake set every epoch (paper §III.C), but a decision can only change
-/// when the device does, so the executive keeps epochs queued only where
-/// one can.
+/// the awake set every epoch (paper §III.C), but between device changes
+/// (register, unregister, submit, a device resync) its inputs stand still
+/// except for the LAS decay, so the executive pops an epoch only where the
+/// decision can change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EpochState {
     /// No [`Event::Epoch`] is queued: no app is registered on the device,
@@ -219,11 +220,12 @@ enum EpochState {
     /// app set; an app registering or unregistering clears it, and it is
     /// never set while epoch decisions are traced.
     Armed { settled: bool },
-    /// No epoch is queued: the epoch at boundary `T` found the device idle,
-    /// settled and fully gated, rolled the LAS decay and stopped the chain.
-    /// Until the device changes, every later epoch would re-derive the same
-    /// empty awake set and only roll the decay; [`World::wake_epoch`]
-    /// replays those rolls and re-arms the chain on its original phase.
+    /// The settled pass at boundary `T` re-derived the awake set in force,
+    /// so until the device changes every later pass would too and only roll
+    /// the decay. No epoch is queued, except under LAS at the first boundary
+    /// where the decay ties the awake app with a lower-id ready one
+    /// ([`GpuScheduler::las_handover_in`]). [`World::wake_epoch`] replays
+    /// the skipped rolls and re-arms the chain on its original phase.
     Parked(SimTime),
 }
 
@@ -313,6 +315,10 @@ pub struct World {
     device_apps: Vec<Vec<AppId>>,
     /// Per-device dispatcher epoch chain (see [`EpochState`]).
     epochs: Vec<EpochState>,
+    /// `(t, id)` for each distinct pop time `t` within the last epoch:
+    /// `id` is the queue's next event id when the clock reached `t`. Kept
+    /// only under a device policy (see [`World::epoch_precedes_current`]).
+    clock_marks: VecDeque<(SimTime, u64)>,
     /// Per-device: the awake set the last full [`World::apply_gating`]
     /// pass put in force. Meaningful while the device's epoch state is
     /// settled; reused in place so the epoch path stays allocation-free.
@@ -326,13 +332,16 @@ pub struct World {
     queue: EventQueue<Event>,
     /// One cancellable queue slot per device (wakeup self-events).
     dev_keys: Vec<EventKey>,
+    /// One cancellable queue slot per device for a parked chain's queued
+    /// LAS handover, so a device change can withdraw it (none without a
+    /// device policy). Armed chains are never withdrawn; their epochs go to
+    /// the cheaper plain queue.
+    epoch_keys: Vec<EventKey>,
     /// Reusable completion buffer (avoids a fresh `Vec` per device sync).
     done_buf: Vec<CompletedJob>,
-    /// Reusable epoch buffers: the dispatcher's work snapshot, the gate
-    /// targets, and the awake set. Epochs dominate the event mix, so these
-    /// keep the per-epoch path allocation-free.
+    /// Reusable epoch buffers: the dispatcher's work snapshot and the
+    /// awake set. They keep the epoch path allocation-free.
     work_buf: Vec<AppWork>,
-    gate_buf: Vec<(ContextId, StreamId, AppId)>,
     awake_buf: Vec<AppId>,
     /// Reusable released-waiter buffer for [`World::check_waiters`].
     ready_buf: Vec<Waiter>,
@@ -467,6 +476,10 @@ impl World {
         let slot_backlog = (0..n_slots).map(|_| VecDeque::new()).collect();
         let mut queue = EventQueue::new();
         let dev_keys = (0..n).map(|_| queue.register_key()).collect();
+        let epoch_keys = match cfg.gpu_policy {
+            GpuPolicy::None => Vec::new(),
+            _ => (0..n).map(|_| queue.register_key()).collect(),
+        };
         let mut world = World {
             cfg,
             scope,
@@ -479,6 +492,7 @@ impl World {
             device_apps: vec![Vec::new(); n],
             epochs: vec![EpochState::Disarmed; n],
             applied_awake: vec![Vec::new(); n],
+            clock_marks: VecDeque::new(),
             shared_ctx: vec![None; n],
             master_q: (0..n).map(|_| VecDeque::new()).collect(),
             master_stall: vec![None; n],
@@ -487,9 +501,9 @@ impl World {
             pending: PendingOps::new(),
             queue,
             dev_keys,
+            epoch_keys,
             done_buf: Vec::new(),
             work_buf: Vec::new(),
-            gate_buf: Vec::new(),
             awake_buf: Vec::new(),
             ready_buf: Vec::new(),
             apps: Vec::new(),
@@ -928,6 +942,9 @@ impl World {
             let Some((now, ev)) = next else {
                 break;
             };
+            if self.cfg.gpu_policy != GpuPolicy::None {
+                self.mark_clock(now);
+            }
             assert!(
                 self.queue.popped() < self.max_events,
                 "event budget exhausted at t={now}: likely livelock"
@@ -2336,6 +2353,7 @@ impl World {
     /// Step a device, harvest completions, feed monitors/waiters, and
     /// reschedule its next event.
     fn sync_device(&mut self, gid: usize, now: SimTime) {
+        self.wake_epoch(gid, now, false);
         self.devices[gid].step(now);
         // step() advanced the device's generation: every wakeup scheduled
         // before this point is now stale. Cancel them in the queue (they
@@ -2393,8 +2411,14 @@ impl World {
             self.maybe_retick(gid, now);
         }
         if let Some(t) = self.devices[gid].next_event_time(now) {
-            self.queue
-                .schedule_keyed(self.dev_keys[gid], t.max(now), Event::Device(gid as u32));
+            let t = t.max(now);
+            // A nested resync of this device (check_waiters or maybe_retick
+            // above) may already have parked this very wakeup; a second copy
+            // would only spill the first into the wheel.
+            let key = self.dev_keys[gid];
+            if self.queue.parked_at(key) != Some(t) {
+                self.queue.schedule_keyed(key, t, Event::Device(gid as u32));
+            }
         }
         // Design II masters may unstall when pending work drains.
         if self.cfg.design == BackendDesign::SingleMaster {
@@ -2879,45 +2903,85 @@ impl World {
             self.epochs[gid] = EpochState::Disarmed;
             return;
         }
-        let settled = self.epochs[gid] == EpochState::Armed { settled: true };
-        // Park: the gates in force close every stream and the device is
-        // idle, so the dispatcher would re-derive the same empty awake set,
-        // the device step would be a no-op, and no wakeup would be armed —
-        // only the per-epoch LAS decay (Eq. 1) is observable. Roll it and
-        // stop the chain until the device changes.
-        if settled && self.applied_awake[gid].is_empty() && self.devices[gid].is_idle() {
-            self.schedulers[gid].roll_idle_epoch();
-            self.epochs[gid] = EpochState::Parked(now);
-            return;
+        if let EpochState::Parked(at) = self.epochs[gid] {
+            // A queued LAS handover: catch the decay up to this boundary.
+            self.replay_parked(gid, at, now);
+            self.epochs[gid] = EpochState::Armed { settled: true };
         }
-        self.apply_gating(gid, now, settled);
-        self.queue
-            .schedule(now + self.cfg.epoch.as_ns(), Event::Epoch(gid as u32));
+        let settled = self.epochs[gid] == EpochState::Armed { settled: true };
+        // A pass that changed the gates re-synced the device; it parks too
+        // when the next pass would keep the new gates.
+        if self.apply_gating(gid, now, settled) || self.next_pass_keeps_gates(gid) {
+            self.park_epoch(gid, now);
+        } else {
+            self.arm_epoch(gid, now + self.cfg.epoch.as_ns());
+        }
+    }
+
+    /// True when the gates are settled and the dispatcher, run at the next
+    /// boundary on the device as it stands, would re-derive them. Leaves
+    /// that snapshot in `work_buf`.
+    fn next_pass_keeps_gates(&mut self, gid: usize) -> bool {
+        if self.epochs[gid] != (EpochState::Armed { settled: true }) {
+            return false;
+        }
+        let mut work = std::mem::take(&mut self.work_buf);
+        let mut awake = std::mem::take(&mut self.awake_buf);
+        self.collect_work(gid, &mut work);
+        self.schedulers[gid].next_awake_into(&work, &mut awake);
+        let keeps = awake == self.applied_awake[gid];
+        self.work_buf = work;
+        self.awake_buf = awake;
+        keeps
+    }
+
+    fn arm_epoch(&mut self, gid: usize, at: SimTime) {
+        self.queue.schedule(at, Event::Epoch(gid as u32));
+    }
+
+    /// Every pass after the one at `now` would re-derive the awake set in
+    /// force until the device changes — except that under LAS the decay can
+    /// tie the awake app with a lower-id ready one. Stop the chain, queueing
+    /// only that handover boundary if it comes before the device's next
+    /// engine event (which wakes the chain anyway).
+    fn park_epoch(&mut self, gid: usize, now: SimTime) {
+        self.epochs[gid] = EpochState::Parked(now);
+        let Some(&awake) = self.applied_awake[gid].first() else {
+            return;
+        };
+        let epoch = self.cfg.epoch.as_ns();
+        let before_engine = self.devices[gid]
+            .next_event_time(now)
+            .map_or(u64::MAX, |t| t.saturating_sub(now + 1) / epoch);
+        let handover = self.schedulers[gid].las_handover_in(&self.work_buf, awake, before_engine);
+        if let Some(n) = handover {
+            let key = self.epoch_keys[gid];
+            self.queue
+                .schedule_keyed(key, now + n * epoch, Event::Epoch(gid as u32));
+        }
     }
 
     /// The device is about to change: an app registers or unregisters
-    /// (`apps_changed`), or work is submitted. A disarmed chain (the first
-    /// app registering under a device policy) arms one epoch out. A parked
-    /// chain first rolls the LAS decay once per boundary it skipped
-    /// strictly before `now` — one call per boundary, so the f64 decay is
-    /// bit-identical to ticking through them — then re-arms at the next
-    /// boundary on its original phase. A changed app set unsettles the
-    /// gates.
+    /// (`apps_changed`), work is submitted, or the device is re-synced. A
+    /// disarmed chain (the first app registering under a device policy)
+    /// arms one epoch out. A parked chain withdraws any queued handover,
+    /// replays the boundaries it skipped and re-arms at the next boundary
+    /// on its original phase. A changed app set unsettles the gates.
     fn wake_epoch(&mut self, gid: usize, now: SimTime, apps_changed: bool) {
         match self.epochs[gid] {
             EpochState::Disarmed if apps_changed && self.cfg.gpu_policy != GpuPolicy::None => {
                 self.epochs[gid] = EpochState::Armed { settled: false };
-                self.queue
-                    .schedule(now + self.cfg.epoch.as_ns(), Event::Epoch(gid as u32));
+                self.arm_epoch(gid, now + self.cfg.epoch.as_ns());
             }
             EpochState::Parked(at) => {
-                let epoch = self.cfg.epoch.as_ns();
-                let mut next = at + epoch;
-                while next < now {
-                    self.schedulers[gid].roll_idle_epoch();
-                    next += epoch;
-                }
-                self.queue.schedule(next, Event::Epoch(gid as u32));
+                self.queue.invalidate(self.epoch_keys[gid]);
+                let until = if self.epoch_precedes_current(at, now) {
+                    now + 1
+                } else {
+                    now
+                };
+                let next = self.replay_parked(gid, at, until);
+                self.arm_epoch(gid, next);
                 self.epochs[gid] = EpochState::Armed {
                     settled: !apps_changed,
                 };
@@ -2927,6 +2991,65 @@ impl World {
             }
             _ => {}
         }
+    }
+
+    /// Note the first pop at `now`, dropping marks older than one epoch.
+    fn mark_clock(&mut self, now: SimTime) {
+        if self.clock_marks.back().is_some_and(|&(t, _)| t == now) {
+            return;
+        }
+        self.clock_marks.push_back((now, self.queue.next_id().0));
+        let horizon = now.saturating_sub(self.cfg.epoch.as_ns());
+        while self.clock_marks.front().is_some_and(|&(t, _)| t <= horizon) {
+            self.clock_marks.pop_front();
+        }
+    }
+
+    /// Whether a chain parked at boundary `at`, had it kept ticking, would
+    /// have run its pass due at `now` before the event being dispatched.
+    /// That epoch would have been scheduled when the boundary before it
+    /// popped, so it comes first exactly when `now` is a boundary and the
+    /// event was scheduled after the clock passed the boundary before. (An
+    /// event scheduled in the very instant of that boundary is taken to
+    /// have come first.)
+    fn epoch_precedes_current(&self, at: SimTime, now: SimTime) -> bool {
+        now > at
+            && (now - at).is_multiple_of(self.cfg.epoch.as_ns())
+            && self
+                .clock_marks
+                .front()
+                .is_some_and(|&(_, id)| self.queue.current_id().0 >= id)
+    }
+
+    /// Close every epoch a chain parked at boundary `at` skipped strictly
+    /// before `until`, one LAS decay roll per boundary so the f64 state is
+    /// bit-identical to ticking through them, and return the chain's next
+    /// boundary. Debug builds run the full dispatcher at each skipped
+    /// boundary instead and assert it re-derives the awake set in force:
+    /// the shadow check of the parking rule.
+    fn replay_parked(&mut self, gid: usize, at: SimTime, until: SimTime) -> SimTime {
+        let epoch = self.cfg.epoch.as_ns();
+        let mut next = at + epoch;
+        #[cfg(debug_assertions)]
+        let (work, mut awake) = {
+            let mut work = Vec::new();
+            self.collect_work(gid, &mut work);
+            (work, Vec::new())
+        };
+        while next < until {
+            #[cfg(debug_assertions)]
+            {
+                self.schedulers[gid].epoch_tick_into(&work, next, &mut awake);
+                assert_eq!(
+                    awake, self.applied_awake[gid],
+                    "device {gid}: the dispatcher pass skipped at {next} ns changes the awake set"
+                );
+            }
+            #[cfg(not(debug_assertions))]
+            self.schedulers[gid].roll_skipped_epoch();
+            next += epoch;
+        }
+        next
     }
 
     /// If everything dispatchable is gated but work exists, re-run the
@@ -2941,19 +3064,10 @@ impl World {
         }
     }
 
-    /// One dispatcher pass: roll the decay, derive the awake set, gate the
-    /// device's streams to match and re-sync it. With `settled`, a pass
-    /// whose awake set equals the one already in force stops after the
-    /// decay: the gates would not change, so neither would the device.
-    fn apply_gating(&mut self, gid: usize, now: SimTime, settled: bool) {
-        // Reused buffers keep this path allocation-free; a re-entrant call
-        // (sync_device → maybe_retick) takes empty stand-ins and is still
-        // correct, just unamortized.
-        let mut work = std::mem::take(&mut self.work_buf);
-        let mut gates = std::mem::take(&mut self.gate_buf);
-        let mut awake = std::mem::take(&mut self.awake_buf);
+    /// Snapshot each registered app's dispatchable state on device `gid`
+    /// for the dispatcher.
+    fn collect_work(&self, gid: usize, work: &mut Vec<AppWork>) {
         work.clear();
-        gates.clear();
         for &app in &self.device_apps[gid] {
             let a = self.apps[app.index()].as_ref().expect("registered app");
             let ctx = a.ctx.expect("registered app has ctx");
@@ -2975,21 +3089,35 @@ impl World {
                 has_ready: head.is_some(),
                 phase,
             });
-            gates.push((ctx, a.stream, app));
         }
+    }
+
+    /// One dispatcher pass: roll the decay, derive the awake set, gate the
+    /// device's streams to match and re-sync it. With `settled`, a pass
+    /// whose awake set equals the one already in force stops after the
+    /// decay and returns true: the gates would not change, so neither would
+    /// the device. The pass's work snapshot stays in `work_buf`.
+    fn apply_gating(&mut self, gid: usize, now: SimTime, settled: bool) -> bool {
+        // Reused buffers keep this path allocation-free; a re-entrant call
+        // (sync_device → maybe_retick) takes empty stand-ins and is still
+        // correct, just unamortized.
+        let mut work = std::mem::take(&mut self.work_buf);
+        let mut awake = std::mem::take(&mut self.awake_buf);
+        self.collect_work(gid, &mut work);
         self.schedulers[gid].epoch_tick_into(&work, now, &mut awake);
         let unchanged = settled && awake == self.applied_awake[gid];
         if !unchanged {
-            for &(ctx, stream, app) in &gates {
-                self.devices[gid].set_stream_gate(ctx, stream, !awake.contains(&app));
+            for w in &work {
+                let a = self.apps[w.app.index()].as_ref().expect("registered app");
+                let ctx = a.ctx.expect("registered app has ctx");
+                self.devices[gid].set_stream_gate(ctx, a.stream, !awake.contains(&w.app));
             }
             self.applied_awake[gid].clone_from(&awake);
         }
         self.work_buf = work;
-        self.gate_buf = gates;
         self.awake_buf = awake;
         if unchanged {
-            return;
+            return true;
         }
         // The gates now match the app set, so later passes may compare
         // against them — unless the scheduler is tracing epoch decisions,
@@ -3001,6 +3129,7 @@ impl World {
             }
         }
         self.sync_device(gid, now);
+        false
     }
 }
 

@@ -269,6 +269,14 @@ impl<E> EventQueue<E> {
         EventId(self.cur_cause)
     }
 
+    /// Id the next scheduled event will get. Ids grow with scheduling
+    /// order, so an event whose id is at least the value read at some
+    /// moment was scheduled after that moment.
+    #[inline]
+    pub fn next_id(&self) -> EventId {
+        EventId(self.next_seq)
+    }
+
     /// Current virtual time (time of the most recently popped event).
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -454,6 +462,14 @@ impl<E> EventQueue<E> {
             self.cancelled += 1;
             self.replay(key.0);
         }
+    }
+
+    /// Time of the wakeup parked in `key`'s slot, if one is: a component
+    /// about to reschedule can see that an identical wakeup is already
+    /// pending instead of spilling it into the wheel with a second copy.
+    #[inline]
+    pub fn parked_at(&self, key: EventKey) -> Option<SimTime> {
+        self.slots[key.0 as usize].pending.as_ref().map(|p| p.time)
     }
 
     /// Route an entry into its wheel bucket, or to the calendar overflow
@@ -663,6 +679,34 @@ mod tests {
         assert_eq!(q.pop(), Some((30, "keyed")));
         assert_eq!(q.current_id(), EventId(2));
         assert_eq!(q.current_cause(), EventId(1));
+    }
+
+    #[test]
+    fn next_id_is_the_id_the_next_schedule_gets() {
+        let mut q = EventQueue::new();
+        let before = q.next_id();
+        q.schedule(10, "a");
+        assert_eq!(q.pop(), Some((10, "a")));
+        assert_eq!(q.current_id(), before);
+        assert_eq!(q.next_id(), EventId(before.0 + 1));
+    }
+
+    #[test]
+    fn parked_at_reports_the_slot_entry() {
+        let mut q = EventQueue::new();
+        let key = q.register_key();
+        assert_eq!(q.parked_at(key), None);
+        q.schedule_keyed(key, 40, "first");
+        assert_eq!(q.parked_at(key), Some(40));
+        // A second wakeup takes the slot; the first spills to the wheel.
+        q.schedule_keyed(key, 30, "second");
+        assert_eq!(q.parked_at(key), Some(30));
+        assert_eq!(q.pop(), Some((30, "second")));
+        assert_eq!(q.parked_at(key), None, "the slot entry popped");
+        assert_eq!(q.pop(), Some((40, "first")));
+        q.schedule_keyed(key, 50, "third");
+        q.invalidate(key);
+        assert_eq!(q.parked_at(key), None, "cancelled");
     }
 
     #[test]
@@ -1033,6 +1077,14 @@ mod differential {
         pub fn live_len(&self) -> usize {
             self.heap.len() - self.stale
         }
+
+        pub fn parked_at(&self, key: usize) -> Option<SimTime> {
+            let seq = self.parked[key]?;
+            self.heap
+                .iter()
+                .find(|Reverse(e)| e.seq == seq)
+                .map(|Reverse(e)| e.time)
+        }
     }
 
     /// Every observable besides the pop itself agrees.
@@ -1043,6 +1095,16 @@ mod differential {
         assert_eq!(q.cancelled(), h.cancelled, "cancellations diverged");
         assert_eq!(q.clamped(), h.clamped, "clamping diverged");
         assert_eq!(q.live_len(), h.live_len(), "live depth diverged");
+        assert_eq!(q.next_id().0, h.next_seq, "event ids diverged");
+    }
+
+    /// Key `k`'s parked wakeup agrees.
+    fn assert_same_parked(q: &EventQueue<u64>, h: &HeapQueue<u64>, k: usize) {
+        assert_eq!(
+            q.parked_at(EventKey(k as u32)),
+            h.parked_at(k),
+            "parked wakeup of key {k} diverged"
+        );
     }
 
     const KEYS: usize = 3;
@@ -1079,6 +1141,9 @@ mod differential {
             _ => assert_eq!(q.pop(), h.pop(), "wheel diverged from heap"),
         }
         assert_same_state(q, h);
+        for k in 0..KEYS {
+            assert_same_parked(q, h, k);
+        }
     }
 
     fn drain_both(q: &mut EventQueue<u64>, h: &mut HeapQueue<u64>) {
@@ -1132,6 +1197,7 @@ mod differential {
                 q.schedule(h.now() + 1_000 + far + (x & 0xffff), i);
                 h.schedule(h.now() + 1_000 + far + (x & 0xffff), i);
             }
+            assert_same_parked(&q, &h, d);
             if x & 3 != 0 {
                 assert_eq!(q.pop(), h.pop(), "storm pop diverged at step {i}");
                 assert_eq!(
@@ -1267,6 +1333,7 @@ mod differential {
                             prop_assert_eq!(q.live_len(), h.live_len());
                         }
                     }
+                    prop_assert_eq!(q.parked_at(keys[k]), h.parked_at(k));
                 }
                 drain_both(&mut q, &mut h);
             }
@@ -1323,6 +1390,7 @@ mod differential {
                             prop_assert_eq!(q.live_len(), h.live_len());
                         }
                     }
+                    prop_assert_eq!(q.parked_at(keys[k]), h.parked_at(k));
                 }
                 drain_both(&mut q, &mut h);
             }
