@@ -6,7 +6,9 @@
 //! file accumulates a per-PR perf record. All simulation-derived fields
 //! (events, stale counters, queue depth, makespan) are byte-stable across
 //! runs and machines — only the wall-clock fields (`wall_ns_best`,
-//! `events_per_sec`, `wall_ns_per_sim_s`) vary, which is why the
+//! `events_per_sec`, `wall_ns_per_sim_s`) and the row's peak RSS
+//! (`peak_rss_mb`: `VmHWM`, reset before the row where the kernel allows,
+//! else cumulative and marked `peak_rss_cumulative`) vary, which is why the
 //! regression gate tolerates 2x before failing. `--check` gates each
 //! scenario's best wall time against the **best historical** wall time
 //! across every entry in the baseline file (v1 single-report files still
@@ -205,12 +207,38 @@ struct Row {
     cancelled: u64,
     stale_pops: u64,
     peak_live_queue_depth: u64,
+    /// `VmHWM` after the row, MiB (`None` where `/proc` is unavailable).
+    peak_rss_mb: Option<f64>,
+    /// The high-water mark could not be reset before the row, so
+    /// `peak_rss_mb` is the process's peak so far, earlier rows included.
+    rss_cumulative: bool,
     wall_ns_best: u64,
     events_per_sec: u64,
     wall_ns_per_sim_s: u64,
 }
 
+/// Reset this process's peak RSS (`VmHWM`) to its current RSS. False
+/// where the kernel refuses (no `/proc`, or a kernel without the reset).
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// This process's peak RSS (`VmHWM` in `/proc/self/status`), in MiB.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 fn measure(name: &'static str, run: &dyn Fn() -> RunStats, reps: usize) -> Row {
+    let rss_reset = reset_peak_rss();
     let warm = run(); // warmup rep, also sources the stable fields
     let mut best = u64::MAX;
     for _ in 0..reps {
@@ -229,6 +257,8 @@ fn measure(name: &'static str, run: &dyn Fn() -> RunStats, reps: usize) -> Row {
         cancelled: warm.cancelled_wakeups,
         stale_pops: warm.stale_pops,
         peak_live_queue_depth: warm.peak_live_queue_depth,
+        peak_rss_mb: peak_rss_mb(),
+        rss_cumulative: !rss_reset,
         wall_ns_best: best,
         events_per_sec: (warm.events as f64 / (best as f64 / 1e9)) as u64,
         wall_ns_per_sim_s: (best as f64 / sim_s) as u64,
@@ -295,6 +325,12 @@ fn render_entry(
         out.push_str(&format!(
             "          \"peak_live_queue_depth\": {},\n",
             r.peak_live_queue_depth
+        ));
+        let rss = r.peak_rss_mb.map_or("null".into(), |mb| format!("{mb:.1}"));
+        out.push_str(&format!("          \"peak_rss_mb\": {rss},\n"));
+        out.push_str(&format!(
+            "          \"peak_rss_cumulative\": {},\n",
+            r.rss_cumulative
         ));
         out.push_str(&format!(
             "          \"wall_ns_best\": {},\n",
@@ -512,11 +548,14 @@ fn main() {
         let row = measure(name, run.as_ref(), reps);
         let name = *name;
         println!(
-            "{name}: {} ev/s ({} events, stale ratio {:.4}, peak queue {}, best {:.1} ms)",
+            "{name}: {} ev/s ({} events, stale ratio {:.4}, peak queue {}, peak rss {}{}, best {:.1} ms)",
             row.events_per_sec,
             row.events,
             stale_ratio(&row),
             row.peak_live_queue_depth,
+            row.peak_rss_mb
+                .map_or("-".into(), |mb| format!("{mb:.1} MB")),
+            if row.rss_cumulative { " (cumulative)" } else { "" },
             row.wall_ns_best as f64 / 1e6,
         );
         rows.push(row);

@@ -39,4 +39,4 @@ pub mod world;
 pub use scenario::{HostCosts, LbScope, Scenario, StreamSpec};
 pub use serve::ServeSpec;
 pub use stats::RunStats;
-pub use world::{PlannedRequest, World};
+pub use world::{PlannedRequest, RequestProgram, World};

@@ -5,7 +5,7 @@
 //! the scheduler stack, and the seed. `Scenario::run()` compiles it into a
 //! [`crate::world::World`] and executes it.
 
-use crate::world::{PlannedRequest, World};
+use crate::world::{PlannedRequest, RequestProgram, World};
 use crate::RunStats;
 use gpu_sim::device::DeviceConfig;
 use remoting::gpool::NodeId;
@@ -19,7 +19,6 @@ use strings_core::device_sched::TenantId;
 use strings_core::mapper::WorkloadClass;
 use strings_workloads::arrivals::RequestStream;
 use strings_workloads::profile::AppKind;
-use strings_workloads::tracegen::TraceGenerator;
 
 /// Host-side fixed costs (calibration knobs, DESIGN.md §8).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -215,14 +214,17 @@ impl Scenario {
 
     /// Compile the request schedule for an explicit seed, ignoring
     /// [`Scenario::seed`]. Lets seed sweeps share one base scenario
-    /// instead of cloning it per seed.
+    /// instead of cloning it per seed. A stream draws its arrivals and
+    /// then its programs from one RNG; each request keeps a copy of that
+    /// RNG as it stood before its program's draws
+    /// ([`RequestProgram::generated`]), built into the program at
+    /// dispatch.
     pub fn plan_with_seed(&self, seed: u64) -> Vec<PlannedRequest> {
         let mut root = SimRng::new(seed);
         let mut requests = Vec::new();
         for (slot, spec) in self.streams.iter().enumerate() {
             let mut rng = root.fork(slot as u64);
             let profile = spec.app.profile();
-            let gen = TraceGenerator::default();
             let arrivals =
                 RequestStream::for_app_runtime(spec.count, profile.runtime, spec.load, &mut rng);
             for &arrival in arrivals.arrivals() {
@@ -234,7 +236,7 @@ impl Scenario {
                     tenant: spec.tenant,
                     weight: spec.weight,
                     server_threads: spec.server_threads,
-                    program: gen.generate(&profile, &mut rng),
+                    program: RequestProgram::generated(spec.app, &mut rng),
                 });
             }
         }

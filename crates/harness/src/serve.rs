@@ -12,13 +12,17 @@
 //! percentiles, goodput, shed rate, and windowed per-tenant fairness.
 //!
 //! Determinism matches the batch path: the request schedule is planned
-//! up front from the seed (arrival times, tenant assignment, generated
-//! host programs), so a serve run is byte-reproducible and seed sweeps
-//! can fan out across threads ([`crate::sweep::run_serve_seeds`]).
+//! up front from the seed (arrival times, tenant assignment, and for each
+//! request a copy of the program generator's RNG), so a serve run is
+//! byte-reproducible and seed sweeps can fan out across threads
+//! ([`crate::sweep::run_serve_seeds`]). Host programs themselves are
+//! built only when a request is dispatched and dropped when it exits
+//! ([`crate::world::RequestProgram`]), so a run holds the programs of
+//! the requests in flight, not of every request it will ever serve.
 
 use crate::scenario::{HostCosts, LbScope};
 use crate::stats::RunStats;
-use crate::world::{PlannedRequest, World};
+use crate::world::{PlannedRequest, RequestProgram, World};
 use gpu_sim::device::DeviceConfig;
 use remoting::topology::TopologySpec;
 use sim_core::fault::FaultPlan;
@@ -32,7 +36,6 @@ use strings_core::placement::{ClusterPlacer, NodePolicy};
 use strings_metrics::slo::SloReport;
 use strings_workloads::arrivals::ArrivalProcess;
 use strings_workloads::profile::AppKind;
-use strings_workloads::tracegen::TraceGenerator;
 
 /// One open-loop serving scenario: topology + stack + offered load +
 /// admission policy. Compile and run with [`ServeSpec::run`].
@@ -168,7 +171,10 @@ impl ServeSpec {
     /// slot per tenant: per-tenant queueing, fairness and SLO accounting
     /// all key off the slot. Deterministic in the seed — arrival times,
     /// tenant assignment, and generated host programs each draw from
-    /// their own fork of the root RNG.
+    /// their own fork of the root RNG. Each request keeps a copy of the
+    /// program fork as it stood before its draw
+    /// ([`RequestProgram::generated`]), and the program is built from it
+    /// at dispatch.
     pub fn plan_with_seed(&self, seed: u64) -> Vec<PlannedRequest> {
         assert!(self.tenants > 0, "serve mode needs at least one tenant");
         assert!(!self.apps.is_empty(), "serve mode needs an app mix");
@@ -176,7 +182,6 @@ impl ServeSpec {
         let mut arrival_rng = root.fork(0xA881);
         let mut tenant_rng = root.fork(0x7E4A);
         let mut gen_rng = root.fork(0x6E4);
-        let gen = TraceGenerator::default();
         // Cluster placement tier: tenant -> node, sticky per tenant. The
         // round-robin default reproduces the historical `tenant % n_nodes`
         // striping byte-for-byte on dense node ids.
@@ -199,7 +204,7 @@ impl ServeSpec {
                     tenant: TenantId(tenant as u32),
                     weight: 1.0,
                     server_threads: self.server_threads,
-                    program: gen.generate(&app.profile(), &mut gen_rng),
+                    program: RequestProgram::generated(app, &mut gen_rng),
                 }
             })
             .collect()

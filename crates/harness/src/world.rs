@@ -45,12 +45,70 @@ use strings_metrics::alerts::{BurnRateConfig, BurnRateEngine};
 use strings_metrics::registry::{HistogramId, MetricKind, MetricsRegistry, SeriesId};
 use strings_metrics::slo::SloRecord;
 use strings_metrics::CompletionSet;
+use strings_workloads::profile::AppKind;
+use strings_workloads::tracegen::TraceGenerator;
 
 /// Default flight-recorder ring depth per node: deep enough to hold a
 /// useful incident window, shallow enough that 64 nodes cost ~1.3 MB.
 const FLIGHT_DEPTH_DEFAULT: usize = 256;
 
-/// One request in the scenario's schedule.
+/// A request's host program, as planned: the ops themselves, or what it
+/// takes to generate them when the request is dispatched.
+#[derive(Debug, Clone)]
+pub enum RequestProgram {
+    /// A program given op by op (hand-built tests and examples).
+    Ops(HostProgram),
+    /// [`TraceGenerator::default`]'s program for `app`, drawn from `rng`:
+    /// the planner's generator RNG as it stood before this request's
+    /// program was drawn: a 40-byte RNG copy instead of the ~2 KB the
+    /// ops take.
+    Generated {
+        /// The application whose profile the program follows.
+        app: AppKind,
+        /// The generator RNG at this request's first draw.
+        rng: SimRng,
+    },
+}
+
+impl RequestProgram {
+    /// Plan `app`'s next generated program from the planner's `rng`: keep
+    /// a copy of the RNG, then advance it exactly as generating the
+    /// program does (by generating and dropping it), so the planner's
+    /// next draw sees the same state either way.
+    pub fn generated(app: AppKind, rng: &mut SimRng) -> Self {
+        let snapshot = rng.clone();
+        drop(TraceGenerator::default().generate(&app.profile(), rng));
+        RequestProgram::Generated { app, rng: snapshot }
+    }
+
+    /// The program's ops. A generated program draws from its own copy of
+    /// the RNG, so it comes out op for op as the planner drew it.
+    pub fn build(self) -> HostProgram {
+        match self {
+            RequestProgram::Ops(program) => program,
+            RequestProgram::Generated { app, mut rng } => {
+                TraceGenerator::default().generate(&app.profile(), &mut rng)
+            }
+        }
+    }
+}
+
+impl Default for RequestProgram {
+    fn default() -> Self {
+        RequestProgram::Ops(HostProgram::new())
+    }
+}
+
+impl From<HostProgram> for RequestProgram {
+    fn from(program: HostProgram) -> Self {
+        RequestProgram::Ops(program)
+    }
+}
+
+/// One request in the scenario's schedule. It stays small until the
+/// request is dispatched: the program is built then (see
+/// [`RequestProgram`]), lives in the request's host thread, and is
+/// dropped when the request completes or is aborted.
 #[derive(Debug, Clone)]
 pub struct PlannedRequest {
     /// Arrival time.
@@ -67,8 +125,8 @@ pub struct PlannedRequest {
     pub weight: f64,
     /// Concurrency cap of the request's stream (finite server threads).
     pub server_threads: usize,
-    /// The host program to execute.
-    pub program: HostProgram,
+    /// The host program to execute, built at dispatch.
+    pub program: RequestProgram,
 }
 
 #[derive(Debug)]
@@ -913,15 +971,17 @@ impl World {
         if self.flight.is_on() {
             self.flight_last = vec![NO_ID; self.requests.len()];
         }
-        for (i, r) in self.requests.iter().enumerate() {
-            self.queue.schedule(r.arrival, Event::Arrival(i as u32));
-        }
+        // Arrivals wait in the queue's cursor, not in the queue: ids 0..N,
+        // as if scheduled one by one here.
+        self.queue
+            .schedule_arrivals(self.requests.iter().map(|r| r.arrival), Event::Arrival);
         for (i, ev) in self.plan.events().iter().enumerate() {
             self.queue.schedule(ev.at, Event::Fault(i as u32));
         }
         if let Some(at) = self.dump_at {
             self.queue.schedule(at, Event::DumpAt);
         }
+        // `is_empty` counts the pending arrivals too.
         if self.metrics.is_some() && !self.queue.is_empty() {
             self.queue
                 .schedule(self.metrics_every, Event::MetricsSample);
@@ -1006,12 +1066,13 @@ impl World {
                 self.requests.len()
             );
         }
+        // Every request finished, so every arrival popped.
+        assert_eq!(self.queue.pending_arrivals(), 0, "arrivals left over");
         self.stats.events = self.queue.popped();
         self.stats.cancelled_wakeups = self.queue.cancelled();
         self.stats.stale_pops = self.queue.stale_pops();
         self.stats.peak_live_queue_depth = self.queue.peak_live_len() as u64;
         self.stats.completed_requests = self.finished as u64;
-        self.stats.device_telemetry = self.devices.iter().map(|d| d.telemetry.clone()).collect();
         self.stats.context_switches = self
             .devices
             .iter()
@@ -1101,6 +1162,18 @@ impl World {
             );
             self.stats.trace = self.tracer.finish();
         }
+        // Hand each device's telemetry over as an exact-size copy, freeing
+        // the original before the next device's: the transient is one
+        // device's samples, not the cluster's, and the copies pack densely
+        // instead of pinning the grown originals where the run left them
+        // (kept in place, those raised the RSS of callers that hold many
+        // runs' stats). Last, because the final metrics sample above
+        // still reads it.
+        self.stats.device_telemetry = self
+            .devices
+            .iter_mut()
+            .map(|d| std::mem::take(&mut d.telemetry).clone())
+            .collect();
         self.stats
     }
 
@@ -1332,7 +1405,8 @@ impl World {
             [
                 now as f64,
                 self.queue.popped() as f64,
-                self.queue.peak_live_len() as f64,
+                // Pending arrivals included, as when they were queued.
+                self.queue.peak_backlog() as f64,
                 self.finished as f64,
                 self.stats.failed_requests as f64,
                 self.stats.shed_requests as f64,
@@ -1586,8 +1660,8 @@ impl World {
         }
         let app = AppId(idx as u32);
         // A request starts once, and a failover replays the host's own
-        // copy, so the planned program moves into the host uncopied.
-        let program = std::mem::take(&mut self.requests[idx].program);
+        // copy, so the program is built here and moves into the host.
+        let program = std::mem::take(&mut self.requests[idx].program).build();
         let r = &self.requests[idx];
         let mut host = HostThread::new(app, ProcessId(HOST_PID_BASE + idx as u32), program, now);
         host.arrived_at = r.arrival; // queueing at the server counts
@@ -1705,6 +1779,8 @@ impl World {
             let (disrupted, degraded) = (a.disrupted, a.degraded);
             let arrived_at = a.host.arrived_at;
             let turnaround = a.host.turnaround_ns().expect("done");
+            // The program has run: free it now rather than at end of run.
+            drop(std::mem::take(&mut self.app_mut(app).host.program));
             self.stats.completions.record(slot, turnaround);
             self.stats.makespan_ns = self.stats.makespan_ns.max(now);
             self.finished += 1;
@@ -2735,6 +2811,7 @@ impl World {
         a.incarnation += 1; // poison in-flight events
         a.inflight = None;
         a.host.abort();
+        drop(std::mem::take(&mut a.host.program));
         self.stats.failed_requests += 1;
         self.finished += 1;
         self.outcome(tenant).lost += 1;
@@ -3136,10 +3213,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::rng::SimRng;
     use strings_core::mapper::LbPolicy;
-    use strings_workloads::profile::AppKind;
-    use strings_workloads::tracegen::TraceGenerator;
 
     fn requests(kinds: &[(AppKind, usize, u64)]) -> Vec<PlannedRequest> {
         // (kind, slot, arrival_ms)
@@ -3158,7 +3232,7 @@ mod tests {
                 tenant: TenantId(*slot as u32),
                 weight: 1.0,
                 server_threads: 16,
-                program: gen.generate(&k.profile(), &mut rng),
+                program: gen.generate(&k.profile(), &mut rng).into(),
             })
             .collect()
     }

@@ -10,8 +10,14 @@
 //! * [`MetricsRegistry::render_openmetrics`] — Prometheus/OpenMetrics
 //!   text exposition of the latest values (`# HELP`/`# TYPE` headers,
 //!   `_bucket`/`_sum`/`_count` histogram series, `# EOF` terminator),
-//! * [`MetricsRegistry::jsonl`] — one JSON object per series per
-//!   snapshot, a JSONL time series over virtual time.
+//! * [`MetricsRegistry::write_jsonl`] (and [`MetricsRegistry::jsonl`]) —
+//!   one JSON object per series per snapshot, a JSONL time series over
+//!   virtual time.
+//!
+//! A snapshot stores numbers, not text: each written series contributes
+//! its handle and value (a histogram its handle, count and sum), and the
+//! JSONL lines are rendered from those rows, through each series' fields
+//! rendered once at resolution, only when the export is written.
 //!
 //! Determinism: families and series render in `BTreeMap` order, values
 //! format through Rust's shortest-round-trip float `Display`, and all
@@ -22,6 +28,7 @@ use sim_core::SimTime;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
+use std::io;
 
 /// What kind of metric a family is (drives the `# TYPE` line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,8 +189,8 @@ impl<T> SeriesTable<T> {
         state
     }
 
-    /// Written series in render order, as `(JSONL mid-fields, state)`.
-    fn written(&mut self) -> impl Iterator<Item = (&str, &T)> {
+    /// Written series in render order, as `(handle, state)`.
+    fn written(&mut self) -> impl Iterator<Item = (u32, &T)> {
         if self.order_stale {
             let state = &self.state;
             self.order = self
@@ -195,10 +202,15 @@ impl<T> SeriesTable<T> {
             self.order_stale = false;
         }
         self.order.iter().map(|&i| {
-            let (a, b) = self.mid[i as usize];
             let state = self.state[i as usize].as_ref().expect("written");
-            (&self.mids[a as usize..b as usize], state)
+            (i, state)
         })
+    }
+
+    /// Handle `i`'s JSONL mid-fields.
+    fn mid(&self, i: u32) -> &str {
+        let (a, b) = self.mid[i as usize];
+        &self.mids[a as usize..b as usize]
     }
 
     /// Written series of family `name`, as `(rendered labels, state)` in
@@ -248,11 +260,23 @@ pub struct MetricsRegistry {
     families: BTreeMap<&'static str, Family>,
     values: SeriesTable<f64>,
     histograms: SeriesTable<Hist>,
-    /// Every snapshot's JSONL lines, each newline-terminated, in snapshot
-    /// order.
-    jsonl: String,
-    /// Virtual times at which snapshots were taken.
-    sample_times: Vec<SimTime>,
+    /// Every snapshot's counter/gauge rows, `(handle, value)`, in snapshot
+    /// order and, within a snapshot, render order.
+    value_rows: Vec<(u32, f64)>,
+    /// Every snapshot's histogram rows, `(handle, count, sum)`, likewise.
+    hist_rows: Vec<(u32, u64, u64)>,
+    /// One marker per snapshot: its virtual time and where its rows end
+    /// in `value_rows` and `hist_rows`.
+    snapshots: Vec<Snapshot>,
+}
+
+/// Where one snapshot's rows end (they start where the previous
+/// snapshot's end).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Snapshot {
+    t: SimTime,
+    values_end: usize,
+    hists_end: usize,
 }
 
 impl Default for MetricsRegistry {
@@ -261,8 +285,9 @@ impl Default for MetricsRegistry {
             families: BTreeMap::new(),
             values: SeriesTable::new("value"),
             histograms: SeriesTable::new("count"),
-            jsonl: String::new(),
-            sample_times: Vec::new(),
+            value_rows: Vec::new(),
+            hist_rows: Vec::new(),
+            snapshots: Vec::new(),
         }
     }
 }
@@ -342,32 +367,51 @@ impl MetricsRegistry {
 
     /// Number of snapshots taken so far.
     pub fn snapshot_count(&self) -> usize {
-        self.sample_times.len()
+        self.snapshots.len()
     }
 
-    /// Capture the current state as one JSONL snapshot stamped `now`
-    /// (virtual time, ns), rendered into the JSONL buffer right away.
+    /// Capture the current state as one snapshot stamped `now` (virtual
+    /// time, ns): the value of every written series, kept as numbers until
+    /// the JSONL export renders them.
     pub fn snapshot(&mut self, now: SimTime) {
-        self.sample_times.push(now);
-        let prefix = format!("{{\"t\":{now}");
-        let out = &mut self.jsonl;
-        for (mid, value) in self.values.written() {
-            out.push_str(&prefix);
-            out.push_str(mid);
-            writeln!(out, "{}}}", FmtValue(*value)).unwrap();
-        }
-        for (mid, h) in self.histograms.written() {
-            out.push_str(&prefix);
-            out.push_str(mid);
-            writeln!(out, "{},\"sum\":{}}}", h.count, h.sum).unwrap();
-        }
+        self.value_rows
+            .extend(self.values.written().map(|(i, &v)| (i, v)));
+        self.hist_rows
+            .extend(self.histograms.written().map(|(i, h)| (i, h.count, h.sum)));
+        self.snapshots.push(Snapshot {
+            t: now,
+            values_end: self.value_rows.len(),
+            hists_end: self.hist_rows.len(),
+        });
     }
 
-    /// The JSONL time-series export: every snapshot line, newline
-    /// separated, trailing newline included (empty string when no
-    /// snapshot was taken).
+    /// Write the JSONL time-series export to `out`: one line per series
+    /// per snapshot, each newline-terminated, nothing when no snapshot was
+    /// taken. Wrap a file in a [`io::BufWriter`]: every line is several
+    /// small writes.
+    pub fn write_jsonl(&self, out: &mut impl io::Write) -> io::Result<()> {
+        let (mut v, mut h) = (0, 0);
+        for s in &self.snapshots {
+            for &(i, value) in &self.value_rows[v..s.values_end] {
+                let mid = self.values.mid(i);
+                writeln!(out, "{{\"t\":{}{mid}{}}}", s.t, FmtValue(value))?;
+            }
+            for &(i, count, sum) in &self.hist_rows[h..s.hists_end] {
+                let mid = self.histograms.mid(i);
+                writeln!(out, "{{\"t\":{}{mid}{count},\"sum\":{sum}}}", s.t)?;
+            }
+            (v, h) = (s.values_end, s.hists_end);
+        }
+        Ok(())
+    }
+
+    /// The JSONL time-series export as one string (see
+    /// [`MetricsRegistry::write_jsonl`]).
     pub fn jsonl(&self) -> String {
-        self.jsonl.clone()
+        let mut out = Vec::new();
+        self.write_jsonl(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the export is UTF-8")
     }
 
     /// OpenMetrics text exposition of the latest values.
@@ -543,6 +587,62 @@ mod tests {
         assert!(lines[0].starts_with("{\"t\":1000000000,"));
         assert!(lines.iter().any(|l| l.contains("\"value\":2000")));
         assert!(lines.iter().all(|l| l.ends_with('}')));
+    }
+
+    /// A series first written between two snapshots appears from the
+    /// second one on, in its render position, and the first snapshot's
+    /// lines are unchanged by it.
+    #[test]
+    fn series_first_written_between_snapshots_joins_later_ones() {
+        let mut r = MetricsRegistry::new();
+        let b = r.series("g", &[("k", "b")]);
+        r.set_series(b, 2.0);
+        r.snapshot(1);
+        let first = r.jsonl();
+        let a = r.series("g", &[("k", "a")]);
+        r.set_series(a, 1.0);
+        r.observe("h", &[], 5);
+        r.snapshot(2);
+        let body = r.jsonl();
+        assert!(body.starts_with(&first));
+        assert_eq!(
+            &body[first.len()..],
+            concat!(
+                "{\"t\":2,\"name\":\"g\",\"labels\":\"{k='a'}\",\"value\":1}\n",
+                "{\"t\":2,\"name\":\"g\",\"labels\":\"{k='b'}\",\"value\":2}\n",
+                "{\"t\":2,\"name\":\"h\",\"labels\":\"\",\"count\":1,\"sum\":5}\n",
+            )
+        );
+        assert_eq!(
+            first,
+            "{\"t\":1,\"name\":\"g\",\"labels\":\"{k='b'}\",\"value\":2}\n"
+        );
+    }
+
+    /// Snapshots of a registry nobody wrote count, but render no line.
+    #[test]
+    fn snapshots_of_an_unwritten_registry_render_nothing() {
+        let mut r = MetricsRegistry::new();
+        r.register("g", MetricKind::Gauge, "never written");
+        let _unused = r.series("g", &[]);
+        r.snapshot(1);
+        r.snapshot(2);
+        assert_eq!(r.snapshot_count(), 2);
+        assert_eq!(r.series_count(), 0);
+        assert_eq!(r.jsonl(), "");
+        assert_eq!(
+            r.render_openmetrics(),
+            "# HELP g never written\n# TYPE g gauge\n# EOF\n"
+        );
+    }
+
+    /// The streaming writer and the string export are the same bytes.
+    #[test]
+    fn write_jsonl_streams_the_jsonl_bytes() {
+        let r = pinned_registry();
+        let mut out = Vec::new();
+        r.write_jsonl(&mut out).unwrap();
+        assert_eq!(out, PINNED_JSONL.as_bytes());
     }
 
     #[test]

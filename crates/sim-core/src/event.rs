@@ -46,8 +46,18 @@
 //! `(time, seq)` is unique per entry, so the winner is exactly the entry
 //! a full scan would find.
 //!
+//! A run's planned arrivals never enter the wheel at all.
+//! [`EventQueue::schedule_arrivals`] takes them in one go, sorted by
+//! `(time, id)`, and the pop path merges that cursor with the queue head:
+//! the next arrival pops when it orders before everything queued. Each
+//! arrival still gets the id a plain schedule would have given it, so the
+//! merged pop order, the clock and every id and cause are exactly those of
+//! scheduling the arrivals one by one, while the wheel and its overflow
+//! hold only the events the run has generated — the work in flight.
+//!
 //! Depth ([`EventQueue::live_len`] / [`EventQueue::peak_live_len`]) counts
-//! only events that can still dispatch: the honest backlog.
+//! only queued events that can still dispatch: the honest backlog, pending
+//! arrivals excluded. [`EventQueue::peak_backlog`] adds those back.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -128,6 +138,38 @@ impl<E> PartialOrd for Scheduled<E> {
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
+    }
+}
+
+/// A run's planned arrivals, held outside the wheel as a cursor (see
+/// [`EventQueue::schedule_arrivals`]).
+#[derive(Debug)]
+struct Arrivals<E> {
+    /// `(time, index)` in pop order: sorted by time, ties by index. The
+    /// arrival's event id is `base + index`.
+    order: Vec<(SimTime, u32)>,
+    /// Position of the next arrival to pop in `order`.
+    next: usize,
+    /// Event id of index 0.
+    base: u64,
+    /// Cause stamped on every arrival: the event being dispatched when
+    /// they were scheduled.
+    cause: u64,
+    /// Builds the payload of arrival `index`.
+    make: fn(u32) -> E,
+}
+
+impl<E> Arrivals<E> {
+    /// `(time, id)` of the next arrival, if any is left.
+    #[inline]
+    fn head(&self) -> Option<(SimTime, u64)> {
+        self.order
+            .get(self.next)
+            .map(|&(t, i)| (t, self.base + u64::from(i)))
+    }
+
+    fn pending(&self) -> usize {
+        self.order.len() - self.next
     }
 }
 
@@ -215,6 +257,11 @@ pub struct EventQueue<E> {
     stale_pops: u64,
     cancelled: u64,
     peak_live: usize,
+    /// High-water mark of `live_len()` plus the pending arrivals.
+    peak_backlog: usize,
+    /// Planned arrivals, merged into the pop order (none until
+    /// [`EventQueue::schedule_arrivals`]).
+    arrivals: Option<Arrivals<E>>,
     /// Sequence number of the most recently popped live event; schedules
     /// stamp it into new entries as their cause.
     cur_id: u64,
@@ -249,6 +296,8 @@ impl<E> EventQueue<E> {
             stale_pops: 0,
             cancelled: 0,
             peak_live: 0,
+            peak_backlog: 0,
+            arrivals: None,
             cur_id: u64::MAX,
             cur_cause: u64::MAX,
         }
@@ -284,8 +333,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of events popped so far (for progress reporting / loop caps):
-    /// every dispatched event plus the wheel's stale pops. Wakeups
-    /// cancelled in their slot never pop and are not counted.
+    /// every dispatched event, arrivals included, plus the wheel's stale
+    /// pops. Wakeups cancelled in their slot never pop and are not
+    /// counted.
     #[inline]
     pub fn popped(&self) -> u64 {
         self.popped
@@ -314,16 +364,90 @@ impl<E> EventQueue<E> {
         self.peak_live
     }
 
-    /// Number of pending events that can still dispatch.
+    /// High-water mark of [`EventQueue::live_len`] plus
+    /// [`EventQueue::pending_arrivals`]: the most events ever waiting to
+    /// dispatch, planned arrivals included. Equals what
+    /// [`EventQueue::peak_live_len`] would read had the arrivals been
+    /// scheduled one by one.
+    #[inline]
+    pub fn peak_backlog(&self) -> usize {
+        self.peak_backlog
+    }
+
+    /// Number of queued events that can still dispatch. Pending arrivals
+    /// are not queued and not counted (see
+    /// [`EventQueue::pending_arrivals`]).
     #[inline]
     pub fn live_len(&self) -> usize {
         self.wheel_len + self.overflow.len() + self.parked_count - self.dead_in_wheel
     }
 
-    /// True if no pending event can still dispatch.
+    /// Arrivals from [`EventQueue::schedule_arrivals`] not yet popped.
+    #[inline]
+    pub fn pending_arrivals(&self) -> usize {
+        self.arrivals.as_ref().map_or(0, Arrivals::pending)
+    }
+
+    /// True if no pending event can still dispatch: nothing live in the
+    /// queue and no arrival left.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live_len() == 0
+        self.live_len() == 0 && self.pending_arrivals() == 0
+    }
+
+    /// Schedule a run's planned arrivals in one go: arrival `i` pops at
+    /// `times[i]` (clamped to `now` like [`EventQueue::schedule`]) with
+    /// payload `make(i)`, exactly as if each had been scheduled in turn
+    /// right now — same ids (the next `times.len()` ones, in index order),
+    /// same cause, same pop order. They wait in a sorted cursor beside the
+    /// queue instead of in it, so they cost 16 bytes each until they pop
+    /// and never count in [`EventQueue::live_len`]. A queue takes one
+    /// arrival list.
+    ///
+    /// ```
+    /// use sim_core::event::EventQueue;
+    ///
+    /// let mut q: EventQueue<u32> = EventQueue::new();
+    /// q.schedule_arrivals([30, 10, 10], |i| i);
+    /// q.schedule(10, 99); // id 3: after the two arrivals at 10
+    /// assert_eq!(q.live_len(), 1);
+    /// assert_eq!(q.pending_arrivals(), 3);
+    /// assert_eq!(q.pop(), Some((10, 1)));
+    /// assert_eq!(q.pop(), Some((10, 2)));
+    /// assert_eq!(q.pop(), Some((10, 99)));
+    /// assert_eq!(q.pop(), Some((30, 0)));
+    /// assert!(q.is_empty());
+    /// assert_eq!(q.popped(), 4);
+    /// ```
+    pub fn schedule_arrivals(
+        &mut self,
+        times: impl IntoIterator<Item = SimTime>,
+        make: fn(u32) -> E,
+    ) {
+        assert!(self.arrivals.is_none(), "arrivals are scheduled once");
+        let now = self.now;
+        let mut clamped = 0;
+        let mut order: Vec<(SimTime, u32)> = times
+            .into_iter()
+            .enumerate()
+            .map(|(i, at)| {
+                clamped += u64::from(at < now);
+                let i = u32::try_from(i).expect("too many arrivals");
+                (at.max(now), i)
+            })
+            .collect();
+        order.sort_unstable();
+        self.clamped += clamped;
+        let base = self.next_seq;
+        self.next_seq += order.len() as u64;
+        self.arrivals = Some(Arrivals {
+            order,
+            next: 0,
+            base,
+            cause: self.cur_id,
+            make,
+        });
+        self.note_depth();
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -478,6 +602,12 @@ impl<E> EventQueue<E> {
     /// only ever advances to the timestamp of a popped event).
     fn insert(&mut self, entry: Scheduled<E>) {
         debug_assert!(entry.time >= self.base);
+        if self.wheel_len == 0 && self.overflow.is_empty() {
+            // Nothing is stored below `now`: move the window up to it, so
+            // a queue that ran dry while arrivals moved the clock on does
+            // not route its next events through the overflow.
+            self.base = (self.now >> SHIFT) << SHIFT;
+        }
         let offset = entry.time - self.base;
         if offset >= SPAN {
             self.overflow.push(Reverse(entry));
@@ -556,7 +686,9 @@ impl<E> EventQueue<E> {
 
     #[inline]
     fn note_depth(&mut self) {
-        self.peak_live = self.peak_live.max(self.live_len());
+        let live = self.live_len();
+        self.peak_live = self.peak_live.max(live);
+        self.peak_backlog = self.peak_backlog.max(live + self.pending_arrivals());
     }
 
     /// Number of schedules whose timestamp lay in the past and was clamped
@@ -589,12 +721,20 @@ impl<E> EventQueue<E> {
             };
             let slot_min = self.slot_min();
             let slot_at = slot_min.map(|(t, s, _)| (t, s));
-            let from_wheel = match (wheel_at, slot_at) {
-                (None, None) => return None,
-                (Some(h), Some(s)) => h < s,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
+            let (from_wheel, head) = match (wheel_at, slot_at) {
+                (None, None) => return self.pop_arrival(),
+                (Some(h), Some(s)) => (h < s, h.min(s)),
+                (Some(h), None) => (true, h),
+                (None, Some(s)) => (false, s),
             };
+            if self
+                .arrivals
+                .as_ref()
+                .and_then(Arrivals::head)
+                .is_some_and(|a| a < head)
+            {
+                return self.pop_arrival();
+            }
             let s = if from_wheel {
                 match cand {
                     Some((b, i, _, _)) => self.wheel_remove(b, i),
@@ -632,6 +772,19 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Pop the next arrival from the cursor, if one is left.
+    fn pop_arrival(&mut self) -> Option<(SimTime, E)> {
+        let a = self.arrivals.as_mut()?;
+        let &(time, index) = a.order.get(a.next)?;
+        a.next += 1;
+        debug_assert!(time >= self.now);
+        self.now = time;
+        self.popped += 1;
+        self.cur_id = a.base + u64::from(index);
+        self.cur_cause = a.cause;
+        Some((time, (a.make)(index)))
+    }
+
     /// Timestamp of the next entry without popping it (a wheel-spilled
     /// stale entry included: it still pops, and advances the clock).
     pub fn peek_time(&self) -> Option<SimTime> {
@@ -640,7 +793,12 @@ impl<E> EventQueue<E> {
             None => self.overflow.peek().map(|Reverse(s)| s.time),
         };
         let slot = self.slot_min().map(|(t, _, _)| t);
-        wheel.into_iter().chain(slot).min()
+        let arrival = self.arrivals.as_ref().and_then(Arrivals::head);
+        wheel
+            .into_iter()
+            .chain(slot)
+            .chain(arrival.map(|(t, _)| t))
+            .min()
     }
 }
 
@@ -929,6 +1087,64 @@ mod tests {
         assert!(!q.is_empty());
     }
 
+    #[test]
+    fn arrivals_keep_their_ids_and_win_ties() {
+        let mut q: EventQueue<&str> = EventQueue::new();
+        q.schedule_arrivals([20, 10, 20], |i| ["a0", "a1", "a2"][i as usize]);
+        assert_eq!(q.next_id(), EventId(3), "ids 0..3 are the arrivals'");
+        q.schedule(10, "plain"); // id 3
+        assert_eq!(q.live_len(), 1, "pending arrivals are not queued");
+        assert_eq!(q.pending_arrivals(), 3);
+        assert_eq!(q.peak_live_len(), 1);
+        assert_eq!(q.peak_backlog(), 4);
+        assert_eq!(q.peek_time(), Some(10));
+        assert_eq!(q.pop(), Some((10, "a1")));
+        assert_eq!(q.current_id(), EventId(1));
+        assert_eq!(q.current_cause(), EventId::NONE);
+        assert_eq!(q.pop(), Some((10, "plain")));
+        // Scheduled while dispatching id 3: it ties with the arrivals at
+        // 20 and loses, its id being larger.
+        q.schedule(20, "child"); // id 4
+        assert_eq!(q.pop(), Some((20, "a0")));
+        assert_eq!(q.pop(), Some((20, "a2")));
+        assert_eq!(q.current_id(), EventId(2));
+        assert!(!q.is_empty(), "the child is still queued");
+        assert_eq!(q.pop(), Some((20, "child")));
+        assert_eq!(q.current_cause(), EventId(3));
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.popped(), 5);
+    }
+
+    #[test]
+    fn only_arrivals_pending_is_not_empty() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule_arrivals([SPAN * 5], |i| i);
+        assert_eq!(q.live_len(), 0);
+        assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some((SPAN * 5, 0)));
+        // The queue ran dry far past its first window: new events still
+        // land in order.
+        q.schedule(SPAN * 5 + 1, 7);
+        q.schedule(SPAN * 9, 8);
+        assert_eq!(q.pop(), Some((SPAN * 5 + 1, 7)));
+        assert_eq!(q.pop(), Some((SPAN * 9, 8)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn arrivals_scheduled_late_clamp_and_take_the_next_ids() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(50, 100); // id 0
+        assert_eq!(q.pop(), Some((50, 100)));
+        q.schedule_arrivals([40, 60], |i| i); // ids 1, 2; the first clamps
+        assert_eq!(q.clamped(), 1);
+        assert_eq!(q.pop(), Some((50, 0)));
+        assert_eq!(q.current_id(), EventId(1));
+        assert_eq!(q.current_cause(), EventId(0));
+        assert_eq!(q.pop(), Some((60, 1)));
+    }
+
     /// Cancelled parked entries and spilled-then-superseded entries are not
     /// backlog: `live_len` / `peak_live_len` exclude them.
     #[test]
@@ -993,6 +1209,8 @@ mod differential {
         stale_pops: u64,
         cancelled: u64,
         clamped: u64,
+        /// High-water mark of `live_len()` at each schedule.
+        peak: usize,
     }
 
     impl<E> HeapQueue<E> {
@@ -1009,6 +1227,7 @@ mod differential {
                 stale_pops: 0,
                 cancelled: 0,
                 clamped: 0,
+                peak: 0,
             }
         }
 
@@ -1037,6 +1256,7 @@ mod differential {
                 cause: u64::MAX,
                 event,
             }));
+            self.peak = self.peak.max(self.live_len());
         }
 
         pub fn invalidate(&mut self, key: usize) {
@@ -1094,8 +1314,31 @@ mod differential {
         assert_eq!(q.stale_pops(), h.stale_pops, "stale pops diverged");
         assert_eq!(q.cancelled(), h.cancelled, "cancellations diverged");
         assert_eq!(q.clamped(), h.clamped, "clamping diverged");
-        assert_eq!(q.live_len(), h.live_len(), "live depth diverged");
+        assert_eq!(
+            q.live_len() + q.pending_arrivals(),
+            h.live_len(),
+            "live depth diverged"
+        );
+        assert_eq!(q.peak_backlog(), h.peak, "backlog high-water diverged");
         assert_eq!(q.next_id().0, h.next_seq, "event ids diverged");
+    }
+
+    /// Payload tag of arrival `i`, distinct from every plain payload (the
+    /// heap's `next_seq` at the time of the schedule).
+    const ARRIVAL: u64 = 1 << 40;
+
+    fn arrival_payload(i: u32) -> u64 {
+        ARRIVAL + u64::from(i)
+    }
+
+    /// Give `q` the arrival cursor and `h` the same arrivals as plain
+    /// schedules, in index order.
+    fn arrive_both(q: &mut EventQueue<u64>, h: &mut HeapQueue<u64>, times: &[SimTime]) {
+        q.schedule_arrivals(times.iter().copied(), arrival_payload);
+        for (i, &at) in times.iter().enumerate() {
+            h.schedule(at, arrival_payload(i as u32));
+        }
+        assert_same_state(q, h);
     }
 
     /// Key `k`'s parked wakeup agrees.
@@ -1271,6 +1514,67 @@ mod differential {
         assert!(q.stale_pops() > 0, "spilled entries died in the wheel");
     }
 
+    /// The storm with a run's worth of planned arrivals held in the
+    /// cursor: arrivals interleave with, and tie against, the keyed
+    /// wakeups and plain events they cause, exactly as plain schedules
+    /// would.
+    #[test]
+    fn arrival_cursor_storm_matches_heap() {
+        const DEVICES: usize = 16;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let keys: Vec<EventKey> = (0..DEVICES).map(|_| q.register_key()).collect();
+        let mut h: HeapQueue<u64> = HeapQueue::new(DEVICES);
+        let mut x: u64 = 0xa409_3822_299f_31d0;
+        let mut step = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x
+        };
+        // Poisson-like arrivals on a coarse grid, so many share an
+        // instant with each other and with caused events, across many
+        // wheel windows.
+        let mut t = 0;
+        let times: Vec<SimTime> = (0..5_000)
+            .map(|_| {
+                t += (step() >> 40) % 400_000;
+                t - t % 10_000
+            })
+            .collect();
+        arrive_both(&mut q, &mut h, &times);
+        while let Some(got) = q.pop() {
+            assert_eq!(Some(got), h.pop(), "cursor pop diverged");
+            assert_same_state(&q, &h);
+            let (now, payload) = got;
+            if payload >= ARRIVAL || payload % 3 == 0 {
+                let r = step();
+                let d = (r >> 33) as usize % DEVICES;
+                if r & 1 == 0 {
+                    q.invalidate(keys[d]);
+                    h.invalidate(d);
+                }
+                let at = now + (r >> 20) % 30_000 - (r >> 20) % 10_000;
+                let payload = h.next_seq;
+                q.schedule_keyed(keys[d], at, payload);
+                h.schedule_keyed(d, at, payload);
+                if r & 6 == 0 {
+                    let at = now + ((r >> 12) % 3) * 10_000;
+                    let payload = h.next_seq;
+                    q.schedule(at, payload);
+                    h.schedule(at, payload);
+                }
+                assert_same_parked(&q, &h, d);
+            }
+        }
+        assert_eq!(h.pop(), None);
+        assert_eq!(q.pending_arrivals(), 0);
+        assert!(q.popped() > 5_000);
+        assert!(
+            q.peak_live_len() < 100,
+            "the queue holds the caused events only"
+        );
+    }
+
     /// Keys registered while others are parked grow the tournament in
     /// place; the parked entries keep their order.
     #[test]
@@ -1353,6 +1657,36 @@ mod differential {
                     apply_both(&mut q, &keys, &mut h, sel, k, dt);
                 }
                 drain_both(&mut q, &mut h);
+            }
+
+            /// The arrival cursor against plain schedules: arrivals given
+            /// before or after other work, at times that tie with it, fall
+            /// in the past (and clamp) or span several wheel windows.
+            #[test]
+            fn arrival_cursor_matches_heap(
+                before in proptest::collection::vec((0u8..8, 0u8..8, 0u16..400), 0..30),
+                arrivals in proptest::collection::vec(0u32..(2 * SPAN as u32), 0..60),
+                near in proptest::collection::vec(0u16..400, 0..20),
+                ops in proptest::collection::vec((0u8..8, 0u8..8, 0u16..400), 1..120)
+            ) {
+                let mut q: EventQueue<u64> = EventQueue::new();
+                let keys: Vec<EventKey> = (0..KEYS).map(|_| q.register_key()).collect();
+                let mut h = HeapQueue::new(KEYS);
+                for (sel, k, dt) in before {
+                    apply_both(&mut q, &keys, &mut h, sel, k, dt);
+                }
+                let now = h.now();
+                let times: Vec<SimTime> = arrivals
+                    .iter()
+                    .map(|&dt| now + SimTime::from(dt))
+                    .chain(near.iter().map(|&dt| (now + SimTime::from(dt)).saturating_sub(100)))
+                    .collect();
+                arrive_both(&mut q, &mut h, &times);
+                for (sel, k, dt) in ops {
+                    apply_both(&mut q, &keys, &mut h, sel, k, dt);
+                }
+                drain_both(&mut q, &mut h);
+                prop_assert_eq!(q.pending_arrivals(), 0);
             }
 
             /// Same differential, but with timestamps spread far enough to

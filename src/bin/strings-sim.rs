@@ -6,6 +6,7 @@
 //!     --app MC:20:1.5 --app DC:10:1.0:1 --nodes 2 --seeds 3
 //! ```
 
+use std::io::Write as _;
 use strings_repro::harness::cli::{
     parse_args, parse_explain_args, parse_serve_args, EXPLAIN_USAGE, SERVE_USAGE, USAGE,
 };
@@ -93,12 +94,17 @@ fn serve_main(args: &[String]) {
             .metrics
             .as_ref()
             .expect("metrics run records a registry");
-        let body = if path.ends_with(".jsonl") {
-            registry.jsonl()
+        if path.ends_with(".jsonl") {
+            // Streamed: the time series can be the largest output of a run.
+            let mut out =
+                std::io::BufWriter::new(std::fs::File::create(path).expect("write metrics"));
+            registry
+                .write_jsonl(&mut out)
+                .and_then(|()| out.flush())
+                .expect("write metrics");
         } else {
-            registry.render_openmetrics()
-        };
-        std::fs::write(path, body).expect("write metrics");
+            std::fs::write(path, registry.render_openmetrics()).expect("write metrics");
+        }
         println!(
             "metrics written to {path} ({} series, {} snapshots)",
             registry.series_count(),

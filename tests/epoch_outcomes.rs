@@ -158,7 +158,7 @@ fn gapped_run(gap: SimDuration) -> RunStats {
         tenant: TenantId(0),
         weight: 1.0,
         server_threads: 1,
-        program: HostProgram::from_ops(ops),
+        program: HostProgram::from_ops(ops).into(),
     };
     World::new(
         &TopologySpec::node_a(),
@@ -270,7 +270,7 @@ fn run_on(
             tenant: TenantId(i as u32),
             weight: 1.0,
             server_threads: 1,
-            program: program.clone(),
+            program: program.clone().into(),
         })
         .collect();
     let mut world = World::new(
