@@ -30,6 +30,7 @@
 pub mod cli;
 pub mod experiments;
 pub mod explain;
+mod observe;
 pub mod scenario;
 pub mod serve;
 pub mod stats;

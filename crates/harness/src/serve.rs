@@ -248,7 +248,6 @@ impl ServeSpec {
         if let Some(depth) = self.flight_depth {
             world.set_flight_depth(depth);
         }
-        // After enable_metrics so the alert gauges register.
         if let Some(cfg) = self.burn_alert {
             world.set_burn_alert(cfg);
         }

@@ -10,7 +10,14 @@
 //! all state (hosts, devices, mappers, schedulers, packers) and is the only
 //! mutator, so the borrow story stays simple and a run is exactly
 //! reproducible from its seed.
+//!
+//! The world observes nothing itself: it reports each step of a request's
+//! life once, as a typed `Step`, to its `Observers` (`crate::observe`),
+//! which own the tracer, latency attribution, the metrics registry, the
+//! flight recorder and the burn-rate alerts. A request ends in exactly one
+//! place, `World::finish_request`, where the run's request counters move.
 
+use crate::observe::{Observers, Step, RUN_FAMILIES};
 use crate::scenario::{HostCosts, LbScope};
 use crate::stats::{PhaseProfile, RunStats, TenantOutcomes};
 use cuda_sim::call::CudaCall;
@@ -20,7 +27,7 @@ use cuda_sim::program::HostOp;
 use cuda_sim::program::HostProgram;
 use cuda_sim::registry::ContextRegistry;
 use gpu_sim::device::{CompletedJob, Device, DeviceConfig};
-use gpu_sim::ids::{ContextId, JobId, StreamId};
+use gpu_sim::ids::{ContextId, StreamId};
 use gpu_sim::job::{CopyDirection, JobKind};
 use remoting::backend::{BackendDesign, APP_PID_BASE, HOST_PID_BASE};
 use remoting::channel::ChannelSpec;
@@ -30,10 +37,9 @@ use remoting::telemetry::RpcCounters;
 use remoting::topology::TopologySpec;
 use sim_core::event::EventQueue;
 use sim_core::fault::{FaultKind, FaultPlan};
-use sim_core::flight::{DumpReason, FlightKind, FlightRecord, FlightRecorder, NO_ID};
-use sim_core::fxhash::FxHashMap;
+use sim_core::flight::{DumpReason, FlightRecorder};
 use sim_core::rng::SimRng;
-use sim_core::trace::{Stage, Tracer, TrackId};
+use sim_core::trace::{Stage, Tracer};
 use sim_core::{EventKey, SimDuration, SimTime};
 use std::collections::VecDeque;
 use strings_core::admission::{AdmissionConfig, AdmissionController};
@@ -42,15 +48,10 @@ use strings_core::device_sched::{AppWork, GpuPolicy, GpuScheduler, Phase, Tenant
 use strings_core::mapper::{GpuAffinityMapper, WorkloadClass};
 use strings_core::packer::{ContextPacker, PackedCall};
 use strings_metrics::alerts::{BurnRateConfig, BurnRateEngine};
-use strings_metrics::registry::{HistogramId, MetricKind, MetricsRegistry, SeriesId};
 use strings_metrics::slo::SloRecord;
 use strings_metrics::CompletionSet;
 use strings_workloads::profile::AppKind;
 use strings_workloads::tracegen::TraceGenerator;
-
-/// Default flight-recorder ring depth per node: deep enough to hold a
-/// useful incident window, shallow enough that 64 nodes cost ~1.3 MB.
-const FLIGHT_DEPTH_DEFAULT: usize = 256;
 
 /// A request's host program, as planned: the ops themselves, or what it
 /// takes to generate them when the request is dispatched.
@@ -154,11 +155,11 @@ struct AppInstance {
     disrupted: bool,
     /// Crossed a degraded or partitioned link window.
     degraded: bool,
-    /// Latency-attribution cursor: everything in `[arrival, attr_cursor)`
+    /// Latency-attribution cursor: everything in `[arrival, charged_to)`
     /// has been charged to a stage. Charges are contiguous by
     /// construction, which makes the reconstructed breakdown exactly
     /// additive.
-    attr_cursor: SimTime,
+    charged_to: SimTime,
 }
 
 #[derive(Debug)]
@@ -200,69 +201,6 @@ struct Waiter {
     direct: bool,
 }
 
-/// Completed device work accumulated since a synchronization last consumed
-/// it, used to decompose a blocked host's wall-clock wait into engine
-/// queueing, engine service, and context-switch time. One window exists
-/// per outstanding job, per stream, and per context; the matching window
-/// is consumed when the wait on that condition releases.
-#[derive(Debug, Clone, Copy)]
-struct EngineWindow {
-    first_start: SimTime,
-    last_finish: SimTime,
-    /// Busy nanoseconds per engine kind: `[compute, h2d, d2h]`.
-    busy: [u64; 3],
-}
-
-impl EngineWindow {
-    fn from_job(c: &CompletedJob) -> EngineWindow {
-        let mut w = EngineWindow {
-            first_start: c.started_at,
-            last_finish: c.finished_at,
-            busy: [0; 3],
-        };
-        w.busy[Self::kind_index(&c.job.kind)] = c.service_ns();
-        w
-    }
-
-    fn kind_index(kind: &JobKind) -> usize {
-        match kind {
-            JobKind::Kernel(_) => 0,
-            JobKind::Copy {
-                dir: CopyDirection::HostToDevice,
-                ..
-            } => 1,
-            JobKind::Copy {
-                dir: CopyDirection::DeviceToHost,
-                ..
-            } => 2,
-        }
-    }
-
-    fn merge(&mut self, c: &CompletedJob) {
-        self.first_start = self.first_start.min(c.started_at);
-        self.last_finish = self.last_finish.max(c.finished_at);
-        self.busy[Self::kind_index(&c.job.kind)] += c.service_ns();
-    }
-
-    /// `(wait, service)` stages of the dominant engine kind in the window
-    /// (a stream/context window can mix kinds; the interval is charged to
-    /// whichever engine did the most work — exact for the common
-    /// single-kind burst between synchronizations).
-    fn stages(&self) -> (Stage, Stage) {
-        let mut best = 0;
-        for i in 1..3 {
-            if self.busy[i] > self.busy[best] {
-                best = i;
-            }
-        }
-        match best {
-            0 => (Stage::ComputeWait, Stage::ComputeService),
-            1 => (Stage::H2dWait, Stage::H2dXfer),
-            _ => (Stage::D2hWait, Stage::D2hXfer),
-        }
-    }
-}
-
 /// Where a device's dispatcher epoch chain stands. The dispatcher re-decides
 /// the awake set every epoch (paper §III.C), but between device changes
 /// (register, unregister, submit, a device resync) its inputs stand still
@@ -285,75 +223,6 @@ enum EpochState {
     /// ([`GpuScheduler::las_handover_in`]). [`World::wake_epoch`] replays
     /// the skipped rolls and re-arms the chain on its original phase.
     Parked(SimTime),
-}
-
-/// Unlabelled counter/gauge families, in the order
-/// [`World::sample_metrics`] lists their values.
-const RUN_SERIES: [&str; 15] = [
-    "sim_virtual_time_ns",
-    "sim_events_total",
-    "sim_queue_peak_depth",
-    "requests_completed_total",
-    "requests_failed_total",
-    "requests_shed_total",
-    "cuda_pending_jobs",
-    "cuda_contexts_active",
-    "cuda_streams_active",
-    "rpc_sent_total",
-    "rpc_delivered_total",
-    "rpc_replies_total",
-    "rpc_dropped_total",
-    "rpc_bytes_total",
-    "rpc_in_flight",
-];
-
-/// Per-device families, labelled `gid="N"`.
-const GPU_SERIES: [&str; 5] = [
-    "gpu_compute_occupancy",
-    "gpu_copy_busy",
-    "gpu_context_switches_total",
-    "gpu_kernels_completed_total",
-    "gpu_copies_completed_total",
-];
-
-/// Per-node rollup families, labelled `node="N"`.
-const NODE_SERIES: [&str; 4] = [
-    "node_devices_live",
-    "node_kernels_completed_total",
-    "node_copies_completed_total",
-    "node_compute_occupancy",
-];
-
-/// Burn-rate alert families.
-const BURN_SERIES: [&str; 3] = ["slo_burn_short", "slo_burn_long", "slo_alerts_fired_total"];
-
-/// Metrics series handles, resolved once so sampling and latency
-/// observations store by index without building strings. Each resolves
-/// the first time its value is written: the run-wide and burn-rate sets
-/// at the first sample, the labelled ones when their device, node or
-/// tenant is first seen.
-#[derive(Debug, Default)]
-struct MetricSeries {
-    run: Option<[SeriesId; RUN_SERIES.len()]>,
-    burn: Option<[SeriesId; BURN_SERIES.len()]>,
-    gpu: Vec<Option<[SeriesId; GPU_SERIES.len()]>>,
-    node: Vec<Option<[SeriesId; NODE_SERIES.len()]>>,
-    latency: Vec<Option<HistogramId>>,
-}
-
-/// The handle cached at `slots[i]`, resolving it on first use.
-fn cached<T: Copy>(slots: &mut Vec<Option<T>>, i: usize, resolve: impl FnOnce() -> T) -> T {
-    if slots.len() <= i {
-        slots.resize(i + 1, None);
-    }
-    *slots[i].get_or_insert_with(resolve)
-}
-
-/// Store one value per handle.
-fn set_all<const N: usize>(m: &mut MetricsRegistry, ids: [SeriesId; N], values: [f64; N]) {
-    for (id, v) in ids.into_iter().zip(values) {
-        m.set_series(id, v);
-    }
 }
 
 /// The executive.
@@ -428,50 +297,11 @@ pub struct World {
     stats: RunStats,
     /// Hard cap on processed events (runaway guard).
     max_events: u64,
-    /// Structured trace recorder (off unless enabled by the scenario).
-    tracer: Tracer,
-    /// One track per request slot (async request spans live here).
-    trk_slots: Vec<TrackId>,
-    /// Executive-level track (counters, run-wide diagnostics).
-    trk_sim: TrackId,
-    /// Fault-injection track (injections, windows, gMap rebuilds).
-    trk_faults: TrackId,
-    /// Attribution windows awaiting a synchronization (recording only).
-    /// Fx-hashed: stream and context windows take one update per device
-    /// completion while attribution is on. A job has an entry only while
-    /// a synchronous copy waits on it (`None` until the job completes);
-    /// an app's private stream window goes when the app detaches, and a
-    /// private context's windows when the context is destroyed.
-    attr_job: FxHashMap<JobId, Option<EngineWindow>>,
-    attr_stream: FxHashMap<(ContextId, StreamId), EngineWindow>,
-    attr_ctx: FxHashMap<ContextId, EngineWindow>,
-    /// Unified metrics registry (None unless `enable_metrics` was called).
-    metrics: Option<MetricsRegistry>,
-    /// Series handles into `metrics`.
-    metric_series: MetricSeries,
-    /// Virtual-time metrics sampling cadence, ns.
-    metrics_every: u64,
-    /// Sample per-node rollup families too (opt-in: cluster topologies).
-    node_metrics: bool,
+    /// Every observability sink: trace, attribution, metrics, flight
+    /// recorder and alerts.
+    obs: Observers,
     /// RPC-layer counters (always maintained; plain integer adds).
     rpc: RpcCounters,
-    /// Always-on flight recorder: per-node rings of compact lifecycle
-    /// records, snapshotted on triggers. Depth 0 disables (the
-    /// overhead-gate baseline).
-    flight: FlightRecorder,
-    /// Per-request id of its latest flight record — the cause link the
-    /// next record in the chain carries.
-    flight_last: Vec<u64>,
-    /// Burn-rate alert engine (None unless [`World::set_burn_alert`]).
-    alerts: Option<BurnRateEngine>,
-    /// Virtual time of the explicit dump trigger, if requested.
-    dump_at: Option<SimTime>,
-    /// Snapshot at end of run if no trigger fired (`--dump` without a
-    /// fault ever materializing still yields a window).
-    dump_final: bool,
-    /// Request whose flight chain is captured verbatim into
-    /// [`RunStats::explain_records`], immune to ring eviction.
-    explain: Option<u64>,
     /// Record wall-clock per executive phase into
     /// [`RunStats::self_profile`].
     self_profile: bool,
@@ -584,24 +414,8 @@ impl World {
                 ..Default::default()
             },
             max_events: 500_000_000,
-            tracer: Tracer::off(),
-            trk_slots: Vec::new(),
-            trk_sim: TrackId::INVALID,
-            trk_faults: TrackId::INVALID,
-            attr_job: FxHashMap::default(),
-            attr_stream: FxHashMap::default(),
-            attr_ctx: FxHashMap::default(),
-            metrics: None,
-            metric_series: MetricSeries::default(),
-            metrics_every: 0,
-            node_metrics: false,
+            obs: Observers::new(nodes.len()),
             rpc: RpcCounters::default(),
-            flight: FlightRecorder::new(nodes.len(), FLIGHT_DEPTH_DEFAULT),
-            flight_last: Vec::new(),
-            alerts: None,
-            dump_at: None,
-            dump_final: false,
-            explain: None,
             self_profile: false,
         };
         // Design II/III backends own one context per GPU, created when the
@@ -623,9 +437,6 @@ impl World {
     /// carries the recorded [`sim_core::trace::Trace`]. Call before
     /// [`World::run`].
     pub fn enable_tracing(&mut self) {
-        let tracer = Tracer::folding();
-        self.trk_sim = tracer.track("sim", "executive");
-        self.trk_faults = tracer.track("sim", "faults");
         // Cluster runs (3+ nodes) prefix device tracks with their node so
         // a 64×4 trace is filterable per node in Perfetto. The paper's
         // single-node/supernode topologies keep the historical bare
@@ -638,35 +449,23 @@ impl World {
         } else {
             (0..self.devices.len()).map(|g| format!("GID{g}")).collect()
         };
-        for (gid, d) in self.devices.iter_mut().enumerate() {
-            d.set_tracer(tracer.clone(), &device_names[gid]);
-        }
-        for (gid, s) in self.schedulers.iter_mut().enumerate() {
-            let trk = tracer.track(device_names[gid].clone(), "scheduler");
-            s.set_tracer(tracer.clone(), trk);
-        }
-        for (i, m) in self.mappers.iter_mut().enumerate() {
-            let trk = tracer.track("balancer", format!("mapper{i}"));
-            m.set_tracer(tracer.clone(), trk);
-        }
-        self.make_slot_tracks(&tracer);
-        self.tracer = tracer;
-    }
-
-    /// One track per request slot; label it with the slot's class.
-    fn make_slot_tracks(&mut self, tracer: &Tracer) {
-        let n_slots = self.slot_inflight.len();
-        self.trk_slots = (0..n_slots)
-            .map(|slot| {
-                let class = self
-                    .requests
-                    .iter()
-                    .find(|r| r.slot == slot)
-                    .map(|r| format!(" {}", r.class))
-                    .unwrap_or_default();
-                tracer.track("requests", format!("slot{slot}{class}"))
-            })
-            .collect();
+        let slots = self.slot_inflight.len();
+        let (devices, schedulers, mappers) =
+            (&mut self.devices, &mut self.schedulers, &mut self.mappers);
+        self.obs
+            .trace(Tracer::folding(), &self.requests, slots, |tracer| {
+                for (gid, d) in devices.iter_mut().enumerate() {
+                    d.set_tracer(tracer.clone(), &device_names[gid]);
+                }
+                for (gid, s) in schedulers.iter_mut().enumerate() {
+                    let trk = tracer.track(device_names[gid].clone(), "scheduler");
+                    s.set_tracer(tracer.clone(), trk);
+                }
+                for (i, m) in mappers.iter_mut().enumerate() {
+                    let trk = tracer.track("balancer", format!("mapper{i}"));
+                    m.set_tracer(tracer.clone(), trk);
+                }
+            });
     }
 
     /// Turn on the lightweight latency-attribution recorder: only the
@@ -679,14 +478,8 @@ impl World {
     /// [`World::enable_tracing`] already ran (full traces are a
     /// superset).
     pub fn enable_attribution(&mut self) {
-        if self.tracer.is_on() {
-            return;
-        }
-        let tracer = Tracer::attribution();
-        self.trk_sim = tracer.track("sim", "executive");
-        self.trk_faults = tracer.track("sim", "faults");
-        self.make_slot_tracks(&tracer);
-        self.tracer = tracer;
+        let slots = self.slot_inflight.len();
+        self.obs.attribute(&self.requests, slots);
     }
 
     /// Install the unified metrics registry, sampled every `every` of
@@ -695,113 +488,16 @@ impl World {
     /// outstanding-op gauges, RPC counters, and the end-to-end latency
     /// histogram. The registry lands in [`RunStats::metrics`].
     pub fn enable_metrics(&mut self, every: SimDuration) {
-        use MetricKind::{Counter, Gauge, Histogram};
-        let mut m = MetricsRegistry::new();
-        m.register("sim_virtual_time_ns", Gauge, "Virtual time of the sample");
-        m.register(
-            "sim_events_total",
-            Counter,
-            "Events dispatched by the executive",
-        );
-        m.register(
-            "sim_queue_peak_depth",
-            Gauge,
-            "High-water mark of the event queue",
-        );
-        m.register(
-            "requests_completed_total",
-            Counter,
-            "Requests finished (any outcome)",
-        );
-        m.register("requests_failed_total", Counter, "Requests lost to faults");
-        m.register("requests_shed_total", Counter, "Requests shed at admission");
-        m.register(
-            "gpu_compute_occupancy",
-            Gauge,
-            "SM occupancy per device (0..1)",
-        );
-        m.register(
-            "gpu_copy_busy",
-            Gauge,
-            "Copy-engine busy fraction per device (0..1)",
-        );
-        m.register(
-            "gpu_context_switches_total",
-            Counter,
-            "Context switches per device",
-        );
-        m.register(
-            "gpu_kernels_completed_total",
-            Counter,
-            "Kernels completed per device",
-        );
-        m.register(
-            "gpu_copies_completed_total",
-            Counter,
-            "Copies completed per device",
-        );
-        m.register("cuda_pending_jobs", Gauge, "Outstanding device jobs");
-        m.register(
-            "cuda_contexts_active",
-            Gauge,
-            "Contexts with outstanding work",
-        );
-        m.register(
-            "cuda_streams_active",
-            Gauge,
-            "Streams with outstanding work",
-        );
-        m.register("rpc_sent_total", Counter, "RPCs shipped toward backends");
-        m.register("rpc_delivered_total", Counter, "RPCs landed at backends");
-        m.register(
-            "rpc_replies_total",
-            Counter,
-            "RPC replies received by frontends",
-        );
-        m.register("rpc_dropped_total", Counter, "RPCs dropped by partitions");
-        m.register("rpc_bytes_total", Counter, "Marshalled RPC bytes shipped");
-        m.register(
-            "rpc_in_flight",
-            Gauge,
-            "RPCs sent but not yet delivered or dropped",
-        );
-        m.register(
-            "request_latency_ns",
-            Histogram,
-            "End-to-end request latency",
-        );
-        self.metrics = Some(m);
-        self.metrics_every = every.as_ns().max(1);
+        self.obs.metrics_every = Some(every.as_ns().max(1));
     }
 
     /// Opt into per-node rollup families (cluster topologies): live
     /// devices, kernel/copy completions, and mean compute occupancy per
-    /// node, labelled `node="N"`. Must follow [`World::enable_metrics`].
-    /// The default family set is untouched, so single-node and supernode
-    /// expositions stay byte-identical when this is off.
+    /// node, labelled `node="N"`, when metrics are enabled. The default
+    /// family set is untouched, so single-node and supernode expositions
+    /// stay byte-identical when this is off.
     pub fn enable_node_metrics(&mut self) {
-        use MetricKind::{Counter, Gauge};
-        let m = self
-            .metrics
-            .as_mut()
-            .expect("enable_metrics before enable_node_metrics");
-        m.register("node_devices_live", Gauge, "Live devices per node");
-        m.register(
-            "node_kernels_completed_total",
-            Counter,
-            "Kernels completed per node",
-        );
-        m.register(
-            "node_copies_completed_total",
-            Counter,
-            "Copies completed per node",
-        );
-        m.register(
-            "node_compute_occupancy",
-            Gauge,
-            "Mean SM occupancy over a node's devices (0..1)",
-        );
-        self.node_metrics = true;
+        self.obs.node_metrics = true;
     }
 
     /// Install a full fault plan (merged with any previously installed
@@ -843,55 +539,36 @@ impl World {
     /// always on at a default depth; `0` disables it entirely (the
     /// bench overhead gate's baseline). Call before [`World::run`].
     pub fn set_flight_depth(&mut self, depth: usize) {
-        self.flight = FlightRecorder::new(self.node_lost.len(), depth);
+        self.obs.flight = FlightRecorder::new(self.node_lost.len(), depth);
     }
 
     /// Install a burn-rate alert rule. Every terminal request outcome
     /// (completion, shed, abort, drop) feeds the engine; FIRED
     /// transitions trigger a flight-recorder dump, and the end-of-run
     /// [`strings_metrics::alerts::AlertReport`] lands in
-    /// [`RunStats::alerts`]. When metrics are enabled (call
-    /// [`World::enable_metrics`] first), the current burn rates are
-    /// exported as `slo_burn_*` gauges.
+    /// [`RunStats::alerts`]. When metrics are enabled, the current burn
+    /// rates are exported as `slo_burn_*` gauges.
     pub fn set_burn_alert(&mut self, cfg: BurnRateConfig) {
-        if let Some(m) = self.metrics.as_mut() {
-            use MetricKind::{Counter, Gauge};
-            m.register(
-                "slo_burn_short",
-                Gauge,
-                "Error-budget burn rate over the short window",
-            );
-            m.register(
-                "slo_burn_long",
-                Gauge,
-                "Error-budget burn rate over the long window",
-            );
-            m.register(
-                "slo_alerts_fired_total",
-                Counter,
-                "Burn-rate alert FIRED transitions",
-            );
-        }
-        self.alerts = Some(BurnRateEngine::new(cfg));
+        self.obs.alerts = Some(BurnRateEngine::new(cfg));
     }
 
     /// Schedule an explicit flight-recorder dump at virtual time `at`
     /// (the CLI's `--dump-at`).
     pub fn set_dump_at(&mut self, at: SimTime) {
-        self.dump_at = Some(at);
+        self.obs.dump_at = Some(at);
     }
 
     /// Take an end-of-run snapshot if no trigger fired during the run,
     /// so `--dump PATH` always has a window to write.
     pub fn set_dump_final(&mut self) {
-        self.dump_final = true;
+        self.obs.dump_final = true;
     }
 
     /// Capture request `req`'s complete flight-record chain into
     /// [`RunStats::explain_records`], bypassing ring eviction — the
     /// `strings-sim explain` data source.
     pub fn set_explain(&mut self, req: u64) {
-        self.explain = Some(req);
+        self.obs.explain = Some(req);
     }
 
     /// Record wall-clock spent per executive phase into
@@ -901,76 +578,19 @@ impl World {
         self.self_profile = true;
     }
 
-    /// Write one flight record, maintaining the request's cause chain.
-    /// `node` is the ring the record lands in (the frontend's node for
-    /// request-scoped records); `request` is [`NO_ID`] for run-scoped
-    /// ones.
-    #[inline]
-    fn flight(&mut self, node: NodeId, kind: FlightKind, request: u64, a: u64, b: u64) {
-        if !self.flight.is_on() {
-            return;
-        }
-        let cause = if request != NO_ID {
-            self.flight_last
-                .get(request as usize)
-                .copied()
-                .unwrap_or(NO_ID)
-        } else {
-            NO_ID
-        };
-        let rec = FlightRecord {
-            at: self.queue.now(),
-            node: node.0,
-            kind,
-            request,
-            a,
-            b,
-            id: 0,
-            cause,
-            ev: self.queue.current_id().0,
-            ev_cause: self.queue.current_cause().0,
-        };
-        let id = self.flight.record(rec);
-        if request != NO_ID {
-            if let Some(last) = self.flight_last.get_mut(request as usize) {
-                *last = id;
-            }
-        }
-        if self.explain == Some(request) {
-            self.stats.explain_records.push(FlightRecord { id, ..rec });
-        }
-    }
-
-    /// Feed one terminal outcome to the alert engine and consume any
-    /// transitions it produced (FIRED transitions dump the recorder).
-    fn observe_outcome(&mut self, now: SimTime, bad: bool) {
-        let Some(eng) = self.alerts.as_mut() else {
-            return;
-        };
-        eng.observe(now, bad);
-        self.drain_alert_transitions();
-    }
-
-    /// Consume pending alert transitions: each lands in the flight
-    /// recorder, and FIRED transitions trip an alert-class dump.
-    fn drain_alert_transitions(&mut self) {
-        while let Some(t) = self.alerts.as_mut().and_then(|e| e.pop_pending()) {
-            let fired = u64::from(t.fired);
-            let burn = (t.short_burn * 100.0) as u64;
-            self.flight(NodeId(0), FlightKind::Alert, NO_ID, fired, burn);
-            if t.fired {
-                self.flight.trigger(DumpReason::Alert, t.at);
-            }
-        }
+    /// Report one step of request `idx` to the observers.
+    fn step(&mut self, idx: usize, step: Step) {
+        let cursor = self.apps[idx].as_mut().map(|a| &mut a.charged_to);
+        let r = &self.requests[idx];
+        self.obs.step(&self.queue, idx as u64, r, cursor, step);
     }
 
     /// Run to completion and return the statistics.
     pub fn run(mut self) -> RunStats {
         let wall_start = std::time::Instant::now();
         self.apps = (0..self.requests.len()).map(|_| None).collect();
-        if self.flight.is_on() {
-            self.flight_last = vec![NO_ID; self.requests.len()];
-        }
+        self.obs
+            .start(&self.requests, self.devices.len(), &self.gpool);
         // Arrivals wait in the queue's cursor, not in the queue: ids 0..N,
         // as if scheduled one by one here.
         self.queue
@@ -978,13 +598,12 @@ impl World {
         for (i, ev) in self.plan.events().iter().enumerate() {
             self.queue.schedule(ev.at, Event::Fault(i as u32));
         }
-        if let Some(at) = self.dump_at {
+        if let Some(at) = self.obs.dump_at {
             self.queue.schedule(at, Event::DumpAt);
         }
         // `is_empty` counts the pending arrivals too.
-        if self.metrics.is_some() && !self.queue.is_empty() {
-            self.queue
-                .schedule(self.metrics_every, Event::MetricsSample);
+        if let Some(every) = self.obs.metrics_every.filter(|_| !self.queue.is_empty()) {
+            self.queue.schedule(every, Event::MetricsSample);
         }
         let mut prof = PhaseProfile::default();
         loop {
@@ -1068,6 +687,17 @@ impl World {
         }
         // Every request finished, so every arrival popped.
         assert_eq!(self.queue.pending_arrivals(), 0, "arrivals left over");
+        // ...and ended exactly once, in `finish_request`.
+        let (completed, failed, shed) = (
+            self.stats.completions.total_requests(),
+            self.stats.failed_requests,
+            self.stats.shed_requests,
+        );
+        assert_eq!(
+            completed + failed + shed,
+            self.requests.len() as u64,
+            "request conservation: {completed} completed + {failed} failed + {shed} shed"
+        );
         self.stats.events = self.queue.popped();
         self.stats.cancelled_wakeups = self.queue.cancelled();
         self.stats.stale_pops = self.queue.stale_pops();
@@ -1080,95 +710,24 @@ impl World {
             .sum();
         self.stats.clamped_events = self.queue.clamped();
         self.stats.stream_rows = self.devices.iter().map(|d| d.stream_rows() as u64).sum();
-        self.stats.attr_windows =
-            (self.attr_job.len() + self.attr_stream.len() + self.attr_ctx.len()) as u64;
         if let Some(adm) = &self.admission {
             self.stats.admission = Some(adm.stats());
         }
-        if self.alerts.is_some() {
-            // Close the burn-rate windows at end-of-run virtual time so
-            // trailing transitions (and their dump triggers) are not lost,
-            // and so the final metrics sample exports the final burns.
-            let end = self.queue.now();
-            self.alerts.as_mut().expect("checked").finish(end);
-            self.drain_alert_transitions();
-        }
-        if self.metrics.is_some() {
-            self.sample_metrics(self.queue.now());
-            self.stats.metrics = self.metrics.take();
-        }
-        if self.alerts.is_some() {
-            self.stats.alerts = Some(self.alerts.take().expect("checked").report());
-        }
-        if self.flight.is_on() {
-            self.stats.flight_dumps = self.flight.take_dumps();
-            if self.dump_final && self.stats.flight_dumps.is_empty() {
-                // `--dump PATH` with a clean run: snapshot the tail window
-                // so there is always something to write.
-                self.stats
-                    .flight_dumps
-                    .push(self.flight.snapshot(DumpReason::Explicit, self.queue.now()));
-            }
-            self.stats.flight_triggers = self.flight.trigger_counts();
-            self.stats.flight_recorded = self.flight.recorded();
-        }
+        let run = self.run_sample();
+        let (devices, gpool) = (&self.devices, &self.gpool);
+        self.obs
+            .finish(&self.queue, run, devices, gpool, &mut self.stats);
         if self.self_profile {
             prof.wall_ns = wall_start.elapsed().as_nanos() as u64;
             self.stats.self_profile = Some(prof);
-        }
-        if self.tracer.is_on() {
-            if let Some(adm) = self.stats.admission {
-                let now = self.queue.now();
-                self.tracer
-                    .counter(self.trk_sim, now, "admitted", adm.admitted as f64);
-                self.tracer.counter(
-                    self.trk_sim,
-                    now,
-                    "shed_queue_full",
-                    adm.shed_queue_full as f64,
-                );
-                self.tracer.counter(
-                    self.trk_sim,
-                    now,
-                    "shed_rate_limited",
-                    adm.shed_rate_limited as f64,
-                );
-                // Only emitted when the SLO gate actually fired, so traces
-                // from runs without an SLO config are byte-unchanged.
-                if adm.shed_slo > 0 {
-                    self.tracer
-                        .counter(self.trk_sim, now, "shed_slo", adm.shed_slo as f64);
-                }
-            }
-        }
-        if self.tracer.is_on() {
-            self.tracer.counter(
-                self.trk_sim,
-                self.queue.now(),
-                "clamped_schedules",
-                self.stats.clamped_events as f64,
-            );
-            self.tracer.counter(
-                self.trk_sim,
-                self.queue.now(),
-                "cancelled_wakeups",
-                self.stats.cancelled_wakeups as f64,
-            );
-            self.tracer.counter(
-                self.trk_sim,
-                self.queue.now(),
-                "stale_pops",
-                self.stats.stale_pops as f64,
-            );
-            self.stats.trace = self.tracer.finish();
         }
         // Hand each device's telemetry over as an exact-size copy, freeing
         // the original before the next device's: the transient is one
         // device's samples, not the cluster's, and the copies pack densely
         // instead of pinning the grown originals where the run left them
         // (kept in place, those raised the RSS of callers that hold many
-        // runs' stats). Last, because the final metrics sample above
-        // still reads it.
+        // runs' stats). Last, because the final metrics sample still
+        // reads it.
         self.stats.device_telemetry = self
             .devices
             .iter_mut()
@@ -1206,19 +765,8 @@ impl World {
                     return; // reply raced an injected fault
                 }
                 self.rpc.replies += 1;
-                if self.flight.is_on() {
-                    let (node, gid) = {
-                        let a = self.app(app);
-                        (a.node, a.gid)
-                    };
-                    self.flight(
-                        node,
-                        FlightKind::RpcReply,
-                        app.index() as u64,
-                        gid.map_or(NO_ID, |g| g.index() as u64),
-                        0,
-                    );
-                }
+                let gid = self.app(app).gid;
+                self.step(app.index(), Step::RpcReply { gid });
                 let a = self.app_mut(app);
                 a.inflight = None;
                 a.attempt = 0;
@@ -1260,15 +808,15 @@ impl World {
                 self.on_restart(app, now);
             }
             Event::MetricsSample => {
-                self.sample_metrics(now);
+                self.obs
+                    .sample(now, self.run_sample(), &self.devices, &self.gpool);
                 // Re-arm only while other work remains so the run can
                 // drain; the end-of-run sample closes the series.
-                if !self.queue.is_empty() {
-                    self.queue
-                        .schedule(now + self.metrics_every, Event::MetricsSample);
+                if let Some(every) = self.obs.metrics_every.filter(|_| !self.queue.is_empty()) {
+                    self.queue.schedule(now + every, Event::MetricsSample);
                 }
             }
-            Event::DumpAt => self.flight.trigger(DumpReason::Explicit, now),
+            Event::DumpAt => self.obs.flight.trigger(DumpReason::Explicit, now),
         }
     }
 
@@ -1310,169 +858,51 @@ impl World {
         self.stats.tenant_outcomes.entry(tenant).or_default()
     }
 
-    /// Charge `app`'s wall clock from its attribution cursor up to
-    /// `until` to `stage`, advancing the cursor. Successive charges tile
-    /// the request's lifetime with no gaps or overlaps, so the per-stage
-    /// breakdown reconstructed from the trace is exactly additive. No-op
-    /// while recording is off or when the window is empty.
-    fn charge_stage(&mut self, app: AppId, stage: Stage, until: SimTime) {
-        if !self.tracer.is_on() {
-            return;
-        }
-        let (slot, from) = {
-            let a = self.app_mut(app);
-            let from = a.attr_cursor;
-            if until <= from {
-                return;
-            }
-            a.attr_cursor = until;
-            (a.slot, from)
-        };
-        self.tracer
-            .stage_charge(self.trk_slots[slot], until, app.index() as u64, stage, from);
+    /// Charge `app`'s wall clock up to `until` to `stage`
+    /// ([`Observers::charge`]).
+    fn charge(&mut self, app: AppId, stage: Stage, until: SimTime) {
+        let a = self.apps[app.index()].as_mut().expect("app exists");
+        let id = app.index() as u64;
+        self.obs.charge(a.slot, id, &mut a.charged_to, stage, until);
     }
 
-    /// A failure at `now` overtook `app`: charges it made up to a future
-    /// instant (an RPC's delivery or reply) cover time that never happened
-    /// that way. Cut them back to `now`, so what follows (the failover
-    /// window, the replay, or the abort) charges on from `now`.
-    fn retract_attribution(&mut self, app: AppId, now: SimTime) {
-        if !self.tracer.is_on() {
-            return;
-        }
-        let a = self.app_mut(app);
-        if a.attr_cursor <= now {
-            return;
-        }
-        a.attr_cursor = now;
-        let slot = a.slot;
-        self.tracer
-            .retract_charges_after(self.trk_slots[slot], app.index() as u64, now);
+    /// A failure at `now` overtook `app` ([`Observers::retract`]).
+    fn retract(&mut self, app: AppId, now: SimTime) {
+        let a = self.apps[app.index()].as_mut().expect("app exists");
+        let id = app.index() as u64;
+        self.obs.retract(a.slot, id, &mut a.charged_to, now);
     }
 
-    /// A blocked wait on `cond` released at `rel`: decompose the elapsed
-    /// window into context-switch glitch time, engine queue wait, and
-    /// engine service using the completed-work window recorded for the
-    /// condition, then drain any residue to `Other`.
-    fn charge_wait_release(&mut self, app: AppId, cond: BlockOn, rel: SimTime) {
-        if !self.tracer.is_on() {
-            return;
-        }
-        let win = match cond {
-            BlockOn::Job(j) => self.attr_job.remove(&j).flatten(),
-            BlockOn::StreamIdle(c, s) => self.attr_stream.remove(&(c, s)),
-            BlockOn::CtxIdle(c) => self.attr_ctx.remove(&c),
-            BlockOn::Reply(_) => None,
-        };
-        let Some(win) = win else {
-            // No recorded device work (e.g. a co-tenant's sync already
-            // consumed the shared window): the wait is unattributable.
-            self.charge_stage(app, Stage::Other, rel);
-            return;
-        };
-        let cursor = self.app(app).attr_cursor;
-        let s = win.first_start.clamp(cursor, rel);
-        let f = win.last_finish.clamp(s, rel);
-        // Driver context-switch time between the cursor and the work's
-        // start is a switching glitch, not engine queueing.
-        let sw = match self.app(app).gid {
-            Some(gid) if s > cursor => self.devices[gid.index()]
-                .telemetry
-                .switching
-                .busy_ns(cursor, s),
-            _ => 0,
-        };
-        let (wait_stage, svc_stage) = win.stages();
-        self.charge_stage(app, Stage::CtxSwitch, (cursor + sw).min(s));
-        self.charge_stage(app, wait_stage, s);
-        self.charge_stage(app, svc_stage, f);
-        self.charge_stage(app, Stage::Other, rel);
+    /// `app`'s blocked wait on `cond` released at `rel`
+    /// ([`Observers::wait_released`]).
+    fn wait_released(&mut self, app: AppId, cond: BlockOn, rel: SimTime) {
+        let a = self.apps[app.index()].as_mut().expect("app exists");
+        let switching = a.gid.map(|g| &self.devices[g.index()].telemetry.switching);
+        let id = app.index() as u64;
+        self.obs
+            .wait_released(a.slot, id, &mut a.charged_to, cond, rel, switching);
     }
 
-    /// Push the current state of every layer into the metrics registry
-    /// and capture one snapshot stamped `now`.
-    fn sample_metrics(&mut self, now: SimTime) {
-        let Some(mut m) = self.metrics.take() else {
-            return;
-        };
-        let h = &mut self.metric_series;
-        let run = *h
-            .run
-            .get_or_insert_with(|| RUN_SERIES.map(|name| m.series(name, &[])));
-        set_all(
-            &mut m,
-            run,
-            [
-                now as f64,
-                self.queue.popped() as f64,
-                // Pending arrivals included, as when they were queued.
-                self.queue.peak_backlog() as f64,
-                self.finished as f64,
-                self.stats.failed_requests as f64,
-                self.stats.shed_requests as f64,
-                self.pending.total() as f64,
-                self.pending.contexts_active() as f64,
-                self.pending.streams_active() as f64,
-                self.rpc.sent as f64,
-                self.rpc.delivered as f64,
-                self.rpc.replies as f64,
-                self.rpc.dropped as f64,
-                self.rpc.bytes as f64,
-                self.rpc.in_flight() as f64,
-            ],
-        );
-        for (gid, d) in self.devices.iter().enumerate() {
-            let ids = cached(&mut h.gpu, gid, || {
-                let g = gid.to_string();
-                GPU_SERIES.map(|name| m.series(name, &[("gid", g.as_str())]))
-            });
-            let t = &d.telemetry;
-            set_all(
-                &mut m,
-                ids,
-                [
-                    t.compute.level_at(now),
-                    t.copy.level_at(now),
-                    t.context_switches as f64,
-                    t.kernels_completed as f64,
-                    t.copies_completed as f64,
-                ],
-            );
-        }
-        if self.node_metrics {
-            for (node, shard) in self.gpool.shards() {
-                let ids = cached(&mut h.node, node.0 as usize, || {
-                    let n = node.0.to_string();
-                    NODE_SERIES.map(|name| m.series(name, &[("node", n.as_str())]))
-                });
-                let (mut kernels, mut copies, mut occ) = (0u64, 0u64, 0.0f64);
-                for e in shard.entries() {
-                    let t = &self.devices[e.gid.index()].telemetry;
-                    kernels += t.kernels_completed;
-                    copies += t.copies_completed;
-                    occ += t.compute.level_at(now);
-                }
-                set_all(
-                    &mut m,
-                    ids,
-                    [
-                        shard.live_len() as f64,
-                        kernels as f64,
-                        copies as f64,
-                        occ / shard.len().max(1) as f64,
-                    ],
-                );
-            }
-        }
-        if let Some(eng) = self.alerts.as_ref() {
-            let ids = *h
-                .burn
-                .get_or_insert_with(|| BURN_SERIES.map(|name| m.series(name, &[])));
-            let (short, long) = eng.current_burns();
-            set_all(&mut m, ids, [short, long, eng.fired_total() as f64]);
-        }
-        m.snapshot(now);
-        self.metrics = Some(m);
+    /// The values of the run-wide metric families, in table order.
+    fn run_sample(&self) -> [f64; RUN_FAMILIES.len()] {
+        [
+            self.queue.now() as f64,
+            self.queue.popped() as f64,
+            // Pending arrivals included, as when they were queued.
+            self.queue.peak_backlog() as f64,
+            self.finished as f64,
+            self.stats.failed_requests as f64,
+            self.stats.shed_requests as f64,
+            self.pending.total() as f64,
+            self.pending.contexts_active() as f64,
+            self.pending.streams_active() as f64,
+            self.rpc.sent as f64,
+            self.rpc.delivered as f64,
+            self.rpc.replies as f64,
+            self.rpc.dropped as f64,
+            self.rpc.bytes as f64,
+            self.rpc.in_flight() as f64,
+        ]
     }
 
     /// Schedule a reply stamped with the app's current incarnation.
@@ -1536,92 +966,25 @@ impl World {
     }
 
     fn on_arrival(&mut self, idx: usize, now: SimTime) {
-        let (tenant, node) = {
-            let r = &self.requests[idx];
-            (r.tenant, r.node)
-        };
-        self.flight(
-            node,
-            FlightKind::Arrival,
-            idx as u64,
-            tenant.0 as u64,
-            node.0 as u64,
-        );
+        self.step(idx, Step::Arrival);
         let r = &self.requests[idx];
         if self.node_lost[r.node.0 as usize] {
             // The frontend's node is gone: the request is lost on arrival.
-            let tenant = r.tenant;
-            self.stats.failed_requests += 1;
-            self.finished += 1;
-            self.outcome(tenant).lost += 1;
-            self.flight(
-                node,
-                FlightKind::Lost,
-                idx as u64,
-                tenant.0 as u64,
-                node.0 as u64,
-            );
-            self.observe_outcome(now, true);
-            if self.tracer.is_on() {
-                self.tracer.instant(
-                    self.trk_faults,
-                    now,
-                    "arrival_dropped",
-                    vec![("request", idx.to_string())],
-                );
-            }
+            self.finish_request(idx, now, Step::LostAtArrival);
             return;
         }
-        let slot = r.slot;
+        let (tenant, slot, threads) = (r.tenant, r.slot, r.server_threads);
         if let Some(adm) = self.admission.as_mut() {
-            let tenant = self.requests[idx].tenant;
             if let Err(reason) = adm.try_admit(tenant.0 as usize, now) {
                 // Shed at the front door: the request never enters the
                 // system and finishes immediately.
-                self.stats.shed_requests += 1;
-                self.finished += 1;
-                self.flight(
-                    node,
-                    FlightKind::Shed,
-                    idx as u64,
-                    tenant.0 as u64,
-                    reason.code(),
-                );
-                self.observe_outcome(now, true);
-                if self.tracer.is_on() {
-                    self.tracer.instant(
-                        self.trk_sim,
-                        now,
-                        "shed",
-                        vec![
-                            ("request", idx.to_string()),
-                            ("tenant", tenant.to_string()),
-                            ("reason", reason.to_string()),
-                        ],
-                    );
-                }
+                self.finish_request(idx, now, Step::Shed { reason });
                 return;
             }
         }
-        let r = &self.requests[idx];
-        if self.tracer.is_on() {
-            // The request span opens at arrival so it covers server-queue
-            // wait; spans on a slot track overlap, hence the async id.
-            let class = r.class.to_string();
-            self.tracer.request_begin(
-                self.trk_slots[slot],
-                now,
-                idx as u64,
-                r.tenant.0,
-                &class,
-                vec![
-                    ("tenant", r.tenant.to_string()),
-                    ("class", class.clone()),
-                    ("node", r.node.to_string()),
-                ],
-            );
-        }
-        if self.slot_inflight[slot] >= r.server_threads {
+        // The request span opens here, so it covers server-queue wait.
+        self.step(idx, Step::Admitted);
+        if self.slot_inflight[slot] >= threads {
             // All server threads busy: the request waits in the server
             // queue; its completion time still counts from arrival.
             self.slot_backlog[slot].push_back(idx);
@@ -1631,31 +994,9 @@ impl World {
     }
 
     fn start_request(&mut self, idx: usize, now: SimTime) {
-        let r = &self.requests[idx];
-        if self.node_lost[r.node.0 as usize] {
+        if self.node_lost[self.requests[idx].node.0 as usize] {
             // Queued behind a server thread when its node died.
-            let (slot, tenant, node) = (r.slot, r.tenant, r.node);
-            self.stats.failed_requests += 1;
-            self.finished += 1;
-            self.outcome(tenant).lost += 1;
-            self.flight(
-                node,
-                FlightKind::Lost,
-                idx as u64,
-                tenant.0 as u64,
-                node.0 as u64,
-            );
-            self.observe_outcome(now, true);
-            if let Some(adm) = self.admission.as_mut() {
-                adm.release(tenant.0 as usize);
-            }
-            if self.tracer.is_on() {
-                self.tracer
-                    .request_end(self.trk_slots[slot], now, idx as u64);
-            }
-            if let Some(next) = self.slot_backlog[slot].pop_front() {
-                self.start_request(next, now);
-            }
+            self.finish_request(idx, now, Step::LostQueued);
             return;
         }
         let app = AppId(idx as u32);
@@ -1663,6 +1004,7 @@ impl World {
         // copy, so the program is built here and moves into the host.
         let program = std::mem::take(&mut self.requests[idx].program).build();
         let r = &self.requests[idx];
+        let (tenant, wait) = (r.tenant, now.saturating_sub(r.arrival));
         let mut host = HostThread::new(app, ProcessId(HOST_PID_BASE + idx as u32), program, now);
         host.arrived_at = r.arrival; // queueing at the server counts
         self.slot_inflight[r.slot] += 1;
@@ -1682,40 +1024,14 @@ impl World {
             inflight: None,
             disrupted: false,
             degraded: false,
-            attr_cursor: r.arrival,
+            charged_to: r.arrival,
         });
-        if self.tracer.is_on() {
-            let slot = self.requests[idx].slot;
-            self.tracer.instant(
-                self.trk_slots[slot],
-                now,
-                "dispatch",
-                vec![("request", idx.to_string())],
-            );
-        }
-        {
-            let (tenant, node) = {
-                let r = &self.requests[idx];
-                (r.tenant, r.node)
-            };
-            self.flight(
-                node,
-                FlightKind::Dispatch,
-                idx as u64,
-                tenant.0 as u64,
-                node.0 as u64,
-            );
-        }
-        // Admission + server-queue wait: arrival up to dispatch.
-        self.charge_stage(app, Stage::AdmissionWait, now);
+        // Admission + server-queue wait is charged up to here.
+        self.step(idx, Step::Dispatch);
         // The measured wait feeds the SLO admission gate's per-tenant EWMA
         // (a no-op unless `AdmissionConfig.slo` is set).
-        let (tenant, arrival) = {
-            let r = &self.requests[idx];
-            (r.tenant, r.arrival)
-        };
         if let Some(adm) = self.admission.as_mut() {
-            adm.observe_wait(tenant.0 as usize, now.saturating_sub(arrival));
+            adm.observe_wait(tenant.0 as usize, wait);
         }
         self.run_host(app, now);
     }
@@ -1733,7 +1049,7 @@ impl World {
                     let until = now + d.as_ns().max(1);
                     self.app_mut(app).host.start_cpu(until);
                     self.schedule_wake(app, until);
-                    self.charge_stage(app, Stage::HostCpu, until);
+                    self.charge(app, Stage::HostCpu, until);
                     break;
                 }
                 HostOp::Cuda(call) => {
@@ -1765,78 +1081,68 @@ impl World {
         // The wake event advances past the op.
         self.app_mut(app).host.start_cpu(until);
         self.schedule_wake(app, until);
-        self.charge_stage(app, Stage::HostCpu, until);
+        self.charge(app, Stage::HostCpu, until);
         false
     }
 
     /// Bookkeeping when a host finishes its program.
     fn after_host_step(&mut self, app: AppId, now: SimTime) {
-        let a = self.app(app);
+        let a = self.app_mut(app);
         if a.host.is_done() {
-            let slot = a.slot;
-            let tenant = a.tenant;
-            let node = a.node;
-            let (disrupted, degraded) = (a.disrupted, a.degraded);
-            let arrived_at = a.host.arrived_at;
-            let turnaround = a.host.turnaround_ns().expect("done");
+            let latency = a.host.turnaround_ns().expect("done");
             // The program has run: free it now rather than at end of run.
-            drop(std::mem::take(&mut self.app_mut(app).host.program));
-            self.stats.completions.record(slot, turnaround);
-            self.stats.makespan_ns = self.stats.makespan_ns.max(now);
-            self.finished += 1;
-            if self.request_log {
-                self.stats.slo_records.push(SloRecord {
-                    tenant: tenant.0,
-                    arrival: arrived_at,
-                    latency: sim_core::SimDuration::from_ns(turnaround),
-                });
+            drop(std::mem::take(&mut a.host.program));
+            self.finish_request(app.index(), now, Step::Complete { latency });
+        }
+    }
+
+    /// End request `idx` with its terminal `step`: the one place the
+    /// run's request counters move. An admitted request also gives back
+    /// its admission slot and, if it ran, its server thread; either way
+    /// the next request queued on its slot starts.
+    fn finish_request(&mut self, idx: usize, now: SimTime, step: Step) {
+        let (tenant, slot) = (self.requests[idx].tenant, self.requests[idx].slot);
+        self.finished += 1;
+        match step {
+            Step::Shed { .. } => self.stats.shed_requests += 1,
+            Step::Complete { latency } => {
+                let a = self.app(AppId(idx as u32));
+                let (arrival, disrupted, degraded) = (a.host.arrived_at, a.disrupted, a.degraded);
+                self.stats.completions.record(slot, latency);
+                self.stats.makespan_ns = self.stats.makespan_ns.max(now);
+                if self.request_log {
+                    self.stats.slo_records.push(SloRecord {
+                        tenant: tenant.0,
+                        arrival,
+                        latency: SimDuration::from_ns(latency),
+                    });
+                }
+                let o = self.outcome(tenant);
+                if disrupted {
+                    o.retried += 1;
+                } else if degraded {
+                    o.degraded += 1;
+                } else {
+                    o.completed += 1;
+                }
             }
-            if let Some(adm) = self.admission.as_mut() {
-                adm.release(tenant.0 as usize);
+            _ => {
+                self.stats.failed_requests += 1;
+                self.outcome(tenant).lost += 1;
             }
-            let o = self.outcome(tenant);
-            if disrupted {
-                o.retried += 1;
-            } else if degraded {
-                o.degraded += 1;
-            } else {
-                o.completed += 1;
-            }
-            if let Some(m) = self.metrics.as_mut() {
-                let id = cached(&mut self.metric_series.latency, tenant.0 as usize, || {
-                    let t = tenant.0.to_string();
-                    m.histogram("request_latency_ns", &[("tenant", t.as_str())])
-                });
-                m.observe_series(id, turnaround);
-            }
-            // The burn-rate rule's latency target doubles as the breach
-            // threshold for the flight recorder's SLO dump class.
-            let breached = self
-                .alerts
-                .as_ref()
-                .is_some_and(|e| turnaround > e.target_ns());
-            self.flight(
-                node,
-                FlightKind::Complete,
-                app.index() as u64,
-                turnaround,
-                u64::from(breached),
-            );
-            if breached {
-                self.flight.trigger(DumpReason::SloBreach, now);
-            }
-            self.observe_outcome(now, breached);
-            // Residual tail (final host step, reply unpacking): Other.
-            self.charge_stage(app, Stage::Other, now);
-            if self.tracer.is_on() {
-                self.tracer
-                    .request_end(self.trk_slots[slot], now, app.index() as u64);
-            }
-            // A server thread freed up: admit the next queued request.
+        }
+        self.step(idx, step);
+        if matches!(step, Step::LostAtArrival | Step::Shed { .. }) {
+            return; // never admitted
+        }
+        if let Some(adm) = self.admission.as_mut() {
+            adm.release(tenant.0 as usize);
+        }
+        if !matches!(step, Step::LostQueued) {
             self.slot_inflight[slot] -= 1;
-            if let Some(next) = self.slot_backlog[slot].pop_front() {
-                self.start_request(next, now);
-            }
+        }
+        if let Some(next) = self.slot_backlog[slot].pop_front() {
+            self.start_request(next, now);
         }
     }
 
@@ -1914,7 +1220,7 @@ impl World {
                 // wakeups are stale (historical semantics: discarded unrun).
                 self.queue.invalidate(self.dev_keys[gid.index()]);
                 self.pending.forget_ctx(ctx);
-                self.drop_ctx_windows(ctx, self.app(app).stream);
+                self.obs.ctx_destroyed(ctx, self.app(app).stream);
                 self.app_mut(app).host.advance(now);
                 self.after_host_step(app, now);
                 true
@@ -1974,9 +1280,9 @@ impl World {
     /// learns via its deadline) or buffer it until the window heals.
     fn send_rpc(&mut self, app: AppId, packed: PackedCall, blocks: bool, now: SimTime) {
         let (gid, _) = self.binding(app);
-        let (node, inc, slot) = {
+        let (node, inc) = {
             let a = self.app(app);
-            (a.node, a.incarnation, a.slot)
+            (a.node, a.incarnation)
         };
         let dev_node = self.dev_node(gid);
         let policy = self.cfg.retry;
@@ -1984,22 +1290,9 @@ impl World {
             // The packet is dropped on the floor; only the deadline tells.
             self.rpc.sent += 1;
             self.rpc.dropped += 1;
-            self.flight(
-                node,
-                FlightKind::RpcDrop,
-                app.index() as u64,
-                gid.index() as u64,
-                dev_node.0 as u64,
-            );
             let attempt = self.app(app).attempt;
-            if self.tracer.is_on() {
-                self.tracer.instant(
-                    self.trk_slots[slot],
-                    now,
-                    "rpc_dropped",
-                    vec![("attempt", attempt.to_string())],
-                );
-            }
+            let to = dev_node;
+            self.step(app.index(), Step::RpcDrop { gid, to, attempt });
             self.queue
                 .schedule(now + policy.deadline_ns, Event::Deadline(app, inc, attempt));
             return;
@@ -2033,17 +1326,12 @@ impl World {
         self.queue.schedule(at, Event::Deliver(app, packed, inc));
         self.rpc.sent += 1;
         self.rpc.bytes += control + payload;
-        self.flight(
-            node,
-            FlightKind::RpcSend,
-            app.index() as u64,
-            gid.index() as u64,
-            control + payload,
-        );
+        let bytes = control + payload;
+        self.step(app.index(), Step::RpcSend { gid, bytes });
         if blocks {
             // The host is parked on the reply: its clock is RPC time
             // until the call lands at the backend.
-            self.charge_stage(app, Stage::Rpc, at);
+            self.charge(app, Stage::Rpc, at);
         }
     }
 
@@ -2053,65 +1341,32 @@ impl World {
     fn on_rpc_timeout(&mut self, app: AppId, now: SimTime) {
         self.stats.rpc_timeouts += 1;
         self.rpc.timeouts += 1;
-        let (slot, inc, attempt, node) = {
+        let (inc, attempt) = {
             let a = self.app(app);
-            (a.slot, a.incarnation, a.attempt, a.node)
+            (a.incarnation, a.attempt)
         };
-        self.flight(
-            node,
-            FlightKind::RpcTimeout,
-            app.index() as u64,
-            attempt as u64,
-            0,
-        );
-        if self.tracer.is_on() {
-            self.tracer.instant(
-                self.trk_slots[slot],
-                now,
-                "rpc_timeout",
-                vec![("attempt", attempt.to_string())],
-            );
-        }
+        self.step(app.index(), Step::RpcTimeout { attempt });
         let policy = self.cfg.retry;
         let next = attempt + 1;
         if policy.allows(next) {
             let backoff = policy.backoff_ns(next, &mut self.rng);
             self.stats.rpc_retries += 1;
             self.rpc.retries += 1;
-            self.flight(
-                node,
-                FlightKind::RpcRetry,
-                app.index() as u64,
-                next as u64,
-                backoff,
+            let a = self.app_mut(app);
+            a.attempt = next;
+            a.disrupted = true;
+            self.step(
+                app.index(),
+                Step::RpcRetry {
+                    attempt: next,
+                    backoff,
+                },
             );
-            {
-                let a = self.app_mut(app);
-                a.attempt = next;
-                a.disrupted = true;
-            }
-            if self.tracer.is_on() {
-                self.tracer.instant(
-                    self.trk_slots[slot],
-                    now,
-                    "rpc_retry",
-                    vec![
-                        ("attempt", next.to_string()),
-                        ("backoff_ns", backoff.to_string()),
-                    ],
-                );
-            }
             self.queue
                 .schedule(now + backoff, Event::Retry(app, inc, next));
         } else {
-            if self.tracer.is_on() {
-                self.tracer.instant(
-                    self.trk_slots[slot],
-                    now,
-                    "rpc_retries_exhausted",
-                    vec![("attempts", attempt.to_string())],
-                );
-            }
+            let step = Step::RetriesExhausted { attempts: attempt };
+            self.step(app.index(), step);
             self.failover_app(app, now, "retries_exhausted");
         }
     }
@@ -2151,13 +1406,7 @@ impl World {
             .placements
             .entry((self.app(app).slot, gid.index()))
             .or_insert(0) += 1;
-        self.flight(
-            node,
-            FlightKind::Bind,
-            app.index() as u64,
-            gid.index() as u64,
-            node.0 as u64,
-        );
+        self.step(app.index(), Step::Bind { gid });
         // Request Manager registration (RT-signal three-way handshake).
         let g = gid.index();
         self.wake_epoch(g, now, true);
@@ -2212,16 +1461,8 @@ impl World {
     fn on_deliver(&mut self, app: AppId, packed: PackedCall, now: SimTime) {
         self.rpc.delivered += 1;
         let (gid, _) = self.binding(app);
-        if self.flight.is_on() {
-            let node = self.app(app).node;
-            self.flight(
-                node,
-                FlightKind::RpcDeliver,
-                app.index() as u64,
-                gid.index() as u64,
-                self.rpc.delivered,
-            );
-        }
+        let ordinal = self.rpc.delivered;
+        self.step(app.index(), Step::RpcDeliver { gid, ordinal });
         if self.cfg.design == BackendDesign::SingleMaster {
             self.master_q[gid.index()].push_back((app, packed));
             self.pump_master(gid.index(), now);
@@ -2301,21 +1542,21 @@ impl World {
                 }
                 let at = now + reply_ns + self.costs.malloc_ns;
                 self.schedule_reply(app, at);
-                self.charge_stage(app, Stage::Rpc, at);
+                self.charge(app, Stage::Rpc, at);
                 None
             }
             CudaCall::Free { bytes } => {
                 self.devices[gid.index()].free(ctx, bytes);
                 if blocks {
                     self.schedule_reply(app, now + reply_ns);
-                    self.charge_stage(app, Stage::Rpc, now + reply_ns);
+                    self.charge(app, Stage::Rpc, now + reply_ns);
                 }
                 None
             }
             CudaCall::ThreadExit => {
                 self.backend_thread_exit(app, gid, ctx, now);
                 self.schedule_reply(app, now + reply_ns);
-                self.charge_stage(app, Stage::Rpc, now + reply_ns);
+                self.charge(app, Stage::Rpc, now + reply_ns);
                 None
             }
             CudaCall::SetDevice { .. } => {
@@ -2345,14 +1586,14 @@ impl World {
             self.pending.forget_ctx(ctx);
             self.sync_device(gid.index(), now);
             // After the sync: it may still harvest the context's last work.
-            self.drop_ctx_windows(ctx, self.app(app).stream);
+            self.obs.ctx_destroyed(ctx, self.app(app).stream);
         } else {
             // Designs II/III: the shared context outlives the app, but its
             // private stream does not; without this every app that ever
             // ran keeps a row the device walks on each step.
             let stream = self.app(app).stream;
             self.devices[gid.index()].drop_stream(ctx, stream);
-            self.drop_stream_window(ctx, stream);
+            self.obs.stream_dropped(ctx, stream);
         }
     }
 
@@ -2382,9 +1623,9 @@ impl World {
         let jid = self.devices[gid.index()]
             .submit(ctx, stream, kind, app.0 as u64, now)
             .expect("submit to bound context");
-        if awaited && self.tracer.is_on() {
+        if awaited {
             // Before the sync below: the job may complete in it.
-            self.attr_job.insert(jid, None);
+            self.obs.job_awaited(jid);
         }
         self.pending.submit(ctx, stream, jid);
         self.sync_device(gid.index(), now);
@@ -2395,7 +1636,7 @@ impl World {
     /// holds.
     fn block_or_advance(&mut self, app: AppId, cond: BlockOn, reply_ns: u64, now: SimTime) -> bool {
         if self.pending.is_satisfied(cond) {
-            self.charge_wait_release(app, cond, now);
+            self.wait_released(app, cond, now);
             self.app_mut(app).host.advance(now);
             self.after_host_step(app, now);
             return true;
@@ -2413,8 +1654,8 @@ impl World {
     /// Backend: reply when `cond` holds (immediately if it already does).
     fn wait_or_reply(&mut self, app: AppId, cond: BlockOn, reply_ns: u64, now: SimTime) {
         if self.pending.is_satisfied(cond) {
-            self.charge_wait_release(app, cond, now);
-            self.charge_stage(app, Stage::Rpc, now + reply_ns);
+            self.wait_released(app, cond, now);
+            self.charge(app, Stage::Rpc, now + reply_ns);
             self.schedule_reply(app, now + reply_ns);
         } else {
             self.waiters.push(Waiter {
@@ -2442,22 +1683,7 @@ impl World {
         let any = !done.is_empty();
         for c in &done {
             self.pending.complete(c.job.id);
-            if self.tracer.is_on() {
-                // Record the finished work for wait decomposition: the
-                // window keyed by whatever condition a host might block on.
-                // Only a synchronous copy waits on its job.
-                if let Some(w) = self.attr_job.get_mut(&c.job.id) {
-                    *w = Some(EngineWindow::from_job(c));
-                }
-                self.attr_stream
-                    .entry((c.job.ctx, c.job.stream))
-                    .and_modify(|w| w.merge(c))
-                    .or_insert_with(|| EngineWindow::from_job(c));
-                self.attr_ctx
-                    .entry(c.job.ctx)
-                    .and_modify(|w| w.merge(c))
-                    .or_insert_with(|| EngineWindow::from_job(c));
-            }
+            self.obs.job_done(c);
             let app = AppId(c.job.tag as u32);
             let service = c.service_ns();
             // Fairness horizon accounting uses true engine service.
@@ -2510,84 +1736,36 @@ impl World {
     /// One injected fault from the plan fires.
     fn on_plan_fault(&mut self, idx: usize, now: SimTime) {
         let ev = self.plan.events()[idx];
-        if self.tracer.is_on() {
-            self.tracer.instant(
-                self.trk_faults,
-                now,
-                "fault_injected",
-                vec![
-                    ("kind", ev.kind.label().to_string()),
-                    ("detail", ev.kind.to_string()),
-                ],
-            );
-        }
-        if self.flight.is_on() {
-            // Route the record to the struck node's ring; device faults
-            // land on the device's hosting node.
-            let ring = match ev.kind {
-                FaultKind::NodeLoss { node }
-                | FaultKind::LinkDegraded { node, .. }
-                | FaultKind::Partition { node, .. } => node,
-                FaultKind::BackendCrash { gid } | FaultKind::DeviceFailure { gid } => {
-                    self.gpool.global().entry(Gid(gid)).map_or(0, |e| e.node.0)
-                }
-            };
-            self.flight(
-                NodeId(ring),
-                FlightKind::FaultInjected,
-                NO_ID,
-                ev.kind.code(),
-                ev.kind.target(),
-            );
-        }
+        // The record lands in the struck node's ring; device faults land
+        // on the device's hosting node.
+        let ring = match ev.kind {
+            FaultKind::NodeLoss { node }
+            | FaultKind::LinkDegraded { node, .. }
+            | FaultKind::Partition { node, .. } => node,
+            FaultKind::BackendCrash { gid } | FaultKind::DeviceFailure { gid } => {
+                self.gpool.global().entry(Gid(gid)).map_or(0, |e| e.node.0)
+            }
+        };
+        self.obs.fault(&self.queue, NodeId(ring), ev.kind);
         match ev.kind {
             FaultKind::BackendCrash { gid } => self.on_backend_crash(gid as usize, now),
             FaultKind::DeviceFailure { gid } => self.on_device_failure(Gid(gid), now),
             FaultKind::NodeLoss { node } => self.on_node_loss(NodeId(node), now),
+            // Targets were checked against the topology when the plan was
+            // installed.
             FaultKind::LinkDegraded {
                 node,
                 factor,
                 for_ns,
-            } => {
-                let n = node as usize;
-                if n < self.degrade.len() {
-                    self.degrade[n] = (now + for_ns, factor.max(1.0));
-                    if self.tracer.is_on() {
-                        let id = Some(0x1000 + n as u64);
-                        self.tracer.span_begin(
-                            self.trk_faults,
-                            now,
-                            "link_degraded",
-                            id,
-                            vec![("node", node.to_string()), ("factor", factor.to_string())],
-                        );
-                        self.tracer
-                            .span_end(self.trk_faults, now + for_ns, "link_degraded", id);
-                    }
-                }
-            }
+            } => self.degrade[node as usize] = (now + for_ns, factor.max(1.0)),
             FaultKind::Partition { node, for_ns } => {
-                let n = node as usize;
-                if n < self.partition_until.len() {
-                    self.partition_until[n] = self.partition_until[n].max(now + for_ns);
-                    if self.tracer.is_on() {
-                        let id = Some(0x2000 + n as u64);
-                        self.tracer.span_begin(
-                            self.trk_faults,
-                            now,
-                            "partition",
-                            id,
-                            vec![("node", node.to_string())],
-                        );
-                        self.tracer
-                            .span_end(self.trk_faults, now + for_ns, "partition", id);
-                    }
-                }
+                let until = &mut self.partition_until[node as usize];
+                *until = (*until).max(now + for_ns);
             }
         }
         // Trigger after the handler so the fault-class dump window
         // includes the blast radius (aborts, failovers) just recorded.
-        self.flight.trigger(DumpReason::Fault, now);
+        self.obs.flight.trigger(DumpReason::Fault, now);
     }
 
     /// A backend process on `gid` crashes and respawns. The blast radius
@@ -2678,14 +1856,8 @@ impl World {
 
     fn note_gmap_rebuild(&mut self, now: SimTime) {
         self.stats.gmap_rebuilds += 1;
-        if self.tracer.is_on() {
-            self.tracer.instant(
-                self.trk_faults,
-                now,
-                "gmap_rebuild",
-                vec![("survivors", self.gpool.global().live_len().to_string())],
-            );
-        }
+        let survivors = self.gpool.global().live_len();
+        self.obs.gmap_rebuild(now, survivors);
     }
 
     /// Retire a lost device in whichever mapper owns it (both scopes use
@@ -2758,7 +1930,7 @@ impl World {
             // The app never submits on this stream again (a re-bind gets a
             // fresh one); drop its row unless work is still running on it.
             self.devices[g].drop_stream(ctx, stream);
-            self.drop_stream_window(ctx, stream);
+            self.obs.stream_dropped(ctx, stream);
             self.schedulers[g].unregister(app, now);
             self.device_apps[g].retain(|a| *a != app);
             self.master_q[g].retain(|(a, _)| *a != app);
@@ -2769,98 +1941,46 @@ impl World {
             // re-sync so its event chain keeps driving the survivors.
             self.sync_device(g, now);
         }
-        // A job window exists only while its copy's wait is pending.
         for w in self.waiters.iter().filter(|w| w.app == app) {
-            if let BlockOn::Job(j) = w.cond {
-                self.attr_job.remove(&j);
-            }
+            self.obs.wait_dropped(w.cond);
         }
         self.waiters.retain(|w| w.app != app);
-    }
-
-    /// Forget the attribution window of an app's private stream when the
-    /// app leaves it: nothing waits on that stream again (a re-bind gets a
-    /// fresh one). Default streams are shared and keep theirs.
-    fn drop_stream_window(&mut self, ctx: ContextId, stream: StreamId) {
-        if !stream.is_default() {
-            self.attr_stream.remove(&(ctx, stream));
-        }
-    }
-
-    /// Forget every attribution window of a destroyed context: its id is
-    /// never reused, so nothing can wait on it again.
-    fn drop_ctx_windows(&mut self, ctx: ContextId, stream: StreamId) {
-        self.attr_ctx.remove(&ctx);
-        self.attr_stream.remove(&(ctx, stream));
     }
 
     /// Tear down a killed application: purge its queued device work,
     /// unregister it everywhere, and end its host thread without a
     /// completion record.
     fn abort_app(&mut self, app: AppId, now: SimTime) {
-        let (slot, tenant, gid, node) = {
+        let gid = {
             let a = self.app(app);
             if a.host.is_done() {
                 return;
             }
-            (a.slot, a.tenant, a.gid, a.node)
+            a.gid
         };
-        self.retract_attribution(app, now);
+        self.retract(app, now);
         self.detach_app(app, now);
         let a = self.app_mut(app);
         a.incarnation += 1; // poison in-flight events
         a.inflight = None;
         a.host.abort();
         drop(std::mem::take(&mut a.host.program));
-        self.stats.failed_requests += 1;
-        self.finished += 1;
-        self.outcome(tenant).lost += 1;
-        self.flight(
-            node,
-            FlightKind::Abort,
-            app.index() as u64,
-            node.0 as u64,
-            0,
-        );
-        self.observe_outcome(now, true);
-        if let Some(adm) = self.admission.as_mut() {
-            adm.release(tenant.0 as usize);
-        }
-        if self.tracer.is_on() {
-            self.tracer.instant(
-                self.trk_slots[slot],
-                now,
-                "fault_abort",
-                vec![
-                    ("request", app.index().to_string()),
-                    (
-                        "gid",
-                        gid.map_or_else(|| "-".to_string(), |g| g.index().to_string()),
-                    ),
-                ],
-            );
-            self.tracer
-                .request_end(self.trk_slots[slot], now, app.index() as u64);
-        }
-        self.slot_inflight[slot] -= 1;
-        if let Some(next) = self.slot_backlog[slot].pop_front() {
-            self.start_request(next, now);
-        }
+        self.finish_request(app.index(), now, Step::Abort { gid });
     }
 
     /// Fail `app` over: tear down the dead binding, bump the incarnation
     /// so stale events are discarded, and replay the program once the
     /// frontend has detected the failure and a backend respawned. The
     /// request survives — slower, and counted as disrupted.
-    fn failover_app(&mut self, app: AppId, now: SimTime, reason: &str) {
-        let (slot, tenant, node, old_gid) = {
+    fn failover_app(&mut self, app: AppId, now: SimTime, reason: &'static str) {
+        let (tenant, gid) = {
             let a = self.app(app);
             if a.host.is_done() {
                 return;
             }
-            (a.slot, a.tenant, a.node, a.gid)
+            (a.tenant, a.gid)
         };
-        self.retract_attribution(app, now);
+        self.retract(app, now);
         self.detach_app(app, now);
         // Failure detection (one deadline) plus backend respawn/backoff.
         let policy = self.cfg.retry;
@@ -2880,25 +2000,8 @@ impl World {
         let inc = a.incarnation;
         self.stats.failovers += 1;
         self.outcome(tenant).downtime_ns += delay;
-        self.flight(
-            node,
-            FlightKind::Failover,
-            app.index() as u64,
-            old_gid.map_or(NO_ID, |g| g.index() as u64),
-            delay,
-        );
-        if self.tracer.is_on() {
-            let id = Some(0x4000_0000 + app.index() as u64);
-            self.tracer.span_begin(
-                self.trk_slots[slot],
-                now,
-                "failover",
-                id,
-                vec![("reason", reason.to_string())],
-            );
-            self.tracer
-                .span_end(self.trk_slots[slot], now + delay, "failover", id);
-        }
+        let step = Step::Failover { gid, delay, reason };
+        self.step(app.index(), step);
         self.queue.schedule(now + delay, Event::Restart(app, inc));
     }
 
@@ -2906,39 +2009,17 @@ impl World {
     /// replayed `cudaSetDevice` re-enters the balancer, which now skips
     /// retired devices — that is the re-placement.
     fn on_restart(&mut self, app: AppId, now: SimTime) {
-        let (slot, node) = {
-            let a = self.app(app);
-            (a.slot, a.node)
-        };
+        let node = self.app(app).node;
         if self.node_lost[node.0 as usize] || !self.has_live_target(node) {
             // Nowhere left to run: the request is lost after all.
             self.abort_app(app, now);
             return;
         }
-        if self.tracer.is_on() {
-            self.tracer.instant(
-                self.trk_slots[slot],
-                now,
-                "replay",
-                vec![("request", app.index().to_string())],
-            );
-        }
-        {
-            let inc = self.app(app).incarnation;
-            self.flight(
-                node,
-                FlightKind::Restart,
-                app.index() as u64,
-                node.0 as u64,
-                inc as u64,
-            );
-        }
         let a = self.app_mut(app);
         a.last_deliver = now;
         a.host.restart(now);
-        // The failover window (detection + respawn) is unattributable
-        // recovery time.
-        self.charge_stage(app, Stage::Other, now);
+        let incarnation = a.incarnation;
+        self.step(app.index(), Step::Restart { incarnation });
         self.run_host(app, now);
     }
 
@@ -2958,14 +2039,14 @@ impl World {
         // Deterministic processing order.
         ready.sort_by_key(|w| w.app);
         for w in ready.drain(..) {
-            self.charge_wait_release(w.app, w.cond, now);
+            self.wait_released(w.app, w.cond, now);
             if w.direct {
                 let a = self.app_mut(w.app);
                 a.host.wake_and_advance(now);
                 self.after_host_step(w.app, now);
                 self.run_host(w.app, now);
             } else {
-                self.charge_stage(w.app, Stage::Rpc, now + w.reply_ns);
+                self.charge(w.app, Stage::Rpc, now + w.reply_ns);
                 self.schedule_reply(w.app, now + w.reply_ns);
             }
         }
@@ -3207,225 +2288,5 @@ impl World {
         }
         self.sync_device(gid, now);
         false
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use strings_core::mapper::LbPolicy;
-
-    fn requests(kinds: &[(AppKind, usize, u64)]) -> Vec<PlannedRequest> {
-        // (kind, slot, arrival_ms)
-        let mut rng = SimRng::new(7);
-        let gen = TraceGenerator {
-            jitter: 0.0,
-            ..Default::default()
-        };
-        kinds
-            .iter()
-            .map(|(k, slot, ms)| PlannedRequest {
-                arrival: ms * 1_000_000,
-                slot: *slot,
-                class: WorkloadClass(*k as u32),
-                node: NodeId(0),
-                tenant: TenantId(*slot as u32),
-                weight: 1.0,
-                server_threads: 16,
-                program: gen.generate(&k.profile(), &mut rng).into(),
-            })
-            .collect()
-    }
-
-    fn run(cfg: StackConfig, reqs: Vec<PlannedRequest>) -> RunStats {
-        World::new(
-            &TopologySpec::node_a(),
-            DeviceConfig::default(),
-            cfg,
-            LbScope::Global,
-            HostCosts::default(),
-            reqs,
-            None,
-        )
-        .run()
-    }
-
-    #[test]
-    fn single_request_completes_under_bare_runtime() {
-        let stats = run(
-            StackConfig::cuda_runtime(),
-            requests(&[(AppKind::GA, 0, 0)]),
-        );
-        assert_eq!(stats.completed_requests, 1);
-        let ct = stats.completions.mean_ct(0);
-        let solo = AppKind::GA.profile().runtime.as_ns() as f64;
-        // Within 2× of the profile runtime (overheads, device speed).
-        assert!(
-            ct > 0.5 * solo && ct < 2.0 * solo,
-            "GA completion {ct} vs solo {solo}"
-        );
-        assert_eq!(stats.oom_events, 0);
-    }
-
-    #[test]
-    fn single_request_completes_under_strings() {
-        let stats = run(
-            StackConfig::strings(LbPolicy::GMin),
-            requests(&[(AppKind::GA, 0, 0)]),
-        );
-        assert_eq!(stats.completed_requests, 1);
-        assert!(stats.completions.mean_ct(0) > 0.0);
-    }
-
-    #[test]
-    fn single_request_completes_under_rain() {
-        let stats = run(
-            StackConfig::rain(LbPolicy::Grr),
-            requests(&[(AppKind::MC, 0, 0)]),
-        );
-        assert_eq!(stats.completed_requests, 1);
-    }
-
-    #[test]
-    fn colliding_requests_serialize_on_bare_runtime() {
-        // Two simultaneous MC requests both pick device 0: serialized with
-        // context switching, so slower than 1.5× a solo run.
-        let solo = run(
-            StackConfig::cuda_runtime(),
-            requests(&[(AppKind::MC, 0, 0)]),
-        );
-        let both = run(
-            StackConfig::cuda_runtime(),
-            requests(&[(AppKind::MC, 0, 0), (AppKind::MC, 1, 0)]),
-        );
-        assert_eq!(both.completed_requests, 2);
-        let solo_ct = solo.completions.mean_ct(0);
-        let shared_ct = both.completions.mean_ct(0).max(both.completions.mean_ct(1));
-        assert!(
-            shared_ct > 1.2 * solo_ct,
-            "collision must hurt: {shared_ct} vs {solo_ct}"
-        );
-        assert!(both.context_switches > 0, "driver must have multiplexed");
-    }
-
-    #[test]
-    fn balancer_spreads_colliding_requests() {
-        // Same two requests under Strings GMin: different GPUs, no
-        // meaningful slowdown versus solo.
-        let both = run(
-            StackConfig::strings(LbPolicy::GMin),
-            requests(&[(AppKind::MC, 0, 0), (AppKind::MC, 1, 0)]),
-        );
-        assert_eq!(both.completed_requests, 2);
-        assert_eq!(both.context_switches, 0, "one context per device");
-    }
-
-    #[test]
-    fn strings_beats_bare_runtime_under_collision() {
-        let reqs = requests(&[
-            (AppKind::MC, 0, 0),
-            (AppKind::MC, 1, 0),
-            (AppKind::MC, 0, 100),
-        ]);
-        let cuda = run(StackConfig::cuda_runtime(), reqs.clone());
-        let strings = run(StackConfig::strings(LbPolicy::GMin), reqs);
-        assert!(
-            strings.mean_completion_ns() < cuda.mean_completion_ns(),
-            "strings {} !< cuda {}",
-            strings.mean_completion_ns(),
-            cuda.mean_completion_ns()
-        );
-    }
-
-    #[test]
-    fn tfs_divides_service_between_tenants() {
-        use strings_core::device_sched::GpuPolicy;
-        // Two long-ish apps on a single-GPU node, equal weights.
-        let topo = TopologySpec::builder()
-            .node(vec![gpu_sim::spec::GpuModel::TeslaC2050])
-            .build();
-        let reqs = requests(&[(AppKind::HI, 0, 0), (AppKind::MM, 1, 0)]);
-        let stats = World::new(
-            &topo,
-            DeviceConfig::default(),
-            StackConfig::strings(LbPolicy::GMin).with_gpu_policy(GpuPolicy::Tfs),
-            LbScope::Global,
-            HostCosts::default(),
-            reqs,
-            Some(10_000_000_000), // 10 s horizon
-        )
-        .run();
-        assert_eq!(stats.completed_requests, 2);
-        let services: Vec<u64> = stats.tenant_service_ns.values().copied().collect();
-        assert_eq!(services.len(), 2);
-        let fairness =
-            strings_metrics::jain_fairness(&services.iter().map(|s| *s as f64).collect::<Vec<_>>());
-        assert!(fairness > 0.7, "TFS fairness too low: {fairness}");
-    }
-
-    #[test]
-    fn feedback_flows_to_mapper_and_arbiter_switches() {
-        let cfg = StackConfig::strings(LbPolicy::GWtMin).with_feedback(LbPolicy::Mbf, 2);
-        let reqs = requests(&[
-            (AppKind::GA, 0, 0),
-            (AppKind::GA, 0, 50),
-            (AppKind::GA, 0, 3000),
-        ]);
-        let stats = run(cfg, reqs);
-        assert_eq!(stats.completed_requests, 3);
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let mk = || {
-            run(
-                StackConfig::strings(LbPolicy::GMin),
-                requests(&[
-                    (AppKind::MC, 0, 0),
-                    (AppKind::BS, 1, 20),
-                    (AppKind::GA, 0, 40),
-                ]),
-            )
-        };
-        let a = mk();
-        let b = mk();
-        assert_eq!(a.mean_completion_ns(), b.mean_completion_ns());
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.makespan_ns, b.makespan_ns);
-    }
-
-    #[test]
-    fn design_two_master_serializes_but_completes() {
-        let mut cfg = StackConfig::strings(LbPolicy::GMin);
-        cfg.design = BackendDesign::SingleMaster;
-        // Keep SST off for Design II: device syncs block the master.
-        cfg.packer.sync_to_stream = false;
-        let stats = run(cfg, requests(&[(AppKind::GA, 0, 0), (AppKind::GA, 1, 0)]));
-        assert_eq!(stats.completed_requests, 2);
-    }
-
-    #[test]
-    fn local_scope_keeps_apps_on_their_node() {
-        let reqs: Vec<PlannedRequest> = {
-            let mut r = requests(&[(AppKind::MC, 0, 0), (AppKind::MC, 1, 0)]);
-            r[1].node = NodeId(1);
-            r
-        };
-        let stats = World::new(
-            &TopologySpec::supernode(),
-            DeviceConfig::default(),
-            StackConfig::strings(LbPolicy::GMin),
-            LbScope::Local,
-            HostCosts::default(),
-            reqs,
-            None,
-        )
-        .run();
-        assert_eq!(stats.completed_requests, 2);
-        // Devices on both nodes must have seen work (one app each).
-        let t = &stats.device_telemetry;
-        let node_a_work = t[0].kernels_completed + t[1].kernels_completed;
-        let node_b_work = t[2].kernels_completed + t[3].kernels_completed;
-        assert!(node_a_work > 0 && node_b_work > 0);
     }
 }
