@@ -810,6 +810,11 @@ mod tests {
         assert!(parse_serve_args(&args("--rate-limit 0")).is_err());
         assert!(parse_serve_args(&args("--slo-target 0s")).is_err());
         assert!(parse_serve_args(&args("--frobnicate")).is_err());
+        // Absurd sizes are rejected at parse time, before any allocation.
+        for topo in ["99999999999x1", "16385x1", "4x18446744073709551615"] {
+            let err = parse_serve_args(&args(&format!("--topology {topo}"))).unwrap_err();
+            assert!(err.0.contains("more than 16384 devices"), "{topo}: {err}");
+        }
     }
 
     #[test]

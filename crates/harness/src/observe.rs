@@ -426,10 +426,11 @@ impl Observers {
     }
 
     /// Record latency attribution only, unless a full trace already
-    /// records it.
-    pub fn attribute(&mut self, requests: &[PlannedRequest], slots: usize) {
+    /// records it. The recorder records no events, so no track is named.
+    pub fn attribute(&mut self, slots: usize) {
         if !self.tracer.is_on() {
-            self.trace(Tracer::attribution(), requests, slots, |_| {});
+            self.tracer = Tracer::attribution();
+            self.trk_slots = vec![TrackId::INVALID; slots];
         }
     }
 
@@ -522,7 +523,9 @@ impl Observers {
 
     /// The tracer's view of a step (tracing is on): at most one instant or
     /// span, then the stage charge the step closes, then the end of the
-    /// request span.
+    /// request span. Argument strings are built only when the tracer
+    /// records events; an attribution-only tracer sees the request's
+    /// opening, charges and close.
     fn trace_step(
         &mut self,
         now: SimTime,
@@ -532,18 +535,24 @@ impl Observers {
         step: Step,
     ) {
         let (t, track) = (&self.tracer, self.trk_slots[r.slot]);
+        let records = t.records();
         let one = |key, value: u64| vec![(key, value.to_string())];
         let instant = match step {
             Step::Admitted => {
                 let class = r.class.to_string();
-                let args = vec![
-                    ("tenant", r.tenant.to_string()),
-                    ("class", class.clone()),
-                    ("node", r.node.to_string()),
-                ];
+                let args = if records {
+                    vec![
+                        ("tenant", r.tenant.to_string()),
+                        ("class", class.clone()),
+                        ("node", r.node.to_string()),
+                    ]
+                } else {
+                    Vec::new()
+                };
                 t.request_begin(track, now, id, r.tenant.0, &class, args);
                 None
             }
+            _ if !records => None,
             Step::LostAtArrival => Some((self.trk_faults, "arrival_dropped", one("request", id))),
             Step::Shed { reason } => {
                 let args = vec![
@@ -616,7 +625,7 @@ impl Observers {
     pub fn fault<E>(&mut self, q: &EventQueue<E>, ring: NodeId, kind: FaultKind) {
         let rec = (FlightKind::FaultInjected, kind.code(), kind.target());
         self.flight(q, ring, NO_ID, rec);
-        if !self.tracer.is_on() {
+        if !self.tracer.records() {
             return;
         }
         let (t, track, now) = (&self.tracer, self.trk_faults, q.now());
@@ -646,6 +655,9 @@ impl Observers {
 
     /// The gMap was rebuilt around lost devices; `survivors` remain.
     pub fn gmap_rebuild(&mut self, now: SimTime, survivors: usize) {
+        if !self.tracer.records() {
+            return;
+        }
         let args = vec![("survivors", survivors.to_string())];
         self.tracer
             .instant(self.trk_faults, now, "gmap_rebuild", args);

@@ -468,10 +468,9 @@ impl World {
             });
     }
 
-    /// Turn on the lightweight latency-attribution recorder: only the
-    /// executive and per-request-slot tracks exist, the executive records
-    /// request spans, and stage charges are folded into one row per
-    /// request as the run goes instead of being recorded — the
+    /// Turn on the lightweight latency-attribution recorder: it records
+    /// no events, and stage charges are folded into one row per request
+    /// as the run goes — the
     /// [`sim_core::trace::Trace::ledger`] that
     /// [`strings_metrics::attribution::AttributionReport`] reads, without
     /// paying for full device/scheduler/mapper tracing. A no-op when
@@ -479,7 +478,7 @@ impl World {
     /// superset).
     pub fn enable_attribution(&mut self) {
         let slots = self.slot_inflight.len();
-        self.obs.attribute(&self.requests, slots);
+        self.obs.attribute(slots);
     }
 
     /// Install the unified metrics registry, sampled every `every` of

@@ -17,35 +17,68 @@
 use sim_core::flight::{FlightDump, FlightRecord, NO_ID};
 use std::fmt::Write as _;
 
-/// Render an id that may be the [`NO_ID`] sentinel.
-fn opt_id(v: u64) -> String {
+/// Bytes per rendered record, about: a JSONL line runs ~150, a Chrome
+/// event ~240 (the record plus its instant-event wrapper).
+const JSONL_RECORD_BYTES: usize = 160;
+const CHROME_RECORD_BYTES: usize = 256;
+
+/// Append an id that may be the [`NO_ID`] sentinel.
+fn push_id(out: &mut String, v: u64) {
     if v == NO_ID {
-        "null".into()
+        out.push_str("null");
     } else {
-        v.to_string()
+        write!(out, "{v}").unwrap();
     }
 }
 
-fn record_body(r: &FlightRecord) -> String {
-    format!(
-        "\"t\":{},\"node\":{},\"kind\":\"{}\",\"req\":{},\"a\":{},\"b\":{},\"id\":{},\"cause\":{},\"ev\":{},\"ev_cause\":{}",
+/// Append a record's fields (no braces).
+fn push_record_body(out: &mut String, r: &FlightRecord) {
+    write!(
+        out,
+        "\"t\":{},\"node\":{},\"kind\":\"{}\",\"req\":",
         r.at,
         r.node,
-        r.kind.label(),
-        opt_id(r.request),
-        r.a,
-        r.b,
-        r.id,
-        opt_id(r.cause),
-        opt_id(r.ev),
-        opt_id(r.ev_cause),
+        r.kind.label()
     )
+    .unwrap();
+    push_id(out, r.request);
+    write!(
+        out,
+        ",\"a\":{},\"b\":{},\"id\":{},\"cause\":",
+        r.a, r.b, r.id
+    )
+    .unwrap();
+    push_id(out, r.cause);
+    out.push_str(",\"ev\":");
+    push_id(out, r.ev);
+    out.push_str(",\"ev_cause\":");
+    push_id(out, r.ev_cause);
+}
+
+/// Append virtual time `ns` in microseconds with three decimals, the
+/// bytes `{:.3}` gives for `ns as f64 / 1000.0`. Below 2^52 ns (52 days)
+/// that quotient is within 2^-11 of `ns / 1000`, less than half the last
+/// printed digit, so the integer digits are the same; beyond it the
+/// float is formatted.
+fn push_micros(out: &mut String, ns: u64) {
+    if ns < 1 << 52 {
+        write!(out, "{}.{:03}", ns / 1000, ns % 1000).unwrap();
+    } else {
+        write!(out, "{:.3}", ns as f64 / 1000.0).unwrap();
+    }
+}
+
+/// Records in a dump, over all its nodes.
+fn record_count(dump: &FlightDump) -> usize {
+    dump.nodes.iter().map(|w| w.records.len()).sum()
 }
 
 /// One JSON object per line: dump header, then per-node window headers
 /// and records (oldest first). Byte-stable across reruns.
 pub fn dump_jsonl(dump: &FlightDump) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(
+        128 * (1 + dump.nodes.len()) + JSONL_RECORD_BYTES * record_count(dump),
+    );
     writeln!(
         out,
         "{{\"dump\":{{\"reason\":\"{}\",\"t\":{},\"depth\":{},\"recorded\":{},\"nodes\":{}}}}}",
@@ -66,7 +99,9 @@ pub fn dump_jsonl(dump: &FlightDump) -> String {
         )
         .unwrap();
         for r in &w.records {
-            writeln!(out, "{{{}}}", record_body(r)).unwrap();
+            out.push('{');
+            push_record_body(&mut out, r);
+            out.push_str("}\n");
         }
     }
     out
@@ -76,27 +111,41 @@ pub fn dump_jsonl(dump: &FlightDump) -> String {
 /// record (`pid` = node, `tid` = 0), node rows named `node{N}` so
 /// Perfetto's process filter isolates any node of a cluster run.
 pub fn dump_chrome(dump: &FlightDump) -> String {
-    let mut lines = Vec::new();
+    let mut out = String::with_capacity(
+        128 * (1 + dump.nodes.len()) + CHROME_RECORD_BYTES * record_count(dump),
+    );
+    out.push_str("{\"traceEvents\":[\n");
+    let mut first = true;
     for w in &dump.nodes {
         if w.records.is_empty() {
             continue;
         }
-        lines.push(format!(
+        if !first {
+            out.push_str(",\n");
+        }
+        first = false;
+        write!(
+            out,
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":\"node{}\"}}}}",
             w.node + 1,
             w.node,
-        ));
+        )
+        .unwrap();
         for r in &w.records {
-            lines.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":{},\"tid\":0,\"args\":{{{}}}}}",
-                r.kind.label(),
-                r.at as f64 / 1000.0,
-                w.node + 1,
-                record_body(r),
-            ));
+            write!(
+                out,
+                ",\n{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":",
+                r.kind.label()
+            )
+            .unwrap();
+            push_micros(&mut out, r.at);
+            write!(out, ",\"pid\":{},\"tid\":0,\"args\":{{", w.node + 1).unwrap();
+            push_record_body(&mut out, r);
+            out.push_str("}}");
         }
     }
-    format!("{{\"traceEvents\":[\n{}\n]}}\n", lines.join(",\n"))
+    out.push_str("\n]}\n");
+    out
 }
 
 #[cfg(test)]
@@ -142,6 +191,155 @@ mod tests {
         // One line per dump header + window header per node + record.
         assert_eq!(a.lines().count(), 1 + 2 + 6);
         assert!(a.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
+    }
+
+    /// The renderers as they were, one `String` per id, record and line.
+    mod reference {
+        use super::*;
+
+        fn opt_id(v: u64) -> String {
+            if v == NO_ID {
+                "null".into()
+            } else {
+                v.to_string()
+            }
+        }
+
+        fn record_body(r: &FlightRecord) -> String {
+            format!(
+                "\"t\":{},\"node\":{},\"kind\":\"{}\",\"req\":{},\"a\":{},\"b\":{},\"id\":{},\"cause\":{},\"ev\":{},\"ev_cause\":{}",
+                r.at,
+                r.node,
+                r.kind.label(),
+                opt_id(r.request),
+                r.a,
+                r.b,
+                r.id,
+                opt_id(r.cause),
+                opt_id(r.ev),
+                opt_id(r.ev_cause),
+            )
+        }
+
+        pub fn dump_jsonl(dump: &FlightDump) -> String {
+            let mut out = String::new();
+            writeln!(
+                out,
+                "{{\"dump\":{{\"reason\":\"{}\",\"t\":{},\"depth\":{},\"recorded\":{},\"nodes\":{}}}}}",
+                dump.reason.label(),
+                dump.at,
+                dump.depth,
+                dump.recorded,
+                dump.nodes.len(),
+            )
+            .unwrap();
+            for w in &dump.nodes {
+                writeln!(
+                    out,
+                    "{{\"window\":{{\"node\":{},\"evicted\":{},\"records\":{}}}}}",
+                    w.node,
+                    w.evicted,
+                    w.records.len(),
+                )
+                .unwrap();
+                for r in &w.records {
+                    writeln!(out, "{{{}}}", record_body(r)).unwrap();
+                }
+            }
+            out
+        }
+
+        pub fn dump_chrome(dump: &FlightDump) -> String {
+            let mut lines = Vec::new();
+            for w in &dump.nodes {
+                if w.records.is_empty() {
+                    continue;
+                }
+                lines.push(format!(
+                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":\"node{}\"}}}}",
+                    w.node + 1,
+                    w.node,
+                ));
+                for r in &w.records {
+                    lines.push(format!(
+                        "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":{},\"tid\":0,\"args\":{{{}}}}}",
+                        r.kind.label(),
+                        r.at as f64 / 1000.0,
+                        w.node + 1,
+                        record_body(r),
+                    ));
+                }
+            }
+            format!("{{\"traceEvents\":[\n{}\n]}}\n", lines.join(",\n"))
+        }
+    }
+
+    /// A dump over three nodes, one of them empty, whose record times
+    /// span nanoseconds to past 2^52 ns and whose ids include the sentinel.
+    fn wide_dump() -> FlightDump {
+        let mut fr = FlightRecorder::new(3, 64);
+        let times = [
+            0,
+            1,
+            999,
+            1_000,
+            1_001,
+            123_456_789,
+            (1 << 52) - 1,
+            1 << 52,
+            u64::MAX / 3,
+        ];
+        for (i, &at) in times.iter().enumerate() {
+            let i = i as u64;
+            fr.record(FlightRecord {
+                at,
+                node: (i % 2 * 2) as u32,
+                kind: FlightKind::Arrival,
+                request: if i.is_multiple_of(3) { NO_ID } else { i },
+                a: i,
+                b: u64::MAX - i,
+                id: 0,
+                cause: if i.is_multiple_of(2) { NO_ID } else { i - 1 },
+                ev: i * 11,
+                ev_cause: NO_ID,
+            });
+        }
+        fr.trigger(DumpReason::Fault, 777);
+        fr.take_dumps().remove(0)
+    }
+
+    #[test]
+    fn renders_are_the_per_line_renders_bytes() {
+        for d in [sample_dump(), wide_dump()] {
+            assert_eq!(dump_jsonl(&d), reference::dump_jsonl(&d));
+            assert_eq!(dump_chrome(&d), reference::dump_chrome(&d));
+        }
+        let empty = FlightRecorder::new(2, 4).snapshot(DumpReason::Explicit, 5);
+        assert_eq!(dump_chrome(&empty), reference::dump_chrome(&empty));
+        assert_eq!(dump_jsonl(&empty), reference::dump_jsonl(&empty));
+    }
+
+    /// Integer microseconds match `{:.3}` of the float quotient on both
+    /// sides of every thousand and up to the integer path's bound.
+    #[test]
+    fn micros_match_the_float_rendering() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut probes: Vec<u64> = (0..2_000).collect();
+        for shift in 0..64 {
+            let base = 1u64 << shift;
+            probes.extend([base - 1, base, base + 1, base / 1000 * 1000 + 999]);
+        }
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            probes.push(x >> (x % 64));
+        }
+        for ns in probes {
+            let mut out = String::new();
+            push_micros(&mut out, ns);
+            assert_eq!(out, format!("{:.3}", ns as f64 / 1000.0), "{ns} ns");
+        }
     }
 
     #[test]

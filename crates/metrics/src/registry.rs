@@ -14,10 +14,15 @@
 //!   one JSON object per series per snapshot, a JSONL time series over
 //!   virtual time.
 //!
-//! A snapshot stores numbers, not text: each written series contributes
-//! its handle and value (a histogram its handle, count and sum), and the
-//! JSONL lines are rendered from those rows, through each series' fields
-//! rendered once at resolution, only when the export is written.
+//! A snapshot stores numbers, not text, and only what changed: a written
+//! series contributes a row — its handle and value, a histogram its
+//! handle, count and sum — when it is first written and whenever its
+//! value differs from its last row (values compare by bits). The JSONL
+//! export replays the rows, carrying each series' value forward, and
+//! renders a line for every series that has a row by then, through each
+//! series' fields rendered once at resolution. So a run's snapshots cost
+//! what changes between them, while the export is unchanged: one line per
+//! written series per snapshot.
 //!
 //! Determinism: families and series render in `BTreeMap` order, values
 //! format through Rust's shortest-round-trip float `Display`, and all
@@ -121,11 +126,46 @@ pub struct SeriesId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HistogramId(u32);
 
+/// The state of one series, as a snapshot row keeps it.
+trait SeriesState {
+    /// What a snapshot keeps: equal rows render the same JSONL line.
+    type Row: Copy + PartialEq + fmt::Debug;
+    fn row(&self) -> Self::Row;
+    /// Write the JSONL fields that follow the series' mid-fields.
+    fn write_row(row: Self::Row, out: &mut impl io::Write) -> io::Result<()>;
+}
+
+impl SeriesState for f64 {
+    /// The value's bits: `-0.0` differs from `0.0`, and NaN equals itself.
+    type Row = u64;
+
+    fn row(&self) -> u64 {
+        self.to_bits()
+    }
+
+    fn write_row(row: u64, out: &mut impl io::Write) -> io::Result<()> {
+        write!(out, "{}", FmtValue(f64::from_bits(row)))
+    }
+}
+
+impl SeriesState for Hist {
+    /// `(count, sum)`: what the JSONL line shows.
+    type Row = (u64, u64);
+
+    fn row(&self) -> (u64, u64) {
+        (self.count, self.sum)
+    }
+
+    fn write_row((count, sum): (u64, u64), out: &mut impl io::Write) -> io::Result<()> {
+        write!(out, "{count},\"sum\":{sum}")
+    }
+}
+
 /// Series of one kind, addressed by handle and rendered in
 /// `(name, rendered labels)` order. A series' state is `None` until its
 /// first write, so a resolved-but-unwritten series renders nowhere.
 #[derive(Debug, Clone, PartialEq)]
-struct SeriesTable<T> {
+struct SeriesTable<T: SeriesState> {
     /// `(name, rendered labels)` → handle; iteration order is the render
     /// order.
     index: BTreeMap<(String, String), u32>,
@@ -137,23 +177,24 @@ struct SeriesTable<T> {
     mids: String,
     /// Per handle: the current value.
     state: Vec<Option<T>>,
-    /// Written handles in render order, for snapshots; rebuilt by the
-    /// first snapshot after a series is first written.
-    order: Vec<u32>,
-    order_stale: bool,
+    /// Per handle: its newest snapshot row (`None` before its first).
+    last: Vec<Option<T::Row>>,
+    /// Every snapshot's rows, `(handle, row)`, in snapshot order: a
+    /// series' first row, then one per snapshot that found it changed.
+    rows: Vec<(u32, T::Row)>,
     /// The JSONL field that follows the labels (`value` or `count`).
     field: &'static str,
 }
 
-impl<T> SeriesTable<T> {
+impl<T: SeriesState> SeriesTable<T> {
     fn new(field: &'static str) -> Self {
         SeriesTable {
             index: BTreeMap::new(),
             mid: Vec::new(),
             mids: String::new(),
             state: Vec::new(),
-            order: Vec::new(),
-            order_stale: false,
+            last: Vec::new(),
+            rows: Vec::new(),
             field,
         }
     }
@@ -175,36 +216,35 @@ impl<T> SeriesTable<T> {
                 .unwrap();
                 self.mid.push((start, self.mids.len() as u32));
                 self.state.push(None);
+                self.last.push(None);
                 *e.insert(next)
             }
         }
     }
 
-    /// The state of handle `i`, marking the render order stale when this
-    /// is the series' first write.
-    #[inline]
-    fn write(&mut self, i: u32) -> &mut Option<T> {
-        let state = &mut self.state[i as usize];
-        self.order_stale |= state.is_none();
-        state
+    /// Append a row for every written series whose state differs from
+    /// its newest row; returns where the rows now end.
+    fn snapshot(&mut self) -> usize {
+        for (i, (state, last)) in self.state.iter().zip(&mut self.last).enumerate() {
+            let Some(row) = state.as_ref().map(T::row) else {
+                continue;
+            };
+            if *last != Some(row) {
+                *last = Some(row);
+                self.rows.push((i as u32, row));
+            }
+        }
+        self.rows.len()
     }
 
-    /// Written series in render order, as `(handle, state)`.
-    fn written(&mut self) -> impl Iterator<Item = (u32, &T)> {
-        if self.order_stale {
-            let state = &self.state;
-            self.order = self
-                .index
-                .values()
-                .copied()
-                .filter(|&i| state[i as usize].is_some())
-                .collect();
-            self.order_stale = false;
+    /// Write the JSONL lines of each snapshot in turn; see [`Replay`].
+    fn replay(&self) -> Replay<'_, T> {
+        Replay {
+            order: self.index.values().copied().collect(),
+            current: vec![None; self.state.len()],
+            next: 0,
+            table: self,
         }
-        self.order.iter().map(|&i| {
-            let state = self.state[i as usize].as_ref().expect("written");
-            (i, state)
-        })
     }
 
     /// Handle `i`'s JSONL mid-fields.
@@ -228,6 +268,42 @@ impl<T> SeriesTable<T> {
 
     fn written_count(&self) -> usize {
         self.state.iter().filter(|s| s.is_some()).count()
+    }
+}
+
+/// Renders a table's snapshots from its rows, oldest first, carrying each
+/// series' newest row forward.
+struct Replay<'a, T: SeriesState> {
+    table: &'a SeriesTable<T>,
+    /// Every handle, in render order.
+    order: Vec<u32>,
+    /// Per handle: its newest row replayed so far.
+    current: Vec<Option<T::Row>>,
+    /// The first row not replayed yet.
+    next: usize,
+}
+
+impl<T: SeriesState> Replay<'_, T> {
+    /// Apply the next snapshot's rows, which end at `end`, and write one
+    /// line stamped `t` per series with a row by then, in render order.
+    fn write_snapshot(
+        &mut self,
+        t: SimTime,
+        end: usize,
+        out: &mut impl io::Write,
+    ) -> io::Result<()> {
+        for &(i, row) in &self.table.rows[self.next..end] {
+            self.current[i as usize] = Some(row);
+        }
+        self.next = end;
+        for &i in &self.order {
+            if let Some(row) = self.current[i as usize] {
+                write!(out, "{{\"t\":{t}{}", self.table.mid(i))?;
+                T::write_row(row, out)?;
+                out.write_all(b"}\n")?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -260,13 +336,8 @@ pub struct MetricsRegistry {
     families: BTreeMap<&'static str, Family>,
     values: SeriesTable<f64>,
     histograms: SeriesTable<Hist>,
-    /// Every snapshot's counter/gauge rows, `(handle, value)`, in snapshot
-    /// order and, within a snapshot, render order.
-    value_rows: Vec<(u32, f64)>,
-    /// Every snapshot's histogram rows, `(handle, count, sum)`, likewise.
-    hist_rows: Vec<(u32, u64, u64)>,
     /// One marker per snapshot: its virtual time and where its rows end
-    /// in `value_rows` and `hist_rows`.
+    /// in each table.
     snapshots: Vec<Snapshot>,
 }
 
@@ -285,8 +356,6 @@ impl Default for MetricsRegistry {
             families: BTreeMap::new(),
             values: SeriesTable::new("value"),
             histograms: SeriesTable::new("count"),
-            value_rows: Vec::new(),
-            hist_rows: Vec::new(),
             snapshots: Vec::new(),
         }
     }
@@ -322,7 +391,7 @@ impl MetricsRegistry {
     /// monotonicity), gauges to the current level.
     #[inline]
     pub fn set_series(&mut self, id: SeriesId, value: f64) {
-        *self.values.write(id.0) = Some(value);
+        self.values.state[id.0 as usize] = Some(value);
     }
 
     /// [`MetricsRegistry::set_series`] by name, resolving the series on
@@ -340,10 +409,7 @@ impl MetricsRegistry {
     /// are visible only in `le="+Inf"`, which by construction always
     /// equals the series' total `_count`.
     pub fn observe_series(&mut self, id: HistogramId, value_ns: u64) {
-        let h = self
-            .histograms
-            .write(id.0)
-            .get_or_insert_with(Hist::default);
+        let h = self.histograms.state[id.0 as usize].get_or_insert_with(Hist::default);
         for (i, &le) in LATENCY_BUCKETS_NS.iter().enumerate() {
             if value_ns <= le {
                 h.counts[i] += 1;
@@ -371,17 +437,14 @@ impl MetricsRegistry {
     }
 
     /// Capture the current state as one snapshot stamped `now` (virtual
-    /// time, ns): the value of every written series, kept as numbers until
-    /// the JSONL export renders them.
+    /// time, ns): a row, kept as numbers until the JSONL export renders
+    /// it, for every written series first written or changed since its
+    /// last row.
     pub fn snapshot(&mut self, now: SimTime) {
-        self.value_rows
-            .extend(self.values.written().map(|(i, &v)| (i, v)));
-        self.hist_rows
-            .extend(self.histograms.written().map(|(i, h)| (i, h.count, h.sum)));
         self.snapshots.push(Snapshot {
             t: now,
-            values_end: self.value_rows.len(),
-            hists_end: self.hist_rows.len(),
+            values_end: self.values.snapshot(),
+            hists_end: self.histograms.snapshot(),
         });
     }
 
@@ -390,17 +453,10 @@ impl MetricsRegistry {
     /// taken. Wrap a file in a [`io::BufWriter`]: every line is several
     /// small writes.
     pub fn write_jsonl(&self, out: &mut impl io::Write) -> io::Result<()> {
-        let (mut v, mut h) = (0, 0);
+        let (mut values, mut hists) = (self.values.replay(), self.histograms.replay());
         for s in &self.snapshots {
-            for &(i, value) in &self.value_rows[v..s.values_end] {
-                let mid = self.values.mid(i);
-                writeln!(out, "{{\"t\":{}{mid}{}}}", s.t, FmtValue(value))?;
-            }
-            for &(i, count, sum) in &self.hist_rows[h..s.hists_end] {
-                let mid = self.histograms.mid(i);
-                writeln!(out, "{{\"t\":{}{mid}{count},\"sum\":{sum}}}", s.t)?;
-            }
-            (v, h) = (s.values_end, s.hists_end);
+            values.write_snapshot(s.t, s.values_end, out)?;
+            hists.write_snapshot(s.t, s.hists_end, out)?;
         }
         Ok(())
     }
@@ -952,5 +1008,197 @@ mod tests {
             .render_openmetrics()
             .contains("gpu_occupancy{gid=\"99\"} 1"));
         assert!(!r.jsonl().contains("99"), "earlier snapshots are unchanged");
+    }
+}
+
+#[cfg(test)]
+mod differential {
+    //! Registry-vs-reference differential: the JSONL export must be what
+    //! rendering every written series at every snapshot gives — the
+    //! reference below renders each snapshot's lines as it is taken —
+    //! whatever the history of writes, values and snapshots.
+
+    use super::{label_str, FmtValue, MetricsRegistry};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::fmt::Write as _;
+
+    /// Renders every written series' current value at each snapshot.
+    #[derive(Default)]
+    struct Reference {
+        values: BTreeMap<(String, String), f64>,
+        hists: BTreeMap<(String, String), (u64, u64)>,
+        jsonl: String,
+    }
+
+    impl Reference {
+        fn key(name: &str, labels: &[(&str, &str)]) -> (String, String) {
+            (name.to_string(), label_str(labels))
+        }
+
+        fn snapshot(&mut self, t: u64) {
+            let out = &mut self.jsonl;
+            for ((name, labels), v) in &self.values {
+                let labels = labels.replace('"', "'");
+                let v = FmtValue(*v);
+                writeln!(
+                    out,
+                    "{{\"t\":{t},\"name\":\"{name}\",\"labels\":\"{labels}\",\"value\":{v}}}"
+                )
+                .unwrap();
+            }
+            for ((name, labels), (count, sum)) in &self.hists {
+                let labels = labels.replace('"', "'");
+                writeln!(out, "{{\"t\":{t},\"name\":\"{name}\",\"labels\":\"{labels}\",\"count\":{count},\"sum\":{sum}}}").unwrap();
+            }
+        }
+    }
+
+    /// One step of a history: set series `k` of family `g` to a value,
+    /// observe into histogram `k`, or take a snapshot.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Set(usize, f64),
+        Observe(usize, u64),
+        Snapshot,
+    }
+
+    const LABELS: [&str; 5] = ["a", "b", "c\"q", "10", "2"];
+
+    fn op() -> impl Strategy<Value = Op> {
+        const VALUES: [f64; 7] = [0.0, -0.0, 1.0, 2.5, f64::NAN, 1e20, -3.0];
+        prop_oneof![
+            (0usize..LABELS.len(), 0usize..VALUES.len()).prop_map(|(k, v)| Op::Set(k, VALUES[v])),
+            (0usize..LABELS.len(), 0u64..3).prop_map(|(k, v)| Op::Set(k, v as f64)),
+            (0usize..LABELS.len(), 0u64..3).prop_map(|(k, v)| Op::Observe(k, v * 1_500_000)),
+            Just(Op::Snapshot),
+            Just(Op::Snapshot),
+        ]
+    }
+
+    /// Apply `ops` to a registry and to the reference.
+    fn replay(ops: &[Op]) -> (MetricsRegistry, Reference) {
+        let mut r = MetricsRegistry::new();
+        let mut reference = Reference::default();
+        let mut t = 0;
+        for op in ops {
+            match *op {
+                Op::Set(k, v) => {
+                    let labels = [("k", LABELS[k])];
+                    r.set("g", &labels, v);
+                    reference.values.insert(Reference::key("g", &labels), v);
+                }
+                Op::Observe(k, ns) => {
+                    let labels = [("k", LABELS[k])];
+                    r.observe("h", &labels, ns);
+                    let h = (reference.hists)
+                        .entry(Reference::key("h", &labels))
+                        .or_default();
+                    *h = (h.0 + 1, h.1 + ns);
+                }
+                Op::Snapshot => {
+                    t += 1_000;
+                    r.snapshot(t);
+                    reference.snapshot(t);
+                }
+            }
+        }
+        (r, reference)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn jsonl_matches_the_render_at_every_snapshot(ops in proptest::collection::vec(op(), 0..120)) {
+            let (r, reference) = replay(&ops);
+            prop_assert_eq!(r.jsonl(), reference.jsonl);
+            let snapshots = ops.iter().filter(|o| matches!(o, Op::Snapshot)).count();
+            prop_assert_eq!(r.snapshot_count(), snapshots);
+        }
+    }
+
+    /// Values that return to an earlier one (A, B, A), `0.0` and `-0.0`
+    /// (equal as numbers, different as bits), NaN (unequal to itself, the
+    /// same bits), a series first written between snapshots, and a
+    /// histogram left unchanged over many snapshots.
+    fn edge_registry() -> MetricsRegistry {
+        let mut r = MetricsRegistry::new();
+        let aba = r.series("g", &[("k", "aba")]);
+        let zero = r.series("g", &[("k", "zero")]);
+        let nan = r.series("g", &[("k", "nan")]);
+        let hist = r.histogram("h", &[]);
+        r.observe_series(hist, 3_000_000);
+        for (i, (a, z)) in [(1.0, 0.0), (2.0, -0.0), (1.0, 0.0), (1.0, -0.0)]
+            .into_iter()
+            .enumerate()
+        {
+            r.set_series(aba, a);
+            r.set_series(zero, z);
+            r.set_series(nan, f64::NAN);
+            if i == 2 {
+                let late = r.series("g", &[("k", "late")]);
+                r.set_series(late, 7.0);
+            }
+            r.snapshot(i as u64 + 1);
+        }
+        for t in 5..9 {
+            r.snapshot(t);
+        }
+        r.observe_series(hist, 1);
+        r.snapshot(9);
+        r
+    }
+
+    /// JSONL bytes of [`edge_registry`].
+    const EDGE_JSONL: &str = concat!(
+        "{\"t\":1,\"name\":\"g\",\"labels\":\"{k='aba'}\",\"value\":1}\n",
+        "{\"t\":1,\"name\":\"g\",\"labels\":\"{k='nan'}\",\"value\":NaN}\n",
+        "{\"t\":1,\"name\":\"g\",\"labels\":\"{k='zero'}\",\"value\":0}\n",
+        "{\"t\":1,\"name\":\"h\",\"labels\":\"\",\"count\":1,\"sum\":3000000}\n",
+        "{\"t\":2,\"name\":\"g\",\"labels\":\"{k='aba'}\",\"value\":2}\n",
+        "{\"t\":2,\"name\":\"g\",\"labels\":\"{k='nan'}\",\"value\":NaN}\n",
+        "{\"t\":2,\"name\":\"g\",\"labels\":\"{k='zero'}\",\"value\":0}\n",
+        "{\"t\":2,\"name\":\"h\",\"labels\":\"\",\"count\":1,\"sum\":3000000}\n",
+        "{\"t\":3,\"name\":\"g\",\"labels\":\"{k='aba'}\",\"value\":1}\n",
+        "{\"t\":3,\"name\":\"g\",\"labels\":\"{k='late'}\",\"value\":7}\n",
+        "{\"t\":3,\"name\":\"g\",\"labels\":\"{k='nan'}\",\"value\":NaN}\n",
+        "{\"t\":3,\"name\":\"g\",\"labels\":\"{k='zero'}\",\"value\":0}\n",
+        "{\"t\":3,\"name\":\"h\",\"labels\":\"\",\"count\":1,\"sum\":3000000}\n",
+        "{\"t\":4,\"name\":\"g\",\"labels\":\"{k='aba'}\",\"value\":1}\n",
+        "{\"t\":4,\"name\":\"g\",\"labels\":\"{k='late'}\",\"value\":7}\n",
+        "{\"t\":4,\"name\":\"g\",\"labels\":\"{k='nan'}\",\"value\":NaN}\n",
+        "{\"t\":4,\"name\":\"g\",\"labels\":\"{k='zero'}\",\"value\":0}\n",
+        "{\"t\":4,\"name\":\"h\",\"labels\":\"\",\"count\":1,\"sum\":3000000}\n",
+        "{\"t\":5,\"name\":\"g\",\"labels\":\"{k='aba'}\",\"value\":1}\n",
+        "{\"t\":5,\"name\":\"g\",\"labels\":\"{k='late'}\",\"value\":7}\n",
+        "{\"t\":5,\"name\":\"g\",\"labels\":\"{k='nan'}\",\"value\":NaN}\n",
+        "{\"t\":5,\"name\":\"g\",\"labels\":\"{k='zero'}\",\"value\":0}\n",
+        "{\"t\":5,\"name\":\"h\",\"labels\":\"\",\"count\":1,\"sum\":3000000}\n",
+        "{\"t\":6,\"name\":\"g\",\"labels\":\"{k='aba'}\",\"value\":1}\n",
+        "{\"t\":6,\"name\":\"g\",\"labels\":\"{k='late'}\",\"value\":7}\n",
+        "{\"t\":6,\"name\":\"g\",\"labels\":\"{k='nan'}\",\"value\":NaN}\n",
+        "{\"t\":6,\"name\":\"g\",\"labels\":\"{k='zero'}\",\"value\":0}\n",
+        "{\"t\":6,\"name\":\"h\",\"labels\":\"\",\"count\":1,\"sum\":3000000}\n",
+        "{\"t\":7,\"name\":\"g\",\"labels\":\"{k='aba'}\",\"value\":1}\n",
+        "{\"t\":7,\"name\":\"g\",\"labels\":\"{k='late'}\",\"value\":7}\n",
+        "{\"t\":7,\"name\":\"g\",\"labels\":\"{k='nan'}\",\"value\":NaN}\n",
+        "{\"t\":7,\"name\":\"g\",\"labels\":\"{k='zero'}\",\"value\":0}\n",
+        "{\"t\":7,\"name\":\"h\",\"labels\":\"\",\"count\":1,\"sum\":3000000}\n",
+        "{\"t\":8,\"name\":\"g\",\"labels\":\"{k='aba'}\",\"value\":1}\n",
+        "{\"t\":8,\"name\":\"g\",\"labels\":\"{k='late'}\",\"value\":7}\n",
+        "{\"t\":8,\"name\":\"g\",\"labels\":\"{k='nan'}\",\"value\":NaN}\n",
+        "{\"t\":8,\"name\":\"g\",\"labels\":\"{k='zero'}\",\"value\":0}\n",
+        "{\"t\":8,\"name\":\"h\",\"labels\":\"\",\"count\":1,\"sum\":3000000}\n",
+        "{\"t\":9,\"name\":\"g\",\"labels\":\"{k='aba'}\",\"value\":1}\n",
+        "{\"t\":9,\"name\":\"g\",\"labels\":\"{k='late'}\",\"value\":7}\n",
+        "{\"t\":9,\"name\":\"g\",\"labels\":\"{k='nan'}\",\"value\":NaN}\n",
+        "{\"t\":9,\"name\":\"g\",\"labels\":\"{k='zero'}\",\"value\":0}\n",
+        "{\"t\":9,\"name\":\"h\",\"labels\":\"\",\"count\":2,\"sum\":3000001}\n",
+    );
+
+    #[test]
+    fn edge_histories_render_their_pinned_bytes() {
+        assert_eq!(edge_registry().jsonl(), EDGE_JSONL);
     }
 }

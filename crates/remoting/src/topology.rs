@@ -183,6 +183,8 @@ impl TopologySpec {
     ///                       (power of two, default 8), e.g. supernode+mig
     /// …@NET                 network suffix, NET as in NetworkSpec::parse
     /// ```
+    ///
+    /// `NxM` may name at most [`MAX_TOPOLOGY_DEVICES`] devices.
     pub fn parse(s: &str) -> Result<Self, String> {
         let (shape, net) = match s.split_once('@') {
             Some((shape, net)) => (shape, Some(NetworkSpec::parse(net)?)),
@@ -226,6 +228,11 @@ impl TopologySpec {
                 if n == 0 || m == 0 {
                     return Err(format!("topology '{shape}' has no devices"));
                 }
+                if n.checked_mul(m).is_none_or(|d| d > MAX_TOPOLOGY_DEVICES) {
+                    return Err(format!(
+                        "topology '{shape}' has more than {MAX_TOPOLOGY_DEVICES} devices"
+                    ));
+                }
                 Self::cluster(n, m, model)
             }
         };
@@ -238,6 +245,11 @@ impl TopologySpec {
         Ok(topo)
     }
 }
+
+/// The most devices a parsed `NxM` topology may have: 64 times the
+/// 64×4 cluster, so a typo such as `99999999999x1` is an error at parse
+/// time rather than an allocation the host cannot make.
+pub const MAX_TOPOLOGY_DEVICES: usize = 16_384;
 
 fn parse_model(s: &str) -> Result<GpuModel, String> {
     Ok(match s {
@@ -373,6 +385,22 @@ mod tests {
     fn parse_rejects_malformed_specs() {
         for bad in ["", "64", "0x4", "4x0", "axb", "4x4:gtx", "4x4@warp"] {
             assert!(TopologySpec::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_topologies_beyond_the_device_ceiling() {
+        let at_limit = format!("{}x4", MAX_TOPOLOGY_DEVICES / 4);
+        assert!(TopologySpec::parse(&at_limit).is_ok());
+        for bad in [
+            format!("{}x1", MAX_TOPOLOGY_DEVICES + 1),
+            format!("{}x4", MAX_TOPOLOGY_DEVICES / 4 + 1),
+            "99999999999x1".to_string(),
+            format!("{}x2", usize::MAX),
+            format!("{0}x{0}:cpu@gbe", 1u64 << 32),
+        ] {
+            let err = TopologySpec::parse(&bad).expect_err(&bad);
+            assert!(err.contains("more than 16384 devices"), "{bad}: {err}");
         }
     }
 

@@ -7,9 +7,22 @@
 //!   utilization percentages), and
 //! * down-sampling into fixed-width buckets (for the Figure 1 heat-map and
 //!   Figure 2 utilization-vs-time series).
+//!
+//! A tracker keeps every change point of a run, so it stores them
+//! compactly: a device signal takes a handful of distinct levels, and
+//! consecutive change points are close in time. Each change point but the
+//! newest two is a LEB128 time delta plus a one-byte index into a palette
+//! of the exact `f64` levels seen (about 3–5 bytes instead of 16). The
+//! newest two stay unencoded, because [`UtilizationTracker::record`]
+//! rewrites them, and a checkpoint every [`CHECKPOINT_EVERY`] change
+//! points lets a query start near its window instead of at time zero.
+//! Queries decode the same `(at, level)` sequence, in the same order, as
+//! a plain vector of samples would hold, so every sum is bit-identical.
 
 use crate::time::{SimTime, NS_PER_SEC};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::iter::{Chain, Copied};
 
 /// One step of a piecewise-constant signal: the signal holds `level` from
 /// `at` until the next sample's `at`.
@@ -21,18 +34,129 @@ pub struct Sample {
     pub level: f64,
 }
 
-/// Records a piecewise-constant signal over virtual time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Encoded change points between two checkpoints.
+pub const CHECKPOINT_EVERY: usize = 64;
+
+/// Palette byte announcing that a LEB128 palette index follows (indices
+/// from 255 on).
+const ESCAPE: u8 = u8::MAX;
+
+/// Where an encoded change point starts, for queries to decode from.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct Checkpoint {
+    /// Byte offset of the change point.
+    pos: usize,
+    /// Its time.
+    at: SimTime,
+    /// The time its delta counts from (the previous change point's).
+    base: SimTime,
+}
+
+/// Records a piecewise-constant signal over virtual time. See the module
+/// docs for how the change points are stored.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct UtilizationTracker {
-    samples: Vec<Sample>,
+    /// The change points before the newest two, oldest first: each a
+    /// LEB128 delta from the previous one's time (the first from 0), then
+    /// its palette index as one byte, or [`ESCAPE`] and a LEB128 index.
+    bytes: Vec<u8>,
+    /// Every distinct level encoded so far, by first use, compared by bits.
+    palette: Vec<f64>,
+    /// Per hash of a level's bits: the palette index to try first.
+    hints: [u8; 32],
+    /// Every [`CHECKPOINT_EVERY`]-th encoded change point, from the first.
+    checkpoints: Vec<Checkpoint>,
+    /// Number of encoded change points.
+    encoded: usize,
+    /// Time of the newest encoded change point (the next delta's base).
+    encoded_at: SimTime,
+    /// The newest change points, at most two, unencoded. Empty only when
+    /// nothing is encoded either.
+    tail: Vec<Sample>,
+}
+
+/// Reads the encoded change points from a byte offset on.
+struct Decoder<'a> {
+    bytes: &'a [u8],
+    palette: &'a [f64],
+    pos: usize,
+    /// Time of the change point before `pos`.
+    at: SimTime,
+}
+
+impl Iterator for Decoder<'_> {
+    type Item = Sample;
+
+    #[inline]
+    fn next(&mut self) -> Option<Sample> {
+        if self.pos == self.bytes.len() {
+            return None;
+        }
+        self.at += read_leb128(self.bytes, &mut self.pos);
+        let mut index = u64::from(self.bytes[self.pos]);
+        self.pos += 1;
+        if index == u64::from(ESCAPE) {
+            index = read_leb128(self.bytes, &mut self.pos);
+        }
+        Some(Sample {
+            at: self.at,
+            level: self.palette[index as usize],
+        })
+    }
+}
+
+impl Decoder<'_> {
+    /// Decode the change points at or before `t`; the level of the last.
+    fn skip_through(&mut self, t: SimTime) -> Option<f64> {
+        let mut level = None;
+        loop {
+            let before = (self.pos, self.at);
+            match self.next() {
+                Some(s) if s.at <= t => level = Some(s.level),
+                Some(_) => {
+                    (self.pos, self.at) = before;
+                    return level;
+                }
+                None => return level,
+            }
+        }
+    }
+}
+
+/// Change points in time order, decoded then unencoded.
+type Samples<'a> = Chain<Decoder<'a>, Copied<std::slice::Iter<'a, Sample>>>;
+
+/// Write `v` as LEB128 at the start of `out`; returns the bytes written
+/// (at most 10).
+fn write_leb128(out: &mut [u8], mut v: u64) -> usize {
+    let mut n = 0;
+    while v >= 0x80 {
+        out[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    out[n] = v as u8;
+    n + 1
+}
+
+#[inline]
+fn read_leb128(bytes: &[u8], pos: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
 }
 
 impl UtilizationTracker {
     /// New tracker; the signal is implicitly 0.0 until the first sample.
     pub fn new() -> Self {
-        UtilizationTracker {
-            samples: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Record that the signal changed to `level` at time `at`.
@@ -40,15 +164,18 @@ impl UtilizationTracker {
     /// Consecutive equal levels are coalesced. Out-of-order records are
     /// rejected in debug builds (the executive always observes time forward).
     pub fn record(&mut self, at: SimTime, level: f64) {
-        if let Some(last) = self.samples.last() {
+        if let Some(last) = self.tail.last() {
             debug_assert!(at >= last.at, "telemetry time went backwards");
             if last.level == level {
                 return;
             }
             if last.at == at {
                 // replace instantaneous blip
-                self.samples.pop();
-                if let Some(prev) = self.samples.last() {
+                self.tail.pop();
+                if self.tail.is_empty() {
+                    self.unencode_newest();
+                }
+                if let Some(prev) = self.tail.last() {
                     if prev.level == level {
                         return;
                     }
@@ -57,35 +184,133 @@ impl UtilizationTracker {
         } else if level == 0.0 {
             return; // implicit leading zero
         }
-        self.samples.push(Sample { at, level });
+        if self.tail.len() == 2 {
+            let oldest = self.tail.remove(0);
+            self.encode(oldest);
+        }
+        self.tail.push(Sample { at, level });
+    }
+
+    /// Append `s` to the encoded change points.
+    fn encode(&mut self, s: Sample) {
+        if self.encoded.is_multiple_of(CHECKPOINT_EVERY) {
+            self.checkpoints.push(Checkpoint {
+                pos: self.bytes.len(),
+                at: s.at,
+                base: self.encoded_at,
+            });
+        }
+        let index = self.palette_index(s.level);
+        // A delta, then an index byte or the escape and an index.
+        let mut buf = [0u8; 21];
+        let mut n = write_leb128(&mut buf, s.at - self.encoded_at);
+        match u8::try_from(index) {
+            Ok(i) if i != ESCAPE => buf[n] = i,
+            _ => {
+                buf[n] = ESCAPE;
+                n += write_leb128(&mut buf[n + 1..], index as u64);
+            }
+        }
+        self.bytes.extend_from_slice(&buf[..=n]);
+        self.encoded += 1;
+        self.encoded_at = s.at;
+    }
+
+    /// The palette index of `level`, added when new. The hint for a hash
+    /// of its bits usually names it, so a lookup compares one entry
+    /// instead of scanning the palette.
+    fn palette_index(&mut self, level: f64) -> usize {
+        let bits = level.to_bits();
+        let slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59) as usize;
+        let hint = usize::from(self.hints[slot]);
+        if self.palette.get(hint).is_some_and(|l| l.to_bits() == bits) {
+            return hint;
+        }
+        let index = match self.palette.iter().position(|l| l.to_bits() == bits) {
+            Some(i) => i,
+            None => {
+                self.palette.push(level);
+                self.palette.len() - 1
+            }
+        };
+        if let Ok(i) = u8::try_from(index) {
+            self.hints[slot] = i;
+        }
+        index
+    }
+
+    /// Move the newest encoded change point, if any, back into the empty
+    /// tail. Only a blip at the instant of the one change point left
+    /// unencoded needs it, which a forward clock never records.
+    fn unencode_newest(&mut self) {
+        let Some(&cp) = self.checkpoints.last() else {
+            return;
+        };
+        let mut dec = self.decoder(cp.pos, cp.base);
+        let (mut start, mut base) = (cp.pos, cp.base);
+        let mut newest = dec.next().expect("a checkpoint starts a change point");
+        loop {
+            let (pos, at) = (dec.pos, dec.at);
+            let Some(s) = dec.next() else { break };
+            (start, base, newest) = (pos, at, s);
+        }
+        self.bytes.truncate(start);
+        self.encoded -= 1;
+        self.encoded_at = base;
+        if start == cp.pos {
+            self.checkpoints.pop();
+        }
+        self.tail.push(newest);
+    }
+
+    fn decoder(&self, pos: usize, at: SimTime) -> Decoder<'_> {
+        Decoder {
+            bytes: &self.bytes,
+            palette: &self.palette,
+            pos,
+            at,
+        }
+    }
+
+    /// The signal's level at `t`, and its change points after `t`. Starts
+    /// at the tail when `t` reaches it, else decodes from the last
+    /// checkpoint at or before `t`.
+    fn split(&self, t: SimTime) -> (f64, Samples<'_>) {
+        let mut dec = match self.tail.first() {
+            Some(s) if s.at <= t => self.decoder(self.bytes.len(), self.encoded_at),
+            _ => match self.checkpoints.partition_point(|c| c.at <= t) {
+                0 => self.decoder(0, 0),
+                k => self.decoder(self.checkpoints[k - 1].pos, self.checkpoints[k - 1].base),
+            },
+        };
+        let mut level = dec.skip_through(t).unwrap_or(0.0);
+        let k = self.tail.partition_point(|s| s.at <= t);
+        if let Some(s) = k.checked_sub(1).map(|k| self.tail[k]) {
+            level = s.level;
+        }
+        (level, dec.chain(self.tail[k..].iter().copied()))
     }
 
     /// Number of recorded steps.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.encoded + self.tail.len()
     }
 
     /// True if nothing was recorded (signal identically zero).
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.tail.is_empty()
     }
 
-    /// Raw samples.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
+    /// Raw samples, oldest first.
+    pub fn samples(&self) -> impl Iterator<Item = Sample> + '_ {
+        self.decoder(0, 0).chain(self.tail.iter().copied())
     }
 
-    /// Signal level at time `t`. Queries at or after the last step (the
-    /// executive's metrics sample at `now`) read the tail without a
-    /// search.
+    /// Signal level at time `t`. Queries at or after the newest steps
+    /// (the executive's metrics sample at `now`) read the tail without
+    /// decoding.
     pub fn level_at(&self, t: SimTime) -> f64 {
-        if let Some(last) = self.samples.last().filter(|s| s.at <= t) {
-            return last.level;
-        }
-        match self.samples.partition_point(|s| s.at <= t) {
-            0 => 0.0,
-            i => self.samples[i - 1].level,
-        }
+        self.split(t).0
     }
 
     /// Exact time-weighted mean of the signal over `[from, to)`.
@@ -95,9 +320,8 @@ impl UtilizationTracker {
         }
         let mut acc = 0.0f64;
         let mut cursor = from;
-        let mut level = self.level_at(from);
-        let start = self.samples.partition_point(|s| s.at <= from);
-        for s in &self.samples[start..] {
+        let (mut level, rest) = self.split(from);
+        for s in rest {
             if s.at >= to {
                 break;
             }
@@ -117,9 +341,8 @@ impl UtilizationTracker {
         }
         let mut busy = 0u64;
         let mut cursor = from;
-        let mut level = self.level_at(from);
-        let start = self.samples.partition_point(|s| s.at <= from);
-        for s in &self.samples[start..] {
+        let (mut level, rest) = self.split(from);
+        for s in rest {
             if s.at >= to {
                 break;
             }
@@ -169,9 +392,8 @@ impl UtilizationTracker {
     pub fn idle_gaps(&self, from: SimTime, to: SimTime, min_gap_ns: u64) -> usize {
         let mut gaps = 0;
         let mut cursor = from;
-        let mut level = self.level_at(from);
-        let start = self.samples.partition_point(|s| s.at <= from);
-        for s in &self.samples[start..] {
+        let (mut level, rest) = self.split(from);
+        for s in rest {
             if s.at >= to {
                 break;
             }
@@ -187,22 +409,65 @@ impl UtilizationTracker {
         gaps
     }
 
-    /// Change points of the signal within `[from, to)` (used by the
-    /// combined-signal helpers).
-    fn change_points(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = SimTime> + '_ {
-        self.samples
-            .iter()
-            .map(|s| s.at)
-            .filter(move |t| *t > from && *t < to)
-    }
-
     /// Render the tracker as `(seconds, level)` pairs for report output.
     pub fn as_seconds_series(&self) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
+        self.samples()
             .map(|s| (s.at as f64 / NS_PER_SEC as f64, s.level))
             .collect()
     }
+}
+
+/// Renders as the plain `Vec<Sample>` it stands for:
+/// `UtilizationTracker { samples: [Sample { at: .., level: .. }, ..] }`.
+impl fmt::Debug for UtilizationTracker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct List<'a>(&'a UtilizationTracker);
+        impl fmt::Debug for List<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.samples()).finish()
+            }
+        }
+        f.debug_struct("UtilizationTracker")
+            .field("samples", &List(self))
+            .finish()
+    }
+}
+
+/// The union of the trackers' change points within `(from, to)`, plus
+/// `from`, ascending; each with whether any tracker is strictly positive
+/// there and whether every tracker is zero there.
+fn union_points(
+    trackers: &[&UtilizationTracker],
+    from: SimTime,
+    to: SimTime,
+) -> Vec<(SimTime, bool, bool)> {
+    let mut points: Vec<SimTime> = trackers
+        .iter()
+        .flat_map(|t| t.split(from).1.map(|s| s.at).take_while(|&at| at < to))
+        .collect();
+    points.push(from);
+    points.sort_unstable();
+    points.dedup();
+    let mut cursors: Vec<_> = (trackers.iter())
+        .map(|t| {
+            let (level, rest) = t.split(from);
+            (level, rest.peekable())
+        })
+        .collect();
+    points
+        .into_iter()
+        .map(|p| {
+            let (mut any, mut all) = (false, true);
+            for (level, rest) in &mut cursors {
+                while let Some(s) = rest.next_if(|s| s.at <= p) {
+                    *level = s.level;
+                }
+                any |= *level > 0.0;
+                all &= *level == 0.0;
+            }
+            (p, any, all)
+        })
+        .collect()
 }
 
 /// Fraction of `[from, to)` during which *any* of the trackers is strictly
@@ -211,17 +476,11 @@ pub fn combined_busy_fraction(trackers: &[&UtilizationTracker], from: SimTime, t
     if to <= from || trackers.is_empty() {
         return 0.0;
     }
-    let mut points: Vec<SimTime> = trackers
-        .iter()
-        .flat_map(|t| t.change_points(from, to))
-        .collect();
-    points.push(from);
-    points.sort_unstable();
-    points.dedup();
+    let points = union_points(trackers, from, to);
     let mut busy = 0u64;
-    for (i, &p) in points.iter().enumerate() {
-        let next = points.get(i + 1).copied().unwrap_or(to);
-        if trackers.iter().any(|t| t.level_at(p) > 0.0) {
+    for (i, &(p, any, _)) in points.iter().enumerate() {
+        let next = points.get(i + 1).map_or(to, |q| q.0);
+        if any {
             busy += next - p;
         }
     }
@@ -240,18 +499,11 @@ pub fn combined_idle_gaps(
     if to <= from || trackers.is_empty() {
         return 0;
     }
-    let mut points: Vec<SimTime> = trackers
-        .iter()
-        .flat_map(|t| t.change_points(from, to))
-        .collect();
-    points.push(from);
-    points.sort_unstable();
-    points.dedup();
+    let points = union_points(trackers, from, to);
     let mut gaps = 0;
     let mut idle_since: Option<SimTime> = None;
-    for (i, &p) in points.iter().enumerate() {
-        let next = points.get(i + 1).copied().unwrap_or(to);
-        let idle = trackers.iter().all(|t| t.level_at(p) == 0.0);
+    for (i, &(p, _, idle)) in points.iter().enumerate() {
+        let next = points.get(i + 1).map_or(to, |q| q.0);
         match (idle, idle_since) {
             (true, None) => idle_since = Some(p),
             (false, Some(start)) => {
@@ -484,5 +736,373 @@ mod proptests {
             let stitched = (left * cut as f64 + right * (end - cut) as f64) / end as f64;
             prop_assert!((whole - stitched).abs() < 1e-9);
         }
+    }
+}
+
+#[cfg(test)]
+mod differential {
+    //! Tracker-vs-reference differential: the tracker must answer every
+    //! query exactly as a plain `Vec<Sample>` of its change points does —
+    //! same levels, same `f64` sums bit for bit, same counts, same `Debug`
+    //! rendering — under equal-level coalescing, same-instant blips (also
+    //! back to the previous level), leading zeros, more than 255 distinct
+    //! levels and time steps of 2^32 ns or more.
+
+    use super::{Sample, UtilizationTracker};
+    use crate::time::{SimTime, NS_PER_SEC};
+    use proptest::prelude::*;
+
+    /// The reference: every change point in one `Vec`, searched with
+    /// `partition_point`. Named like the tracker so its derived `Debug`
+    /// is the rendering the tracker must reproduce.
+    mod reference {
+        use super::Sample;
+
+        #[derive(Debug, Default)]
+        pub struct UtilizationTracker {
+            pub samples: Vec<Sample>,
+        }
+    }
+    use reference::UtilizationTracker as Reference;
+
+    impl Reference {
+        fn record(&mut self, at: SimTime, level: f64) {
+            if let Some(last) = self.samples.last() {
+                if last.level == level {
+                    return;
+                }
+                if last.at == at {
+                    self.samples.pop();
+                    if let Some(prev) = self.samples.last() {
+                        if prev.level == level {
+                            return;
+                        }
+                    }
+                }
+            } else if level == 0.0 {
+                return;
+            }
+            self.samples.push(Sample { at, level });
+        }
+
+        fn level_at(&self, t: SimTime) -> f64 {
+            match self.samples.partition_point(|s| s.at <= t) {
+                0 => 0.0,
+                i => self.samples[i - 1].level,
+            }
+        }
+
+        fn after(&self, from: SimTime) -> &[Sample] {
+            &self.samples[self.samples.partition_point(|s| s.at <= from)..]
+        }
+
+        fn mean_over(&self, from: SimTime, to: SimTime) -> f64 {
+            if to <= from {
+                return 0.0;
+            }
+            let (mut acc, mut cursor, mut level) = (0.0f64, from, self.level_at(from));
+            for s in self.after(from) {
+                if s.at >= to {
+                    break;
+                }
+                acc += level * (s.at - cursor) as f64;
+                cursor = s.at;
+                level = s.level;
+            }
+            acc += level * (to - cursor) as f64;
+            acc / (to - from) as f64
+        }
+
+        fn busy_ns(&self, from: SimTime, to: SimTime) -> u64 {
+            if to <= from {
+                return 0;
+            }
+            let (mut busy, mut cursor, mut level) = (0u64, from, self.level_at(from));
+            for s in self.after(from) {
+                if s.at >= to {
+                    break;
+                }
+                if level > 0.0 {
+                    busy += s.at - cursor;
+                }
+                cursor = s.at;
+                level = s.level;
+            }
+            if level > 0.0 {
+                busy += to - cursor;
+            }
+            busy
+        }
+
+        fn bucketize(&self, from: SimTime, to: SimTime, n: usize) -> Vec<f64> {
+            let span = (to - from) as u128;
+            let edge = |i: usize| from + (span * i as u128 / n as u128) as u64;
+            (0..n)
+                .map(|i| {
+                    let (b0, b1) = (edge(i), edge(i + 1));
+                    if b1 > b0 {
+                        self.mean_over(b0, b1)
+                    } else {
+                        self.level_at(b0)
+                    }
+                })
+                .collect()
+        }
+
+        fn idle_gaps(&self, from: SimTime, to: SimTime, min_gap_ns: u64) -> usize {
+            let (mut gaps, mut cursor, mut level) = (0, from, self.level_at(from));
+            for s in self.after(from) {
+                if s.at >= to {
+                    break;
+                }
+                if level == 0.0 && s.at - cursor >= min_gap_ns {
+                    gaps += 1;
+                }
+                cursor = s.at;
+                level = s.level;
+            }
+            if level == 0.0 && to > cursor && to - cursor >= min_gap_ns {
+                gaps += 1;
+            }
+            gaps
+        }
+
+        fn as_seconds_series(&self) -> Vec<(f64, f64)> {
+            (self.samples.iter())
+                .map(|s| (s.at as f64 / NS_PER_SEC as f64, s.level))
+                .collect()
+        }
+    }
+
+    /// The union's change points in `(from, to)`, plus `from`, sorted.
+    fn points(trackers: &[&Reference], from: SimTime, to: SimTime) -> Vec<SimTime> {
+        let mut points: Vec<SimTime> = (trackers.iter())
+            .flat_map(|t| t.samples.iter().map(|s| s.at))
+            .filter(|&t| t > from && t < to)
+            .collect();
+        points.push(from);
+        points.sort_unstable();
+        points.dedup();
+        points
+    }
+
+    fn combined_busy_fraction(trackers: &[&Reference], from: SimTime, to: SimTime) -> f64 {
+        if to <= from || trackers.is_empty() {
+            return 0.0;
+        }
+        let points = points(trackers, from, to);
+        let mut busy = 0u64;
+        for (i, &p) in points.iter().enumerate() {
+            let next = points.get(i + 1).copied().unwrap_or(to);
+            if trackers.iter().any(|t| t.level_at(p) > 0.0) {
+                busy += next - p;
+            }
+        }
+        busy as f64 / (to - from) as f64
+    }
+
+    fn combined_idle_gaps(trackers: &[&Reference], from: SimTime, to: SimTime, min: u64) -> usize {
+        if to <= from || trackers.is_empty() {
+            return 0;
+        }
+        let points = points(trackers, from, to);
+        let (mut gaps, mut idle_since) = (0, None);
+        for (i, &p) in points.iter().enumerate() {
+            let next = points.get(i + 1).copied().unwrap_or(to);
+            let idle = trackers.iter().all(|t| t.level_at(p) == 0.0);
+            match (idle, idle_since) {
+                (true, None) => idle_since = Some(p),
+                (false, Some(start)) => {
+                    gaps += usize::from(p - start >= min);
+                    idle_since = None;
+                }
+                _ => {}
+            }
+            if i + 1 == points.len() {
+                if let Some(start) = idle_since {
+                    gaps += usize::from(next - start >= min);
+                }
+            }
+        }
+        gaps
+    }
+
+    /// Levels drawn from a short palette (coalescing and blips back to a
+    /// previous level are frequent, `-0.0` and NaN included) or from 600
+    /// distinct values (long runs hold more than 255 of them).
+    fn level() -> impl Strategy<Value = f64> {
+        const PALETTE: [f64; 8] = [0.0, 1.0, 0.5, 0.25, 0.75, 1.0 / 3.0, -0.0, f64::NAN];
+        prop_oneof![
+            (0usize..PALETTE.len()).prop_map(|i| PALETTE[i]),
+            (0usize..PALETTE.len()).prop_map(|i| PALETTE[i]),
+            (1u32..600).prop_map(|i| f64::from(i) / 599.0),
+        ]
+    }
+
+    /// Time steps: same-instant (blips), small, large, and 2^32 ns or
+    /// more (beyond four varint bytes).
+    fn step() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            1u64..1_000,
+            1_000u64..2_000_000_000,
+            (1u64 << 32)..(1u64 << 40),
+        ]
+    }
+
+    /// Record `ops` (tracker, step, level) into three trackers and three
+    /// references on one forward clock; returns the final time.
+    fn build(ops: &[(usize, u64, f64)]) -> ([UtilizationTracker; 3], [Reference; 3], SimTime) {
+        let mut trackers: [UtilizationTracker; 3] = Default::default();
+        let mut refs: [Reference; 3] = Default::default();
+        let mut now = 0;
+        for &(k, dt, level) in ops {
+            now += dt;
+            trackers[k].record(now, level);
+            refs[k].record(now, level);
+        }
+        (trackers, refs, now)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every single-tracker query, compared bit for bit.
+    fn check_one(t: &UtilizationTracker, r: &Reference, windows: &[(SimTime, SimTime)]) {
+        assert_eq!(t.len(), r.samples.len());
+        assert_eq!(t.is_empty(), r.samples.is_empty());
+        assert_eq!(format!("{t:?}"), format!("{r:?}"));
+        assert_eq!(format!("{t:#?}"), format!("{r:#?}"));
+        let series = |s: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+            s.into_iter()
+                .map(|(a, b)| (a.to_bits(), b.to_bits()))
+                .collect()
+        };
+        assert_eq!(series(t.as_seconds_series()), series(r.as_seconds_series()));
+        let probes = (r.samples.iter())
+            .flat_map(|s| [s.at.saturating_sub(1), s.at, s.at + 1])
+            .chain(windows.iter().flat_map(|&(a, b)| [a, b]));
+        for p in probes {
+            assert_eq!(
+                t.level_at(p).to_bits(),
+                r.level_at(p).to_bits(),
+                "level_at({p})"
+            );
+        }
+        for &(from, to) in windows {
+            let ctx = format!("[{from}, {to})");
+            assert_eq!(
+                t.mean_over(from, to).to_bits(),
+                r.mean_over(from, to).to_bits(),
+                "{ctx}"
+            );
+            assert_eq!(t.busy_ns(from, to), r.busy_ns(from, to), "{ctx}");
+            for min in [0, 1, 1_000, 1 << 33] {
+                assert_eq!(
+                    t.idle_gaps(from, to, min),
+                    r.idle_gaps(from, to, min),
+                    "{ctx}"
+                );
+            }
+            if to > from {
+                for n in [1, 7, 64] {
+                    assert_eq!(
+                        bits(&t.bucketize(from, to, n)),
+                        bits(&r.bucketize(from, to, n))
+                    );
+                }
+            }
+        }
+    }
+
+    /// Query windows: the whole history, one past its end, and random
+    /// ones (some inverted or empty).
+    fn windows(end: SimTime, picks: &[(u64, u64)]) -> Vec<(SimTime, SimTime)> {
+        let span = end + 10;
+        let mut w = vec![(0, end.max(1)), (0, span), (end, span)];
+        w.extend(picks.iter().map(|&(a, b)| (a % span, b % span)));
+        w
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn tracker_matches_the_vec_reference(
+            ops in proptest::collection::vec((0usize..3, step(), level()), 0..700),
+            picks in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..12),
+        ) {
+            let (trackers, refs, end) = build(&ops);
+            let windows = windows(end, &picks);
+            for (t, r) in trackers.iter().zip(&refs) {
+                check_one(t, r, &windows);
+            }
+            let (t, r): (Vec<&UtilizationTracker>, Vec<&Reference>) =
+                (trackers.iter().collect(), refs.iter().collect());
+            for &(from, to) in &windows {
+                for k in 0..=3 {
+                    prop_assert_eq!(
+                        super::combined_busy_fraction(&t[..k], from, to).to_bits(),
+                        combined_busy_fraction(&r[..k], from, to).to_bits()
+                    );
+                    for min in [1, 1_000, 1 << 33] {
+                        prop_assert_eq!(
+                            super::combined_idle_gaps(&t[..k], from, to, min),
+                            combined_idle_gaps(&r[..k], from, to, min)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A blip back to the previous level leaves one change point
+    /// unencoded; a second blip at that point's own instant (which only a
+    /// clock that ran back to it records) reaches the encoded ones, also
+    /// across a checkpoint.
+    #[test]
+    fn blips_at_an_older_instant_reach_the_encoded_points() {
+        let level = |i: u64| (i % 3 + 1) as f64;
+        for n in [3u64, 4, 5, 64, 65, 66, 67, 130] {
+            let mut t = UtilizationTracker::new();
+            let mut r = Reference::default();
+            // Change points at 1..=n, then a blip back to the level before
+            // the newest, at the newest's instant.
+            let history = (1..=n).map(|i| (i, level(i))).chain([(n, level(n - 1))]);
+            // Then blips at the two instants before it, each tried with a
+            // new level and with the one before it, and on from there.
+            let blips = [
+                (n - 1, 9.0),
+                (n - 1, level(n - 2)),
+                (n - 2, 8.0),
+                (n - 2, level(n - 3)),
+                (n + 5, 7.0),
+                (n + 6, 0.0),
+            ];
+            for (at, l) in history.chain(blips) {
+                t.record(at, l);
+                r.record(at, l);
+            }
+            check_one(&t, &r, &windows(n + 6, &[(0, n), (n / 2, n + 3)]));
+        }
+    }
+
+    /// One long history with 1,000 distinct levels, every step 2^32 ns or
+    /// more, and blips: the escape path and every checkpoint are walked.
+    #[test]
+    fn many_levels_and_wide_steps() {
+        let ops: Vec<(usize, u64, f64)> = (0..3_000u64)
+            .map(|i| {
+                let dt = if i % 5 == 4 { 0 } else { (1 << 32) + i * 977 };
+                (0, dt, ((i * 7_919) % 1_000) as f64 / 999.0)
+            })
+            .collect();
+        let (trackers, refs, end) = build(&ops);
+        let picks: Vec<(u64, u64)> = (0..40u64)
+            .map(|i| (i * end / 37, (i + 3) * end / 37))
+            .collect();
+        check_one(&trackers[0], &refs[0], &windows(end, &picks));
+        assert!(refs[0].samples.len() > 2_000);
     }
 }

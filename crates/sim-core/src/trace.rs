@@ -36,10 +36,14 @@
 //! Latency attribution ([`Stage`] charges) is folded as the run goes: a
 //! [`StageFold`] keeps a short charge list per request still in flight
 //! and turns it into one [`RequestAttribution`] row when the request
-//! closes. A [`Tracer::attribution`] recorder only folds the charges; a
-//! [`Tracer::folding`] recorder also records them as events, so full
-//! traces export exactly as before. The finished rows travel on
-//! [`Trace::ledger`].
+//! closes. A [`Tracer::attribution`] recorder only folds the charges and
+//! records no event at all, so what it holds follows the requests in
+//! flight plus one row per finished request; a [`Tracer::folding`]
+//! recorder also records every event, charges included, so full traces
+//! export exactly as before. The finished rows travel on
+//! [`Trace::ledger`]. Emission sites that build argument strings check
+//! [`Tracer::records`], not just [`Tracer::is_on`], so attribution-only
+//! runs build none.
 
 use crate::fxhash::FxHashMap;
 use crate::time::SimTime;
@@ -209,8 +213,19 @@ struct Recorder {
     buf: TraceBuffer,
     /// Folds stage charges into per-request rows (`None`: no ledger).
     fold: Option<StageFold>,
-    /// Also record stage charges as [`TraceEvent::StageCharge`] events.
-    record_charges: bool,
+    /// Record events (stage charges as [`TraceEvent::StageCharge`]s)
+    /// into `buf`; without it only the fold sees anything.
+    records: bool,
+}
+
+impl Recorder {
+    /// Append `ev` when this recorder records events.
+    #[inline]
+    fn push(&mut self, ev: TraceEvent) {
+        if self.records {
+            self.buf.events.push(ev);
+        }
+    }
 }
 
 /// Cheap cloneable handle components emit through. Disabled by default
@@ -228,11 +243,11 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    fn with(fold: bool, record_charges: bool) -> Self {
+    fn with(fold: bool, records: bool) -> Self {
         let rec = Recorder {
             buf: TraceBuffer::default(),
             fold: fold.then(StageFold::default),
-            record_charges,
+            records,
         };
         Tracer {
             inner: Some(Rc::new(RefCell::new(rec))),
@@ -253,18 +268,26 @@ impl Tracer {
         Tracer::with(true, true)
     }
 
-    /// The attribution recorder: stage charges are folded online and not
-    /// recorded as events, so the trace grows with requests rather than
-    /// with stage transitions. Every other event is recorded.
+    /// The attribution recorder: stage charges are folded online and no
+    /// event is recorded, so the finished [`Trace`] carries the ledger
+    /// and no events.
     pub fn attribution() -> Self {
         Tracer::with(true, false)
     }
 
-    /// True when events are being recorded. Emission sites check this
-    /// before building names/args so a disabled run allocates nothing.
+    /// True when the tracer is enabled: it records events, folds stage
+    /// charges, or both. Sites that charge stages check this.
     #[inline]
     pub fn is_on(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// True when events are being recorded. Emission sites check this
+    /// before building names/args, so neither a disabled run nor an
+    /// attribution-only one allocates any.
+    #[inline]
+    pub fn records(&self) -> bool {
+        self.inner.as_ref().is_some_and(|rec| rec.borrow().records)
     }
 
     /// Register a track and return its id ([`TrackId::INVALID`] when
@@ -298,7 +321,7 @@ impl Tracer {
         if let Some(rec) = &self.inner {
             // Push by value: routing through `TraceSink::event` would clone
             // the args (and their strings) a second time.
-            rec.borrow_mut().buf.events.push(TraceEvent::SpanBegin {
+            rec.borrow_mut().push(TraceEvent::SpanBegin {
                 track,
                 at,
                 name,
@@ -312,7 +335,7 @@ impl Tracer {
     #[inline]
     pub fn span_end(&self, track: TrackId, at: SimTime, name: &'static str, id: Option<u64>) {
         if let Some(rec) = &self.inner {
-            rec.borrow_mut().buf.events.push(TraceEvent::SpanEnd {
+            rec.borrow_mut().push(TraceEvent::SpanEnd {
                 track,
                 at,
                 name,
@@ -325,7 +348,7 @@ impl Tracer {
     #[inline]
     pub fn instant(&self, track: TrackId, at: SimTime, name: &'static str, args: TraceArgs) {
         if let Some(rec) = &self.inner {
-            rec.borrow_mut().buf.events.push(TraceEvent::Instant {
+            rec.borrow_mut().push(TraceEvent::Instant {
                 track,
                 at,
                 name,
@@ -348,7 +371,7 @@ impl Tracer {
     ) {
         if let Some(rec) = &self.inner {
             let rec = &mut *rec.borrow_mut();
-            rec.buf.events.push(TraceEvent::SpanBegin {
+            rec.push(TraceEvent::SpanBegin {
                 track,
                 at,
                 name: REQUEST_SPAN,
@@ -361,11 +384,11 @@ impl Tracer {
         }
     }
 
-    /// Close request `request`'s span and, when folding, emit its row.
+    /// Close request `request`'s span and, when folding, fold its row.
     pub fn request_end(&self, track: TrackId, at: SimTime, request: u64) {
         if let Some(rec) = &self.inner {
             let rec = &mut *rec.borrow_mut();
-            rec.buf.events.push(TraceEvent::SpanEnd {
+            rec.push(TraceEvent::SpanEnd {
                 track,
                 at,
                 name: REQUEST_SPAN,
@@ -391,15 +414,13 @@ impl Tracer {
     ) {
         if let Some(rec) = &self.inner {
             let rec = &mut *rec.borrow_mut();
-            if rec.record_charges {
-                rec.buf.events.push(TraceEvent::StageCharge {
-                    track,
-                    at,
-                    request,
-                    stage,
-                    from,
-                });
-            }
+            rec.push(TraceEvent::StageCharge {
+                track,
+                at,
+                request,
+                stage,
+                from,
+            });
             if let Some(fold) = &mut rec.fold {
                 fold.charge(request, stage, from, at);
             }
@@ -423,7 +444,7 @@ impl Tracer {
         if let Some(fold) = &mut rec.fold {
             fold.retract(request, to);
         }
-        if !rec.record_charges {
+        if !rec.records {
             return;
         }
         let events = &mut rec.buf.events;
@@ -456,7 +477,7 @@ impl Tracer {
     #[inline]
     pub fn counter(&self, track: TrackId, at: SimTime, name: &'static str, value: f64) {
         if let Some(rec) = &self.inner {
-            rec.borrow_mut().buf.events.push(TraceEvent::Counter {
+            rec.borrow_mut().push(TraceEvent::Counter {
                 track,
                 at,
                 name,
@@ -496,7 +517,7 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
     /// Per-request attribution rows folded while the run went (`None`
     /// when the recorder did not fold: see [`Tracer::folding`] and
-    /// [`Tracer::attribution`]).
+    /// [`Tracer::attribution`]). The row vector holds no spare capacity.
     pub ledger: Option<StageLedger>,
 }
 
@@ -857,6 +878,7 @@ impl StageFold {
         rows.reverse();
         rows.sort_by_key(|r| r.request);
         rows.dedup_by_key(|r| r.request);
+        rows.shrink_to_fit();
         StageLedger {
             requests: rows,
             inconsistent: self.inconsistent,
@@ -962,7 +984,7 @@ mod tests {
     #[test]
     fn disabled_tracer_is_free_and_silent() {
         let t = Tracer::off();
-        assert!(!t.is_on());
+        assert!(!t.is_on() && !t.records());
         let trk = t.track("p", "t");
         assert_eq!(trk, TrackId::INVALID);
         t.span_begin(trk, 0, "x", None, vec![]);
@@ -1053,13 +1075,10 @@ mod tests {
             .count();
         assert_eq!(charges, 3, "a full trace records the surviving charges");
         let light = Tracer::attribution();
+        assert!(light.is_on() && !light.records());
         one_request(&light);
         let light = light.finish().unwrap();
-        assert!(light
-            .events
-            .iter()
-            .all(|e| !matches!(e, TraceEvent::StageCharge { .. })));
-        assert_eq!(light.events.len(), 2, "the request span only");
+        assert_eq!(light.events.len(), 0, "the ledger only");
         for trace in [full, light] {
             let ledger = trace.ledger.expect("folding tracers keep a ledger");
             assert_eq!(ledger.requests, vec![expect.clone()]);
