@@ -634,23 +634,23 @@ impl Observers {
             ("detail", kind.to_string()),
         ];
         t.instant(track, now, "fault_injected", args);
-        let (name, id, until, args) = match kind {
+        let (name, id, for_ns, args) = match kind {
             FaultKind::LinkDegraded {
                 node,
                 factor,
                 for_ns,
             } => {
                 let args = vec![("node", node.to_string()), ("factor", factor.to_string())];
-                ("link_degraded", 0x1000 + node as u64, now + for_ns, args)
+                ("link_degraded", 0x1000 + node as u64, for_ns, args)
             }
             FaultKind::Partition { node, for_ns } => {
                 let args = vec![("node", node.to_string())];
-                ("partition", 0x2000 + node as u64, now + for_ns, args)
+                ("partition", 0x2000 + node as u64, for_ns, args)
             }
             _ => return,
         };
         t.span_begin(track, now, name, Some(id), args);
-        t.span_end(track, until, name, Some(id));
+        t.span_end(track, now.saturating_add(for_ns), name, Some(id));
     }
 
     /// The gMap was rebuilt around lost devices; `survivors` remain.

@@ -40,8 +40,9 @@ pub struct RunStats {
     /// Device-memory allocation failures observed (the paper assumes the
     /// arrival rate keeps this at zero; we verify).
     pub oom_events: u64,
-    /// Events popped from the queue: every dispatched event plus stale
-    /// wheel pops (diagnostics).
+    /// Events popped from the queue: every dispatched event, arrivals
+    /// included (diagnostics). Cancelled wakeups never pop and are not
+    /// counted.
     pub events: u64,
     /// Requests that completed.
     pub completed_requests: u64,
@@ -68,13 +69,14 @@ pub struct RunStats {
     /// Events whose schedule time lay in the past and were clamped to
     /// "now" by the event queue (diagnostics; should stay 0).
     pub clamped_events: u64,
-    /// Superseded device wakeups cancelled in their queue slot without ever
-    /// entering the wheel. They never pop, so they are not in
+    /// Keyed wakeups (device and epoch-handover) cancelled or superseded
+    /// before they popped. They never dispatch, so they are not in
     /// [`RunStats::events`].
     pub cancelled_wakeups: u64,
-    /// Superseded device wakeups that still reached the wheel pop path
-    /// before dying (spilled by a same-key reschedule). Slot cancellation
-    /// keeps this near zero; also counted in [`RunStats::events`].
+    /// Always 0. It counted superseded wakeups that were still popped and
+    /// discarded; the queue now drops every cancelled entry without
+    /// popping it. Kept because the golden `RunStats` lines, the trace
+    /// counter and the benchmarks still read it.
     pub stale_pops: u64,
     /// High-water mark of *live* backlog: cancelled and superseded entries
     /// are excluded the moment they die. Rendered as `peak_queue_depth` by

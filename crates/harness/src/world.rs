@@ -168,8 +168,8 @@ enum Event {
     /// Host CPU phase ends (app, incarnation).
     HostWake(AppId, u32),
     /// A device's next self-event is due. Staleness is handled by the
-    /// queue: the wakeup is scheduled under the device's [`EventKey`] and
-    /// superseded entries die inside [`EventQueue::pop`].
+    /// queue: the wakeup is scheduled under the device's [`EventKey`], and
+    /// a cancelled or superseded one never pops from [`EventQueue::pop`].
     Device(u32),
     Epoch(u32),
     /// An RPC lands at the backend (app, call, incarnation).
@@ -699,7 +699,6 @@ impl World {
         );
         self.stats.events = self.queue.popped();
         self.stats.cancelled_wakeups = self.queue.cancelled();
-        self.stats.stale_pops = self.queue.stale_pops();
         self.stats.peak_live_queue_depth = self.queue.peak_live_len() as u64;
         self.stats.completed_requests = self.finished as u64;
         self.stats.context_switches = self
@@ -1311,12 +1310,12 @@ impl World {
             + self.cfg.rpc.recv_overhead_ns(&packed.call);
         // In-order per-application delivery: a small control message must
         // not overtake an earlier bulk payload on the same channel.
-        let mut at = (now + deliver_ns).max(self.app(app).last_deliver + 1);
+        let mut at = (now + deliver_ns).max(self.app(app).last_deliver.saturating_add(1));
         // Non-blocking sends (or blocking with retry disabled) queue up
         // behind a partition and drain when the window heals.
         let heal = self.link_partition_heal(node, dev_node, now);
         if heal > now {
-            at = at.max(heal + deliver_ns);
+            at = at.max(heal.saturating_add(deliver_ns));
         }
         if factor > 1.0 || heal > now {
             self.app_mut(app).degraded = true;
@@ -1714,8 +1713,9 @@ impl World {
         if let Some(t) = self.devices[gid].next_event_time(now) {
             let t = t.max(now);
             // A nested resync of this device (check_waiters or maybe_retick
-            // above) may already have parked this very wakeup; a second copy
-            // would only spill the first into the wheel.
+            // above) may already have scheduled this very wakeup. Keep it:
+            // superseding it with a copy would take a new event id and
+            // change the cause links of everything the wakeup schedules.
             let key = self.dev_keys[gid];
             if self.queue.parked_at(key) != Some(t) {
                 self.queue.schedule_keyed(key, t, Event::Device(gid as u32));
@@ -1756,10 +1756,10 @@ impl World {
                 node,
                 factor,
                 for_ns,
-            } => self.degrade[node as usize] = (now + for_ns, factor.max(1.0)),
+            } => self.degrade[node as usize] = (now.saturating_add(for_ns), factor.max(1.0)),
             FaultKind::Partition { node, for_ns } => {
                 let until = &mut self.partition_until[node as usize];
-                *until = (*until).max(now + for_ns);
+                *until = (*until).max(now.saturating_add(for_ns));
             }
         }
         // Trigger after the handler so the fault-class dump window

@@ -1,24 +1,11 @@
 //! Event queue.
 //!
-//! A hierarchical timing wheel for discrete-event simulation. Events are
-//! totally ordered by `(time, sequence)` where the sequence number is the
-//! insertion order — two events scheduled for the same instant pop in the
-//! order they were scheduled, which keeps the simulation deterministic.
-//!
-//! # Timing wheel
-//!
-//! The near future — one `SPAN`-wide window starting at the wheel base —
-//! is covered by `NBUCKETS` fixed-width buckets; an event lands in its
-//! bucket with a shift and a mask, no comparisons, and inserts are plain
-//! pushes. Buckets are deliberately narrow enough to hold only a handful
-//! of events, so the pop path finds the bucket minimum with a linear scan
-//! of contiguous memory instead of maintaining sorted order. Events beyond
-//! the window go to a calendar overflow (a binary heap); when the wheel
-//! drains, the window advances to the overflow minimum and the next
-//! window's worth of events cascades into the buckets. Because the
-//! simulation clock is monotonic and schedules into the past clamp to
-//! `now`, every insert lands at or after the wheel base — the wheel never
-//! has to look backwards.
+//! A deterministic future-event list for discrete-event simulation: one
+//! binary heap ordered by `(time, sequence)`, where the sequence number is
+//! the insertion order — two events scheduled for the same instant pop in
+//! the order they were scheduled, which keeps the simulation deterministic.
+//! Schedules into the past clamp to `now`, so the clock never runs
+//! backwards.
 //!
 //! Components that re-derive their own next event whenever their state
 //! changes (e.g. a GPU compute engine re-solving kernel completion times when
@@ -27,33 +14,22 @@
 //! wakeups with [`EventQueue::schedule_keyed`], and calls
 //! [`EventQueue::invalidate`] on every state change.
 //!
-//! Keyed wakeups never touch the wheel in the common case. Each key owns a
-//! one-entry *slot* beside the wheel; scheduling parks the entry there and
-//! [`EventQueue::invalidate`] cancels it, each in O(log keys) — tallied in
-//! [`EventQueue::cancelled`] — and a cancelled entry is simply gone: it
-//! never pops, never advances the clock, never counts as an event. Only
-//! when a second wakeup is scheduled while one is already parked (a
-//! component rescheduling without superseding) does the parked entry spill
-//! into the wheel, where a later invalidation kills it lazily at pop time
-//! ([`EventQueue::stale_pops`], ~0 in practice).
+//! A key has at most one live wakeup, and the queue remembers that entry's
+//! `(time, seq)` per key. Invalidating the key, or scheduling a new wakeup
+//! under it (which supersedes the old one), forgets the pair and counts one
+//! [`EventQueue::cancelled`] wakeup in O(1). The dead entry stays in the
+//! heap and is dropped silently when it reaches the top: it never pops,
+//! never advances the clock, never counts as an event and never counts in
+//! the live depth.
 //!
-//! The earliest parked entry across all keys is kept by a tournament
-//! (winner) tree over the slots: every internal node holds the smaller
-//! `(time, seq)` of its two children, so the root is the cross-slot
-//! minimum in O(1), and parking, cancelling or popping one slot replays
-//! only the matches on that slot's leaf-to-root path — O(log keys), with
-//! no walk over the other slots however many devices the cluster has.
-//! `(time, seq)` is unique per entry, so the winner is exactly the entry
-//! a full scan would find.
-//!
-//! A run's planned arrivals never enter the wheel at all.
+//! A run's planned arrivals never enter the heap at all.
 //! [`EventQueue::schedule_arrivals`] takes them in one go, sorted by
-//! `(time, id)`, and the pop path merges that cursor with the queue head:
+//! `(time, id)`, and the pop path merges that cursor with the heap's top:
 //! the next arrival pops when it orders before everything queued. Each
 //! arrival still gets the id a plain schedule would have given it, so the
 //! merged pop order, the clock and every id and cause are exactly those of
-//! scheduling the arrivals one by one, while the wheel and its overflow
-//! hold only the events the run has generated — the work in flight.
+//! scheduling the arrivals one by one, while the heap holds only the events
+//! the run has generated — the work in flight.
 //!
 //! Depth ([`EventQueue::live_len`] / [`EventQueue::peak_live_len`]) counts
 //! only queued events that can still dispatch: the honest backlog, pending
@@ -63,7 +39,7 @@ use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Handle to a cancellable event slot, allocated by
+/// Handle to a cancellable wakeup, allocated by
 /// [`EventQueue::register_key`]. One key typically belongs to one
 /// self-rescheduling component (e.g. a simulated device).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,28 +70,13 @@ impl EventId {
     }
 }
 
-/// log2 of the bucket width: 2^22 ns ≈ 4.2 ms per bucket, sized so the
-/// DES hot paths (device wakeups every few hundred µs to a few ms) land a
-/// handful of events per bucket — small enough to scan, large enough that
-/// the working set of buckets stays cache-resident.
-const SHIFT: u32 = 22;
-/// Buckets in the near window (power of two; one bitmap word).
-const NBUCKETS: usize = 64;
-/// Bitmap words covering `NBUCKETS` buckets.
-const WORDS: usize = NBUCKETS / 64;
-/// Width of the near window: events past `base + SPAN` overflow to the
-/// calendar heap until the window advances over them.
-const SPAN: u64 = (NBUCKETS as u64) << SHIFT;
-
 #[derive(Debug)]
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
-    /// Index into `key_gens`, or `NO_KEY` for plain entries.
+    /// The key the entry was scheduled under, or `NO_KEY` for plain
+    /// entries.
     key: u32,
-    /// The key's generation when this entry was scheduled; the entry is
-    /// stale iff it no longer matches `key_gens[key]`.
-    key_gen: u64,
     /// Sequence number of the event being dispatched when this entry was
     /// scheduled (`u64::MAX` when scheduled outside any dispatch). Pure
     /// bookkeeping: never consulted by ordering or accounting.
@@ -141,7 +102,7 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// A run's planned arrivals, held outside the wheel as a cursor (see
+/// A run's planned arrivals, held outside the heap as a cursor (see
 /// [`EventQueue::schedule_arrivals`]).
 #[derive(Debug)]
 struct Arrivals<E> {
@@ -173,34 +134,14 @@ impl<E> Arrivals<E> {
     }
 }
 
-/// A tournament-tree node: the `(time, seq)` of the earliest parked entry
-/// in its subtree, and the slot holding it. Empty subtrees carry
-/// [`NO_ENTRY`], which loses every match.
-type Contender = (SimTime, u64, u32);
-
-/// The contender of an empty slot (and of the padding leaves past the last
-/// key). No real entry reaches it: sequence numbers never hit `u64::MAX`.
-const NO_ENTRY: Contender = (SimTime::MAX, u64::MAX, NO_KEY);
-
-/// Per-key state: the current generation (for wheel-spilled entries), the
-/// parked pending wakeup, if any, and how many spilled entries of the
-/// *current* generation are still in the wheel (so an invalidation knows
-/// how many live events it just killed without scanning the wheel).
-#[derive(Debug)]
-struct KeySlot<E> {
-    gen: u64,
-    pending: Option<Scheduled<E>>,
-    spilled_live: u32,
-}
-
 /// A deterministic future-event list.
 ///
 /// `E` is the simulation's event payload type (typically one big enum owned
 /// by the executive).
 ///
 /// Plain events pop in `(time, insertion-order)` order; a self-rescheduling
-/// component uses a keyed slot so a superseded wakeup can be cancelled in
-/// O(log keys) instead of being popped and discarded:
+/// component schedules under a key, so a superseded wakeup is cancelled in
+/// O(1) instead of being popped and discarded:
 ///
 /// ```
 /// use sim_core::event::EventQueue;
@@ -211,50 +152,33 @@ struct KeySlot<E> {
 /// q.schedule(10, "tick");
 /// q.schedule_keyed(key, 20, "wakeup@20");
 ///
-/// // The device's state changed: its parked wakeup is now stale.
+/// // The device's state changed: its pending wakeup is now stale.
 /// q.invalidate(key);
 /// q.schedule_keyed(key, 30, "wakeup@30");
+/// // Scheduling under a key with a live wakeup supersedes it.
+/// q.schedule_keyed(key, 25, "wakeup@25");
 ///
 /// assert_eq!(q.pop(), Some((10, "tick")));
-/// // The cancelled entry is gone: it never pops and never counts.
-/// assert_eq!(q.pop(), Some((30, "wakeup@30")));
+/// // Cancelled entries are gone: they never pop and never count.
+/// assert_eq!(q.pop(), Some((25, "wakeup@25")));
 /// assert_eq!(q.pop(), None);
-/// assert_eq!(q.cancelled(), 1);
+/// assert_eq!(q.cancelled(), 2);
 /// assert_eq!(q.popped(), 2);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Near-window buckets, unordered; the pop path scans the head bucket
-    /// for its `(time, seq)` minimum (buckets are narrow, so scans touch a
-    /// handful of contiguous entries).
-    wheel: Vec<Vec<Scheduled<E>>>,
-    /// Non-empty-bucket bitmap: bit `i` set iff `wheel[i]` is non-empty.
-    occupied: [u64; WORDS],
-    /// Virtual time of bucket 0; always ≤ every pending event time.
-    base: SimTime,
-    /// Total events across all wheel buckets.
-    wheel_len: usize,
-    /// Calendar fallback for events beyond `base + SPAN`.
-    overflow: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// Every queued entry, earliest `(time, seq)` on top. Cancelled keyed
+    /// entries stay until they surface, then drop without dispatching.
+    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// Per key: `(time, seq)` of its live wakeup, if it has one. A keyed
+    /// heap entry is live iff it matches its key's pair here.
+    live: Vec<Option<(SimTime, u64)>>,
+    /// Cancelled entries still in the heap.
+    dead: usize,
     next_seq: u64,
     now: SimTime,
     popped: u64,
     clamped: u64,
-    slots: Vec<KeySlot<E>>,
-    /// Tournament tree over `slots`, heap-indexed from 1: leaf `i` lives
-    /// at `leaves + i`, node `n`'s children at `2n` and `2n + 1`, and the
-    /// root `tournament[1]` is the earliest parked entry. Empty until the
-    /// first key is registered.
-    tournament: Vec<Contender>,
-    /// Leaf capacity of `tournament`: the smallest power of two ≥ the
-    /// number of keys.
-    leaves: usize,
-    /// Number of slots with a parked entry.
-    parked_count: usize,
-    /// Wheel/overflow entries already superseded (their key's generation
-    /// moved on) — dead weight awaiting a lazy stale pop.
-    dead_in_wheel: usize,
-    stale_pops: u64,
     cancelled: u64,
     peak_live: usize,
     /// High-water mark of `live_len()` plus the pending arrivals.
@@ -279,21 +203,13 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            wheel: (0..NBUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; WORDS],
-            base: 0,
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
+            live: Vec::new(),
+            dead: 0,
             next_seq: 0,
             now: 0,
             popped: 0,
             clamped: 0,
-            slots: Vec::new(),
-            tournament: Vec::new(),
-            leaves: 0,
-            parked_count: 0,
-            dead_in_wheel: 0,
-            stale_pops: 0,
             cancelled: 0,
             peak_live: 0,
             peak_backlog: 0,
@@ -333,32 +249,24 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of events popped so far (for progress reporting / loop caps):
-    /// every dispatched event, arrivals included, plus the wheel's stale
-    /// pops. Wakeups cancelled in their slot never pop and are not
-    /// counted.
+    /// every dispatched event, arrivals included. Cancelled wakeups never
+    /// pop and are not counted.
     #[inline]
     pub fn popped(&self) -> u64 {
         self.popped
     }
 
-    /// Stale keyed entries that reached the *wheel* pop path before dying
-    /// (spilled entries invalidated after the fact). Slot cancellation keeps
-    /// this near zero; a subset of [`EventQueue::popped`].
-    #[inline]
-    pub fn stale_pops(&self) -> u64 {
-        self.stale_pops
-    }
-
-    /// Keyed wakeups cancelled in their slot by [`EventQueue::invalidate`]
-    /// without ever entering the wheel — the queue-cancellation win.
+    /// Keyed wakeups cancelled before they popped, by
+    /// [`EventQueue::invalidate`] or by a superseding
+    /// [`EventQueue::schedule_keyed`].
     #[inline]
     pub fn cancelled(&self) -> u64 {
         self.cancelled
     }
 
-    /// High-water mark of [`EventQueue::live_len`]. Spilled-then-superseded
-    /// entries are excluded: they can never dispatch, so counting them
-    /// would overstate the backlog on cancel-heavy runs.
+    /// High-water mark of [`EventQueue::live_len`]. Cancelled entries are
+    /// excluded: they can never dispatch, so counting them would overstate
+    /// the backlog on cancel-heavy runs.
     #[inline]
     pub fn peak_live_len(&self) -> usize {
         self.peak_live
@@ -379,7 +287,7 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::pending_arrivals`]).
     #[inline]
     pub fn live_len(&self) -> usize {
-        self.wheel_len + self.overflow.len() + self.parked_count - self.dead_in_wheel
+        self.heap.len() - self.dead
     }
 
     /// Arrivals from [`EventQueue::schedule_arrivals`] not yet popped.
@@ -458,230 +366,63 @@ impl<E> EventQueue<E> {
     /// anomaly in telemetry instead of silently diverging between build
     /// profiles.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        if at < self.now {
-            self.clamped += 1;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = Scheduled {
-            time: at.max(self.now),
-            seq,
-            key: NO_KEY,
-            key_gen: 0,
-            cause: self.cur_id,
-            event,
-        };
-        self.insert(entry);
-        self.note_depth();
+        self.push(at, NO_KEY, event);
     }
 
-    /// Allocate a cancellable slot for use with
-    /// [`EventQueue::schedule_keyed`] / [`EventQueue::invalidate`].
+    /// Allocate a key for use with [`EventQueue::schedule_keyed`] /
+    /// [`EventQueue::invalidate`].
     pub fn register_key(&mut self) -> EventKey {
-        let idx = u32::try_from(self.slots.len()).expect("too many event keys");
+        let idx = u32::try_from(self.live.len()).expect("too many event keys");
         assert!(idx != NO_KEY, "too many event keys");
-        self.slots.push(KeySlot {
-            gen: 0,
-            pending: None,
-            spilled_live: 0,
-        });
-        if self.slots.len() > self.leaves {
-            self.grow_tournament();
-        }
+        self.live.push(None);
         EventKey(idx)
     }
 
-    /// Double the tournament's leaf capacity (keys are registered at set-up,
-    /// so this runs O(log keys) times) and replay every match.
-    fn grow_tournament(&mut self) {
-        self.leaves = self.slots.len().next_power_of_two();
-        self.tournament = vec![NO_ENTRY; 2 * self.leaves];
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(p) = &slot.pending {
-                self.tournament[self.leaves + i] = (p.time, p.seq, i as u32);
-            }
-        }
-        for n in (1..self.leaves).rev() {
-            self.tournament[n] = self.tournament[2 * n].min(self.tournament[2 * n + 1]);
-        }
-    }
-
-    /// Slot `key`'s parked entry changed: refresh its leaf and replay the
-    /// matches up to the root, stopping early once a node's winner is
-    /// unchanged (every ancestor above it is then unchanged too).
-    #[inline]
-    fn replay(&mut self, key: u32) {
-        let leaf = match &self.slots[key as usize].pending {
-            Some(p) => (p.time, p.seq, key),
-            None => NO_ENTRY,
-        };
-        let mut n = self.leaves + key as usize;
-        self.tournament[n] = leaf;
-        while n > 1 {
-            n >>= 1;
-            let winner = self.tournament[2 * n].min(self.tournament[2 * n + 1]);
-            if self.tournament[n] == winner {
-                break;
-            }
-            self.tournament[n] = winner;
-        }
-    }
-
-    /// The earliest parked entry across all slots, if any slot is parked.
-    #[inline]
-    fn slot_min(&self) -> Option<Contender> {
-        self.tournament.get(1).copied().filter(|c| c.2 != NO_KEY)
-    }
-
-    /// Schedule `event` at absolute time `at` under `key`: the entry is
-    /// live until the next [`EventQueue::invalidate`] of the key. Clamping
-    /// rules match [`EventQueue::schedule`]. Scheduling does *not* cancel
-    /// an earlier entry for the same key — both stay live (the earlier one
-    /// spills from the slot into the wheel); call
-    /// [`EventQueue::invalidate`] first when superseding.
+    /// Schedule `event` at absolute time `at` as `key`'s one live wakeup,
+    /// until it pops or the key is invalidated. Clamping rules match
+    /// [`EventQueue::schedule`]. A wakeup already live under `key` is
+    /// superseded: it is cancelled as by [`EventQueue::invalidate`].
     pub fn schedule_keyed(&mut self, key: EventKey, at: SimTime, event: E) {
+        self.invalidate(key);
+        self.live[key.0 as usize] = Some(self.push(at, key.0, event));
+    }
+
+    /// Cancel the wakeup currently live under `key`, if any, and count it
+    /// in [`EventQueue::cancelled`]. Its heap entry is dropped when it
+    /// reaches the top.
+    #[inline]
+    pub fn invalidate(&mut self, key: EventKey) {
+        if self.live[key.0 as usize].take().is_some() {
+            self.dead += 1;
+            self.cancelled += 1;
+        }
+    }
+
+    /// Time of the wakeup live under `key`, if one is: a component about to
+    /// reschedule can see that an identical wakeup is already pending and
+    /// keep it, with its event id, instead of superseding it.
+    #[inline]
+    pub fn parked_at(&self, key: EventKey) -> Option<SimTime> {
+        self.live[key.0 as usize].map(|(time, _)| time)
+    }
+
+    /// Queue an entry stamped with the next sequence number and the current
+    /// cause; returns its `(time, seq)`.
+    fn push(&mut self, at: SimTime, key: u32, event: E) -> (SimTime, u64) {
         if at < self.now {
             self.clamped += 1;
         }
-        let seq = self.next_seq;
+        let (time, seq) = (at.max(self.now), self.next_seq);
         self.next_seq += 1;
-        let cause = self.cur_id;
-        let slot = &mut self.slots[key.0 as usize];
-        let entry = Scheduled {
-            time: at.max(self.now),
+        self.heap.push(Reverse(Scheduled {
+            time,
             seq,
-            key: key.0,
-            key_gen: slot.gen,
-            cause,
+            key,
+            cause: self.cur_id,
             event,
-        };
-        if let Some(prev) = slot.pending.replace(entry) {
-            // Rare: a second live wakeup for the same key. The older one
-            // spills into the wheel so both dispatch in (time, seq) order.
-            // A parked entry always carries the slot's current generation,
-            // so the spill is live until the next invalidate.
-            slot.spilled_live += 1;
-            self.insert(prev);
-        } else {
-            self.parked_count += 1;
-        }
-        self.replay(key.0);
+        }));
         self.note_depth();
-    }
-
-    /// Cancel the wakeup(s) currently scheduled under `key`. The parked
-    /// entry (if any) dies here in O(log keys), never touching the wheel.
-    /// Wheel-spilled entries die lazily at their own pop position
-    /// ([`EventQueue::stale_pops`]).
-    #[inline]
-    pub fn invalidate(&mut self, key: EventKey) {
-        let slot = &mut self.slots[key.0 as usize];
-        slot.gen += 1;
-        // Any current-generation spills in the wheel just became dead
-        // weight: still in the wheel, no longer live.
-        self.dead_in_wheel += slot.spilled_live as usize;
-        slot.spilled_live = 0;
-        if slot.pending.take().is_some() {
-            self.parked_count -= 1;
-            self.cancelled += 1;
-            self.replay(key.0);
-        }
-    }
-
-    /// Time of the wakeup parked in `key`'s slot, if one is: a component
-    /// about to reschedule can see that an identical wakeup is already
-    /// pending instead of spilling it into the wheel with a second copy.
-    #[inline]
-    pub fn parked_at(&self, key: EventKey) -> Option<SimTime> {
-        self.slots[key.0 as usize].pending.as_ref().map(|p| p.time)
-    }
-
-    /// Route an entry into its wheel bucket, or to the calendar overflow
-    /// when it lies beyond the near window. Entries always satisfy
-    /// `entry.time >= self.base` (schedules clamp to `now`, and the base
-    /// only ever advances to the timestamp of a popped event).
-    fn insert(&mut self, entry: Scheduled<E>) {
-        debug_assert!(entry.time >= self.base);
-        if self.wheel_len == 0 && self.overflow.is_empty() {
-            // Nothing is stored below `now`: move the window up to it, so
-            // a queue that ran dry while arrivals moved the clock on does
-            // not route its next events through the overflow.
-            self.base = (self.now >> SHIFT) << SHIFT;
-        }
-        let offset = entry.time - self.base;
-        if offset >= SPAN {
-            self.overflow.push(Reverse(entry));
-            return;
-        }
-        let idx = (offset >> SHIFT) as usize;
-        self.wheel[idx].push(entry);
-        self.occupied[idx >> 6] |= 1 << (idx & 63);
-        self.wheel_len += 1;
-    }
-
-    /// Index of the first non-empty bucket, if any.
-    #[inline]
-    fn first_occupied(&self) -> Option<usize> {
-        for (w, &bits) in self.occupied.iter().enumerate() {
-            if bits != 0 {
-                return Some((w << 6) + bits.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// `(bucket, position, time, seq)` of the earliest wheel entry: a
-    /// linear scan of the head bucket (buckets are narrow by construction).
-    fn wheel_candidate(&self) -> Option<(usize, usize, SimTime, u64)> {
-        let b = self.first_occupied()?;
-        let v = &self.wheel[b];
-        let mut pos = 0;
-        let (mut bt, mut bs) = (v[0].time, v[0].seq);
-        for (i, e) in v.iter().enumerate().skip(1) {
-            if (e.time, e.seq) < (bt, bs) {
-                pos = i;
-                bt = e.time;
-                bs = e.seq;
-            }
-        }
-        Some((b, pos, bt, bs))
-    }
-
-    /// Remove the entry at `(bucket, position)` found by
-    /// [`EventQueue::wheel_candidate`].
-    #[inline]
-    fn wheel_remove(&mut self, bucket: usize, pos: usize) -> Scheduled<E> {
-        let e = self.wheel[bucket].swap_remove(pos);
-        if self.wheel[bucket].is_empty() {
-            self.occupied[bucket >> 6] &= !(1 << (bucket & 63));
-        }
-        self.wheel_len -= 1;
-        e
-    }
-
-    /// The wheel is empty but the overflow calendar is not: advance the
-    /// window to the overflow minimum and cascade the next window's worth
-    /// of far-future events into the buckets (safe: the caller is about to
-    /// advance `now` to at least the overflow minimum, so every future
-    /// insert lands at or after the new base).
-    fn advance_window(&mut self) {
-        debug_assert!(self.wheel_len == 0);
-        let t = {
-            let Reverse(s) = self.overflow.peek().expect("caller checked");
-            s.time
-        };
-        self.base = (t >> SHIFT) << SHIFT;
-        let end = self.base.saturating_add(SPAN);
-        while let Some(Reverse(s)) = self.overflow.peek() {
-            if s.time >= end {
-                break;
-            }
-            let Reverse(s) = self.overflow.pop().expect("peeked");
-            let idx = ((s.time - self.base) >> SHIFT) as usize;
-            self.wheel[idx].push(s);
-            self.occupied[idx >> 6] |= 1 << (idx & 63);
-            self.wheel_len += 1;
-        }
+        (time, seq)
     }
 
     #[inline]
@@ -699,73 +440,28 @@ impl<E> EventQueue<E> {
         self.clamped
     }
 
-    /// Schedule `event` `delay_ns` nanoseconds from now.
-    pub fn schedule_after(&mut self, delay_ns: u64, event: E) {
-        let at = self.now + delay_ns;
-        self.schedule(at, event);
-    }
-
     /// Pop the earliest live event, advancing the clock to its timestamp.
-    ///
-    /// Wheel-spilled stale entries ordered before it are skipped on the way
-    /// (each advances the clock and counts in [`EventQueue::popped`] and
-    /// [`EventQueue::stale_pops`]); they are never returned.
+    /// Cancelled entries that surface first are dropped on the way: they
+    /// neither move the clock nor count in [`EventQueue::popped`].
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            let cand = self.wheel_candidate();
-            let wheel_at = match cand {
-                Some((_, _, t, s)) => Some((t, s)),
-                // Wheel empty: the overflow minimum stands in without
-                // cascading — the window only advances if it actually wins.
-                None => self.overflow.peek().map(|Reverse(s)| (s.time, s.seq)),
-            };
-            let slot_min = self.slot_min();
-            let slot_at = slot_min.map(|(t, s, _)| (t, s));
-            let (from_wheel, head) = match (wheel_at, slot_at) {
-                (None, None) => return self.pop_arrival(),
-                (Some(h), Some(s)) => (h < s, h.min(s)),
-                (Some(h), None) => (true, h),
-                (None, Some(s)) => (false, s),
-            };
-            if self
-                .arrivals
-                .as_ref()
-                .and_then(Arrivals::head)
-                .is_some_and(|a| a < head)
-            {
+            let top = self.heap.peek().map(|Reverse(s)| (s.time, s.seq));
+            let arrival = self.arrivals.as_ref().and_then(Arrivals::head);
+            if arrival.is_some_and(|a| top.is_none_or(|t| a < t)) {
                 return self.pop_arrival();
             }
-            let s = if from_wheel {
-                match cand {
-                    Some((b, i, _, _)) => self.wheel_remove(b, i),
-                    None => {
-                        self.advance_window();
-                        let (b, i, _, _) = self.wheel_candidate().expect("cascaded");
-                        self.wheel_remove(b, i)
-                    }
+            let Reverse(s) = self.heap.pop()?;
+            if s.key != NO_KEY {
+                let live = &mut self.live[s.key as usize];
+                if *live != Some((s.time, s.seq)) {
+                    self.dead -= 1;
+                    continue;
                 }
-            } else {
-                let (_, _, i) = slot_min.expect("checked above");
-                let s = self.slots[i as usize]
-                    .pending
-                    .take()
-                    .expect("min slot occupied");
-                self.parked_count -= 1;
-                self.replay(i);
-                s
-            };
+                *live = None;
+            }
             debug_assert!(s.time >= self.now);
             self.now = s.time;
             self.popped += 1;
-            if s.key != NO_KEY && from_wheel {
-                let slot = &mut self.slots[s.key as usize];
-                if slot.gen != s.key_gen {
-                    self.stale_pops += 1;
-                    self.dead_in_wheel -= 1;
-                    continue;
-                }
-                slot.spilled_live -= 1;
-            }
             self.cur_id = s.seq;
             self.cur_cause = s.cause;
             return Some((s.time, s.event));
@@ -783,22 +479,6 @@ impl<E> EventQueue<E> {
         self.cur_id = a.base + u64::from(index);
         self.cur_cause = a.cause;
         Some((time, (a.make)(index)))
-    }
-
-    /// Timestamp of the next entry without popping it (a wheel-spilled
-    /// stale entry included: it still pops, and advances the clock).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let wheel = match self.wheel_candidate() {
-            Some((_, _, t, _)) => Some(t),
-            None => self.overflow.peek().map(|Reverse(s)| s.time),
-        };
-        let slot = self.slot_min().map(|(t, _, _)| t);
-        let arrival = self.arrivals.as_ref().and_then(Arrivals::head);
-        wheel
-            .into_iter()
-            .chain(slot)
-            .chain(arrival.map(|(t, _)| t))
-            .min()
     }
 }
 
@@ -856,12 +536,12 @@ mod tests {
         assert_eq!(q.parked_at(key), None);
         q.schedule_keyed(key, 40, "first");
         assert_eq!(q.parked_at(key), Some(40));
-        // A second wakeup takes the slot; the first spills to the wheel.
+        // A second wakeup supersedes the first.
         q.schedule_keyed(key, 30, "second");
         assert_eq!(q.parked_at(key), Some(30));
         assert_eq!(q.pop(), Some((30, "second")));
-        assert_eq!(q.parked_at(key), None, "the slot entry popped");
-        assert_eq!(q.pop(), Some((40, "first")));
+        assert_eq!(q.parked_at(key), None, "the live wakeup popped");
+        assert_eq!(q.pop(), None, "the superseded wakeup never dispatches");
         q.schedule_keyed(key, 50, "third");
         q.invalidate(key);
         assert_eq!(q.parked_at(key), None, "cancelled");
@@ -894,15 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(10, 0u32);
-        q.pop();
-        q.schedule_after(5, 1u32);
-        assert_eq!(q.pop(), Some((15, 1)));
-    }
-
-    #[test]
     fn scheduling_into_past_clamps_and_counts() {
         // Regression: this used to panic in debug builds but silently
         // clamp in release builds; behaviour must be identical in both.
@@ -921,28 +592,18 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_matches_pop() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.schedule(7, 'x');
-        assert_eq!(q.peek_time(), Some(7));
-        assert_eq!(q.pop(), Some((7, 'x')));
-    }
-
-    #[test]
     fn far_future_events_round_trip_the_overflow_calendar() {
-        // Events past the near window land in the calendar overflow and
-        // cascade back into the wheel as the window advances over them.
+        // Events seconds apart order exactly like events nanoseconds
+        // apart, including ones scheduled after the clock jumped far.
         let mut q = EventQueue::new();
-        let far = SPAN * 3 + 12345;
-        let farther = SPAN * 7 + 99;
+        let far = 3_000_000_000 + 12345;
+        let farther = 7_000_000_000 + 99;
         q.schedule(far, "far");
         q.schedule(farther, "farther");
         q.schedule(10, "near");
         assert_eq!(q.live_len(), 3);
         assert_eq!(q.pop(), Some((10, "near")));
         assert_eq!(q.pop(), Some((far, "far")));
-        // Inserts after a window advance still order correctly.
         q.schedule(far + 5, "mid");
         assert_eq!(q.pop(), Some((far + 5, "mid")));
         assert_eq!(q.pop(), Some((farther, "farther")));
@@ -951,13 +612,12 @@ mod tests {
 
     #[test]
     fn same_bucket_interleaved_insert_and_pop_stay_ordered() {
-        // Insert into the bucket the pop path is currently draining: the
-        // sorted order must be maintained, not clobbered.
+        // Inserts between pops, earlier than entries already queued, must
+        // still pop first.
         let mut q = EventQueue::new();
         q.schedule(100, 0u32);
         q.schedule(300, 1u32);
         assert_eq!(q.pop(), Some((100, 0)));
-        // Bucket 0 is now the sorted bucket; these land inside it.
         q.schedule(200, 2u32);
         q.schedule(150, 3u32);
         assert_eq!(q.pop(), Some((150, 3)));
@@ -974,9 +634,8 @@ mod tests {
         q.schedule_keyed(k, 10, "live");
         q.schedule(20, "plain");
         assert_eq!(q.pop(), Some((10, "live")));
-        // The cancelled entry never reached the wheel and never counts.
+        // The cancelled entry never dispatches and never counts.
         assert_eq!(q.cancelled(), 1);
-        assert_eq!(q.stale_pops(), 0);
         assert_eq!(q.popped(), 1);
         assert_eq!(q.pop(), Some((20, "plain")));
         assert_eq!(q.popped(), 2);
@@ -991,11 +650,9 @@ mod tests {
         // Only a cancelled entry was ever pending: nothing pops, the clock
         // stays put, and the queue reads empty.
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         assert_eq!(q.pop(), None);
         assert_eq!(q.now(), 0);
         assert_eq!(q.popped(), 0);
-        assert_eq!(q.stale_pops(), 0);
         assert_eq!(q.cancelled(), 1);
     }
 
@@ -1013,40 +670,38 @@ mod tests {
     }
 
     #[test]
-    fn double_schedule_spills_and_both_dispatch() {
-        // A component rescheduling without superseding keeps both wakeups
-        // live; they dispatch in (time, seq) order like the legacy pattern.
+    fn double_schedule_supersedes_the_live_wakeup() {
+        // A second wakeup under a live key replaces the first, earlier or
+        // later, and counts it as cancelled.
         let mut q = EventQueue::new();
         let k = q.register_key();
         q.schedule_keyed(k, 20, "first");
         q.schedule_keyed(k, 10, "second");
         q.schedule(15, "plain");
+        assert_eq!(q.cancelled(), 1);
+        assert_eq!(q.live_len(), 2);
         assert_eq!(q.pop(), Some((10, "second")));
         assert_eq!(q.pop(), Some((15, "plain")));
-        assert_eq!(q.pop(), Some((20, "first")));
-        assert_eq!(q.stale_pops(), 0);
-        assert_eq!(q.cancelled(), 0);
+        assert_eq!(q.pop(), None, "the superseded wakeup never dispatches");
+        assert_eq!(q.now(), 15);
+        assert_eq!(q.popped(), 2);
     }
 
     #[test]
-    fn spilled_entry_dies_lazily_on_invalidate() {
+    fn cancelled_entry_is_dropped_when_it_surfaces() {
         let mut q = EventQueue::new();
         let k = q.register_key();
-        q.schedule_keyed(k, 10, "spilled");
-        q.schedule_keyed(k, 30, "parked");
-        q.invalidate(k); // kills both: the parked one in its slot, the spilled one lazily
+        q.schedule_keyed(k, 10, "superseded");
+        q.schedule_keyed(k, 30, "cancelled");
+        q.invalidate(k);
         q.schedule(20, "plain");
+        assert_eq!(q.cancelled(), 2);
+        // The entry at 10 is on top; it drops without dispatching.
         assert_eq!(q.pop(), Some((20, "plain")));
-        assert_eq!(q.popped(), 2, "spilled stale skipped first");
-        assert_eq!(q.stale_pops(), 1);
-        assert_eq!(q.cancelled(), 1);
+        assert_eq!(q.popped(), 1, "dead entries are not counted");
         assert_eq!(q.pop(), None);
-        assert_eq!(
-            q.now(),
-            20,
-            "the cancelled entry does not advance the clock"
-        );
-        assert_eq!(q.popped(), 2);
+        assert_eq!(q.now(), 20, "a dead entry does not advance the clock");
+        assert_eq!(q.popped(), 1);
     }
 
     #[test]
@@ -1097,7 +752,6 @@ mod tests {
         assert_eq!(q.pending_arrivals(), 3);
         assert_eq!(q.peak_live_len(), 1);
         assert_eq!(q.peak_backlog(), 4);
-        assert_eq!(q.peek_time(), Some(10));
         assert_eq!(q.pop(), Some((10, "a1")));
         assert_eq!(q.current_id(), EventId(1));
         assert_eq!(q.current_cause(), EventId::NONE);
@@ -1118,17 +772,18 @@ mod tests {
 
     #[test]
     fn only_arrivals_pending_is_not_empty() {
+        const FAR: SimTime = 5 << 28;
         let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_arrivals([SPAN * 5], |i| i);
+        q.schedule_arrivals([FAR], |i| i);
         assert_eq!(q.live_len(), 0);
         assert!(!q.is_empty());
-        assert_eq!(q.pop(), Some((SPAN * 5, 0)));
-        // The queue ran dry far past its first window: new events still
-        // land in order.
-        q.schedule(SPAN * 5 + 1, 7);
-        q.schedule(SPAN * 9, 8);
-        assert_eq!(q.pop(), Some((SPAN * 5 + 1, 7)));
-        assert_eq!(q.pop(), Some((SPAN * 9, 8)));
+        assert_eq!(q.pop(), Some((FAR, 0)));
+        // The queue ran dry while the clock moved far on: new events
+        // still land in order.
+        q.schedule(FAR + 1, 7);
+        q.schedule(9 << 28, 8);
+        assert_eq!(q.pop(), Some((FAR + 1, 7)));
+        assert_eq!(q.pop(), Some((9 << 28, 8)));
         assert!(q.is_empty());
     }
 
@@ -1145,86 +800,73 @@ mod tests {
         assert_eq!(q.pop(), Some((60, 1)));
     }
 
-    /// Cancelled parked entries and spilled-then-superseded entries are not
-    /// backlog: `live_len` / `peak_live_len` exclude them.
+    /// Cancelled and superseded wakeups are not backlog: `live_len` /
+    /// `peak_live_len` exclude them the moment they die, although their
+    /// heap entries stay until they surface.
     #[test]
-    fn live_depth_excludes_cancelled_and_superseded_spills() {
+    fn live_depth_excludes_cancelled_and_superseded_wakeups() {
         let mut q = EventQueue::new();
         let k = q.register_key();
         let j = q.register_key();
 
         q.schedule(100, "plain");
-        q.schedule_keyed(k, 10, "will-spill");
-        q.schedule_keyed(k, 30, "parked-then-cancelled");
-        assert_eq!(q.live_len(), 3, "all three still dispatchable");
-
-        // Kills both of k's entries: the parked one vanishes, the spilled
-        // one becomes dead weight in the wheel.
+        q.schedule_keyed(k, 10, "superseded");
+        assert_eq!(q.live_len(), 2);
+        q.schedule_keyed(k, 30, "then-cancelled");
+        assert_eq!(q.live_len(), 2, "the superseded wakeup is not backlog");
         q.invalidate(k);
-        assert_eq!(q.cancelled(), 1);
+        assert_eq!(q.cancelled(), 2);
         assert_eq!(q.live_len(), 1, "only the plain event is live");
 
         // New live work on another key raises the live depth again.
         q.schedule_keyed(j, 50, "live-wakeup");
         assert_eq!(q.live_len(), 2);
-        assert_eq!(q.peak_live_len(), 3, "the pre-invalidate high-water mark");
+        assert_eq!(q.peak_live_len(), 2, "dead entries never counted");
 
-        // Draining: the stale spill pops (not returned), live events
-        // dispatch, the cancelled entry never shows up.
+        // Draining: the dead entries drop unseen, live events dispatch.
         assert_eq!(q.pop(), Some((50, "live-wakeup")));
-        assert_eq!(q.stale_pops(), 1, "spilled corpse died on the way");
         assert_eq!(q.pop(), Some((100, "plain")));
         assert_eq!(q.pop(), None);
         assert_eq!(q.live_len(), 0);
-        assert_eq!(q.popped(), 3, "two dispatches plus one stale pop");
+        assert_eq!(q.popped(), 2, "two dispatches, nothing else");
     }
 }
 
 #[cfg(test)]
 mod differential {
-    //! Wheel-vs-heap differential harness: the timing-wheel queue must pop
-    //! exactly what a plain binary heap pops — same sequence (FIFO
-    //! tie-break at equal timestamps), same clock, same popped / stale /
-    //! cancelled / clamped accounting, same live depth — under any
-    //! interleaving of schedules, keyed schedules, invalidations and pops.
+    //! Heap-vs-scan differential harness: the queue must pop exactly what
+    //! a plain `Vec` scanned for its `(time, seq)` minimum pops — same
+    //! sequence (FIFO tie-break at equal timestamps), same clock, same
+    //! popped / cancelled / clamped accounting, same live depth — under
+    //! any interleaving of schedules, keyed schedules, invalidations and
+    //! pops. The reference shares no structure with the queue: no heap, no
+    //! per-key table, and cancellation removes entries eagerly.
 
     use super::*;
 
-    /// The reference queue: every entry (keyed or not) sits in one binary
-    /// heap. A key's latest wakeup is its *parked* entry until it pops;
-    /// invalidation removes the parked entry outright and turns the key's
-    /// older (spilled) entries stale, to be popped and skipped at their own
-    /// `(time, seq)` position.
-    pub struct HeapQueue<E> {
-        heap: BinaryHeap<Reverse<Scheduled<E>>>,
-        gens: Vec<u64>,
-        parked: Vec<Option<u64>>,
-        /// Per key: current-generation entries in the heap.
-        current: Vec<usize>,
-        /// Stale entries still in the heap.
-        stale: usize,
+    /// The reference queue: every entry (keyed or not) in one unordered
+    /// `Vec`. Pops scan for the minimum `(time, seq)`; invalidating a key
+    /// removes its entries on the spot with a `retain`, and a keyed
+    /// schedule invalidates its key first.
+    pub struct VecQueue<E> {
+        /// `(time, seq, key, payload)`, in no particular order.
+        entries: Vec<(SimTime, u64, Option<usize>, E)>,
         next_seq: u64,
         now: SimTime,
         popped: u64,
-        stale_pops: u64,
         cancelled: u64,
         clamped: u64,
         /// High-water mark of `live_len()` at each schedule.
         peak: usize,
     }
 
-    impl<E> HeapQueue<E> {
-        pub fn new(keys: usize) -> Self {
-            HeapQueue {
-                heap: BinaryHeap::new(),
-                gens: vec![0; keys],
-                parked: vec![None; keys],
-                current: vec![0; keys],
-                stale: 0,
+    impl<E> VecQueue<E> {
+        pub fn new() -> Self {
+            VecQueue {
+                entries: Vec::new(),
                 next_seq: 0,
                 now: 0,
                 popped: 0,
-                stale_pops: 0,
                 cancelled: 0,
                 clamped: 0,
                 peak: 0,
@@ -1232,62 +874,40 @@ mod differential {
         }
 
         pub fn schedule(&mut self, at: SimTime, event: E) {
-            self.push(at, NO_KEY, 0, event);
+            self.push(at, None, event);
         }
 
         pub fn schedule_keyed(&mut self, key: usize, at: SimTime, event: E) {
-            self.parked[key] = Some(self.next_seq);
-            self.current[key] += 1;
-            let gen = self.gens[key];
-            self.push(at, key as u32, gen, event);
+            self.invalidate(key);
+            self.push(at, Some(key), event);
         }
 
-        fn push(&mut self, at: SimTime, key: u32, key_gen: u64, event: E) {
+        fn push(&mut self, at: SimTime, key: Option<usize>, event: E) {
             if at < self.now {
                 self.clamped += 1;
             }
-            let seq = self.next_seq;
+            self.entries
+                .push((at.max(self.now), self.next_seq, key, event));
             self.next_seq += 1;
-            self.heap.push(Reverse(Scheduled {
-                time: at.max(self.now),
-                seq,
-                key,
-                key_gen,
-                cause: u64::MAX,
-                event,
-            }));
             self.peak = self.peak.max(self.live_len());
         }
 
         pub fn invalidate(&mut self, key: usize) {
-            if let Some(seq) = self.parked[key].take() {
-                self.heap.retain(|Reverse(e)| e.seq != seq);
-                self.current[key] -= 1;
-                self.cancelled += 1;
-            }
-            self.stale += std::mem::take(&mut self.current[key]);
-            self.gens[key] += 1;
+            let before = self.entries.len();
+            self.entries.retain(|e| e.2 != Some(key));
+            self.cancelled += (before - self.entries.len()) as u64;
         }
 
         pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            while let Some(Reverse(s)) = self.heap.pop() {
-                self.now = s.time;
-                self.popped += 1;
-                if s.key != NO_KEY {
-                    let k = s.key as usize;
-                    if self.gens[k] != s.key_gen {
-                        self.stale -= 1;
-                        self.stale_pops += 1;
-                        continue; // stale: skipped, but counted
-                    }
-                    self.current[k] -= 1;
-                    if self.parked[k] == Some(s.seq) {
-                        self.parked[k] = None;
-                    }
-                }
-                return Some((s.time, s.event));
-            }
-            None
+            let (i, _) = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| (e.0, e.1))?;
+            let (time, _, _, event) = self.entries.swap_remove(i);
+            self.now = time;
+            self.popped += 1;
+            Some((time, event))
         }
 
         pub fn now(&self) -> SimTime {
@@ -1295,23 +915,18 @@ mod differential {
         }
 
         pub fn live_len(&self) -> usize {
-            self.heap.len() - self.stale
+            self.entries.len()
         }
 
         pub fn parked_at(&self, key: usize) -> Option<SimTime> {
-            let seq = self.parked[key]?;
-            self.heap
-                .iter()
-                .find(|Reverse(e)| e.seq == seq)
-                .map(|Reverse(e)| e.time)
+            self.entries.iter().find(|e| e.2 == Some(key)).map(|e| e.0)
         }
     }
 
     /// Every observable besides the pop itself agrees.
-    fn assert_same_state(q: &EventQueue<u64>, h: &HeapQueue<u64>) {
+    fn assert_same_state(q: &EventQueue<u64>, h: &VecQueue<u64>) {
         assert_eq!(q.now(), h.now(), "clock diverged");
         assert_eq!(q.popped(), h.popped, "popped accounting diverged");
-        assert_eq!(q.stale_pops(), h.stale_pops, "stale pops diverged");
         assert_eq!(q.cancelled(), h.cancelled, "cancellations diverged");
         assert_eq!(q.clamped(), h.clamped, "clamping diverged");
         assert_eq!(
@@ -1324,8 +939,12 @@ mod differential {
     }
 
     /// Payload tag of arrival `i`, distinct from every plain payload (the
-    /// heap's `next_seq` at the time of the schedule).
+    /// reference's `next_seq` at the time of the schedule).
     const ARRIVAL: u64 = 1 << 40;
+
+    /// A gap of about a quarter of a simulated second, for timestamps
+    /// spread far apart.
+    const FAR: SimTime = 1 << 28;
 
     fn arrival_payload(i: u32) -> u64 {
         ARRIVAL + u64::from(i)
@@ -1333,7 +952,7 @@ mod differential {
 
     /// Give `q` the arrival cursor and `h` the same arrivals as plain
     /// schedules, in index order.
-    fn arrive_both(q: &mut EventQueue<u64>, h: &mut HeapQueue<u64>, times: &[SimTime]) {
+    fn arrive_both(q: &mut EventQueue<u64>, h: &mut VecQueue<u64>, times: &[SimTime]) {
         q.schedule_arrivals(times.iter().copied(), arrival_payload);
         for (i, &at) in times.iter().enumerate() {
             h.schedule(at, arrival_payload(i as u32));
@@ -1341,12 +960,12 @@ mod differential {
         assert_same_state(q, h);
     }
 
-    /// Key `k`'s parked wakeup agrees.
-    fn assert_same_parked(q: &EventQueue<u64>, h: &HeapQueue<u64>, k: usize) {
+    /// Key `k`'s live wakeup agrees.
+    fn assert_same_parked(q: &EventQueue<u64>, h: &VecQueue<u64>, k: usize) {
         assert_eq!(
             q.parked_at(EventKey(k as u32)),
             h.parked_at(k),
-            "parked wakeup of key {k} diverged"
+            "live wakeup of key {k} diverged"
         );
     }
 
@@ -1357,7 +976,7 @@ mod differential {
     fn apply_both(
         q: &mut EventQueue<u64>,
         keys: &[EventKey],
-        h: &mut HeapQueue<u64>,
+        h: &mut VecQueue<u64>,
         sel: u8,
         k: u8,
         dt: u16,
@@ -1381,7 +1000,7 @@ mod differential {
                 q.invalidate(keys[k]);
                 h.invalidate(k);
             }
-            _ => assert_eq!(q.pop(), h.pop(), "wheel diverged from heap"),
+            _ => assert_eq!(q.pop(), h.pop(), "queue diverged from reference"),
         }
         assert_same_state(q, h);
         for k in 0..KEYS {
@@ -1389,7 +1008,7 @@ mod differential {
         }
     }
 
-    fn drain_both(q: &mut EventQueue<u64>, h: &mut HeapQueue<u64>) {
+    fn drain_both(q: &mut EventQueue<u64>, h: &mut VecQueue<u64>) {
         loop {
             let got = q.pop();
             let want = h.pop();
@@ -1405,13 +1024,13 @@ mod differential {
     /// hot-path profile (~50k cancelled wakeups against ~240k events): a
     /// few keyed "devices" perpetually supersede their own wakeups while
     /// plain events stream through, with timers clustered densely enough
-    /// that many share a wheel bucket.
+    /// that many dead entries sit just ahead of live ones.
     #[test]
     fn cancellation_storm_matches_heap() {
         const DEVICES: usize = 4;
         let mut q: EventQueue<u64> = EventQueue::new();
         let keys: Vec<EventKey> = (0..DEVICES).map(|_| q.register_key()).collect();
-        let mut h: HeapQueue<u64> = HeapQueue::new(DEVICES);
+        let mut h: VecQueue<u64> = VecQueue::new();
 
         // Seed one wakeup per device.
         for (d, key) in keys.iter().enumerate() {
@@ -1434,9 +1053,9 @@ mod differential {
             q.schedule_keyed(keys[d], at, i);
             h.schedule_keyed(d, at, i);
             if x & 7 == 0 {
-                // Occasional plain event (arrival/epoch analogue), some far
-                // enough out to exercise the overflow calendar.
-                let far = if x & 63 == 0 { SPAN * 2 } else { 0 };
+                // Occasional plain event (arrival/epoch analogue), some
+                // far out.
+                let far = if x & 63 == 0 { 2 * FAR } else { 0 };
                 q.schedule(h.now() + 1_000 + far + (x & 0xffff), i);
                 h.schedule(h.now() + 1_000 + far + (x & 0xffff), i);
             }
@@ -1456,18 +1075,18 @@ mod differential {
     }
 
     /// Keys in the cluster-scale cases: more than a 64×4 cluster's 256
-    /// device slots, and not a power of two, so the tournament has padding
-    /// leaves.
+    /// device keys.
     const CLUSTER_KEYS: usize = 300;
 
     /// The cancellation storm at cluster scale: hundreds of keyed devices
-    /// superseding their wakeups on a coarse time grid, so many parked
-    /// entries share a timestamp and only the sequence number orders them.
+    /// superseding their wakeups on a coarse time grid, so many live and
+    /// dead entries share a timestamp and only the sequence number orders
+    /// them.
     #[test]
     fn cluster_scale_storm_matches_heap() {
         let mut q: EventQueue<u64> = EventQueue::new();
         let keys: Vec<EventKey> = (0..CLUSTER_KEYS).map(|_| q.register_key()).collect();
-        let mut h: HeapQueue<u64> = HeapQueue::new(CLUSTER_KEYS);
+        let mut h: VecQueue<u64> = VecQueue::new();
         let grid = |t: SimTime| t - t % 1_000;
         for (d, key) in keys.iter().enumerate() {
             // Every device wakes at one of four instants.
@@ -1483,8 +1102,8 @@ mod differential {
             let d = (x >> 33) as usize % CLUSTER_KEYS;
             let op = x >> 61;
             match op {
-                // Supersede (the common case), or leave the old wakeup
-                // parked so it spills into the wheel.
+                // Invalidate then reschedule (the common case), or
+                // reschedule straight over a live wakeup (a supersede).
                 0..=4 => {
                     if op != 4 {
                         q.invalidate(keys[d]);
@@ -1511,7 +1130,6 @@ mod differential {
         }
         drain_both(&mut q, &mut h);
         assert!(q.cancelled() > 5_000, "storm actually cancelled heavily");
-        assert!(q.stale_pops() > 0, "spilled entries died in the wheel");
     }
 
     /// The storm with a run's worth of planned arrivals held in the
@@ -1523,7 +1141,7 @@ mod differential {
         const DEVICES: usize = 16;
         let mut q: EventQueue<u64> = EventQueue::new();
         let keys: Vec<EventKey> = (0..DEVICES).map(|_| q.register_key()).collect();
-        let mut h: HeapQueue<u64> = HeapQueue::new(DEVICES);
+        let mut h: VecQueue<u64> = VecQueue::new();
         let mut x: u64 = 0xa409_3822_299f_31d0;
         let mut step = || {
             x = x
@@ -1532,8 +1150,7 @@ mod differential {
             x
         };
         // Poisson-like arrivals on a coarse grid, so many share an
-        // instant with each other and with caused events, across many
-        // wheel windows.
+        // instant with each other and with caused events.
         let mut t = 0;
         let times: Vec<SimTime> = (0..5_000)
             .map(|_| {
@@ -1575,17 +1192,17 @@ mod differential {
         );
     }
 
-    /// Keys registered while others are parked grow the tournament in
-    /// place; the parked entries keep their order.
+    /// Keys registered while others hold live wakeups; the live wakeups
+    /// keep their order.
     #[test]
     fn keys_registered_mid_run_keep_heap_order() {
         let mut q: EventQueue<u64> = EventQueue::new();
-        let mut h: HeapQueue<u64> = HeapQueue::new(CLUSTER_KEYS);
+        let mut h: VecQueue<u64> = VecQueue::new();
         let mut keys = Vec::new();
         for d in 0..CLUSTER_KEYS {
             keys.push(q.register_key());
-            // Equal timestamps across keys: the parked order is the
-            // registration order, preserved through every regrowth.
+            // Equal timestamps across keys: the pop order is the
+            // registration order.
             let at = h.now() + 10 * (d as u64 % 3);
             q.schedule_keyed(keys[d], at, d as u64);
             h.schedule_keyed(d, at, d as u64);
@@ -1613,7 +1230,7 @@ mod differential {
                 let mut q: EventQueue<u64> = EventQueue::new();
                 let keys: Vec<EventKey> =
                     (0..CLUSTER_KEYS).map(|_| q.register_key()).collect();
-                let mut h = HeapQueue::new(CLUSTER_KEYS);
+                let mut h = VecQueue::new();
                 for (sel, k, dt) in ops {
                     let payload = h.next_seq;
                     let k = k as usize;
@@ -1642,8 +1259,8 @@ mod differential {
                 drain_both(&mut q, &mut h);
             }
 
-            /// The timing-wheel queue is observationally identical to the
-            /// reference heap: same pop sequence (FIFO tie-break at equal
+            /// The queue is observationally identical to the scanned
+            /// `Vec`: same pop sequence (FIFO tie-break at equal
             /// timestamps), same clock, same accounting and live depth —
             /// cancellation never reorders or miscounts survivors.
             #[test]
@@ -1652,7 +1269,7 @@ mod differential {
             ) {
                 let mut q: EventQueue<u64> = EventQueue::new();
                 let keys: Vec<EventKey> = (0..KEYS).map(|_| q.register_key()).collect();
-                let mut h = HeapQueue::new(KEYS);
+                let mut h = VecQueue::new();
                 for (sel, k, dt) in ops {
                     apply_both(&mut q, &keys, &mut h, sel, k, dt);
                 }
@@ -1661,17 +1278,17 @@ mod differential {
 
             /// The arrival cursor against plain schedules: arrivals given
             /// before or after other work, at times that tie with it, fall
-            /// in the past (and clamp) or span several wheel windows.
+            /// in the past (and clamp) or lie far ahead.
             #[test]
             fn arrival_cursor_matches_heap(
                 before in proptest::collection::vec((0u8..8, 0u8..8, 0u16..400), 0..30),
-                arrivals in proptest::collection::vec(0u32..(2 * SPAN as u32), 0..60),
+                arrivals in proptest::collection::vec(0u32..(2 * FAR as u32), 0..60),
                 near in proptest::collection::vec(0u16..400, 0..20),
                 ops in proptest::collection::vec((0u8..8, 0u8..8, 0u16..400), 1..120)
             ) {
                 let mut q: EventQueue<u64> = EventQueue::new();
                 let keys: Vec<EventKey> = (0..KEYS).map(|_| q.register_key()).collect();
-                let mut h = HeapQueue::new(KEYS);
+                let mut h = VecQueue::new();
                 for (sel, k, dt) in before {
                     apply_both(&mut q, &keys, &mut h, sel, k, dt);
                 }
@@ -1689,17 +1306,16 @@ mod differential {
                 prop_assert_eq!(q.pending_arrivals(), 0);
             }
 
-            /// Same differential, but with timestamps spread far enough to
-            /// constantly cross the near-window boundary — the overflow
-            /// calendar and window advance must not disturb ordering.
+            /// Same differential, but with timestamps spread far apart,
+            /// so dead entries can sit deep in the heap for long spans.
             #[test]
             fn wheel_matches_heap_across_windows(
                 ops in proptest::collection::vec(
-                    (0u8..8, 0u8..8, 0u32..(3 * SPAN as u32)), 1..80)
+                    (0u8..8, 0u8..8, 0u32..(3 * FAR as u32)), 1..80)
             ) {
                 let mut q: EventQueue<u64> = EventQueue::new();
                 let keys: Vec<EventKey> = (0..KEYS).map(|_| q.register_key()).collect();
-                let mut h = HeapQueue::new(KEYS);
+                let mut h = VecQueue::new();
                 for (sel, k, dt) in ops {
                     let payload = h.next_seq;
                     let k = (k as usize) % KEYS;
@@ -1727,6 +1343,76 @@ mod differential {
                     prop_assert_eq!(q.parked_at(keys[k]), h.parked_at(k));
                 }
                 drain_both(&mut q, &mut h);
+            }
+
+            /// Rescheduling a key while its wakeup is live supersedes it:
+            /// keyed schedules that never invalidate first, earlier or
+            /// later than the wakeup they replace, against plain events.
+            #[test]
+            fn superseding_a_live_key_matches_reference(
+                ops in proptest::collection::vec((0u8..4, 0u8..2, 0u16..400), 1..200)
+            ) {
+                let mut q: EventQueue<u64> = EventQueue::new();
+                let keys: Vec<EventKey> = (0..2).map(|_| q.register_key()).collect();
+                let mut h = VecQueue::new();
+                let mut superseded = 0;
+                for (sel, k, dt) in ops {
+                    let payload = h.next_seq;
+                    let k = k as usize;
+                    let at = h.now() + dt as SimTime;
+                    match sel {
+                        0 | 1 => {
+                            superseded += u64::from(h.parked_at(k).is_some());
+                            q.schedule_keyed(keys[k], at, payload);
+                            h.schedule_keyed(k, at, payload);
+                        }
+                        2 => {
+                            q.schedule(at, payload);
+                            h.schedule(at, payload);
+                        }
+                        _ => prop_assert_eq!(q.pop(), h.pop()),
+                    }
+                    assert_same_state(&q, &h);
+                    prop_assert_eq!(q.parked_at(keys[k]), h.parked_at(k));
+                }
+                prop_assert_eq!(q.cancelled(), superseded);
+                drain_both(&mut q, &mut h);
+            }
+
+            /// A cancelled entry that ties a live one — plain or keyed,
+            /// scheduled before or after it — neither pops nor moves the
+            /// live entry's turn. Every entry lands on one of three
+            /// instants; `action` keeps it, cancels it at once, or pops
+            /// once after it.
+            #[test]
+            fn cancelled_ties_match_reference(
+                entries in proptest::collection::vec((0u8..3, 0u8..4, 0u8..3), 1..60)
+            ) {
+                let mut q: EventQueue<u64> = EventQueue::new();
+                let keys: Vec<EventKey> = (0..3).map(|_| q.register_key()).collect();
+                let mut h = VecQueue::new();
+                for (instant, k, action) in entries {
+                    let payload = h.next_seq;
+                    let at = 100 * SimTime::from(instant);
+                    let k = k as usize;
+                    if k == 3 {
+                        q.schedule(at, payload);
+                        h.schedule(at, payload);
+                    } else {
+                        q.schedule_keyed(keys[k], at, payload);
+                        h.schedule_keyed(k, at, payload);
+                        if action == 1 {
+                            q.invalidate(keys[k]);
+                            h.invalidate(k);
+                        }
+                    }
+                    if action == 2 {
+                        prop_assert_eq!(q.pop(), h.pop());
+                    }
+                    assert_same_state(&q, &h);
+                }
+                drain_both(&mut q, &mut h);
+                prop_assert!(q.is_empty());
             }
         }
     }

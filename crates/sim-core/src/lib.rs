@@ -3,12 +3,14 @@
 //! Deterministic discrete-event simulation (DES) core used by the whole
 //! Strings reproduction stack.
 //!
-//! The crate provides four building blocks:
+//! The crate provides these building blocks:
 //!
 //! * [`time`] — virtual time as integer nanoseconds ([`SimTime`],
 //!   [`SimDuration`]) with ergonomic constructors and formatting,
-//! * [`event`] — a total-ordered event queue ([`event::EventQueue`]) with
-//!   keyed wakeups for components that re-schedule themselves,
+//! * [`event`] — a total-ordered event queue ([`event::EventQueue`]): one
+//!   binary heap, keyed wakeups with one live entry per key for
+//!   components that re-schedule themselves (cancelled entries are
+//!   skipped when they surface), and a cursor for planned arrivals,
 //! * [`rng`] — a seedable deterministic random source ([`rng::SimRng`])
 //!   including the paper's negative-exponential inter-arrival sampler
 //!   (Eq. 4: `T = -λ · ln X`),

@@ -110,7 +110,8 @@ impl SimDuration {
 
     /// Parse a human-entered duration: a number with an `ns`, `us`, `ms`
     /// or `s` suffix (a bare number is nanoseconds). Fractions are fine —
-    /// the result rounds to the nearest nanosecond. This is the one
+    /// the result rounds to the nearest nanosecond, and must fit in a `u64`
+    /// of nanoseconds (about 584 years). This is the one
     /// grammar every CLI surface shares (`--duration`, fault-plan
     /// timestamps, arrival-process dwell times).
     ///
@@ -121,6 +122,7 @@ impl SimDuration {
     /// assert_eq!(SimDuration::parse("1.5ms"), Ok(SimDuration::from_us(1_500)));
     /// assert_eq!(SimDuration::parse("42"), Ok(SimDuration::from_ns(42)));
     /// assert!(SimDuration::parse("-1s").is_err());
+    /// assert!(SimDuration::parse("1e30s").is_err());
     /// assert!(SimDuration::parse("fast").is_err());
     /// ```
     pub fn parse(s: &str) -> Result<SimDuration, String> {
@@ -145,7 +147,12 @@ impl SimDuration {
         if !v.is_finite() {
             return Err(format!("non-finite duration '{s}'"));
         }
-        Ok(SimDuration((v * mult as f64).round() as u64))
+        let ns = (v * mult as f64).round();
+        // `u64::MAX as f64` is 2^64, the first value a `u64` cannot hold.
+        if ns >= u64::MAX as f64 {
+            return Err(format!("duration '{s}' exceeds {} ns", u64::MAX));
+        }
+        Ok(SimDuration(ns as u64))
     }
 }
 
@@ -273,6 +280,11 @@ mod tests {
         assert!(SimDuration::parse("s").is_err());
         assert!(SimDuration::parse("nan s").is_err());
         assert!(SimDuration::parse("inf").is_err());
+        // Values past u64 nanoseconds are rejected, not saturated.
+        assert!(SimDuration::parse("18446744073s").is_ok());
+        assert!(SimDuration::parse("18446744074s").is_err());
+        assert!(SimDuration::parse("18446744073709551616").is_err());
+        assert!(SimDuration::parse("1e30s").is_err());
     }
 
     #[test]

@@ -181,3 +181,63 @@ fn blast_radii_follow_figure_5() {
         "design II leaves no survivors on the device to replay"
     );
 }
+
+/// A fault window of `u64::MAX` ns reaches past the end of time: its end
+/// saturates instead of overflowing (a debug-build panic, a window that
+/// closes at once in release), and the node stays partitioned and the
+/// link degraded for the rest of the run — exactly as under a window that
+/// merely outlasts the run.
+#[test]
+fn unbounded_fault_windows_last_to_the_end_of_the_run() {
+    let plan = |for_ns| {
+        FaultPlan::none()
+            .degrade_at(4_000_000_000, 0, 4.0, for_ns)
+            .partition_at(8_000_000_000, 1, for_ns)
+    };
+    let run = |for_ns, trace| {
+        let mut scen = Scenario::supernode(
+            StackConfig::strings(LbPolicy::Grr),
+            vec![stream(0, 0, 8)],
+            11,
+        )
+        .with_faults(plan(for_ns));
+        scen.trace = trace;
+        scen.run()
+    };
+    let outlasting_ns = 100_000 * 1_000_000_000;
+    let forever = run(u64::MAX, false);
+    let outlasting = run(outlasting_ns, false);
+    assert!(
+        forever.makespan_ns < 8_000_000_000 + outlasting_ns,
+        "the comparison window outlasts the run"
+    );
+    assert_eq!(
+        forever.completed_requests + forever.failed_requests + forever.shed_requests,
+        8,
+        "every request reaches a terminal state"
+    );
+    assert!(forever.rpc_timeouts > 0, "the partition never heals");
+    assert!(forever.failovers > 0, "blocked calls fail over");
+    assert_eq!(forever.events, outlasting.events);
+    assert_eq!(forever.makespan_ns, outlasting.makespan_ns);
+    assert_eq!(
+        forever.disruption_report().render(),
+        outlasting.disruption_report().render()
+    );
+
+    // The traced run draws both windows as spans closing at the end of time.
+    let trace = run(u64::MAX, true).trace.take().expect("tracing enabled");
+    let ends: Vec<u64> = trace
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::SpanEnd { name, at, .. }
+                if *name == "partition" || *name == "link_degraded" =>
+            {
+                Some(*at)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ends, [u64::MAX, u64::MAX]);
+}
