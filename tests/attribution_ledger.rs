@@ -12,9 +12,15 @@
 
 use strings_repro::harness::cli::parse_serve_args;
 use strings_repro::harness::serve::ServeSpec;
-use strings_repro::harness::RunStats;
-use strings_repro::metrics::AttributionReport;
+use strings_repro::harness::{RunStats, Scenario, StreamSpec, World};
+use strings_repro::metrics::{trace_export, AttributionReport};
+use strings_repro::remoting::gpool::NodeId;
+use strings_repro::sim::fault::FaultPlan;
 use strings_repro::sim::trace::{Trace, TraceEvent};
+use strings_repro::strings::config::StackConfig;
+use strings_repro::strings::device_sched::TenantId;
+use strings_repro::strings::mapper::LbPolicy;
+use strings_repro::workloads::profile::AppKind;
 
 /// A small cluster serve: a partition fails requests over (timeouts,
 /// retries, replays), a device crash fails over requests mid-RPC (their
@@ -160,4 +166,76 @@ fn attribution_memory_follows_requests_not_stage_charges() {
             stats.attr_windows
         );
     }
+}
+
+/// A faulted supernode batch: a backend crash and a partition fail
+/// requests over mid-RPC, a degrade slows the link, a device is lost.
+fn faulted_batch() -> Scenario {
+    let stream = |node, tenant| StreamSpec {
+        app: AppKind::MC,
+        node: NodeId(node),
+        tenant: TenantId(tenant),
+        weight: 1.0,
+        count: 10,
+        load: 3.0,
+        server_threads: 6,
+    };
+    Scenario::supernode(
+        StackConfig::strings(LbPolicy::Grr),
+        vec![stream(0, 0), stream(1, 1)],
+        7,
+    )
+    .with_faults(
+        FaultPlan::none()
+            .crash_at(5_000_000_000, 0)
+            .partition_at(8_000_000_000, 1, 2_000_000_000)
+            .degrade_at(12_000_000_000, 1, 8.0, 2_000_000_000)
+            .device_failure_at(15_000_000_000, 3),
+    )
+}
+
+/// Run [`faulted_batch`] with `setup` applied to the world first.
+fn batch_with(setup: impl FnOnce(&mut World)) -> Trace {
+    let s = faulted_batch();
+    let mut world = World::new(
+        &s.topology,
+        s.device_cfg,
+        s.stack,
+        s.scope,
+        s.costs,
+        s.plan(),
+        s.fairness_horizon,
+    );
+    world.set_seed(s.seed);
+    world.set_fault_plan(&s.faults);
+    setup(&mut world);
+    world.run().trace.expect("the run records a trace")
+}
+
+#[test]
+fn tracing_and_attribution_setters_commute() {
+    let traced = batch_with(|w| w.enable_tracing());
+    let attr_first = batch_with(|w| {
+        w.enable_attribution();
+        w.enable_tracing();
+    });
+    let trace_first = batch_with(|w| {
+        w.enable_tracing();
+        w.enable_attribution();
+    });
+    let light = batch_with(|w| w.enable_attribution());
+
+    let rows = traced.ledger.as_ref().expect("a full trace folds online");
+    assert!(rows.requests.len() >= 20, "every request closes a row");
+    assert!(
+        stage_charges(&traced) > rows.requests.len(),
+        "the full trace records the charges"
+    );
+    let bytes = trace_export::jsonl(&traced);
+    for other in [&attr_first, &trace_first] {
+        assert!(trace_export::jsonl(other) == bytes, "setter order shows");
+        assert_eq!(other.ledger.as_ref(), Some(rows));
+    }
+    assert!(light.tracks.is_empty() && light.events.is_empty());
+    assert_eq!(light.ledger.as_ref(), Some(rows));
 }
