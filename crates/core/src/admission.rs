@@ -294,11 +294,6 @@ impl AdmissionController {
         &self.config
     }
 
-    /// Number of tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Requests tenant `tenant` currently has in the system.
     pub fn in_system(&self, tenant: usize) -> usize {
         self.tenants[tenant].in_system

@@ -128,12 +128,6 @@ impl StackConfig {
         self
     }
 
-    /// Override the frontend retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Add an arbiter-driven switch to a feedback policy after
     /// `min_records` feedback records.
     pub fn with_feedback(mut self, feedback: LbPolicy, min_records: u64) -> Self {

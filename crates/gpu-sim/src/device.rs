@@ -271,16 +271,6 @@ impl Device {
         }
     }
 
-    /// True if the context exists.
-    pub fn has_context(&self, ctx: ContextId) -> bool {
-        self.contexts.contains_key(ctx)
-    }
-
-    /// Currently resident context.
-    pub fn active_context(&self) -> Option<ContextId> {
-        self.active
-    }
-
     /// Allocate device memory in `ctx`. With [`DeviceConfig::vmem`] the
     /// allocation always succeeds (pages spill to host memory) and kernels
     /// pay the thrashing penalty while overcommitted.

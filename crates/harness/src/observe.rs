@@ -10,8 +10,11 @@
 //! * the burn-rate alert engine, fed by terminal outcomes;
 //! * the metrics registry: the latency histogram per completion, and one
 //!   sample of every family per cadence tick;
-//! * the tracer: instants and spans, and the latency-attribution stage
-//!   charges with the wait windows they decompose.
+//! * latency attribution: the [`StageFold`] that turns each request's
+//!   stage charges into one ledger row, and the engine windows that
+//!   decompose its waits into stages;
+//! * the tracer: instants and spans, and the stage charges as events.
+//!   It only records; the ledger it ends with is the fold's.
 //!
 //! Observers get what they read (a request's attribution cursor, device
 //! telemetry, run counters) as arguments, hold no reference to the world,
@@ -34,7 +37,7 @@ use sim_core::fault::FaultKind;
 use sim_core::flight::{DumpReason, FlightKind, FlightRecord, FlightRecorder, NO_ID};
 use sim_core::fxhash::FxHashMap;
 use sim_core::telemetry::UtilizationTracker;
-use sim_core::trace::{Stage, Tracer, TrackId};
+use sim_core::trace::{Stage, StageFold, Tracer, TrackId, REQUEST_SPAN};
 use sim_core::SimTime;
 use strings_core::admission::ShedReason;
 use strings_metrics::alerts::BurnRateEngine;
@@ -334,7 +337,7 @@ fn set_all<const N: usize>(m: &mut MetricsRegistry, ids: [SeriesId; N], values: 
 /// The run's observability sinks. See the module docs.
 #[derive(Debug)]
 pub(crate) struct Observers {
-    /// Structured trace recorder (off unless tracing or attribution is on).
+    /// Structured trace recorder (off unless tracing is on).
     tracer: Tracer,
     /// Executive-level track (counters, run-wide diagnostics).
     trk_sim: TrackId,
@@ -342,7 +345,10 @@ pub(crate) struct Observers {
     trk_faults: TrackId,
     /// One track per request slot (async request spans live here).
     trk_slots: Vec<TrackId>,
-    /// Attribution windows awaiting a synchronization (recording only).
+    /// Latency attribution: one charge list per request in flight, one
+    /// row per finished request (on with attribution or tracing).
+    fold: Option<StageFold>,
+    /// Attribution windows awaiting a synchronization (attribution only).
     /// Fx-hashed: stream and context windows take one update per device
     /// completion while attribution is on. A job has an entry only while
     /// a synchronous copy waits on it (`None` until the job completes);
@@ -383,6 +389,7 @@ impl Observers {
             trk_sim: TrackId::INVALID,
             trk_faults: TrackId::INVALID,
             trk_slots: Vec::new(),
+            fold: None,
             attr_job: FxHashMap::default(),
             attr_stream: FxHashMap::default(),
             attr_ctx: FxHashMap::default(),
@@ -399,16 +406,17 @@ impl Observers {
         }
     }
 
-    /// Record into `tracer`. Track ids follow registration order: the
-    /// executive and fault tracks, then whatever `components` registers,
-    /// then one track per request slot, labelled with its class.
+    /// Record a trace, and attribute latency. Track ids follow
+    /// registration order: the executive and fault tracks, then whatever
+    /// `components` registers on the tracer, then one track per request
+    /// slot, labelled with its class.
     pub fn trace(
         &mut self,
-        tracer: Tracer,
         requests: &[PlannedRequest],
         slots: usize,
         components: impl FnOnce(&Tracer),
     ) {
+        let tracer = Tracer::buffered();
         self.trk_sim = tracer.track("sim", "executive");
         self.trk_faults = tracer.track("sim", "faults");
         components(&tracer);
@@ -423,15 +431,12 @@ impl Observers {
             })
             .collect();
         self.tracer = tracer;
+        self.attribute();
     }
 
-    /// Record latency attribution only, unless a full trace already
-    /// records it. The recorder records no events, so no track is named.
-    pub fn attribute(&mut self, slots: usize) {
-        if !self.tracer.is_on() {
-            self.tracer = Tracer::attribution();
-            self.trk_slots = vec![TrackId::INVALID; slots];
-        }
+    /// Fold every request's stage charges into one ledger row.
+    pub fn attribute(&mut self) {
+        self.fold.get_or_insert_with(StageFold::default);
     }
 
     /// Ready the sinks for a run of `requests` on `devices`: size the
@@ -517,16 +522,17 @@ impl Observers {
             self.drain_alert_transitions(q);
         }
         if self.tracer.is_on() {
-            self.trace_step(q.now(), id, r, cursor, step);
+            self.trace_step(q.now(), id, r, step);
+        }
+        if self.fold.is_some() {
+            self.attribute_step(q.now(), id, r, cursor, step);
         }
     }
 
-    /// The tracer's view of a step (tracing is on): at most one instant or
-    /// span, then the stage charge the step closes, then the end of the
-    /// request span. Argument strings are built only when the tracer
-    /// records events; an attribution-only tracer sees the request's
-    /// opening, charges and close.
-    fn trace_step(
+    /// Attribution's view of a step (attribution is on): the request
+    /// opens when admitted, the step charges the stage it closes, and
+    /// terminal steps close the request, and its span when tracing.
+    fn attribute_step(
         &mut self,
         now: SimTime,
         id: u64,
@@ -534,25 +540,52 @@ impl Observers {
         cursor: Option<&mut SimTime>,
         step: Step,
     ) {
+        if let (Step::Admitted, Some(fold)) = (step, self.fold.as_mut()) {
+            fold.open(id, r.tenant.0, &r.class.to_string(), now);
+        }
+        let charge = match step {
+            // Admission + server-queue wait: arrival up to dispatch.
+            Step::Dispatch => Some(Stage::AdmissionWait),
+            // The failover window (detection + respawn), and the residual
+            // tail of a completion (final host step, reply unpacking), are
+            // unattributable.
+            Step::Restart { .. } | Step::Complete { .. } => Some(Stage::Other),
+            _ => None,
+        };
+        if let Some(stage) = charge {
+            let cursor = cursor.expect("the request runs");
+            self.charge(r.slot, id, cursor, stage, now);
+        }
+        if matches!(
+            step,
+            Step::LostQueued | Step::Abort { .. } | Step::Complete { .. }
+        ) {
+            if self.tracer.is_on() {
+                let track = self.trk_slots[r.slot];
+                self.tracer.span_end(track, now, REQUEST_SPAN, Some(id));
+            }
+            if let Some(fold) = self.fold.as_mut() {
+                fold.close(id, now);
+            }
+        }
+    }
+
+    /// The tracer's view of a step (tracing is on): at most one instant
+    /// or span; admission opens the request span. It precedes the
+    /// step's stage charge and the end of the request span.
+    fn trace_step(&self, now: SimTime, id: u64, r: &PlannedRequest, step: Step) {
         let (t, track) = (&self.tracer, self.trk_slots[r.slot]);
-        let records = t.records();
         let one = |key, value: u64| vec![(key, value.to_string())];
         let instant = match step {
             Step::Admitted => {
-                let class = r.class.to_string();
-                let args = if records {
-                    vec![
-                        ("tenant", r.tenant.to_string()),
-                        ("class", class.clone()),
-                        ("node", r.node.to_string()),
-                    ]
-                } else {
-                    Vec::new()
-                };
-                t.request_begin(track, now, id, r.tenant.0, &class, args);
+                let args = vec![
+                    ("tenant", r.tenant.to_string()),
+                    ("class", r.class.to_string()),
+                    ("node", r.node.to_string()),
+                ];
+                t.span_begin(track, now, REQUEST_SPAN, Some(id), args);
                 None
             }
-            _ if !records => None,
             Step::LostAtArrival => Some((self.trk_faults, "arrival_dropped", one("request", id))),
             Step::Shed { reason } => {
                 let args = vec![
@@ -600,32 +633,13 @@ impl Observers {
         if let Some((track, name, args)) = instant {
             t.instant(track, now, name, args);
         }
-        let charge = match step {
-            // Admission + server-queue wait: arrival up to dispatch.
-            Step::Dispatch => Some(Stage::AdmissionWait),
-            // The failover window (detection + respawn), and the residual
-            // tail of a completion (final host step, reply unpacking), are
-            // unattributable.
-            Step::Restart { .. } | Step::Complete { .. } => Some(Stage::Other),
-            _ => None,
-        };
-        if let Some(stage) = charge {
-            let cursor = cursor.expect("the request runs");
-            self.charge(r.slot, id, cursor, stage, now);
-        }
-        if matches!(
-            step,
-            Step::LostQueued | Step::Abort { .. } | Step::Complete { .. }
-        ) {
-            self.tracer.request_end(track, now, id);
-        }
     }
 
     /// An injected fault fired; its record lands in node `ring`'s ring.
     pub fn fault<E>(&mut self, q: &EventQueue<E>, ring: NodeId, kind: FaultKind) {
         let rec = (FlightKind::FaultInjected, kind.code(), kind.target());
         self.flight(q, ring, NO_ID, rec);
-        if !self.tracer.records() {
+        if !self.tracer.is_on() {
             return;
         }
         let (t, track, now) = (&self.tracer, self.trk_faults, q.now());
@@ -655,7 +669,7 @@ impl Observers {
 
     /// The gMap was rebuilt around lost devices; `survivors` remain.
     pub fn gmap_rebuild(&mut self, now: SimTime, survivors: usize) {
-        if !self.tracer.records() {
+        if !self.tracer.is_on() {
             return;
         }
         let args = vec![("survivors", survivors.to_string())];
@@ -720,8 +734,8 @@ impl Observers {
     /// Charge request `request`'s wall clock from its attribution `cursor`
     /// up to `until` to `stage`, advancing the cursor. Successive charges
     /// tile the request's lifetime with no gaps or overlaps, so the
-    /// per-stage breakdown is exactly additive. No-op while recording is
-    /// off or when the window is empty.
+    /// per-stage breakdown is exactly additive. No-op while attribution
+    /// is off or when the window is empty.
     pub fn charge(
         &mut self,
         slot: usize,
@@ -730,12 +744,15 @@ impl Observers {
         stage: Stage,
         until: SimTime,
     ) {
-        if !self.tracer.is_on() || until <= *cursor {
+        let Some(fold) = self.fold.as_mut().filter(|_| until > *cursor) else {
             return;
-        }
+        };
         let from = std::mem::replace(cursor, until);
-        self.tracer
-            .stage_charge(self.trk_slots[slot], until, request, stage, from);
+        fold.charge(request, stage, from, until);
+        if self.tracer.is_on() {
+            self.tracer
+                .stage_charge(self.trk_slots[slot], until, request, stage, from);
+        }
     }
 
     /// A failure at `now` overtook the request: charges it made up to a
@@ -743,12 +760,15 @@ impl Observers {
     /// happened that way. Cut them back to `now`, so what follows (the
     /// failover window, the replay, or the abort) charges on from `now`.
     pub fn retract(&mut self, slot: usize, request: u64, cursor: &mut SimTime, now: SimTime) {
-        if !self.tracer.is_on() || *cursor <= now {
+        let Some(fold) = self.fold.as_mut().filter(|_| *cursor > now) else {
             return;
-        }
+        };
         *cursor = now;
-        self.tracer
-            .retract_charges_after(self.trk_slots[slot], request, now);
+        fold.retract(request, now);
+        if self.tracer.is_on() {
+            self.tracer
+                .retract_charges_after(self.trk_slots[slot], request, now);
+        }
     }
 
     /// A blocked wait on `cond` released at `rel`: decompose the elapsed
@@ -765,7 +785,7 @@ impl Observers {
         rel: SimTime,
         switching: Option<&UtilizationTracker>,
     ) {
-        if !self.tracer.is_on() {
+        if self.fold.is_none() {
             return;
         }
         let win = match cond {
@@ -799,7 +819,7 @@ impl Observers {
     /// A synchronous copy will wait on job `jid`: keep its completed-work
     /// window for the wait to consume.
     pub fn job_awaited(&mut self, jid: JobId) {
-        if self.tracer.is_on() {
+        if self.fold.is_some() {
             self.attr_job.insert(jid, None);
         }
     }
@@ -807,7 +827,7 @@ impl Observers {
     /// Record finished work for wait decomposition: the windows keyed by
     /// whatever condition a host might block on.
     pub fn job_done(&mut self, c: &CompletedJob) {
-        if !self.tracer.is_on() {
+        if self.fold.is_none() {
             return;
         }
         if let Some(w) = self.attr_job.get_mut(&c.job.id) {
@@ -905,7 +925,8 @@ impl Observers {
     /// `stats`: the burn-rate windows close now (trailing transitions
     /// and their dump triggers are not lost, and the final metrics sample
     /// exports the final burns), then the final sample, the alert report,
-    /// the flight dumps, and the trace with its closing counters.
+    /// the flight dumps, and the trace with its closing counters and the
+    /// attribution ledger.
     pub fn finish<E>(
         &mut self,
         q: &EventQueue<E>,
@@ -936,9 +957,9 @@ impl Observers {
             stats.flight_triggers = self.flight.trigger_counts();
             stats.flight_recorded = self.flight.recorded();
         }
-        if !self.tracer.is_on() {
+        let Some(fold) = self.fold.take() else {
             return;
-        }
+        };
         let (t, track) = (&self.tracer, self.trk_sim);
         if let Some(adm) = stats.admission {
             t.counter(track, now, "admitted", adm.admitted as f64);
@@ -963,6 +984,8 @@ impl Observers {
             stats.cancelled_wakeups as f64,
         );
         t.counter(track, now, "stale_pops", stats.stale_pops as f64);
-        stats.trace = t.finish();
+        let mut trace = t.finish().unwrap_or_default();
+        trace.ledger = Some(fold.finish());
+        stats.trace = Some(trace);
     }
 }

@@ -122,8 +122,8 @@ pub struct Scenario {
     /// Record a structured trace of the run (engine spans, scheduler
     /// decisions, request spans) into [`RunStats::trace`].
     pub trace: bool,
-    /// Record only the lightweight latency-attribution trace (request
-    /// spans + stage charges; implied by [`Scenario::trace`]).
+    /// Fold latency attribution only: the run's trace holds the ledger
+    /// and no events (implied by [`Scenario::trace`]).
     pub attribution: bool,
     /// Flight-recorder ring depth per node. `None` keeps the always-on
     /// default; `Some(0)` disables recording.
@@ -188,15 +188,9 @@ impl Scenario {
         self
     }
 
-    /// Record only the lightweight latency-attribution trace.
+    /// Fold latency attribution only (the trace holds the ledger).
     pub fn with_attribution(mut self) -> Self {
         self.attribution = true;
-        self
-    }
-
-    /// Override the flight recorder's per-node ring depth (0 disables).
-    pub fn with_flight_depth(mut self, depth: usize) -> Self {
-        self.flight_depth = Some(depth);
         self
     }
 

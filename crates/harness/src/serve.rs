@@ -98,9 +98,6 @@ pub struct ServeSpec {
     /// Capture this request's full flight-record chain into
     /// [`RunStats::explain_records`] (the `strings-sim explain` source).
     pub explain: Option<u64>,
-    /// Record wall-clock per executive phase into
-    /// [`RunStats::self_profile`] (bench trajectory only).
-    pub self_profile: bool,
 }
 
 impl ServeSpec {
@@ -163,7 +160,6 @@ impl ServeSpec {
             dump_at: None,
             dump_final: false,
             explain: None,
-            self_profile: false,
         }
     }
 
@@ -259,9 +255,6 @@ impl ServeSpec {
         }
         if let Some(req) = self.explain {
             world.set_explain(req);
-        }
-        if self.self_profile {
-            world.enable_self_profile();
         }
         world.run()
     }

@@ -33,13 +33,14 @@ use remoting::backend::{BackendDesign, APP_PID_BASE, HOST_PID_BASE};
 use remoting::channel::ChannelSpec;
 use remoting::gpool::{Gid, NodeId, ShardedGPool};
 use remoting::network::NetworkSpec;
+use remoting::rpc::CONTROL_BYTES;
 use remoting::telemetry::RpcCounters;
 use remoting::topology::TopologySpec;
 use sim_core::event::EventQueue;
 use sim_core::fault::{FaultKind, FaultPlan};
 use sim_core::flight::{DumpReason, FlightRecorder};
 use sim_core::rng::SimRng;
-use sim_core::trace::{Stage, Tracer};
+use sim_core::trace::Stage;
 use sim_core::{EventKey, SimDuration, SimTime};
 use std::collections::VecDeque;
 use strings_core::admission::{AdmissionConfig, AdmissionController};
@@ -434,8 +435,8 @@ impl World {
 
     /// Turn on structured tracing: every device engine, scheduler, mapper
     /// and request slot gets a track, and the run's [`RunStats::trace`]
-    /// carries the recorded [`sim_core::trace::Trace`]. Call before
-    /// [`World::run`].
+    /// carries the recorded [`sim_core::trace::Trace`] with its
+    /// attribution ledger. Call before [`World::run`].
     pub fn enable_tracing(&mut self) {
         // Cluster runs (3+ nodes) prefix device tracks with their node so
         // a 64×4 trace is filterable per node in Perfetto. The paper's
@@ -452,33 +453,29 @@ impl World {
         let slots = self.slot_inflight.len();
         let (devices, schedulers, mappers) =
             (&mut self.devices, &mut self.schedulers, &mut self.mappers);
-        self.obs
-            .trace(Tracer::folding(), &self.requests, slots, |tracer| {
-                for (gid, d) in devices.iter_mut().enumerate() {
-                    d.set_tracer(tracer.clone(), &device_names[gid]);
-                }
-                for (gid, s) in schedulers.iter_mut().enumerate() {
-                    let trk = tracer.track(device_names[gid].clone(), "scheduler");
-                    s.set_tracer(tracer.clone(), trk);
-                }
-                for (i, m) in mappers.iter_mut().enumerate() {
-                    let trk = tracer.track("balancer", format!("mapper{i}"));
-                    m.set_tracer(tracer.clone(), trk);
-                }
-            });
+        self.obs.trace(&self.requests, slots, |tracer| {
+            for (gid, d) in devices.iter_mut().enumerate() {
+                d.set_tracer(tracer.clone(), &device_names[gid]);
+            }
+            for (gid, s) in schedulers.iter_mut().enumerate() {
+                let trk = tracer.track(device_names[gid].clone(), "scheduler");
+                s.set_tracer(tracer.clone(), trk);
+            }
+            for (i, m) in mappers.iter_mut().enumerate() {
+                let trk = tracer.track("balancer", format!("mapper{i}"));
+                m.set_tracer(tracer.clone(), trk);
+            }
+        });
     }
 
-    /// Turn on the lightweight latency-attribution recorder: it records
-    /// no events, and stage charges are folded into one row per request
-    /// as the run goes — the
+    /// Turn on latency attribution alone: stage charges are folded into
+    /// one row per request as the run goes, and the run's
+    /// [`RunStats::trace`] carries no events, only the
     /// [`sim_core::trace::Trace::ledger`] that
-    /// [`strings_metrics::attribution::AttributionReport`] reads, without
-    /// paying for full device/scheduler/mapper tracing. A no-op when
-    /// [`World::enable_tracing`] already ran (full traces are a
-    /// superset).
+    /// [`strings_metrics::attribution::AttributionReport`] reads. Tracing
+    /// ([`World::enable_tracing`]) attributes too, in either order.
     pub fn enable_attribution(&mut self) {
-        let slots = self.slot_inflight.len();
-        self.obs.attribute(slots);
+        self.obs.attribute();
     }
 
     /// Install the unified metrics registry, sampled every `every` of
@@ -1227,9 +1224,7 @@ impl World {
     }
 
     fn bind_direct(&mut self, app: AppId, gid: Gid) {
-        let a = self.app(app);
         let pid = ProcessId(APP_PID_BASE + app.0);
-        let node = a.node;
         let (ctx, fresh) = self.registry.get_or_create(pid, gid.index());
         if fresh {
             self.devices[gid.index()].create_context(ctx);
@@ -1241,7 +1236,6 @@ impl World {
         a.gid = Some(gid);
         a.ctx = Some(ctx);
         a.stream = StreamId::DEFAULT;
-        let _ = node;
     }
 
     // ---- interposed (Rain / Strings) path --------------------------------
@@ -1296,7 +1290,7 @@ impl World {
             return;
         }
         let chan = self.channel(node, gid);
-        let control = 48; // marshalled header + params
+        let control = CONTROL_BYTES;
         let payload = self.bulk_bytes(node, gid, packed.call.rpc_payload_bytes());
         let factor = self.link_factor(node, dev_node, now);
         let base = chan.transfer_ns(control + payload);
@@ -1335,7 +1329,7 @@ impl World {
 
     /// A blocking RPC's deadline expired with no reply: retry with
     /// exponential backoff while the policy allows, then declare the
-    /// backend dead (`remoting::Error::RetriesExhausted`) and fail over.
+    /// backend dead (`Step::RetriesExhausted`) and fail over.
     fn on_rpc_timeout(&mut self, app: AppId, now: SimTime) {
         self.stats.rpc_timeouts += 1;
         self.rpc.timeouts += 1;

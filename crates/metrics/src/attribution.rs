@@ -4,14 +4,14 @@
 //! end-to-end request time into queueing, copy-engine, compute, remoting
 //! and context-switch "glitch" components. The executive charges every
 //! nanosecond of a request's life to exactly one [`Stage`], and the
-//! charges are folded online: the recorder's [`StageFold`] keeps a short
-//! charge list per request in flight and closes it into one
+//! charges are folded online: the run's observers keep a [`StageFold`]
+//! with a short charge list per request in flight and close it into one
 //! [`RequestAttribution`] row, with an **exact additivity check** — the
 //! stage totals of a consistent request sum to its end-to-end latency, to
 //! the nanosecond. [`AttributionReport::from_trace`] takes those rows off
-//! the finished [`Trace`]; for a trace recorded without a ledger (hand
-//! built, or produced elsewhere) it runs the same fold over the recorded
-//! `"request"` spans and `"stage"` charges.
+//! the finished [`Trace`]'s ledger; for a trace without one (hand built)
+//! it runs the same fold over the recorded `"request"` spans and
+//! [`TraceEvent::StageCharge`] events.
 //!
 //! Aggregations are byte-stable: per-tenant tables are keyed through
 //! `BTreeMap`, shares are integer-ratio formatted, and the top-K slowest
@@ -19,7 +19,6 @@
 
 use crate::report::{fmt_pct, Table};
 use sim_core::trace::{Stage, StageFold, StageLedger, Trace, TraceEvent, REQUEST_SPAN};
-use sim_core::SimTime;
 use std::collections::{BTreeMap, HashSet};
 
 pub use sim_core::trace::{RequestAttribution, N_STAGES};
@@ -57,10 +56,9 @@ impl AttributionReport {
     /// Fold a trace's recorded events, ignoring any ledger it carries.
     ///
     /// Scans the `"requests"`-process tracks for `"request"` spans
-    /// (arrival/completion) and stage charges — compact
-    /// [`TraceEvent::StageCharge`] events or `"stage"` instants with
-    /// `request`/`stage`/`from` args, each charging `[from, at)` — and
-    /// feeds them to a [`StageFold`] in recording order.
+    /// (arrival/completion) and [`TraceEvent::StageCharge`] events, each
+    /// charging `[from, at)`, and feeds them to a [`StageFold`] in
+    /// recording order.
     pub fn from_events(trace: &Trace) -> AttributionReport {
         let slot_tracks: HashSet<_> = trace
             .find_tracks(|d| d.process == "requests")
@@ -89,20 +87,6 @@ impl AttributionReport {
                     arg(args, "class").unwrap_or("?"),
                     *at,
                 ),
-                TraceEvent::Instant {
-                    at,
-                    name: "stage",
-                    args,
-                    ..
-                } => {
-                    if let (Some(idx), Some(stage), Some(from)) = (
-                        arg(args, "request").and_then(|v| v.parse::<u64>().ok()),
-                        arg(args, "stage").and_then(Stage::parse),
-                        arg(args, "from").and_then(|v| v.parse::<SimTime>().ok()),
-                    ) {
-                        fold.charge(idx, stage, from, *at);
-                    }
-                }
                 TraceEvent::StageCharge {
                     at,
                     request,
@@ -156,15 +140,6 @@ impl AttributionReport {
             .map(RequestAttribution::queue_wait_ns)
             .sum();
         q as f64 / total as f64
-    }
-
-    /// Fraction of aggregate latency charged to one stage.
-    pub fn stage_share(&self, s: Stage) -> f64 {
-        let total = self.total_latency_ns();
-        if total == 0 {
-            return 0.0;
-        }
-        self.totals()[s.index()] as f64 / total as f64
     }
 
     /// Per-tenant `(requests, total_ns, stage_ns)` aggregates over
@@ -319,6 +294,7 @@ impl From<StageLedger> for AttributionReport {
 mod tests {
     use super::*;
     use sim_core::trace::Tracer;
+    use sim_core::SimTime;
 
     /// One hand-built request: (id, arrival, end, charges).
     type TestReq = (u64, SimTime, SimTime, Vec<(SimTime, SimTime, Stage)>);
@@ -339,17 +315,8 @@ mod tests {
                     ("class", "MC".to_string()),
                 ],
             );
-            for (from, to, stage) in charges {
-                t.instant(
-                    trk,
-                    *to,
-                    "stage",
-                    vec![
-                        ("request", idx.to_string()),
-                        ("stage", stage.as_str().to_string()),
-                        ("from", from.to_string()),
-                    ],
-                );
+            for &(from, to, stage) in charges {
+                t.stage_charge(trk, to, *idx, stage, from);
             }
             t.span_end(trk, *end, "request", Some(*idx));
         }

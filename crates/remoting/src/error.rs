@@ -1,64 +1,28 @@
 //! The unified remoting error type.
 //!
-//! Every fallible path in the remoting layer — packet unmarshalling, gMap
-//! lookups against lost hardware, per-call deadlines, bounded retries —
-//! reports through one typed [`Error`], replacing the earlier mix of
-//! `DecodeError`, `Option` and panics. The enum is `#[non_exhaustive]`:
-//! downstream matches must carry a wildcard arm, so new failure modes
-//! (and the paper's "as many scenarios as you can imagine" direction
-//! guarantees there will be more) never break compilation.
+//! The fallible paths of the remoting layer (gMap lookups and device
+//! failures against hardware that is not, or no longer, in the gPool)
+//! report through one typed [`Error`]. The enum is `#[non_exhaustive]`:
+//! downstream matches carry a wildcard arm, so a new failure mode never
+//! breaks compilation.
 
-use crate::gpool::{Gid, NodeId};
+use crate::gpool::Gid;
 
 /// Any failure surfaced by the remoting layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
-    /// RPC packet shorter than its header demands.
-    Truncated,
-    /// Unknown call-id byte in an RPC packet.
-    UnknownOp(u8),
-    /// Invalid copy-direction byte in an RPC packet.
-    BadDirection(u8),
     /// GID outside the gMap.
     UnknownGid(Gid),
     /// The device behind a GID has failed permanently (ECC / node loss).
     DeviceLost(Gid),
-    /// The whole node is gone from the supernode.
-    NodeLost(NodeId),
-    /// A call exceeded its delivery deadline (link partition or overload).
-    DeadlineExceeded {
-        /// The deadline that expired, nanoseconds.
-        deadline_ns: u64,
-    },
-    /// The backend worker process serving the call crashed.
-    BackendCrashed {
-        /// Device whose backend died.
-        gid: Gid,
-    },
-    /// Bounded retry gave up.
-    RetriesExhausted {
-        /// Attempts made (including the first).
-        attempts: u32,
-    },
 }
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Error::Truncated => write!(f, "truncated RPC packet"),
-            Error::UnknownOp(b) => write!(f, "unknown RPC op {b}"),
-            Error::BadDirection(b) => write!(f, "bad copy direction {b}"),
             Error::UnknownGid(g) => write!(f, "{g} is not in the gMap"),
             Error::DeviceLost(g) => write!(f, "{g} has failed and left the gPool"),
-            Error::NodeLost(n) => write!(f, "{n} has left the supernode"),
-            Error::DeadlineExceeded { deadline_ns } => {
-                write!(f, "RPC deadline of {deadline_ns}ns exceeded")
-            }
-            Error::BackendCrashed { gid } => write!(f, "backend process on {gid} crashed"),
-            Error::RetriesExhausted { attempts } => {
-                write!(f, "gave up after {attempts} attempts")
-            }
         }
     }
 }
@@ -68,54 +32,13 @@ impl std::error::Error for Error {}
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;
 
-impl Error {
-    /// True for failures a bounded retry can plausibly outlast (transient
-    /// link or worker trouble); false for fail-stop losses where the only
-    /// recovery is re-placement on surviving hardware.
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            Error::DeadlineExceeded { .. } | Error::BackendCrashed { .. } => true,
-            Error::Truncated
-            | Error::UnknownOp(_)
-            | Error::BadDirection(_)
-            | Error::UnknownGid(_)
-            | Error::DeviceLost(_)
-            | Error::NodeLost(_)
-            | Error::RetriesExhausted { .. } => false,
-            #[allow(unreachable_patterns)] // non_exhaustive: future variants
-            _ => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn display_is_informative() {
-        assert!(Error::Truncated.to_string().contains("truncated"));
-        assert!(Error::UnknownOp(7).to_string().contains('7'));
+        assert!(Error::UnknownGid(Gid(9)).to_string().contains("GID9"));
         assert!(Error::DeviceLost(Gid(3)).to_string().contains("GID3"));
-        assert!(Error::NodeLost(NodeId(1)).to_string().contains("Node1"));
-        assert!(Error::DeadlineExceeded { deadline_ns: 5 }
-            .to_string()
-            .contains("5ns"));
-        assert!(Error::BackendCrashed { gid: Gid(0) }
-            .to_string()
-            .contains("GID0"));
-        assert!(Error::RetriesExhausted { attempts: 4 }
-            .to_string()
-            .contains('4'));
-    }
-
-    #[test]
-    fn retryability_partition() {
-        assert!(Error::DeadlineExceeded { deadline_ns: 1 }.is_retryable());
-        assert!(Error::BackendCrashed { gid: Gid(0) }.is_retryable());
-        assert!(!Error::DeviceLost(Gid(0)).is_retryable());
-        assert!(!Error::NodeLost(NodeId(0)).is_retryable());
-        assert!(!Error::Truncated.is_retryable());
-        assert!(!Error::RetriesExhausted { attempts: 3 }.is_retryable());
     }
 }

@@ -6,8 +6,8 @@
 //! network for remote GPUs) to a **backend** daemon that dispatches the real
 //! calls and returns error codes / output parameters.
 //!
-//! * [`rpc`] — packet marshalling/unmarshalling (`bytes`-based) and the RPC
-//!   cost model (per-call marshal time + per-byte costs),
+//! * [`rpc`] — the RPC cost model (per-call marshal time + per-byte
+//!   costs),
 //! * [`channel`] — shared-memory and Gigabit-Ethernet channel timing,
 //! * [`network`] — the [`NetworkSpec`] graph between nodes; the canned
 //!   shm/GbE media live here as constants,
@@ -19,8 +19,8 @@
 //! * [`backend`] — the three frontend→backend worker mappings of Figure 5
 //!   (Design I: process per app; Design II: one master thread per GPU;
 //!   Design III: per-GPU process with a thread per app — Strings),
-//! * [`error`] — the unified [`Error`]/[`Result`] every fallible remoting
-//!   path reports through,
+//! * [`error`] — the unified [`Error`]/[`Result`] the gMap's lookups and
+//!   device failures report through,
 //! * [`retry`] — per-call deadlines and bounded exponential backoff
 //!   ([`RetryPolicy`]) used by the frontend when a backend stops answering,
 //! * [`telemetry`] — monotonic [`RpcCounters`] over the RPC path, sampled
@@ -45,20 +45,6 @@ pub use error::{Error, Result};
 pub use gpool::{GMap, Gid, NodeId, NodeSpec, ShardedGPool};
 pub use network::NetworkSpec;
 pub use retry::RetryPolicy;
-pub use rpc::{RpcCostModel, RpcPacket};
+pub use rpc::RpcCostModel;
 pub use telemetry::RpcCounters;
 pub use topology::{SliceCapability, TopologySpec};
-
-/// One-stop import for downstream crates:
-/// `use remoting::prelude::*;`.
-pub mod prelude {
-    pub use crate::backend::BackendDesign;
-    pub use crate::channel::{ChannelKind, ChannelSpec};
-    pub use crate::error::{Error, Result};
-    pub use crate::gpool::{GMap, GMapEntry, Gid, NodeId, NodeSpec, ShardedGPool};
-    pub use crate::network::{LinkSpec, NetworkSpec};
-    pub use crate::retry::RetryPolicy;
-    pub use crate::rpc::{RpcCostModel, RpcPacket};
-    pub use crate::telemetry::RpcCounters;
-    pub use crate::topology::{SliceCapability, TopologyBuilder, TopologySpec};
-}

@@ -1,171 +1,18 @@
-//! RPC packet marshalling and the interposition cost model.
+//! The interposition cost model.
 //!
-//! The interposer turns every intercepted CUDA call into an RPC packet —
+//! The interposer turns every intercepted CUDA call into an RPC —
 //! `call id | param 0 | … | param N` in the paper's Figure 3 — which the
-//! backend unmarshals and dispatches. [`RpcPacket`] implements that wire
-//! format over [`bytes`]; [`RpcCostModel`] charges the interposition,
-//! marshalling and unmarshalling time the paper's asynchrony optimizations
-//! hide.
+//! backend unmarshals and dispatches. The executive charges each RPC a
+//! [`CONTROL_BYTES`] control message plus its bulk payload on the
+//! channel; [`RpcCostModel`] charges the interposition, marshalling and
+//! unmarshalling time the paper's asynchrony optimizations hide.
 
-use crate::error::{Error, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cuda_sim::call::CudaCall;
-use gpu_sim::job::{CopyDirection, KernelProfile};
 use serde::{Deserialize, Serialize};
 
-/// Wire-format call ids.
-const OP_SET_DEVICE: u8 = 1;
-const OP_MALLOC: u8 = 2;
-const OP_FREE: u8 = 3;
-const OP_MEMCPY: u8 = 4;
-const OP_MEMCPY_ASYNC: u8 = 5;
-const OP_LAUNCH: u8 = 6;
-const OP_STREAM_SYNC: u8 = 7;
-const OP_DEVICE_SYNC: u8 = 8;
-const OP_THREAD_EXIT: u8 = 9;
-
-const DIR_H2D: u8 = 0;
-const DIR_D2H: u8 = 1;
-
-/// A marshalled CUDA call: `seq | call id | params`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RpcPacket {
-    /// Frontend-assigned sequence number (per application, in-order).
-    pub seq: u64,
-    /// Encoded bytes.
-    pub wire: Bytes,
-}
-
-impl RpcPacket {
-    /// Marshal a call.
-    pub fn encode(seq: u64, call: &CudaCall) -> RpcPacket {
-        let mut b = BytesMut::with_capacity(64);
-        b.put_u64(seq);
-        match call {
-            CudaCall::SetDevice { device } => {
-                b.put_u8(OP_SET_DEVICE);
-                b.put_u32(*device);
-            }
-            CudaCall::Malloc { bytes } => {
-                b.put_u8(OP_MALLOC);
-                b.put_u64(*bytes);
-            }
-            CudaCall::Free { bytes } => {
-                b.put_u8(OP_FREE);
-                b.put_u64(*bytes);
-            }
-            CudaCall::Memcpy { dir, bytes } => {
-                b.put_u8(OP_MEMCPY);
-                b.put_u8(dir_byte(*dir));
-                b.put_u64(*bytes);
-            }
-            CudaCall::MemcpyAsync { dir, bytes } => {
-                b.put_u8(OP_MEMCPY_ASYNC);
-                b.put_u8(dir_byte(*dir));
-                b.put_u64(*bytes);
-            }
-            CudaCall::LaunchKernel { kernel } => {
-                b.put_u8(OP_LAUNCH);
-                b.put_u64(kernel.work_ref_ns);
-                b.put_f64(kernel.occupancy);
-                b.put_f64(kernel.bw_demand_mbps);
-            }
-            CudaCall::StreamSynchronize => b.put_u8(OP_STREAM_SYNC),
-            CudaCall::DeviceSynchronize => b.put_u8(OP_DEVICE_SYNC),
-            CudaCall::ThreadExit => b.put_u8(OP_THREAD_EXIT),
-        }
-        RpcPacket {
-            seq,
-            wire: b.freeze(),
-        }
-    }
-
-    /// Unmarshal back into a call.
-    pub fn decode(&self) -> Result<(u64, CudaCall)> {
-        let mut w = self.wire.clone();
-        if w.remaining() < 9 {
-            return Err(Error::Truncated);
-        }
-        let seq = w.get_u64();
-        let op = w.get_u8();
-        let call = match op {
-            OP_SET_DEVICE => {
-                ensure(&w, 4)?;
-                CudaCall::SetDevice {
-                    device: w.get_u32(),
-                }
-            }
-            OP_MALLOC => {
-                ensure(&w, 8)?;
-                CudaCall::Malloc { bytes: w.get_u64() }
-            }
-            OP_FREE => {
-                ensure(&w, 8)?;
-                CudaCall::Free { bytes: w.get_u64() }
-            }
-            OP_MEMCPY => {
-                ensure(&w, 9)?;
-                let dir = byte_dir(w.get_u8())?;
-                CudaCall::Memcpy {
-                    dir,
-                    bytes: w.get_u64(),
-                }
-            }
-            OP_MEMCPY_ASYNC => {
-                ensure(&w, 9)?;
-                let dir = byte_dir(w.get_u8())?;
-                CudaCall::MemcpyAsync {
-                    dir,
-                    bytes: w.get_u64(),
-                }
-            }
-            OP_LAUNCH => {
-                ensure(&w, 24)?;
-                CudaCall::LaunchKernel {
-                    kernel: KernelProfile {
-                        work_ref_ns: w.get_u64(),
-                        occupancy: w.get_f64(),
-                        bw_demand_mbps: w.get_f64(),
-                    },
-                }
-            }
-            OP_STREAM_SYNC => CudaCall::StreamSynchronize,
-            OP_DEVICE_SYNC => CudaCall::DeviceSynchronize,
-            OP_THREAD_EXIT => CudaCall::ThreadExit,
-            other => return Err(Error::UnknownOp(other)),
-        };
-        Ok((seq, call))
-    }
-
-    /// Wire size of the control portion (excludes bulk copy payloads, which
-    /// ride separately in the cost model).
-    pub fn control_bytes(&self) -> u64 {
-        self.wire.len() as u64
-    }
-}
-
-fn dir_byte(d: CopyDirection) -> u8 {
-    match d {
-        CopyDirection::HostToDevice => DIR_H2D,
-        CopyDirection::DeviceToHost => DIR_D2H,
-    }
-}
-
-fn byte_dir(b: u8) -> Result<CopyDirection> {
-    match b {
-        DIR_H2D => Ok(CopyDirection::HostToDevice),
-        DIR_D2H => Ok(CopyDirection::DeviceToHost),
-        other => Err(Error::BadDirection(other)),
-    }
-}
-
-fn ensure(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        Err(Error::Truncated)
-    } else {
-        Ok(())
-    }
-}
+/// Wire size of one RPC's control portion: sequence number, call id and
+/// parameters (bulk copy payloads ride separately).
+pub const CONTROL_BYTES: u64 = 48;
 
 /// Time costs of interposition: what the runtime layer adds to every call
 /// (and what the asynchronous-operation optimizations of §III.B.2 overlap
@@ -210,97 +57,13 @@ impl RpcCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn all_calls() -> Vec<CudaCall> {
-        vec![
-            CudaCall::SetDevice { device: 3 },
-            CudaCall::Malloc { bytes: 1 << 20 },
-            CudaCall::Free { bytes: 1 << 20 },
-            CudaCall::Memcpy {
-                dir: CopyDirection::HostToDevice,
-                bytes: 4096,
-            },
-            CudaCall::Memcpy {
-                dir: CopyDirection::DeviceToHost,
-                bytes: 4096,
-            },
-            CudaCall::MemcpyAsync {
-                dir: CopyDirection::HostToDevice,
-                bytes: 123,
-            },
-            CudaCall::LaunchKernel {
-                kernel: KernelProfile {
-                    work_ref_ns: 777,
-                    occupancy: 0.25,
-                    bw_demand_mbps: 1234.5,
-                },
-            },
-            CudaCall::StreamSynchronize,
-            CudaCall::DeviceSynchronize,
-            CudaCall::ThreadExit,
-        ]
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_all_calls() {
-        for (i, call) in all_calls().into_iter().enumerate() {
-            let pkt = RpcPacket::encode(i as u64, &call);
-            let (seq, decoded) = pkt.decode().expect("decode");
-            assert_eq!(seq, i as u64);
-            assert_eq!(decoded, call, "roundtrip failed for {}", call.name());
-        }
-    }
-
-    #[test]
-    fn truncated_packet_rejected() {
-        let pkt = RpcPacket {
-            seq: 0,
-            wire: Bytes::from_static(&[0, 0, 0]),
-        };
-        assert_eq!(pkt.decode().unwrap_err(), Error::Truncated);
-        // Header ok but params missing:
-        let mut b = BytesMut::new();
-        b.put_u64(1);
-        b.put_u8(OP_MALLOC); // malloc wants 8 more bytes
-        let pkt = RpcPacket {
-            seq: 1,
-            wire: b.freeze(),
-        };
-        assert_eq!(pkt.decode().unwrap_err(), Error::Truncated);
-    }
-
-    #[test]
-    fn unknown_op_rejected() {
-        let mut b = BytesMut::new();
-        b.put_u64(1);
-        b.put_u8(200);
-        let pkt = RpcPacket {
-            seq: 1,
-            wire: b.freeze(),
-        };
-        assert_eq!(pkt.decode().unwrap_err(), Error::UnknownOp(200));
-    }
-
-    #[test]
-    fn bad_direction_rejected() {
-        let mut b = BytesMut::new();
-        b.put_u64(1);
-        b.put_u8(OP_MEMCPY);
-        b.put_u8(9);
-        b.put_u64(10);
-        let pkt = RpcPacket {
-            seq: 1,
-            wire: b.freeze(),
-        };
-        assert_eq!(pkt.decode().unwrap_err(), Error::BadDirection(9));
-    }
+    use gpu_sim::job::CopyDirection;
 
     #[test]
     fn control_bytes_are_small() {
-        for call in all_calls() {
-            let pkt = RpcPacket::encode(0, &call);
-            assert!(pkt.control_bytes() <= 64, "{} packet too big", call.name());
-        }
+        // `seq | call id | params`: a u64, a byte and at most three
+        // 8-byte parameters, inside one 64-byte cache line.
+        const { assert!(CONTROL_BYTES >= 8 + 1 + 3 * 8 && CONTROL_BYTES <= 64) };
     }
 
     #[test]
@@ -327,97 +90,5 @@ mod tests {
         );
         assert_eq!(m.reply_overhead_ns(&d2h), 1024 * m.marshal_ns_per_kib);
         assert_eq!(m.recv_overhead_ns(&small), m.unmarshal_ns);
-    }
-}
-
-#[cfg(test)]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn dir_of(d2h: bool) -> CopyDirection {
-        if d2h {
-            CopyDirection::DeviceToHost
-        } else {
-            CopyDirection::HostToDevice
-        }
-    }
-
-    fn arb_call() -> impl Strategy<Value = CudaCall> {
-        prop_oneof![
-            (0u32..4096).prop_map(|device| CudaCall::SetDevice { device }),
-            (0u64..(1u64 << 40)).prop_map(|bytes| CudaCall::Malloc { bytes }),
-            (0u64..(1u64 << 40)).prop_map(|bytes| CudaCall::Free { bytes }),
-            (proptest::bool::ANY, 0u64..(1u64 << 32)).prop_map(|(d2h, bytes)| CudaCall::Memcpy {
-                dir: dir_of(d2h),
-                bytes,
-            }),
-            (proptest::bool::ANY, 0u64..(1u64 << 32)).prop_map(|(d2h, bytes)| {
-                CudaCall::MemcpyAsync {
-                    dir: dir_of(d2h),
-                    bytes,
-                }
-            }),
-            (1u64..10_000_000_000, 0.001f64..1.0, 0.0f64..200_000.0).prop_map(
-                |(work_ref_ns, occupancy, bw_demand_mbps)| CudaCall::LaunchKernel {
-                    kernel: KernelProfile {
-                        work_ref_ns,
-                        occupancy,
-                        bw_demand_mbps,
-                    },
-                }
-            ),
-            Just(CudaCall::StreamSynchronize),
-            Just(CudaCall::DeviceSynchronize),
-            Just(CudaCall::ThreadExit),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(192))]
-
-        #[test]
-        fn encode_decode_roundtrip(seq in 0u64..u64::MAX, call in arb_call()) {
-            let pkt = RpcPacket::encode(seq, &call);
-            let (got_seq, got) = pkt.decode().expect("well-formed packet must decode");
-            prop_assert_eq!(got_seq, seq);
-            prop_assert_eq!(got, call);
-            prop_assert_eq!(pkt.seq, seq);
-        }
-
-        #[test]
-        fn any_strict_prefix_is_truncated(call in arb_call(), cut in 0usize..64) {
-            let pkt = RpcPacket::encode(7, &call);
-            prop_assume!(cut < pkt.wire.len());
-            let short = RpcPacket {
-                seq: 7,
-                wire: Bytes::from(pkt.wire.as_slice()[..cut].to_vec()),
-            };
-            prop_assert_eq!(short.decode().unwrap_err(), Error::Truncated);
-        }
-
-        #[test]
-        fn unknown_ops_are_rejected(op in 10u8..=255, seq in 0u64..1000) {
-            let mut b = BytesMut::new();
-            b.put_u64(seq);
-            b.put_u8(op);
-            let pkt = RpcPacket { seq, wire: b.freeze() };
-            prop_assert_eq!(pkt.decode().unwrap_err(), Error::UnknownOp(op));
-        }
-
-        #[test]
-        fn bad_direction_bytes_are_rejected(
-            is_async in proptest::bool::ANY,
-            dir in 2u8..=255,
-            n in 0u64..4096,
-        ) {
-            let mut b = BytesMut::new();
-            b.put_u64(1);
-            b.put_u8(if is_async { OP_MEMCPY_ASYNC } else { OP_MEMCPY });
-            b.put_u8(dir);
-            b.put_u64(n);
-            let pkt = RpcPacket { seq: 1, wire: b.freeze() };
-            prop_assert_eq!(pkt.decode().unwrap_err(), Error::BadDirection(dir));
-        }
     }
 }

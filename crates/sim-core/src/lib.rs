@@ -54,6 +54,6 @@ pub use stats::OnlineStats;
 pub use telemetry::UtilizationTracker;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    RequestAttribution, Stage, StageFold, StageLedger, Trace, TraceEvent, TraceSink, Tracer,
-    TrackDesc, TrackId,
+    RequestAttribution, Stage, StageFold, StageLedger, Trace, TraceEvent, Tracer, TrackDesc,
+    TrackId,
 };

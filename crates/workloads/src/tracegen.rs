@@ -106,13 +106,6 @@ impl TraceGenerator {
         debug_assert_eq!(p.validate(), Ok(()));
         p
     }
-
-    /// The ideal standalone duration of a generated program on the
-    /// reference device (CPU + kernels + pageable transfers), ignoring
-    /// per-call overheads. Used by tests and by λ selection for arrivals.
-    pub fn ideal_runtime(&self, profile: &AppProfile) -> SimDuration {
-        profile.runtime
-    }
 }
 
 #[cfg(test)]
