@@ -13,7 +13,10 @@
 //! scenario's best wall time against the **best historical** wall time
 //! across every entry in the baseline file (v1 single-report files still
 //! parse). Wall time, not events/sec: a change that simulates fewer
-//! events for the same outcome is a gain, not a regression.
+//! events for the same outcome is a gain, not a regression. `--check`
+//! also gates memory against run length: the 64×4 cluster serve runs at
+//! two lengths, and the longer run's peak RSS may exceed the shorter's
+//! by at most [`RSS_LENGTH_RATIO_MAX`].
 //!
 //! ```text
 //! cargo run --release -p strings-bench --bin bench_suite                # full (5 reps)
@@ -47,7 +50,9 @@ const USAGE: &str = "bench_suite options:
                    (default \"dev\")
   --check PATH     compare against a baseline JSON; exit 1 when any shared
                    scenario's best wall time is more than 2x the best
-                   historical wall time
+                   historical wall time, or when the 64x4 cluster serve's
+                   peak RSS at 4x its duration exceeds its peak RSS at 1x
+                   by more than the length gate allows
   --attr-gate F    exit 1 if the attributed fig12 run costs more than F
                    times the plain fig12 run's best wall time (CI: 1.15)
   --flight-gate F  exit 1 if the serve run with the always-on flight
@@ -93,6 +98,18 @@ fn serve_spec() -> ServeSpec {
 /// per-event cost must not grow with the device count.
 const CLUSTER_SERVE_ARGS: &str = "--topology 64x4:c2050@calibrated --tenants 2048 \
      --arrivals poisson:300rps --duration 5s --metrics-every 1s";
+
+/// The cluster serve row at 4× its duration. Its peak RSS over the
+/// `cluster_serve_64x4` row's is the length gate's ratio.
+const CLUSTER_SERVE_LONG: &str = "cluster_serve_64x4_long";
+
+/// Most the cluster serve's peak RSS may grow from 5 s to 20 s. The
+/// executive's run state follows the requests in flight, so what grows is
+/// the plan, the arrival cursor and the run's outputs (SLO records,
+/// utilization histories, metrics snapshots): 12.1 → 16.4–16.5 MB
+/// (1.36×) on a 2-vCPU VM. With an app slot and a device submit-time
+/// entry kept per request it went 12.4–12.5 → 18.5 MB (1.48–1.49×).
+const RSS_LENGTH_RATIO_MAX: f64 = 1.42;
 
 /// The incident review at bench scale, as `strings-sim serve` arguments:
 /// the 64×4 serve above under a link degrade and two partitions, with
@@ -171,6 +188,8 @@ fn scenarios() -> Vec<Entry> {
     // profiler overhead, which `--attr-gate` bounds in CI.
     let fig12_attr = fig12.clone().with_attribution();
     let cluster = serve_args(CLUSTER_SERVE_ARGS);
+    let mut cluster_long = serve_args(CLUSTER_SERVE_ARGS);
+    cluster_long.duration = SimDuration::from_ns(4 * cluster.duration.as_ns());
     let mut incident = serve_args(INCIDENT_ARGS);
     incident.dump_final = true;
     vec![
@@ -183,6 +202,7 @@ fn scenarios() -> Vec<Entry> {
         ("supernode_mix3", Box::new(move || mix3.run())),
         ("serve_open_loop", Box::new(move || serve.run())),
         ("cluster_serve_64x4", Box::new(move || cluster.run())),
+        (CLUSTER_SERVE_LONG, Box::new(move || cluster_long.run())),
         (
             "incident_fault_alert_dump",
             Box::new(move || {
@@ -439,7 +459,7 @@ fn parse_baseline(text: &str) -> Vec<(String, u64)> {
 
 fn check(rows: &[Row], baseline_text: &str) -> bool {
     let baseline = parse_baseline(baseline_text);
-    let mut ok = true;
+    let mut ok = check_rss_lengths(rows);
     for (name, base_ns) in &baseline {
         let Some(row) = rows.iter().find(|r| r.name == name.as_str()) else {
             println!("check: {name}: not in this run (skipped)");
@@ -461,6 +481,37 @@ fn check(rows: &[Row], baseline_text: &str) -> bool {
             ok = false;
         }
     }
+    ok
+}
+
+/// The length gate: the cluster serve's peak RSS at 4× its duration over
+/// its peak RSS at 1×, at most [`RSS_LENGTH_RATIO_MAX`]. Skipped, with a
+/// note, where a row's peak could not be reset and so includes earlier
+/// rows.
+fn check_rss_lengths(rows: &[Row]) -> bool {
+    let row = |name: &str| rows.iter().find(|r| r.name == name);
+    let (Some(short), Some(long)) = (row("cluster_serve_64x4"), row(CLUSTER_SERVE_LONG)) else {
+        println!("check: rss length gate: a cluster serve row is missing (skipped)");
+        return true;
+    };
+    let (Some(short_mb), Some(long_mb)) = (short.peak_rss_mb, long.peak_rss_mb) else {
+        println!("check: rss length gate: no peak RSS on this platform (skipped)");
+        return true;
+    };
+    if short.rss_cumulative || long.rss_cumulative {
+        println!(
+            "check: rss length gate: peak RSS could not be reset between rows, so it \
+             includes earlier rows (skipped)"
+        );
+        return true;
+    }
+    let ratio = long_mb / short_mb;
+    let ok = ratio <= RSS_LENGTH_RATIO_MAX;
+    println!(
+        "check: rss length gate: {long_mb:.1} MB at 4x vs {short_mb:.1} MB at 1x \
+         ({ratio:.2}x, limit {RSS_LENGTH_RATIO_MAX:.2}x) {}",
+        if ok { "ok" } else { "FAIL" }
+    );
     ok
 }
 

@@ -261,6 +261,7 @@ mod tests {
                 bw_demand_mbps: bw,
             }),
             tag: id as u64,
+            submitted_at: 0,
         }
     }
 
@@ -412,6 +413,7 @@ mod proptests {
                         bw_demand_mbps: bw,
                     }),
                     tag: 0,
+                    submitted_at: 0,
                 };
                 e.start(job, work, 0);
             }
@@ -452,6 +454,7 @@ mod proptests {
                         bw_demand_mbps: *bw,
                     }),
                     tag: 0,
+                    submitted_at: 0,
                 };
                 e.start(job, 1000, 0);
             }

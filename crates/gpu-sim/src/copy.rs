@@ -143,6 +143,7 @@ mod tests {
                 pinned: true,
             },
             tag: 0,
+            submitted_at: 0,
         }
     }
 

@@ -71,10 +71,8 @@ impl Default for DeviceConfig {
 /// A finished unit of work, reported to the runtime layer.
 #[derive(Debug, Clone)]
 pub struct CompletedJob {
-    /// The job as submitted.
+    /// The job as submitted, with its submit time.
     pub job: Job,
-    /// When it was submitted to the device.
-    pub submitted_at: SimTime,
     /// When an engine began executing it.
     pub started_at: SimTime,
     /// When it finished.
@@ -89,7 +87,7 @@ impl CompletedJob {
 
     /// Time spent waiting in stream/context queues before starting.
     pub fn queue_ns(&self) -> u64 {
-        self.started_at - self.submitted_at
+        self.started_at - self.job.submitted_at
     }
 }
 
@@ -154,7 +152,10 @@ impl CtxState {
     }
 }
 
-/// One simulated GPU.
+/// One simulated GPU. What it holds follows its live work: each job
+/// carries its own submit time ([`Job::submitted_at`]) from the stream
+/// queue through the engines to its [`CompletedJob`], so nothing is kept
+/// per job once it completes or is cancelled.
 #[derive(Debug)]
 pub struct Device {
     /// Device identity within its node.
@@ -171,11 +172,6 @@ pub struct Device {
     compute: ComputeEngine,
     copies: Vec<CopyEngine>,
     completed: Vec<CompletedJob>,
-    /// Submission timestamps, dense-indexed by `JobId - submit_base`
-    /// (this device allocates job ids sequentially from its base).
-    /// `SimTime::MAX` marks an absent entry.
-    submit_times: Vec<SimTime>,
-    submit_base: u32,
     /// Reusable buffer for harvesting finished kernels (no per-event Vec).
     kernel_buf: Vec<RunningKernel>,
     job_ids: IdAllocator,
@@ -206,8 +202,6 @@ impl Device {
             compute,
             copies,
             completed: Vec::new(),
-            submit_times: Vec::new(),
-            submit_base: 0,
             kernel_buf: Vec::new(),
             job_ids: IdAllocator::new(),
             telemetry: DeviceTelemetry::default(),
@@ -236,15 +230,6 @@ impl Device {
     /// executives whose job trackers are keyed globally by JobId.
     pub fn set_job_id_base(&mut self, base: u32) {
         self.job_ids = IdAllocator::starting_at(base);
-        self.submit_base = base;
-        self.submit_times.clear();
-    }
-
-    /// Submission timestamp slot for a job id (dense index from the
-    /// device's job-id base).
-    #[inline]
-    fn submit_slot(&self, id: JobId) -> usize {
-        (id.0 - self.submit_base) as usize
     }
 
     /// Static device capabilities.
@@ -332,6 +317,7 @@ impl Device {
             stream,
             kind,
             tag,
+            submitted_at: now,
         };
         let state = self.contexts.get_mut(ctx).expect("checked above");
         state
@@ -339,11 +325,6 @@ impl Device {
             .get_or_insert_default(stream)
             .queue
             .push_back(job);
-        let slot = self.submit_slot(id);
-        if slot >= self.submit_times.len() {
-            self.submit_times.resize(slot + 1, SimTime::MAX);
-        }
-        self.submit_times[slot] = now;
         Ok(id)
     }
 
@@ -425,12 +406,7 @@ impl Device {
         let Some(ss) = c.streams.get_mut(stream) else {
             return Vec::new();
         };
-        let cancelled: Vec<JobId> = ss.queue.drain(..).map(|j| j.id).collect();
-        for id in &cancelled {
-            let slot = self.submit_slot(*id);
-            self.submit_times[slot] = SimTime::MAX;
-        }
-        cancelled
+        ss.queue.drain(..).map(|j| j.id).collect()
     }
 
     /// Take all completions harvested so far.
@@ -542,12 +518,8 @@ impl Device {
         debug_assert_eq!(ss.inflight, Some(job.id));
         ss.inflight = None;
         ctx.inflight_jobs -= 1;
-        let slot = self.submit_slot(job.id);
-        let submitted_at = std::mem::replace(&mut self.submit_times[slot], SimTime::MAX);
-        assert!(submitted_at != SimTime::MAX, "job without submit time");
         self.completed.push(CompletedJob {
             job,
-            submitted_at,
             started_at,
             finished_at: now,
         });
@@ -1388,7 +1360,7 @@ mod proptests {
             }
             // 3. Time sanity on every record.
             for c in &all_done {
-                prop_assert!(c.submitted_at <= c.started_at);
+                prop_assert!(c.job.submitted_at <= c.started_at);
                 prop_assert!(c.started_at < c.finished_at);
             }
         }

@@ -6,6 +6,7 @@
 
 use crate::ids::{ContextId, JobId, StreamId};
 use serde::{Deserialize, Serialize};
+use sim_core::SimTime;
 
 /// DMA direction for copy jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -76,6 +77,10 @@ pub struct Job {
     /// Opaque tag the submitter uses to map completions back to callers
     /// (the runtime stores the issuing application's id here).
     pub tag: u64,
+    /// When it was submitted to the device. It travels with the job
+    /// through the stream queue and the engines to its completion, so the
+    /// device keeps no per-job side table.
+    pub submitted_at: SimTime,
 }
 
 impl Job {
@@ -113,6 +118,7 @@ mod tests {
                 bw_demand_mbps: 10_000.0,
             }),
             tag: 7,
+            submitted_at: 0,
         }
     }
 

@@ -39,6 +39,7 @@ use sim_core::fxhash::FxHashMap;
 use sim_core::telemetry::UtilizationTracker;
 use sim_core::trace::{Stage, StageFold, Tracer, TrackId, REQUEST_SPAN};
 use sim_core::SimTime;
+use std::fmt::Write;
 use strings_core::admission::ShedReason;
 use strings_metrics::alerts::BurnRateEngine;
 use strings_metrics::registry::{HistogramId, MetricKind, MetricsRegistry, SeriesId};
@@ -348,6 +349,8 @@ pub(crate) struct Observers {
     /// Latency attribution: one charge list per request in flight, one
     /// row per finished request (on with attribution or tracing).
     fold: Option<StageFold>,
+    /// Reused buffer for the class label a request opens with.
+    class_buf: String,
     /// Attribution windows awaiting a synchronization (attribution only).
     /// Fx-hashed: stream and context windows take one update per device
     /// completion while attribution is on. A job has an entry only while
@@ -390,6 +393,7 @@ impl Observers {
             trk_faults: TrackId::INVALID,
             trk_slots: Vec::new(),
             fold: None,
+            class_buf: String::new(),
             attr_job: FxHashMap::default(),
             attr_stream: FxHashMap::default(),
             attr_ctx: FxHashMap::default(),
@@ -440,9 +444,13 @@ impl Observers {
     }
 
     /// Ready the sinks for a run of `requests` on `devices`: size the
-    /// cause links, and register the metric families of the sinks that
-    /// are on and resolve their series.
+    /// cause links and the ledger (a row per request at most), and
+    /// register the metric families of the sinks that are on and resolve
+    /// their series.
     pub fn start(&mut self, requests: &[PlannedRequest], devices: usize, gpool: &ShardedGPool) {
+        if let Some(fold) = self.fold.as_mut() {
+            fold.reserve(requests.len());
+        }
         if self.flight.is_on() {
             self.flight_last = vec![NO_ID; requests.len()];
         }
@@ -541,7 +549,9 @@ impl Observers {
         step: Step,
     ) {
         if let (Step::Admitted, Some(fold)) = (step, self.fold.as_mut()) {
-            fold.open(id, r.tenant.0, &r.class.to_string(), now);
+            self.class_buf.clear();
+            write!(self.class_buf, "{}", r.class).expect("a String takes any write");
+            fold.open(id, r.tenant.0, &self.class_buf, now);
         }
         let charge = match step {
             // Admission + server-queue wait: arrival up to dispatch.

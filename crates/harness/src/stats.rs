@@ -122,6 +122,12 @@ pub struct RunStats {
     /// window goes when it detaches, so this stays bounded by the apps
     /// alive at the end plus shared contexts, however many apps ran.
     pub attr_windows: u64,
+    /// App slots the executive allocated: the most requests that held
+    /// executive state at once. A request holds a slot from its start
+    /// until the event that finished it has been dispatched, so this
+    /// stays bounded by the server threads (plus the requests one event
+    /// finishes), however many requests the run plans.
+    pub peak_app_slots: u64,
     /// Wall-clock self-profile (None unless
     /// [`crate::world::World::enable_self_profile`] was called). Never
     /// rendered into any golden surface — wall-clock is nondeterministic.

@@ -131,6 +131,23 @@ pub struct PlannedRequest {
     pub program: RequestProgram,
 }
 
+/// `World::app_slot` entry of a request that holds no slab entry.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Request `id`'s entry in the `apps` slab through the `app_slot` index, if
+/// it holds one. A free function, so callers can borrow other `World`
+/// fields beside it.
+fn entry_mut<'a>(
+    apps: &'a mut [Option<AppInstance>],
+    app_slot: &[u32],
+    id: AppId,
+) -> Option<&'a mut AppInstance> {
+    let slot = *app_slot.get(id.index())?;
+    apps.get_mut(slot as usize)?.as_mut()
+}
+
+/// A running request's executive state, from its start to the end of the
+/// dispatch that finished it.
 #[derive(Debug)]
 struct AppInstance {
     host: HostThread,
@@ -226,7 +243,11 @@ enum EpochState {
     Parked(SimTime),
 }
 
-/// The executive.
+/// The executive. Its per-request state follows the requests in flight:
+/// a running request's `AppInstance` sits in a slab slot from its start
+/// until the event that finished it has been dispatched, and only the
+/// plan, the arrival cursor and a 4-byte slot index are kept per planned
+/// request.
 pub struct World {
     cfg: StackConfig,
     scope: LbScope,
@@ -273,7 +294,19 @@ pub struct World {
     awake_buf: Vec<AppId>,
     /// Reusable released-waiter buffer for [`World::check_waiters`].
     ready_buf: Vec<Waiter>,
+    /// The requests in flight: a slab reached through `app_slot`, so it
+    /// holds as many entries as requests ever ran at once, not one per
+    /// planned request.
     apps: Vec<Option<AppInstance>>,
+    /// Slab entries freed by finished requests, reused last-freed first.
+    free_slots: Vec<u32>,
+    /// Per planned request: its slab entry while it runs ([`NO_SLOT`]
+    /// before it starts and once its entry is freed).
+    app_slot: Vec<u32>,
+    /// Requests finished during the dispatch under way. Their entries are
+    /// freed once it returns, so everything the finishing event still does
+    /// to the app sees it.
+    retired: Vec<AppId>,
     waiters: Vec<Waiter>,
     requests: Vec<PlannedRequest>,
     /// Injected faults for this run (virtual-time-stamped, seeded).
@@ -396,6 +429,9 @@ impl World {
             awake_buf: Vec::new(),
             ready_buf: Vec::new(),
             apps: Vec::new(),
+            free_slots: Vec::new(),
+            app_slot: Vec::new(),
+            retired: Vec::new(),
             waiters: Vec::new(),
             requests,
             plan: FaultPlan::none(),
@@ -576,7 +612,8 @@ impl World {
 
     /// Report one step of request `idx` to the observers.
     fn step(&mut self, idx: usize, step: Step) {
-        let cursor = self.apps[idx].as_mut().map(|a| &mut a.charged_to);
+        let cursor = entry_mut(&mut self.apps, &self.app_slot, AppId(idx as u32));
+        let cursor = cursor.map(|a| &mut a.charged_to);
         let r = &self.requests[idx];
         self.obs.step(&self.queue, idx as u64, r, cursor, step);
     }
@@ -584,7 +621,11 @@ impl World {
     /// Run to completion and return the statistics.
     pub fn run(mut self) -> RunStats {
         let wall_start = std::time::Instant::now();
-        self.apps = (0..self.requests.len()).map(|_| None).collect();
+        self.app_slot = vec![NO_SLOT; self.requests.len()];
+        if self.request_log {
+            // One record per completion at most: grown once, not doubled.
+            self.stats.slo_records.reserve_exact(self.requests.len());
+        }
         self.obs
             .start(&self.requests, self.devices.len(), &self.gpool);
         // Arrivals wait in the queue's cursor, not in the queue: ids 0..N,
@@ -641,6 +682,9 @@ impl World {
             } else {
                 self.dispatch(now, ev);
             }
+            if !self.retired.is_empty() {
+                self.free_retired();
+            }
             if self.finished == self.requests.len() {
                 break;
             }
@@ -652,20 +696,18 @@ impl World {
                     w.app, w.cond, w.direct
                 );
             }
-            for (i, a) in self.apps.iter().enumerate() {
-                if let Some(a) = a {
-                    if !a.host.is_done() {
-                        eprintln!(
-                            "stuck app {i}: state={:?} pc={} op={:?} gid={:?} ctx={:?} stream={:?}",
-                            a.host.state,
-                            a.host.pc,
-                            a.host.current_op(),
-                            a.gid,
-                            a.ctx,
-                            a.stream
-                        );
-                    }
-                }
+            for app in self.live_apps(|a| !a.host.is_done()) {
+                let a = self.app(app);
+                eprintln!(
+                    "stuck app {}: state={:?} pc={} op={:?} gid={:?} ctx={:?} stream={:?}",
+                    app.0,
+                    a.host.state,
+                    a.host.pc,
+                    a.host.current_op(),
+                    a.gid,
+                    a.ctx,
+                    a.stream
+                );
             }
             for (g, d) in self.devices.iter().enumerate() {
                 eprintln!(
@@ -705,6 +747,8 @@ impl World {
             .sum();
         self.stats.clamped_events = self.queue.clamped();
         self.stats.stream_rows = self.devices.iter().map(|d| d.stream_rows() as u64).sum();
+        self.stats.peak_app_slots = self.apps.len() as u64;
+        self.stats.slo_records.shrink_to_fit();
         if let Some(adm) = &self.admission {
             self.stats.admission = Some(adm.stats());
         }
@@ -831,21 +875,61 @@ impl World {
 
     // ---- helpers --------------------------------------------------------
 
+    /// Request `id`'s app while it holds a slab entry: from its start
+    /// until the dispatch that finished it returns.
+    fn live(&self, id: AppId) -> Option<&AppInstance> {
+        let slot = *self.app_slot.get(id.index())?;
+        self.apps.get(slot as usize)?.as_ref()
+    }
+
     fn app(&self, id: AppId) -> &AppInstance {
-        self.apps[id.index()].as_ref().expect("app exists")
+        self.live(id).expect("app exists")
     }
 
     fn app_mut(&mut self, id: AppId) -> &mut AppInstance {
-        self.apps[id.index()].as_mut().expect("app exists")
+        entry_mut(&mut self.apps, &self.app_slot, id).expect("app exists")
+    }
+
+    /// The live apps that satisfy `keep`, in request-id order.
+    fn live_apps(&self, keep: impl Fn(&AppInstance) -> bool) -> Vec<AppId> {
+        let mut ids: Vec<AppId> = (self.apps.iter().flatten())
+            .filter(|a| keep(a))
+            .map(|a| a.host.app)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Give request `app` a slab entry.
+    fn admit_app(&mut self, app: AppId, instance: AppInstance) {
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.apps[slot as usize] = Some(instance);
+                slot
+            }
+            None => {
+                self.apps.push(Some(instance));
+                (self.apps.len() - 1) as u32
+            }
+        };
+        self.app_slot[app.index()] = slot;
+    }
+
+    /// Free the slab entries of the requests the last dispatch finished.
+    fn free_retired(&mut self) {
+        for app in self.retired.drain(..) {
+            let slot = std::mem::replace(&mut self.app_slot[app.index()], NO_SLOT);
+            self.apps[slot as usize] = None;
+            self.free_slots.push(slot);
+        }
     }
 
     /// True when `app` is alive and `inc` is its current incarnation.
     /// Events carry the incarnation they were scheduled under; anything
-    /// older raced an abort or failover and must be dropped.
+    /// older raced an abort or failover and must be dropped, as must one
+    /// for a request whose entry is already freed.
     fn live_incarnation(&self, app: AppId, inc: u32) -> bool {
-        self.apps
-            .get(app.index())
-            .and_then(|a| a.as_ref())
+        self.live(app)
             .is_some_and(|a| a.incarnation == inc && !a.host.is_done())
     }
 
@@ -856,14 +940,14 @@ impl World {
     /// Charge `app`'s wall clock up to `until` to `stage`
     /// ([`Observers::charge`]).
     fn charge(&mut self, app: AppId, stage: Stage, until: SimTime) {
-        let a = self.apps[app.index()].as_mut().expect("app exists");
+        let a = entry_mut(&mut self.apps, &self.app_slot, app).expect("app exists");
         let id = app.index() as u64;
         self.obs.charge(a.slot, id, &mut a.charged_to, stage, until);
     }
 
     /// A failure at `now` overtook `app` ([`Observers::retract`]).
     fn retract(&mut self, app: AppId, now: SimTime) {
-        let a = self.apps[app.index()].as_mut().expect("app exists");
+        let a = entry_mut(&mut self.apps, &self.app_slot, app).expect("app exists");
         let id = app.index() as u64;
         self.obs.retract(a.slot, id, &mut a.charged_to, now);
     }
@@ -871,7 +955,7 @@ impl World {
     /// `app`'s blocked wait on `cond` released at `rel`
     /// ([`Observers::wait_released`]).
     fn wait_released(&mut self, app: AppId, cond: BlockOn, rel: SimTime) {
-        let a = self.apps[app.index()].as_mut().expect("app exists");
+        let a = entry_mut(&mut self.apps, &self.app_slot, app).expect("app exists");
         let switching = a.gid.map(|g| &self.devices[g.index()].telemetry.switching);
         let id = app.index() as u64;
         self.obs
@@ -1003,7 +1087,7 @@ impl World {
         let mut host = HostThread::new(app, ProcessId(HOST_PID_BASE + idx as u32), program, now);
         host.arrived_at = r.arrival; // queueing at the server counts
         self.slot_inflight[r.slot] += 1;
-        self.apps[idx] = Some(AppInstance {
+        let instance = AppInstance {
             host,
             class: r.class,
             node: r.node,
@@ -1020,7 +1104,8 @@ impl World {
             disrupted: false,
             degraded: false,
             charged_to: r.arrival,
-        });
+        };
+        self.admit_app(app, instance);
         // Admission + server-queue wait is charged up to here.
         self.step(idx, Step::Dispatch);
         // The measured wait feeds the SLO admission gate's per-tenant EWMA
@@ -1098,6 +1183,9 @@ impl World {
     fn finish_request(&mut self, idx: usize, now: SimTime, step: Step) {
         let (tenant, slot) = (self.requests[idx].tenant, self.requests[idx].slot);
         self.finished += 1;
+        if self.app_slot[idx] != NO_SLOT {
+            self.retired.push(AppId(idx as u32));
+        }
         match step {
             Step::Shed { .. } => self.stats.shed_requests += 1,
             Step::Complete { latency } => {
@@ -1680,9 +1768,8 @@ impl World {
             let service = c.service_ns();
             // Fairness horizon accounting uses true engine service.
             if self.fairness_horizon.is_none_or(|h| c.finished_at <= h) {
-                if let Some(Some(a)) = self.apps.get(app.index()) {
-                    *self.stats.tenant_service_ns.entry(a.tenant).or_insert(0) += service;
-                }
+                let tenant = self.requests[app.index()].tenant;
+                *self.stats.tenant_service_ns.entry(tenant).or_insert(0) += service;
             }
             // Rain cannot separate context-switch overhead from measured
             // service (paper §V.D.1): its monitors over-report.
@@ -1829,16 +1916,7 @@ impl World {
         if !newly.is_empty() {
             self.note_gmap_rebuild(now);
         }
-        let local_apps: Vec<AppId> = self
-            .apps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| {
-                a.as_ref()
-                    .filter(|a| !a.host.is_done() && a.node == node)
-                    .map(|_| AppId(i as u32))
-            })
-            .collect();
+        let local_apps = self.live_apps(|a| !a.host.is_done() && a.node == node);
         for app in local_apps {
             self.abort_app(app, now);
         }
@@ -1883,16 +1961,7 @@ impl World {
     /// Every live application bound to `gid` loses its backend: failover
     /// where re-placement is possible, abort otherwise.
     fn fail_bound_apps(&mut self, gid: Gid, now: SimTime) {
-        let bound: Vec<AppId> = self
-            .apps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| {
-                a.as_ref()
-                    .filter(|a| !a.host.is_done() && a.gid == Some(gid))
-                    .map(|_| AppId(i as u32))
-            })
-            .collect();
+        let bound = self.live_apps(|a| !a.host.is_done() && a.gid == Some(gid));
         for app in bound {
             let node = self.app(app).node;
             if self.has_live_target(node) {
@@ -2220,7 +2289,7 @@ impl World {
     fn collect_work(&self, gid: usize, work: &mut Vec<AppWork>) {
         work.clear();
         for &app in &self.device_apps[gid] {
-            let a = self.apps[app.index()].as_ref().expect("registered app");
+            let a = self.live(app).expect("registered app");
             let ctx = a.ctx.expect("registered app has ctx");
             let head = self.devices[gid].stream_head_kind(ctx, a.stream);
             let phase = match head {
@@ -2259,9 +2328,9 @@ impl World {
         let unchanged = settled && awake == self.applied_awake[gid];
         if !unchanged {
             for w in &work {
-                let a = self.apps[w.app.index()].as_ref().expect("registered app");
-                let ctx = a.ctx.expect("registered app has ctx");
-                self.devices[gid].set_stream_gate(ctx, a.stream, !awake.contains(&w.app));
+                let a = self.live(w.app).expect("registered app");
+                let (ctx, stream) = (a.ctx.expect("registered app has ctx"), a.stream);
+                self.devices[gid].set_stream_gate(ctx, stream, !awake.contains(&w.app));
             }
             self.applied_awake[gid].clone_from(&awake);
         }

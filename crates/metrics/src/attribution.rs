@@ -253,7 +253,7 @@ impl AttributionReport {
             t.row(vec![
                 r.request.to_string(),
                 format!("T{}", r.tenant),
-                r.class.clone(),
+                r.class.to_string(),
                 r.total_ns().to_string(),
                 dom.as_str().to_string(),
                 fmt_pct(share),

@@ -47,6 +47,7 @@ use crate::time::SimTime;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Key/value annotations attached to an event. Keys are static strings
 /// (emission sites use literals); values are rendered at emission time,
@@ -549,8 +550,9 @@ pub struct RequestAttribution {
     pub request: u64,
     /// Owning tenant.
     pub tenant: u32,
-    /// Workload class label (e.g. `"W0"`).
-    pub class: String,
+    /// Workload class label (e.g. `"W0"`), shared by every row of the
+    /// class.
+    pub class: Arc<str>,
     /// Arrival time (request span begin).
     pub arrival: SimTime,
     /// Completion time (request span end).
@@ -622,7 +624,7 @@ type Charge = (SimTime, SimTime, Stage);
 #[derive(Debug)]
 struct OpenRequest {
     tenant: u32,
-    class: String,
+    class: Arc<str>,
     arrival: SimTime,
     /// Charges in emission order.
     charges: Vec<Charge>,
@@ -631,7 +633,9 @@ struct OpenRequest {
 /// Folds stage charges into per-request rows as they are made. It keeps a
 /// charge list only for requests still open; closing a request turns its
 /// list into one [`RequestAttribution`] row, so the fold's size follows
-/// the requests in flight plus one row per finished request.
+/// the requests in flight plus one row per finished request. Rows share
+/// their class label, and a caller that knows how many requests can
+/// close sizes the rows once ([`StageFold::reserve`]).
 ///
 /// The four operations mirror a request's life: [`StageFold::open`] at
 /// arrival, [`StageFold::charge`] per stage transition,
@@ -646,15 +650,31 @@ pub struct StageFold {
     inconsistent: u64,
     /// Emptied charge lists of closed requests, reused by the next opens.
     spare: Vec<Vec<Charge>>,
+    /// Every class label seen, shared by the rows of the class.
+    classes: Vec<Arc<str>>,
 }
 
 impl StageFold {
-    /// Open `request`, arrived at `arrival`.
+    /// Make room for `rows` closed requests, so a fold that knows how
+    /// many requests can close grows its ledger once.
+    pub fn reserve(&mut self, rows: usize) {
+        self.rows.reserve(rows);
+    }
+
+    /// Open `request` of `class`, arrived at `arrival`. Requests of one
+    /// class share one copy of its label.
     pub fn open(&mut self, request: u64, tenant: u32, class: &str, arrival: SimTime) {
         let charges = self.spare.pop().unwrap_or_default();
+        let class = match self.classes.iter().find(|c| ***c == *class) {
+            Some(c) => c.clone(),
+            None => {
+                self.classes.push(class.into());
+                self.classes[self.classes.len() - 1].clone()
+            }
+        };
         let req = OpenRequest {
             tenant,
-            class: class.to_string(),
+            class,
             arrival,
             charges,
         };
@@ -758,7 +778,7 @@ fn finish_request(request: u64, req: &mut OpenRequest, end: SimTime) -> RequestA
     RequestAttribution {
         request,
         tenant: req.tenant,
-        class: std::mem::take(&mut req.class),
+        class: req.class.clone(),
         arrival: req.arrival,
         end,
         stage_ns,

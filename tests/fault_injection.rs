@@ -241,3 +241,52 @@ fn unbounded_fault_windows_last_to_the_end_of_the_run() {
         .collect();
     assert_eq!(ends, [u64::MAX, u64::MAX]);
 }
+
+/// FNV-1a over the aborted request ids, little-endian.
+fn fnv_ids(ids: &[u64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in ids.iter().flat_map(|id| id.to_le_bytes()) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// A node loss late in a long serve aborts exactly the requests running
+/// on the lost node's frontends, plus those its devices held that cannot
+/// be re-placed. The fault sweeps walk the live apps in request-id order;
+/// the count and hash of the aborted ids are pinned to what the executive
+/// aborted when the sweeps scanned a slot per planned request.
+#[test]
+fn late_node_loss_aborts_the_same_requests() {
+    let args = "--topology 4x2:c2050 --tenants 16 --arrivals poisson:30rps \
+                --duration 40s --seed 11 --faults nodeloss@35s:node1";
+    let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+    let mut spec = strings_repro::harness::cli::parse_serve_args(&args)
+        .expect("valid serve args")
+        .spec;
+    spec.trace = true;
+    let mut stats = spec.run();
+    let trace = stats.trace.take().expect("tracing enabled");
+    let loss_at = 35_000_000_000;
+    let aborted: Vec<u64> = trace
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Instant { at, name, args, .. }
+                if *at == loss_at && *name == "fault_abort" =>
+            {
+                args.iter()
+                    .find(|(k, _)| *k == "request")
+                    .map(|(_, v)| v.parse().expect("numeric request id"))
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(aborted.windows(2).all(|w| w[0] < w[1]), "request-id order");
+    assert_eq!(
+        (aborted.len(), fnv_ids(&aborted)),
+        (11, 0xa99b_e20e_2e43_4313),
+        "the late node loss aborted other requests: {aborted:?}"
+    );
+}
