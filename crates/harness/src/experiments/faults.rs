@@ -76,7 +76,7 @@ fn measure(design_cfg: StackConfig, label: &'static str, scale: &ExpScale) -> Ou
     Outcome {
         label,
         failed: stats.failed_requests,
-        completed: stats.completed_requests - stats.failed_requests,
+        completed: stats.completed_requests,
         retried: totals.retried,
         downtime_ns: totals.downtime_ns,
     }

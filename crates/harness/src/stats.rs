@@ -44,7 +44,8 @@ pub struct RunStats {
     /// included (diagnostics). Cancelled wakeups never pop and are not
     /// counted.
     pub events: u64,
-    /// Requests that completed.
+    /// Requests that completed. Failed and shed requests are counted in
+    /// their own fields; the three add up to the planned requests.
     pub completed_requests: u64,
     /// Requests killed by injected backend faults.
     pub failed_requests: u64,

@@ -42,7 +42,7 @@ use sim_core::flight::{DumpReason, FlightRecorder};
 use sim_core::rng::SimRng;
 use sim_core::trace::Stage;
 use sim_core::{EventKey, SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use strings_core::admission::{AdmissionConfig, AdmissionController};
 use strings_core::config::{SchedulerMode, StackConfig};
 use strings_core::device_sched::{AppWork, GpuPolicy, GpuScheduler, Phase, TenantId};
@@ -133,6 +133,15 @@ pub struct PlannedRequest {
 
 /// `World::app_slot` entry of a request that holds no slab entry.
 const NO_SLOT: u32 = u32::MAX;
+
+/// A per-tenant-id table as a map of the tenants it holds a value for.
+fn dense_to_map<T: Copy>(dense: &[Option<T>]) -> BTreeMap<TenantId, T> {
+    dense
+        .iter()
+        .enumerate()
+        .filter_map(|(t, v)| v.map(|v| (TenantId(t as u32), v)))
+        .collect()
+}
 
 /// Request `id`'s entry in the `apps` slab through the `app_slot` index, if
 /// it holds one. A free function, so callers can borrow other `World`
@@ -328,6 +337,13 @@ pub struct World {
     next_stream: u32,
     finished: usize,
     fairness_horizon: Option<SimTime>,
+    /// Per tenant id, `None` until the tenant is first counted: engine
+    /// service within the fairness horizon, and request outcomes. Written
+    /// by index on the hot path and folded into
+    /// [`RunStats::tenant_service_ns`] / [`RunStats::tenant_outcomes`] at
+    /// the end of the run, so the maps hold exactly the tenants counted.
+    tenant_service: Vec<Option<u64>>,
+    tenant_outcomes: Vec<Option<TenantOutcomes>>,
     stats: RunStats,
     /// Hard cap on processed events (runaway guard).
     max_events: u64,
@@ -394,6 +410,11 @@ impl World {
             }
         }
         let n_slots = requests.iter().map(|r| r.slot + 1).max().unwrap_or(1);
+        let n_tenants = requests
+            .iter()
+            .map(|r| r.tenant.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
         let slot_inflight = vec![0; n_slots];
         let slot_backlog = (0..n_slots).map(|_| VecDeque::new()).collect();
         let mut queue = EventQueue::new();
@@ -446,6 +467,8 @@ impl World {
             next_stream: 1,
             finished: 0,
             fairness_horizon,
+            tenant_service: vec![None; n_tenants],
+            tenant_outcomes: vec![None; n_tenants],
             stats: RunStats {
                 completions: CompletionSet::new(n_slots),
                 ..Default::default()
@@ -739,7 +762,9 @@ impl World {
         self.stats.events = self.queue.popped();
         self.stats.cancelled_wakeups = self.queue.cancelled();
         self.stats.peak_live_queue_depth = self.queue.peak_live_len() as u64;
-        self.stats.completed_requests = self.finished as u64;
+        self.stats.completed_requests = completed;
+        self.stats.tenant_service_ns = dense_to_map(&self.tenant_service);
+        self.stats.tenant_outcomes = dense_to_map(&self.tenant_outcomes);
         self.stats.context_switches = self
             .devices
             .iter()
@@ -934,7 +959,7 @@ impl World {
     }
 
     fn outcome(&mut self, tenant: TenantId) -> &mut TenantOutcomes {
-        self.stats.tenant_outcomes.entry(tenant).or_default()
+        self.tenant_outcomes[tenant.0 as usize].get_or_insert_default()
     }
 
     /// Charge `app`'s wall clock up to `until` to `stage`
@@ -1769,7 +1794,7 @@ impl World {
             // Fairness horizon accounting uses true engine service.
             if self.fairness_horizon.is_none_or(|h| c.finished_at <= h) {
                 let tenant = self.requests[app.index()].tenant;
-                *self.stats.tenant_service_ns.entry(tenant).or_insert(0) += service;
+                *self.tenant_service[tenant.0 as usize].get_or_insert(0) += service;
             }
             // Rain cannot separate context-switch overhead from measured
             // service (paper §V.D.1): its monitors over-report.

@@ -15,39 +15,54 @@
 //! Id sentinels ([`sim_core::flight::NO_ID`]) render as JSON `null`.
 
 use sim_core::flight::{FlightDump, FlightRecord, NO_ID};
-use std::fmt::Write as _;
 
 /// Bytes per rendered record, about: a JSONL line runs ~150, a Chrome
 /// event ~240 (the record plus its instant-event wrapper).
 const JSONL_RECORD_BYTES: usize = 160;
 const CHROME_RECORD_BYTES: usize = 256;
 
+/// Append the decimal digits of `v`, the bytes `{v}` gives, without the
+/// formatting machinery: a dump renders ten integers per record.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
 /// Append an id that may be the [`NO_ID`] sentinel.
 fn push_id(out: &mut String, v: u64) {
     if v == NO_ID {
         out.push_str("null");
     } else {
-        write!(out, "{v}").unwrap();
+        push_u64(out, v);
     }
 }
 
 /// Append a record's fields (no braces).
 fn push_record_body(out: &mut String, r: &FlightRecord) {
-    write!(
-        out,
-        "\"t\":{},\"node\":{},\"kind\":\"{}\",\"req\":",
-        r.at,
-        r.node,
-        r.kind.label()
-    )
-    .unwrap();
+    out.push_str("\"t\":");
+    push_u64(out, r.at);
+    out.push_str(",\"node\":");
+    push_u64(out, u64::from(r.node));
+    out.push_str(",\"kind\":\"");
+    out.push_str(r.kind.label());
+    out.push_str("\",\"req\":");
     push_id(out, r.request);
-    write!(
-        out,
-        ",\"a\":{},\"b\":{},\"id\":{},\"cause\":",
-        r.a, r.b, r.id
-    )
-    .unwrap();
+    out.push_str(",\"a\":");
+    push_u64(out, r.a);
+    out.push_str(",\"b\":");
+    push_u64(out, r.b);
+    out.push_str(",\"id\":");
+    push_u64(out, r.id);
+    out.push_str(",\"cause\":");
     push_id(out, r.cause);
     out.push_str(",\"ev\":");
     push_id(out, r.ev);
@@ -62,9 +77,17 @@ fn push_record_body(out: &mut String, r: &FlightRecord) {
 /// float is formatted.
 fn push_micros(out: &mut String, ns: u64) {
     if ns < 1 << 52 {
-        write!(out, "{}.{:03}", ns / 1000, ns % 1000).unwrap();
+        push_u64(out, ns / 1000);
+        let frac = ns % 1000;
+        let digits = [
+            b'.',
+            b'0' + (frac / 100) as u8,
+            b'0' + (frac / 10 % 10) as u8,
+            b'0' + (frac % 10) as u8,
+        ];
+        out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
     } else {
-        write!(out, "{:.3}", ns as f64 / 1000.0).unwrap();
+        out.push_str(&format!("{:.3}", ns as f64 / 1000.0));
     }
 }
 
@@ -79,25 +102,25 @@ pub fn dump_jsonl(dump: &FlightDump) -> String {
     let mut out = String::with_capacity(
         128 * (1 + dump.nodes.len()) + JSONL_RECORD_BYTES * record_count(dump),
     );
-    writeln!(
-        out,
-        "{{\"dump\":{{\"reason\":\"{}\",\"t\":{},\"depth\":{},\"recorded\":{},\"nodes\":{}}}}}",
-        dump.reason.label(),
-        dump.at,
-        dump.depth,
-        dump.recorded,
-        dump.nodes.len(),
-    )
-    .unwrap();
+    out.push_str("{\"dump\":{\"reason\":\"");
+    out.push_str(dump.reason.label());
+    out.push_str("\",\"t\":");
+    push_u64(&mut out, dump.at);
+    out.push_str(",\"depth\":");
+    push_u64(&mut out, dump.depth as u64);
+    out.push_str(",\"recorded\":");
+    push_u64(&mut out, dump.recorded);
+    out.push_str(",\"nodes\":");
+    push_u64(&mut out, dump.nodes.len() as u64);
+    out.push_str("}}\n");
     for w in &dump.nodes {
-        writeln!(
-            out,
-            "{{\"window\":{{\"node\":{},\"evicted\":{},\"records\":{}}}}}",
-            w.node,
-            w.evicted,
-            w.records.len(),
-        )
-        .unwrap();
+        out.push_str("{\"window\":{\"node\":");
+        push_u64(&mut out, u64::from(w.node));
+        out.push_str(",\"evicted\":");
+        push_u64(&mut out, w.evicted);
+        out.push_str(",\"records\":");
+        push_u64(&mut out, w.records.len() as u64);
+        out.push_str("}}\n");
         for r in &w.records {
             out.push('{');
             push_record_body(&mut out, r);
@@ -124,22 +147,20 @@ pub fn dump_chrome(dump: &FlightDump) -> String {
             out.push_str(",\n");
         }
         first = false;
-        write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":\"node{}\"}}}}",
-            w.node + 1,
-            w.node,
-        )
-        .unwrap();
+        let pid = u64::from(w.node) + 1;
+        out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
+        push_u64(&mut out, pid);
+        out.push_str(",\"args\":{\"name\":\"node");
+        push_u64(&mut out, u64::from(w.node));
+        out.push_str("\"}}");
         for r in &w.records {
-            write!(
-                out,
-                ",\n{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":",
-                r.kind.label()
-            )
-            .unwrap();
+            out.push_str(",\n{\"name\":\"");
+            out.push_str(r.kind.label());
+            out.push_str("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
             push_micros(&mut out, r.at);
-            write!(out, ",\"pid\":{},\"tid\":0,\"args\":{{", w.node + 1).unwrap();
+            out.push_str(",\"pid\":");
+            push_u64(&mut out, pid);
+            out.push_str(",\"tid\":0,\"args\":{");
             push_record_body(&mut out, r);
             out.push_str("}}");
         }
@@ -196,6 +217,7 @@ mod tests {
     /// The renderers as they were, one `String` per id, record and line.
     mod reference {
         use super::*;
+        use std::fmt::Write as _;
 
         fn opt_id(v: u64) -> String {
             if v == NO_ID {
@@ -317,6 +339,20 @@ mod tests {
         let empty = FlightRecorder::new(2, 4).snapshot(DumpReason::Explicit, 5);
         assert_eq!(dump_chrome(&empty), reference::dump_chrome(&empty));
         assert_eq!(dump_jsonl(&empty), reference::dump_jsonl(&empty));
+    }
+
+    /// The digit writer gives `{v}`'s bytes on both sides of each power
+    /// of ten it crosses, at the largest ids and at the sentinel.
+    #[test]
+    fn digits_match_the_formatter() {
+        for v in [0, 9, 10, 999, 1000, u64::MAX - 1, NO_ID] {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"), "{v}");
+        }
+        let mut id = String::new();
+        push_id(&mut id, NO_ID);
+        assert_eq!(id, "null");
     }
 
     /// Integer microseconds match `{:.3}` of the float quotient on both

@@ -7,6 +7,13 @@
 //! Schedules into the past clamp to `now`, so the clock never runs
 //! backwards.
 //!
+//! The heap holds only 24-byte `(time, seq, slot)` handles, so a sift
+//! moves small entries whatever the payload type. Each entry's payload,
+//! key and cause wait in a slab at the handle's `slot`, read only when
+//! the handle pops; the slot then returns to a free list for the next
+//! schedule, so the slab never holds more slots than the heap's peak
+//! length. `seq` is unique, so the slot never decides the order.
+//!
 //! Components that re-derive their own next event whenever their state
 //! changes (e.g. a GPU compute engine re-solving kernel completion times when
 //! a kernel joins) need their stale wakeups discarded. That is built into
@@ -70,10 +77,10 @@ impl EventId {
     }
 }
 
+/// What a queued entry carries beside its heap handle. It sits in the
+/// queue's slab, at the slot its handle names, until the handle pops.
 #[derive(Debug)]
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
+struct Payload<E> {
     /// The key the entry was scheduled under, or `NO_KEY` for plain
     /// entries.
     key: u32,
@@ -82,24 +89,6 @@ struct Scheduled<E> {
     /// bookkeeping: never consulted by ordering or accounting.
     cause: u64,
     event: E,
-}
-
-// Order by (time, seq) only; the payload is irrelevant to ordering.
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 /// A run's planned arrivals, held outside the heap as a cursor (see
@@ -167,9 +156,16 @@ impl<E> Arrivals<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Every queued entry, earliest `(time, seq)` on top. Cancelled keyed
-    /// entries stay until they surface, then drop without dispatching.
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// A `(time, seq, slot)` handle per queued entry, earliest
+    /// `(time, seq)` on top; `slot` names its payload in `slab`. Cancelled
+    /// keyed entries stay until they surface, then drop without
+    /// dispatching.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// The payload of every queued entry, at the slot its handle names.
+    /// A slot is full exactly while one handle names it.
+    slab: Vec<Option<Payload<E>>>,
+    /// Empty slots of `slab`, reused last-freed first.
+    free: Vec<u32>,
     /// Per key: `(time, seq)` of its live wakeup, if it has one. A keyed
     /// heap entry is live iff it matches its key's pair here.
     live: Vec<Option<(SimTime, u64)>>,
@@ -204,6 +200,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             live: Vec::new(),
             dead: 0,
             next_seq: 0,
@@ -407,20 +405,32 @@ impl<E> EventQueue<E> {
     }
 
     /// Queue an entry stamped with the next sequence number and the current
-    /// cause; returns its `(time, seq)`.
+    /// cause; returns its `(time, seq)`. The payload takes a free slab slot
+    /// (the slab grows only when every slot is full), and the heap gets its
+    /// handle.
     fn push(&mut self, at: SimTime, key: u32, event: E) -> (SimTime, u64) {
         if at < self.now {
             self.clamped += 1;
         }
         let (time, seq) = (at.max(self.now), self.next_seq);
         self.next_seq += 1;
-        self.heap.push(Reverse(Scheduled {
-            time,
-            seq,
+        let payload = Some(Payload {
             key,
             cause: self.cur_id,
             event,
-        }));
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = payload;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("too many queued events");
+                self.slab.push(payload);
+                slot
+            }
+        };
+        self.heap.push(Reverse((time, seq, slot)));
         self.note_depth();
         (time, seq)
     }
@@ -445,26 +455,30 @@ impl<E> EventQueue<E> {
     /// neither move the clock nor count in [`EventQueue::popped`].
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            let top = self.heap.peek().map(|Reverse(s)| (s.time, s.seq));
+            let top = self.heap.peek().map(|&Reverse((time, seq, _))| (time, seq));
             let arrival = self.arrivals.as_ref().and_then(Arrivals::head);
             if arrival.is_some_and(|a| top.is_none_or(|t| a < t)) {
                 return self.pop_arrival();
             }
-            let Reverse(s) = self.heap.pop()?;
-            if s.key != NO_KEY {
-                let live = &mut self.live[s.key as usize];
-                if *live != Some((s.time, s.seq)) {
+            let Reverse((time, seq, slot)) = self.heap.pop()?;
+            let p = self.slab[slot as usize]
+                .take()
+                .expect("a queued handle names a full slot");
+            self.free.push(slot);
+            if p.key != NO_KEY {
+                let live = &mut self.live[p.key as usize];
+                if *live != Some((time, seq)) {
                     self.dead -= 1;
                     continue;
                 }
                 *live = None;
             }
-            debug_assert!(s.time >= self.now);
-            self.now = s.time;
+            debug_assert!(time >= self.now);
+            self.now = time;
             self.popped += 1;
-            self.cur_id = s.seq;
-            self.cur_cause = s.cause;
-            return Some((s.time, s.event));
+            self.cur_id = seq;
+            self.cur_cause = p.cause;
+            return Some((time, p.event));
         }
     }
 
@@ -1189,6 +1203,192 @@ mod differential {
         assert!(
             q.peak_live_len() < 100,
             "the queue holds the caused events only"
+        );
+    }
+
+    /// Every slab slot is full exactly while one heap handle names it:
+    /// the full slots are the heap's, and the rest are on the free list.
+    fn assert_slab_consistent(q: &EventQueue<u64>) {
+        let full = q.slab.iter().filter(|p| p.is_some()).count();
+        assert_eq!(full, q.heap.len(), "a full slot per handle");
+        assert_eq!(
+            q.slab.len(),
+            full + q.free.len(),
+            "every empty slot is free"
+        );
+        assert!(q.free.iter().all(|&s| q.slab[s as usize].is_none()));
+        let mut named: Vec<u32> = q.heap.iter().map(|&Reverse((_, _, s))| s).collect();
+        named.sort_unstable();
+        named.dedup();
+        assert_eq!(named.len(), q.heap.len(), "no two handles share a slot");
+    }
+
+    /// Popped and surfaced-dead entries give their slots back, and later
+    /// schedules take them instead of growing the slab.
+    #[test]
+    fn slab_slots_are_reused_after_pops_and_cancelled_entries() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut h: VecQueue<u64> = VecQueue::new();
+        let k = q.register_key();
+        for at in [10, 20, 30] {
+            q.schedule(at, at);
+            h.schedule(at, at);
+        }
+        assert_eq!(q.slab.len(), 3);
+        assert_eq!(q.pop(), h.pop());
+        assert_eq!(q.free, [0], "the popped entry's slot is free");
+        q.schedule(40, 40);
+        h.schedule(40, 40);
+        assert_eq!(q.slab.len(), 3, "the next schedule takes the freed slot");
+        assert!(q.free.is_empty());
+        assert_slab_consistent(&q);
+
+        // A cancelled wakeup keeps its slot until its handle surfaces.
+        q.schedule_keyed(k, 15, 15);
+        h.schedule_keyed(0, 15, 15);
+        q.invalidate(k);
+        h.invalidate(0);
+        assert_eq!(q.slab.len(), 4);
+        assert_eq!(q.live_len(), 3);
+        assert_eq!(q.pop(), h.pop(), "the dead wakeup drops on the way");
+        assert_eq!(q.free.len(), 2, "the dead entry's and the popped one's");
+        assert_slab_consistent(&q);
+        for at in [25, 26] {
+            q.schedule_keyed(k, at, at);
+            h.schedule_keyed(0, at, at);
+        }
+        assert_eq!(q.slab.len(), 4, "both reuse freed slots, none grows");
+        assert_slab_consistent(&q);
+        drain_both(&mut q, &mut h);
+        assert_eq!(
+            q.free.len(),
+            q.slab.len(),
+            "a drained queue frees every slot"
+        );
+        assert_slab_consistent(&q);
+        assert_eq!(q.cancelled(), 2);
+    }
+
+    /// Same-instant entries of every kind pop in id order even when
+    /// reused slots run against it: plain, keyed and superseded-keyed
+    /// entries on slots freed in reverse, and arrivals from the cursor.
+    #[test]
+    fn same_time_ties_across_plain_keyed_and_arrival_entries() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut h: VecQueue<u64> = VecQueue::new();
+        let keys: Vec<EventKey> = (0..3).map(|_| q.register_key()).collect();
+        // Arrivals 0..4: two at the tie instant, one before, one after.
+        arrive_both(&mut q, &mut h, &[50, 1, 50, 60]);
+        for i in 0..4 {
+            q.schedule(1, 100 + i);
+            h.schedule(1, 100 + i);
+        }
+        // Free slots 0..4 in pop order, so the free list hands them out
+        // in reverse: later ids sit on lower slots.
+        for _ in 0..5 {
+            assert_eq!(q.pop(), h.pop());
+        }
+        assert_eq!(q.free, [0, 1, 2, 3]);
+        for i in 0..6u64 {
+            let payload = h.next_seq;
+            match i % 3 {
+                0 => {
+                    q.schedule(50, payload);
+                    h.schedule(50, payload);
+                }
+                k => {
+                    q.schedule_keyed(keys[k as usize], 50, payload);
+                    h.schedule_keyed(k as usize, 50, payload);
+                }
+            }
+        }
+        q.schedule_keyed(keys[0], 50, h.next_seq);
+        h.schedule_keyed(0, 50, h.next_seq);
+        assert_eq!(q.cancelled(), 2, "two keyed wakeups were superseded");
+        assert_slab_consistent(&q);
+        let mut slots_by_id: Vec<(u64, u32)> = q
+            .heap
+            .iter()
+            .map(|&Reverse((_, seq, slot))| (seq, slot))
+            .collect();
+        slots_by_id.sort_unstable();
+        assert!(
+            slots_by_id.windows(2).any(|w| w[0].1 > w[1].1),
+            "some later id sits on a lower slot"
+        );
+        let mut at_50 = Vec::new();
+        loop {
+            let got = q.pop();
+            assert_eq!(got, h.pop(), "tie order diverged");
+            assert_same_state(&q, &h);
+            match got {
+                Some((50, _)) => at_50.push(q.current_id().0),
+                Some(_) => {}
+                None => break,
+            }
+        }
+        assert_eq!(at_50.len(), 2 + 5, "two arrivals and five live entries");
+        assert!(
+            at_50.windows(2).all(|w| w[0] < w[1]),
+            "ids ascend: {at_50:?}"
+        );
+        assert_slab_consistent(&q);
+    }
+
+    /// The cluster-scale storm, checking the slab at every step: its slots
+    /// are exactly the heap's handles plus the free list, and it is never
+    /// longer than the heap has ever been.
+    #[test]
+    fn slab_never_outgrows_the_peak_heap_storm() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let keys: Vec<EventKey> = (0..CLUSTER_KEYS).map(|_| q.register_key()).collect();
+        let mut h: VecQueue<u64> = VecQueue::new();
+        let mut peak_heap = 0;
+        let mut x: u64 = 0x0827_efa9_8ec4_e6c8;
+        for i in 0..20_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let d = (x >> 33) as usize % CLUSTER_KEYS;
+            let at = h.now() + (x >> 20) % 5_000;
+            match x >> 61 {
+                0..=3 => {
+                    q.schedule_keyed(keys[d], at, i);
+                    h.schedule_keyed(d, at, i);
+                }
+                4 => {
+                    q.invalidate(keys[d]);
+                    h.invalidate(d);
+                }
+                _ => {
+                    q.schedule(at, i);
+                    h.schedule(at, i);
+                }
+            }
+            peak_heap = peak_heap.max(q.heap.len());
+            // Pop in bursts, so the heap drains and refills.
+            let pops = if (i / 2_000) % 2 == 0 {
+                (x >> 8) % 2
+            } else {
+                2
+            };
+            for _ in 0..pops {
+                assert_eq!(q.pop(), h.pop(), "slab storm diverged at step {i}");
+            }
+            assert!(
+                q.slab.len() <= peak_heap,
+                "slab outgrew the heap at step {i}"
+            );
+            if i % 97 == 0 {
+                assert_slab_consistent(&q);
+            }
+        }
+        drain_both(&mut q, &mut h);
+        assert_slab_consistent(&q);
+        assert_eq!(q.slab.len(), peak_heap, "the slab reached the heap's peak");
+        assert!(
+            q.cancelled() > 1_000,
+            "dead entries surfaced and freed slots"
         );
     }
 

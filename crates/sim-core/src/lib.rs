@@ -8,9 +8,11 @@
 //! * [`time`] — virtual time as integer nanoseconds ([`SimTime`],
 //!   [`SimDuration`]) with ergonomic constructors and formatting,
 //! * [`event`] — a total-ordered event queue ([`event::EventQueue`]): one
-//!   binary heap, keyed wakeups with one live entry per key for
-//!   components that re-schedule themselves (cancelled entries are
-//!   skipped when they surface), and a cursor for planned arrivals,
+//!   binary heap of 24-byte `(time, seq, slot)` handles whose payloads
+//!   wait in a slab of reused slots, keyed wakeups with one live entry
+//!   per key for components that re-schedule themselves (cancelled
+//!   entries are skipped when they surface), and a cursor for planned
+//!   arrivals,
 //! * [`rng`] — a seedable deterministic random source ([`rng::SimRng`])
 //!   including the paper's negative-exponential inter-arrival sampler
 //!   (Eq. 4: `T = -λ · ln X`),

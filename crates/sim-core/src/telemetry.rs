@@ -139,6 +139,15 @@ fn write_leb128(out: &mut [u8], mut v: u64) -> usize {
     n + 1
 }
 
+/// Make room in `v` for `extra` more elements, growing it by an eighth
+/// (at least `min` elements) rather than doubling: a tracker grows for the
+/// whole run, and doubling would leave up to half of it as slack.
+fn reserve_slack<T>(v: &mut Vec<T>, extra: usize, min: usize) {
+    if v.capacity() - v.len() < extra {
+        v.reserve_exact((v.len() / 8).max(min).max(extra));
+    }
+}
+
 #[inline]
 fn read_leb128(bytes: &[u8], pos: &mut usize) -> u64 {
     let (mut v, mut shift) = (0u64, 0);
@@ -194,6 +203,7 @@ impl UtilizationTracker {
     /// Append `s` to the encoded change points.
     fn encode(&mut self, s: Sample) {
         if self.encoded.is_multiple_of(CHECKPOINT_EVERY) {
+            reserve_slack(&mut self.checkpoints, 1, 16);
             self.checkpoints.push(Checkpoint {
                 pos: self.bytes.len(),
                 at: s.at,
@@ -211,6 +221,7 @@ impl UtilizationTracker {
                 n += write_leb128(&mut buf[n + 1..], index as u64);
             }
         }
+        reserve_slack(&mut self.bytes, n + 1, 256);
         self.bytes.extend_from_slice(&buf[..=n]);
         self.encoded += 1;
         self.encoded_at = s.at;

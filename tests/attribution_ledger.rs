@@ -122,7 +122,7 @@ const DEVICES: u64 = 32;
 /// Requests not finished (served, failed or shed) when the run ended.
 fn in_flight(spec: &ServeSpec, stats: &RunStats) -> u64 {
     let planned = spec.plan_with_seed(spec.seed).len() as u64;
-    planned - stats.completed_requests
+    planned - stats.completed_requests - stats.failed_requests - stats.shed_requests
 }
 
 #[test]

@@ -549,7 +549,10 @@ proptest! {
             _ => FaultPlan::none().device_failure_at(at, gid),
         };
         let parked = run_on(2, policy, &apps, &faults, false);
-        prop_assert_eq!(parked.completed_requests, apps.len() as u64);
+        prop_assert_eq!(
+            parked.completed_requests + parked.failed_requests + parked.shed_requests,
+            apps.len() as u64
+        );
         let rerun = run_on(2, policy, &apps, &faults, false);
         prop_assert_eq!(format!("{parked:?}"), format!("{rerun:?}"));
         let ticking = run_on(2, policy, &apps, &faults, true);

@@ -216,6 +216,10 @@ fn unbounded_fault_windows_last_to_the_end_of_the_run() {
         8,
         "every request reaches a terminal state"
     );
+    assert_eq!(
+        forever.completed_requests, 8,
+        "blocked calls fail over and complete"
+    );
     assert!(forever.rpc_timeouts > 0, "the partition never heals");
     assert!(forever.failovers > 0, "blocked calls fail over");
     assert_eq!(forever.events, outlasting.events);
