@@ -129,9 +129,10 @@ fn serve_args(args: &str) -> ServeSpec {
         .spec
 }
 
-/// `policy_matrix --quick`: every stack × mix × fault-plan serve run of
-/// the ranked matrix and its SLO report. The row sums the runs' counts and
-/// simulated time; its peak queue depth is the largest of any run.
+/// `strings-sim policy-matrix --quick`: every stack × mix × fault-plan
+/// serve run of the ranked matrix and its SLO report. The row sums the
+/// runs' counts and simulated time; its peak queue depth is the largest of
+/// any run.
 fn policy_matrix_quick() -> RunStats {
     let scale = ExpScale::quick();
     let mut total = RunStats::default();

@@ -8,7 +8,16 @@
 //! strings-sim --mode strings --lb gwtmin --gpu-policy ps \
 //!             --app MC:20:1.5 --app DC:10:1.0:1 --nodes 2 --seed 7
 //! ```
+//!
+//! Every paper table and figure, and every extension experiment, is one
+//! row of [`EXPERIMENTS`]: `strings-sim fig12-throughput --quick` looks the
+//! row up and parses its flags with [`parse_experiment_args`].
 
+use crate::experiments::common::default_seeds;
+use crate::experiments::{
+    ablation, attribution, cpu_fallback, faults, fig01, fig02, fig09, fig10, fig11, fig12, fig13,
+    fig14, fig15, policy_matrix, serve, table1, vmem, ExpScale,
+};
 use crate::scenario::{LbScope, Scenario, StreamSpec};
 use crate::serve::ServeSpec;
 use remoting::gpool::NodeId;
@@ -148,9 +157,9 @@ subcommands:
                                   `strings-sim serve --help`)
   explain REQ [serve options]     blame chain for one request of a serve
                                   run (see `strings-sim explain --help`)
-  policy-matrix                   rank placement x mapper x admission
-                                  policy stacks across workload mixes and
-                                  fault plans (`--quick` for the CI scale)
+  EXPERIMENT [options]            regenerate a paper table/figure or an
+                                  extension experiment (listed below; see
+                                  `strings-sim EXPERIMENT --help`)
 ";
 
 /// Usage text for `strings-sim serve --help`.
@@ -668,6 +677,318 @@ pub fn parse_args(args: &[String]) -> Result<CliRun, CliError> {
     })
 }
 
+/// One experiment of the paper's evaluation (or an extension of it): a
+/// row of [`EXPERIMENTS`], run as `strings-sim NAME [options]`.
+pub struct Experiment {
+    /// Subcommand name, e.g. `fig12-throughput`.
+    pub name: &'static str,
+    /// Banner title.
+    pub title: &'static str,
+    /// What the paper reports, printed under the title.
+    pub paper: &'static str,
+    /// Run the experiment at a scale and render its output.
+    pub run: fn(&ExpScale) -> String,
+    /// The flags the row reads beyond the size flags every row takes.
+    pub reads: Reads,
+}
+
+/// What an experiment reads besides `--quick`, `--seeds`, `--requests` and
+/// `--threads`. A row rejects the flags it would ignore.
+#[derive(Clone, Copy)]
+pub enum Reads {
+    /// Nothing more.
+    Size,
+    /// `--trace PATH`.
+    Trace,
+    /// `--faults`, injected on this fixed cluster.
+    Faults(fn() -> TopologySpec),
+    /// `--faults` and `--topology`: the cluster is this function of the
+    /// scale, which carries the `--topology` override.
+    ScaledFaults(fn(&ExpScale) -> TopologySpec),
+}
+
+impl Reads {
+    fn takes(self, flag: &str) -> bool {
+        match flag {
+            "--trace" => matches!(self, Reads::Trace),
+            "--faults" => matches!(self, Reads::Faults(_) | Reads::ScaledFaults(_)),
+            "--topology" => matches!(self, Reads::ScaledFaults(_)),
+            _ => true,
+        }
+    }
+
+    /// The cluster `--faults` targets are checked against.
+    fn cluster(self, scale: &ExpScale) -> Option<TopologySpec> {
+        match self {
+            Reads::Faults(topology) => Some(topology()),
+            Reads::ScaledFaults(topology) => Some(topology(scale)),
+            Reads::Size | Reads::Trace => None,
+        }
+    }
+}
+
+/// Every experiment, in the paper's order, then the extensions.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table1-profiles",
+        title: "Table I — benchmark applications",
+        paper: "GPU time %, data transfer %, memory bandwidth per application",
+        run: |_| table1::table(&table1::run()).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "fig01-characterization",
+        title: "Figure 1 — compute and memory characteristics",
+        paper: "heat bands red (>90%), yellow, green (<10%); idle gaps even for MC",
+        run: |scale| fig01::table(&fig01::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "fig02-streams",
+        title: "Figure 2 — GPU utilization of Monte Carlo request sets",
+        paper: "sequential contexts show switching glitches; streams are uniform",
+        run: fig02::render,
+        reads: Reads::Trace,
+    },
+    Experiment {
+        name: "fig09-workload-balancing",
+        title: "Figure 9 — workload balancing, single node (Quadro 2000 + Tesla C2050)",
+        paper: "paper AVG: Rain 2.16/2.37/2.34x; Strings 3.10/4.90/4.73x (GRR/GMin/GWtMin)",
+        run: |scale| fig09::table(&fig09::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "fig10-gpu-sharing",
+        title: "Figure 10 — GPU sharing, emulated 4-GPU supernode, pairs A..X",
+        paper: "paper AVG: Rain 1.60/1.80/1.82x; Strings 2.64/2.69/2.88x vs single-node GRR",
+        run: |scale| fig10::table(&fig10::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "fig11-fairness",
+        title: "Figure 11 — Jain fairness, pairs sharing one GPU (equal shares)",
+        paper: "paper: TFS-Strings avg 91%, +13% vs CUDA runtime, +7.14% vs TFS-Rain",
+        run: |scale| fig11::table(&fig11::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "fig12-throughput",
+        title: "Figure 12 — GWtMin + LAS/PS vs single-node GRR, 24 pairs",
+        paper: "paper AVG: LAS-Rain 2.18x, LAS-Strings 3.10x, PS-Strings 2.97x",
+        run: |scale| fig12::table(&fig12::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "fig13-sched-only",
+        title: "Figure 13 — GPU scheduling vs GRR with 4 GPUs shared",
+        paper: "paper AVG: LAS-Rain 1.40x, LAS-Strings 1.95x, PS-Strings 1.90x",
+        run: |scale| fig13::table(&fig13::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "fig14-feedback",
+        title: "Figure 14 — RTF/GUF feedback balancing vs single-node GRR, 24 pairs",
+        paper: "paper AVG: RTF-Rain 2.22x, GUF-Rain 2.51x, RTF-Strings 3.23x, GUF-Strings 3.96x",
+        run: |scale| fig14::table(&fig14::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "fig15-strings-feedback",
+        title: "Figure 15 — DTF and MBF vs single-node GRR, 24 pairs",
+        paper: "paper AVG: DTF 3.73x, MBF 4.02x (8.06x/8.70x vs bare CUDA runtime)",
+        run: |scale| fig15::table(&fig15::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "ablation-design",
+        title: "Ablation — design choices (pair B: DXTC + MonteCarlo, supernode)",
+        paper: "slowdown of each removed mechanism vs full Strings (paper §III.B)",
+        run: |scale| ablation::table(&ablation::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "vmem-pressure",
+        title: "Extension — vmem under memory pressure (MC burst on a 1 GiB Quadro)",
+        paper: "paper assumes arrivals never exhaust memory; the Gdev/Becchi vmem removes it",
+        run: |scale| vmem::table(&vmem::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "fault-isolation",
+        title: "Extension — fault isolation (one backend crash, busy single GPU)",
+        paper: "Design I isolates per process; Design II loses everyone; Design III replays",
+        run: |scale| faults::table(&faults::run(scale)).render(),
+        reads: Reads::Faults(faults::topology),
+    },
+    Experiment {
+        name: "cpu-fallback",
+        title: "Extension — CPU fallback via binary translation (paper future work)",
+        paper: "the Xeon joins the gPool; RTF feedback learns what work suits it",
+        run: |scale| cpu_fallback::table(&cpu_fallback::run(scale)).render(),
+        reads: Reads::Size,
+    },
+    Experiment {
+        name: "serve-slo",
+        title: "Extension — open-loop serving SLOs (Poisson load, supernode)",
+        paper: "the interposed stacks keep tail latency and shed rate below bare CUDA",
+        run: |scale| serve::table(&serve::run(scale)).render(),
+        reads: Reads::ScaledFaults(ExpScale::serve_topology),
+    },
+    Experiment {
+        name: "attribution-profile",
+        title: "Extension — latency attribution (Poisson load, supernode)",
+        paper: "Strings moves latency out of queue-wait and into actual service",
+        run: |scale| attribution::table(&attribution::run(scale)).render(),
+        reads: Reads::ScaledFaults(ExpScale::serve_topology),
+    },
+    Experiment {
+        name: "policy-matrix",
+        title: "Extension — policy matrix (stacks x workload mixes x fault plans)",
+        paper: "no single policy wins every cell; feedback and slicing pay off only where their inputs exist",
+        run: |scale| policy_matrix::table(&policy_matrix::run(scale)).render(),
+        reads: Reads::ScaledFaults(ExpScale::serve_topology),
+    },
+];
+
+/// The experiment named `name`, if any.
+pub fn experiment(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+/// Options of `strings-sim EXPERIMENT`; [`Experiment::usage`] keeps the
+/// lines of the flags a row takes.
+const EXPERIMENT_OPTIONS: &str = "  --quick          reduced scale (fewer requests, one seed)
+  --seeds N        average over the first N of the default seeds (101, 202, ...)
+  --requests N     requests per stream
+  --trace PATH     write Perfetto-loadable Chrome trace-event JSON: the
+                   concurrent run at PATH, the sequential one beside it
+                   (out.json -> out.sequential.json)
+  --faults PLAN    inject faults, e.g. 'crash@10s:gid0;partition@2s+500ms:node1'
+                   (kinds: crash ecc nodeloss degrade partition)
+  --topology SPEC  cluster override for the serving experiments:
+                   node-a|single, supernode|paper, or NxM[:MODEL][@NET]
+                   (e.g. 64x4:c2050@calibrated)
+  --threads N      pin seed-sweep parallelism to N worker threads
+                   (default: one per core; results are identical either way)
+  --help           print this text
+";
+
+impl Experiment {
+    /// Usage text for `strings-sim NAME --help`: the flags this row takes.
+    pub fn usage(&self) -> String {
+        let mut out = format!("strings-sim {} — {}\n\noptions:\n", self.name, self.title);
+        let mut keep = true;
+        for line in EXPERIMENT_OPTIONS.lines() {
+            if let Some(flag) = line
+                .trim_start()
+                .split(' ')
+                .next()
+                .filter(|f| f.starts_with("--"))
+            {
+                keep = self.reads.takes(flag);
+            }
+            if keep {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        out
+    }
+}
+
+/// A parsed `strings-sim EXPERIMENT` command line.
+#[derive(Debug, Clone)]
+pub struct ExperimentRun {
+    /// Experiment scale assembled from the flags.
+    pub scale: ExpScale,
+    /// `--threads N`: pinned sweep parallelism (None: one per core).
+    pub threads: Option<usize>,
+    /// `--help` was requested.
+    pub help: bool,
+}
+
+/// Parse an experiment's argument list (everything after its name). A flag
+/// the row would ignore is an error, and so is a `--faults` target outside
+/// the row's cluster; both are reported before anything runs.
+pub fn parse_experiment_args(exp: &Experiment, args: &[String]) -> Result<ExperimentRun, CliError> {
+    let usage = |msg: String| CliError(format!("{msg}\n\n{}", exp.usage()));
+    let mut scale = if args.iter().any(|a| a == "--quick") {
+        ExpScale::quick()
+    } else {
+        ExpScale::full()
+    };
+    let mut help = false;
+    let mut threads = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !exp.reads.takes(arg) {
+            return err(format!("{} does not take {arg}", exp.name));
+        }
+        let mut take = || -> Result<&String, CliError> {
+            it.next()
+                .ok_or_else(|| usage(format!("{arg} wants a value")))
+        };
+        match arg.as_str() {
+            "--quick" => {}
+            "--help" | "-h" => help = true,
+            "--seeds" => {
+                let n: u64 = take()?
+                    .parse()
+                    .map_err(|_| usage("bad --seeds (want a count)".into()))?;
+                if n == 0 {
+                    return Err(usage("--seeds must be at least 1".into()));
+                }
+                scale.seeds = default_seeds(n);
+            }
+            "--requests" => {
+                scale.requests = take()?
+                    .parse()
+                    .map_err(|_| usage("bad --requests (want a count)".into()))?;
+                if scale.requests == 0 {
+                    // Zero requests divide 0 by 0 in every speedup.
+                    return Err(usage("--requests must be at least 1".into()));
+                }
+            }
+            "--trace" => scale.trace = Some(take()?.clone()),
+            "--faults" => scale.faults = FaultPlan::parse(take()?).map_err(usage)?,
+            "--topology" => scale.topology = Some(TopologySpec::parse(take()?).map_err(usage)?),
+            "--threads" => {
+                let n: usize = take()?
+                    .parse()
+                    .map_err(|_| usage("bad --threads (want a count)".into()))?;
+                if n == 0 {
+                    return Err(usage("--threads must be at least 1".into()));
+                }
+                threads = Some(n);
+            }
+            other => return Err(usage(format!("unknown option '{other}'"))),
+        }
+    }
+    if !help {
+        if let Some(topo) = exp.reads.cluster(&scale) {
+            scale
+                .faults
+                .check_targets(topo.num_nodes(), topo.num_devices())
+                .map_err(CliError)?;
+        }
+    }
+    Ok(ExperimentRun {
+        scale,
+        threads,
+        help,
+    })
+}
+
+/// Unwrap the result of writing an output file the user named. A failure
+/// (a missing directory, no permission) is the user's to fix, not a crash:
+/// print `error: write PATH: ERR` and exit 1.
+pub fn exit_on_write_error<T>(path: &str, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: write {path}: {e}");
+        std::process::exit(1)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -900,6 +1221,128 @@ mod tests {
         assert!(parse_serve_args(&args("--alert-factor 2")).is_err());
         // --dump-at without a dump path to write.
         assert!(parse_serve_args(&args("--dump-at 10s")).is_err());
+    }
+
+    fn exp_args(name: &str, s: &str) -> Result<ExperimentRun, CliError> {
+        parse_experiment_args(experiment(name).expect("a row"), &args(s))
+    }
+
+    #[test]
+    fn experiment_default_scale_is_full() {
+        let run = exp_args("fig12-throughput", "").unwrap();
+        assert_eq!(run.scale.requests, ExpScale::full().requests);
+        assert!(run.scale.trace.is_none());
+        assert!(run.scale.faults.is_empty());
+        assert!(!run.help);
+    }
+
+    #[test]
+    fn experiment_seeds_are_a_prefix_of_the_default_seeds() {
+        // `--seeds 3` is the default run.
+        let run = exp_args("fig15-strings-feedback", "--seeds 3").unwrap();
+        assert_eq!(run.scale.seeds, ExpScale::full().seeds);
+        let run = exp_args("fig15-strings-feedback", "--quick --seeds 1").unwrap();
+        assert_eq!(run.scale.seeds, ExpScale::quick().seeds);
+    }
+
+    #[test]
+    fn experiment_flags_reach_the_scale() {
+        let run = exp_args(
+            "fig02-streams",
+            "--quick --seeds 2 --requests 5 --trace out.json",
+        )
+        .unwrap();
+        assert_eq!(run.scale.requests, 5);
+        assert_eq!(run.scale.seeds.len(), 2);
+        assert_eq!(run.scale.trace.as_deref(), Some("out.json"));
+        let run = exp_args("fault-isolation", "--faults crash@10s:gid0").unwrap();
+        assert_eq!(run.scale.faults.len(), 1);
+    }
+
+    #[test]
+    fn experiment_topology_flag_reaches_the_scale() {
+        let run = exp_args("serve-slo", "--topology 16x4:c2050").unwrap();
+        let topo = run.scale.topology.expect("topology parsed");
+        assert_eq!(topo.num_nodes(), 16);
+        assert_eq!(topo.num_devices(), 64);
+        assert!(exp_args("serve-slo", "--topology 0x4").is_err());
+        assert!(exp_args("serve-slo", "").unwrap().scale.topology.is_none());
+    }
+
+    #[test]
+    fn experiment_threads_flag_parses() {
+        assert_eq!(
+            exp_args("fig10-gpu-sharing", "--threads 4")
+                .unwrap()
+                .threads,
+            Some(4)
+        );
+        assert_eq!(
+            exp_args("fig10-gpu-sharing", "--quick").unwrap().threads,
+            None
+        );
+    }
+
+    #[test]
+    fn experiment_bad_input_is_rejected() {
+        let e = "fault-isolation";
+        assert!(exp_args(e, "--frobnicate").is_err());
+        assert!(exp_args(e, "--seeds 0").is_err());
+        assert!(exp_args(e, "--requests 0").is_err());
+        assert!(exp_args(e, "--seeds").is_err());
+        assert!(exp_args(e, "--threads 0").is_err());
+        assert!(exp_args(e, "--threads x").is_err());
+        assert!(exp_args(e, "--faults meteor@1s:gid0").is_err());
+        assert!(exp_args(e, "--help").unwrap().help);
+    }
+
+    #[test]
+    fn experiments_reject_the_flags_they_ignore() {
+        let rejected = |name: &str, flag: &str, value: &str| {
+            let msg = exp_args(name, &format!("--quick {flag} {value}"))
+                .unwrap_err()
+                .0;
+            assert_eq!(msg, format!("{name} does not take {flag}"));
+        };
+        rejected("fig12-throughput", "--faults", "crash@1s:gid0");
+        rejected("fig12-throughput", "--trace", "t.json");
+        rejected("fig02-streams", "--topology", "4x2");
+        rejected("fault-isolation", "--topology", "4x2");
+        rejected("policy-matrix", "--trace", "t.json");
+        // A row's usage lists only what it takes.
+        let usage = experiment("fig12-throughput").unwrap().usage();
+        assert!(usage.contains("--seeds N") && !usage.contains("--faults"));
+        let usage = experiment("serve-slo").unwrap().usage();
+        assert!(usage.contains("--topology SPEC") && !usage.contains("--trace"));
+    }
+
+    #[test]
+    fn experiment_fault_targets_are_checked_against_the_row_cluster() {
+        // fault-isolation's cluster is one node with one GPU.
+        assert!(exp_args("fault-isolation", "--faults crash@1s:gid0").is_ok());
+        assert!(exp_args("fault-isolation", "--faults crash@1s:gid1").is_err());
+        // The serving rows follow --topology.
+        assert!(exp_args("serve-slo", "--faults crash@1s:gid7").is_err());
+        assert!(exp_args("serve-slo", "--topology 4x2 --faults crash@1s:gid7").is_ok());
+    }
+
+    #[test]
+    fn experiment_names_are_unique_kebab_case() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        for name in &names {
+            assert!(
+                name.bytes()
+                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-'),
+                "{name}"
+            );
+            assert!(
+                !matches!(*name, "serve" | "explain"),
+                "{name} shadows a subcommand"
+            );
+        }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len());
     }
 
     #[test]

@@ -21,14 +21,14 @@ pub struct ExpScale {
     pub load: f64,
     /// Seeds averaged over.
     pub seeds: Vec<u64>,
-    /// Base path for trace output (`--trace` on the regeneration
-    /// binaries); experiments that record traces write Chrome trace-event
-    /// JSON files derived from this path.
+    /// Base path for trace output (`--trace` on `strings-sim
+    /// fig02-streams`, the one experiment that writes traces): Chrome
+    /// trace-event JSON files derived from this path.
     pub trace: Option<String>,
-    /// Extra fault injections (`--faults` on the regeneration binaries),
-    /// layered on top of whatever an experiment injects itself.
+    /// Extra fault injections (`--faults` on the experiments that inject
+    /// faults), layered on top of whatever an experiment injects itself.
     pub faults: FaultPlan,
-    /// Cluster override (`--topology` on the regeneration binaries).
+    /// Cluster override (`--topology` on the serving experiments).
     /// `None` keeps each experiment's canonical shape (the paper's
     /// supernode); serving experiments honour it by scaling their offered
     /// load and tenancy to the cluster.
@@ -36,12 +36,12 @@ pub struct ExpScale {
 }
 
 impl ExpScale {
-    /// Full scale used by the regeneration binaries.
+    /// Full scale: what `strings-sim EXPERIMENT` runs without `--quick`.
     pub fn full() -> Self {
         ExpScale {
             requests: 30,
             load: 1.3,
-            seeds: vec![101, 202, 303],
+            seeds: default_seeds(3),
             trace: None,
             faults: FaultPlan::none(),
             topology: None,
@@ -53,7 +53,7 @@ impl ExpScale {
         ExpScale {
             requests: 8,
             load: 1.3,
-            seeds: vec![101],
+            seeds: default_seeds(1),
             trace: None,
             faults: FaultPlan::none(),
             topology: None,
@@ -67,6 +67,12 @@ impl ExpScale {
             .clone()
             .unwrap_or_else(TopologySpec::supernode)
     }
+}
+
+/// The first `n` of the seeds experiments average over: 101, 202, 303, …
+/// `--seeds N` takes this prefix, so `--seeds 3` is the full-scale run.
+pub fn default_seeds(n: u64) -> Vec<u64> {
+    (1..=n).map(|i| 101 * i).collect()
 }
 
 /// A stream whose arrival rate is normalized by the application's service

@@ -7,6 +7,7 @@
 //! one shared context, giving much more uniform utilization.
 
 use super::common::ExpScale;
+use crate::cli::exit_on_write_error;
 use crate::scenario::{Scenario, StreamSpec};
 use gpu_sim::spec::GpuModel;
 use remoting::gpool::{NodeId, NodeSpec};
@@ -17,6 +18,7 @@ use strings_core::config::StackConfig;
 use strings_core::device_sched::TenantId;
 use strings_core::mapper::LbPolicy;
 use strings_metrics::report::{fmt_pct, sparkline, Table};
+use strings_metrics::trace_export::chrome_json;
 use strings_workloads::profile::AppKind;
 
 /// Idle gaps at or above this length count as visible glitches (longer
@@ -112,7 +114,7 @@ pub fn run(scale: &ExpScale) -> Results {
     }
 }
 
-/// Render as a comparison table (the binary also prints sparklines).
+/// Render as a comparison table (the timeline column is a sparkline).
 pub fn table(r: &Results) -> Table {
     let mut t = Table::new(vec![
         "mode",
@@ -131,6 +133,35 @@ pub fn table(r: &Results) -> Table {
         ]);
     }
     t
+}
+
+/// The `fig02-streams` output: the table, plus, with `--trace PATH`, the
+/// concurrent run's Chrome trace at `PATH` and the sequential run's at
+/// `<stem>.sequential.<ext>` (both loadable in Perfetto).
+pub fn render(scale: &ExpScale) -> String {
+    let r = run(scale);
+    let mut out = table(&r).render();
+    if let Some(path) = &scale.trace {
+        let seq_path = trace_path_with_tag(path, "sequential");
+        exit_on_write_error(path, std::fs::write(path, chrome_json(&r.concurrent.trace)));
+        exit_on_write_error(
+            &seq_path,
+            std::fs::write(&seq_path, chrome_json(&r.sequential.trace)),
+        );
+        out.push_str(&format!(
+            "\ntraces written: {path} (concurrent), {seq_path} (sequential)\n"
+        ));
+    }
+    out
+}
+
+/// Derive a sibling path for a second trace file: `out.json` + `seq` →
+/// `out.seq.json` (no extension: `out` → `out.seq`).
+pub fn trace_path_with_tag(path: &str, tag: &str) -> String {
+    match path.rsplit_once('.') {
+        Some((stem, ext)) if !stem.is_empty() => format!("{stem}.{tag}.{ext}"),
+        _ => format!("{path}.{tag}"),
+    }
 }
 
 #[cfg(test)]
@@ -173,5 +204,12 @@ mod tests {
             r.sequential.mean_util
         );
         assert_eq!(r.sequential.buckets.len(), 60);
+    }
+
+    #[test]
+    fn trace_tags_insert_before_extension() {
+        assert_eq!(trace_path_with_tag("out.json", "seq"), "out.seq.json");
+        assert_eq!(trace_path_with_tag("out", "seq"), "out.seq");
+        assert_eq!(trace_path_with_tag(".hidden", "seq"), ".hidden.seq");
     }
 }

@@ -1,9 +1,10 @@
 //! Experiment definitions — one module per paper figure/table.
 //!
 //! Each module exposes `run(&ExpScale) -> Results` plus a `table(&Results)`
-//! renderer; the regeneration binaries in `strings-bench` print the tables
-//! (`--quick` runs at [`common::ExpScale::quick`] scale). EXPERIMENTS.md
-//! records paper-vs-measured values for each.
+//! renderer. Each is one row of [`crate::cli::EXPERIMENTS`], which
+//! `strings-sim NAME` prints under a banner (`--quick` runs at
+//! [`common::ExpScale::quick`] scale). EXPERIMENTS.md records
+//! paper-vs-measured values for each.
 
 pub mod ablation;
 pub mod attribution;

@@ -17,8 +17,8 @@
 //! * [`stats`] — what a run reports: per-slot completion times, per-tenant
 //!   attained service, device telemetry.
 //! * [`experiments`] — one module per paper figure/table, each exposing a
-//!   `run(...) -> Table`-style entry point used by the regeneration
-//!   binaries.
+//!   `run(...) -> Table`-style entry point; [`cli::EXPERIMENTS`] makes
+//!   each one a `strings-sim` subcommand.
 //! * [`explain`] — the `strings-sim explain` blame-chain renderer: one
 //!   request's flight-record chain plus its attribution stage charges.
 //! * [`sweep`] — seed-parallel scenario fan-out across OS threads (the DES

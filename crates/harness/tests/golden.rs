@@ -1,7 +1,7 @@
 //! Golden-output determinism gate.
 //!
-//! Every experiment module (the engine behind all 14 regeneration
-//! binaries) renders at a reduced-but-representative scale and must match
+//! Every experiment module (the engine behind every `strings-sim`
+//! experiment) renders at a reduced-but-representative scale and must match
 //! the committed golden byte-for-byte, alongside the full `RunStats`
 //! debug rendering of fixed scenarios. Any change that shifts event
 //! ordering, float accumulation order, or report formatting trips this

@@ -1,6 +1,6 @@
 //! CSV export for plotting.
 //!
-//! The regeneration binaries print aligned text tables; downstream users
+//! The `strings-sim` experiments print aligned text tables; downstream users
 //! who want to *plot* (utilization timelines à la Figure 2, completion-time
 //! distributions, speedup bars) can export the raw series as CSV. No
 //! external CSV crate: the format here is plain `,`-separated with minimal

@@ -22,8 +22,8 @@
 //!   ([`registry::MetricsRegistry`]): virtual-time-sampled counters,
 //!   gauges and fixed-bucket histograms with deterministic
 //!   Prometheus/OpenMetrics and JSONL exports,
-//! * [`report`] — plain-text table rendering for the figure-regeneration
-//!   binaries (one row/series per paper figure),
+//! * [`report`] — plain-text table rendering for the `strings-sim`
+//!   experiments (one row/series per paper figure),
 //! * [`slo`] — serving-mode SLO summary ([`slo::SloReport`]): latency
 //!   percentiles, goodput, shed rate, and windowed per-tenant fairness
 //!   for `strings-sim serve`,

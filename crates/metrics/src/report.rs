@@ -1,6 +1,6 @@
 //! Plain-text report rendering.
 //!
-//! The figure-regeneration binaries print the same rows/series the paper's
+//! The `strings-sim` experiments print the same rows/series the paper's
 //! figures plot; [`Table`] keeps that output aligned and diff-friendly for
 //! EXPERIMENTS.md.
 

@@ -1,50 +1,44 @@
-//! `strings-sim` — run the Strings scheduler on a workload you describe.
+//! `strings-sim` — run the Strings scheduler on a workload you describe,
+//! or regenerate one of the paper's experiments.
 //!
 //! ```text
 //! cargo run --release --bin strings-sim -- \
 //!     --mode strings --lb gwtmin --gpu-policy ps \
 //!     --app MC:20:1.5 --app DC:10:1.0:1 --nodes 2 --seeds 3
+//! cargo run --release --bin strings-sim -- fig12-throughput --quick
 //! ```
 
 use std::io::Write as _;
 use strings_repro::harness::cli::{
-    parse_args, parse_explain_args, parse_serve_args, EXPLAIN_USAGE, SERVE_USAGE, USAGE,
+    exit_on_write_error, experiment, parse_args, parse_experiment_args, parse_explain_args,
+    parse_serve_args, Experiment, EXPERIMENTS, EXPLAIN_USAGE, SERVE_USAGE, USAGE,
 };
-use strings_repro::harness::experiments::{policy_matrix, ExpScale};
 use strings_repro::harness::{explain, sweep};
 use strings_repro::metrics::export;
 use strings_repro::metrics::forensics;
 use strings_repro::metrics::report::{fmt_pct, Table};
 
-/// The `policy-matrix` subcommand: rank every scheduler stack across
-/// workload mixes and fault plans (see `experiments::policy_matrix`).
-fn policy_matrix_main(args: &[String]) {
-    const PM_USAGE: &str = "strings-sim policy-matrix — rank policy stacks \
-across workload mixes and fault plans
-
-options:
-  --quick     reduced scale (shorter arrival window, one seed)
-  --help      print this text
-";
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{PM_USAGE}");
+/// `strings-sim EXPERIMENT`: print the row's banner and run it at the
+/// scale its flags ask for.
+fn experiment_main(exp: &Experiment, args: &[String]) {
+    let run = match parse_experiment_args(exp, args) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
+    if run.help {
+        print!("{}", exp.usage());
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    if let Some(bad) = args.iter().find(|a| *a != "--quick") {
-        eprintln!("error: unknown option '{bad}'\n\n{PM_USAGE}");
-        std::process::exit(2);
+    if let Some(n) = run.threads {
+        sweep::set_threads(n);
     }
-    let scale = if quick {
-        ExpScale::quick()
-    } else {
-        ExpScale::full()
-    };
-    println!("policy matrix: stacks x workload mixes x fault plans\n");
-    print!(
-        "{}",
-        policy_matrix::table(&policy_matrix::run(&scale)).render()
-    );
+    println!("== {} ==", exp.title);
+    println!("paper: {}", exp.paper);
+    println!();
+    print!("{}", (exp.run)(&run.scale));
 }
 
 /// The `serve` subcommand: open-loop serving with an SLO report per seed.
@@ -94,17 +88,17 @@ fn serve_main(args: &[String]) {
             .metrics
             .as_ref()
             .expect("metrics run records a registry");
-        if path.ends_with(".jsonl") {
+        let written = if path.ends_with(".jsonl") {
             // Streamed: the time series can be the largest output of a run.
-            let mut out =
-                std::io::BufWriter::new(std::fs::File::create(path).expect("write metrics"));
-            registry
-                .write_jsonl(&mut out)
-                .and_then(|()| out.flush())
-                .expect("write metrics");
+            std::fs::File::create(path).and_then(|file| {
+                let mut out = std::io::BufWriter::new(file);
+                registry.write_jsonl(&mut out)?;
+                out.flush()
+            })
         } else {
-            std::fs::write(path, registry.render_openmetrics()).expect("write metrics");
-        }
+            std::fs::write(path, registry.render_openmetrics())
+        };
+        exit_on_write_error(path, written);
         println!(
             "metrics written to {path} ({} series, {} snapshots)",
             registry.series_count(),
@@ -118,7 +112,7 @@ fn serve_main(args: &[String]) {
         } else {
             strings_repro::metrics::trace_export::chrome_json(trace)
         };
-        std::fs::write(path, body).expect("write trace");
+        exit_on_write_error(path, std::fs::write(path, body));
         println!("trace written to {path} ({} events)", trace.events.len());
     }
     if let Some(path) = &run.dump {
@@ -131,7 +125,7 @@ fn serve_main(args: &[String]) {
                 } else {
                     forensics::dump_chrome(dump)
                 };
-                std::fs::write(path, body).expect("write dump");
+                exit_on_write_error(path, std::fs::write(path, body));
                 println!(
                     "flight dump written to {path} (reason {}, t {} ns, {} nodes)",
                     dump.reason.label(),
@@ -174,12 +168,16 @@ fn main() {
         explain_main(&args[1..]);
         return;
     }
-    if args.first().is_some_and(|a| a == "policy-matrix") {
-        policy_matrix_main(&args[1..]);
+    if let Some(exp) = args.first().and_then(|a| experiment(a)) {
+        experiment_main(exp, &args[1..]);
         return;
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
+        println!("experiments:");
+        for exp in EXPERIMENTS {
+            println!("  {:<30}  {}", exp.name, exp.title);
+        }
         return;
     }
     // --export DIR writes CSV series (timelines + completions) for plotting.
@@ -257,15 +255,15 @@ fn main() {
         } else {
             strings_repro::metrics::trace_export::chrome_json(trace)
         };
-        std::fs::write(path, body).expect("write trace");
+        exit_on_write_error(path, std::fs::write(path, body));
         println!("trace written to {path} ({} events)", trace.events.len());
     }
     if let Some(dir) = export_dir {
-        std::fs::create_dir_all(&dir).expect("create export dir");
+        exit_on_write_error(&dir, std::fs::create_dir_all(&dir));
         for (gid, tele) in stats.device_telemetry.iter().enumerate() {
             let path = format!("{dir}/device{gid}_compute.csv");
-            std::fs::write(&path, export::timeline_csv("compute", &tele.compute))
-                .expect("write timeline");
+            let csv = export::timeline_csv("compute", &tele.compute);
+            exit_on_write_error(&path, std::fs::write(&path, csv));
         }
         let labels: Vec<String> = run
             .scenario
@@ -276,11 +274,9 @@ fn main() {
         let means: Vec<f64> = (0..labels.len())
             .map(|s| stats.completions.mean_ct(s))
             .collect();
-        std::fs::write(
-            format!("{dir}/completions.csv"),
-            export::completions_csv(&labels, &means, &stats.completions.counts()),
-        )
-        .expect("write completions");
+        let path = format!("{dir}/completions.csv");
+        let csv = export::completions_csv(&labels, &means, &stats.completions.counts());
+        exit_on_write_error(&path, std::fs::write(&path, csv));
         println!("CSV series exported to {dir}/");
     }
 }
