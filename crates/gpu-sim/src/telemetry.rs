@@ -4,18 +4,24 @@
 //! compute-engine occupancy, memory-bandwidth use, and copy-engine activity.
 //! These drive Figure 1 (compute/memory characterization heat-map),
 //! Figure 2 (utilization timelines), and the Request Monitor's feedback.
+//!
+//! Occupancy and bandwidth change together, whenever the compute engine's
+//! kernel set does, so they are the two lanes of one timeline: the
+//! `compute` tracker records occupancy, and bandwidth is its second lane
+//! ([`DeviceTelemetry::bandwidth`]), so each change point's time is
+//! stored once.
 
 use serde::{Deserialize, Serialize};
-use sim_core::telemetry::UtilizationTracker;
+use sim_core::telemetry::{Lane, UtilizationTracker};
 use sim_core::SimTime;
+use std::fmt;
 
 /// Bundle of utilization signals for one device.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct DeviceTelemetry {
-    /// SM occupancy over time (0..1), zero while context-switching.
+    /// SM occupancy over time (0..1), zero while context-switching; its
+    /// second lane is memory-bandwidth use ([`DeviceTelemetry::bandwidth`]).
     pub compute: UtilizationTracker,
-    /// Memory bandwidth use over time (0..1 of device bandwidth).
-    pub bandwidth: UtilizationTracker,
     /// Fraction of copy engines busy over time (0..1).
     pub copy: UtilizationTracker,
     /// 1.0 while the driver is switching contexts, else 0.0.
@@ -37,9 +43,14 @@ pub struct DeviceTelemetry {
 impl DeviceTelemetry {
     /// Record the current engine levels at `now`.
     pub fn sample(&mut self, now: SimTime, compute: f64, bandwidth: f64, copy_busy_frac: f64) {
-        self.compute.record(now, compute);
-        self.bandwidth.record(now, bandwidth);
+        self.compute.record_pair(now, compute, bandwidth);
         self.copy.record(now, copy_busy_frac);
+    }
+
+    /// Memory bandwidth use over time (0..1 of device bandwidth) — the
+    /// paper's Figure 1 "memory characteristic".
+    pub fn bandwidth(&self) -> Lane<'_> {
+        self.compute.second()
     }
 
     /// Record the start (`true`) or end (`false`) of a context switch.
@@ -50,17 +61,24 @@ impl DeviceTelemetry {
             self.context_switches += 1;
         }
     }
+}
 
-    /// Mean compute utilization over `[from, to)` — the paper's Figure 1
-    /// "compute characteristic".
-    pub fn mean_compute(&self, from: SimTime, to: SimTime) -> f64 {
-        self.compute.mean_over(from, to)
-    }
-
-    /// Mean bandwidth utilization over `[from, to)` — Figure 1 "memory
-    /// characteristic".
-    pub fn mean_bandwidth(&self, from: SimTime, to: SimTime) -> f64 {
-        self.bandwidth.mean_over(from, to)
+/// Renders as a struct with `bandwidth` beside `compute`, each as its own
+/// tracker.
+impl fmt::Debug for DeviceTelemetry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DeviceTelemetry")
+            .field("compute", &self.compute)
+            .field("bandwidth", &self.bandwidth())
+            .field("copy", &self.copy)
+            .field("switching", &self.switching)
+            .field("context_switches", &self.context_switches)
+            .field("switch_ns", &self.switch_ns)
+            .field("kernels_completed", &self.kernels_completed)
+            .field("copies_completed", &self.copies_completed)
+            .field("h2d_bytes", &self.h2d_bytes)
+            .field("d2h_bytes", &self.d2h_bytes)
+            .finish()
     }
 }
 
@@ -74,8 +92,8 @@ mod tests {
         t.sample(0, 0.5, 0.25, 0.0);
         t.sample(100, 1.0, 0.5, 1.0);
         t.sample(200, 0.0, 0.0, 0.0);
-        assert!((t.mean_compute(0, 200) - 0.75).abs() < 1e-12);
-        assert!((t.mean_bandwidth(0, 200) - 0.375).abs() < 1e-12);
+        assert!((t.compute.mean_over(0, 200) - 0.75).abs() < 1e-12);
+        assert!((t.bandwidth().mean_over(0, 200) - 0.375).abs() < 1e-12);
         assert!((t.copy.mean_over(0, 200) - 0.5).abs() < 1e-12);
     }
 

@@ -688,16 +688,31 @@ pub struct Experiment {
     pub paper: &'static str,
     /// Run the experiment at a scale and render its output.
     pub run: fn(&ExpScale) -> String,
-    /// The flags the row reads beyond the size flags every row takes.
+    /// The size flags the row reads besides `--quick` and `--threads`.
+    pub sizes: Sizes,
+    /// The flags the row reads beyond its size flags.
     pub reads: Reads,
 }
 
-/// What an experiment reads besides `--quick`, `--seeds`, `--requests` and
+/// The size flags an experiment reads besides `--quick` and `--threads`.
+/// A row rejects the ones it would ignore.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub enum Sizes {
+    /// `--seeds` and `--requests`: the row averages over the seeds.
+    Seeds,
+    /// `--requests` only: the row runs one seed, the first default one or
+    /// a fixed one of its own.
+    OneSeed,
+    /// Neither: the row's size is fixed.
+    Fixed,
+}
+
+/// What an experiment reads besides `--quick`, its [`Sizes`] and
 /// `--threads`. A row rejects the flags it would ignore.
 #[derive(Clone, Copy)]
 pub enum Reads {
     /// Nothing more.
-    Size,
+    Nothing,
     /// `--trace PATH`.
     Trace,
     /// `--faults`, injected on this fixed cluster.
@@ -708,21 +723,12 @@ pub enum Reads {
 }
 
 impl Reads {
-    fn takes(self, flag: &str) -> bool {
-        match flag {
-            "--trace" => matches!(self, Reads::Trace),
-            "--faults" => matches!(self, Reads::Faults(_) | Reads::ScaledFaults(_)),
-            "--topology" => matches!(self, Reads::ScaledFaults(_)),
-            _ => true,
-        }
-    }
-
     /// The cluster `--faults` targets are checked against.
     fn cluster(self, scale: &ExpScale) -> Option<TopologySpec> {
         match self {
             Reads::Faults(topology) => Some(topology()),
             Reads::ScaledFaults(topology) => Some(topology(scale)),
-            Reads::Size | Reads::Trace => None,
+            Reads::Nothing | Reads::Trace => None,
         }
     }
 }
@@ -734,20 +740,23 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "Table I — benchmark applications",
         paper: "GPU time %, data transfer %, memory bandwidth per application",
         run: |_| table1::table(&table1::run()).render(),
-        reads: Reads::Size,
+        sizes: Sizes::Fixed,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "fig01-characterization",
         title: "Figure 1 — compute and memory characteristics",
         paper: "heat bands red (>90%), yellow, green (<10%); idle gaps even for MC",
         run: |scale| fig01::table(&fig01::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::OneSeed,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "fig02-streams",
         title: "Figure 2 — GPU utilization of Monte Carlo request sets",
         paper: "sequential contexts show switching glitches; streams are uniform",
         run: fig02::render,
+        sizes: Sizes::OneSeed,
         reads: Reads::Trace,
     },
     Experiment {
@@ -755,69 +764,79 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "Figure 9 — workload balancing, single node (Quadro 2000 + Tesla C2050)",
         paper: "paper AVG: Rain 2.16/2.37/2.34x; Strings 3.10/4.90/4.73x (GRR/GMin/GWtMin)",
         run: |scale| fig09::table(&fig09::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::Seeds,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "fig10-gpu-sharing",
         title: "Figure 10 — GPU sharing, emulated 4-GPU supernode, pairs A..X",
         paper: "paper AVG: Rain 1.60/1.80/1.82x; Strings 2.64/2.69/2.88x vs single-node GRR",
         run: |scale| fig10::table(&fig10::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::Seeds,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "fig11-fairness",
         title: "Figure 11 — Jain fairness, pairs sharing one GPU (equal shares)",
         paper: "paper: TFS-Strings avg 91%, +13% vs CUDA runtime, +7.14% vs TFS-Rain",
         run: |scale| fig11::table(&fig11::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::Seeds,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "fig12-throughput",
         title: "Figure 12 — GWtMin + LAS/PS vs single-node GRR, 24 pairs",
         paper: "paper AVG: LAS-Rain 2.18x, LAS-Strings 3.10x, PS-Strings 2.97x",
         run: |scale| fig12::table(&fig12::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::Seeds,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "fig13-sched-only",
         title: "Figure 13 — GPU scheduling vs GRR with 4 GPUs shared",
         paper: "paper AVG: LAS-Rain 1.40x, LAS-Strings 1.95x, PS-Strings 1.90x",
         run: |scale| fig13::table(&fig13::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::Seeds,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "fig14-feedback",
         title: "Figure 14 — RTF/GUF feedback balancing vs single-node GRR, 24 pairs",
         paper: "paper AVG: RTF-Rain 2.22x, GUF-Rain 2.51x, RTF-Strings 3.23x, GUF-Strings 3.96x",
         run: |scale| fig14::table(&fig14::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::Seeds,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "fig15-strings-feedback",
         title: "Figure 15 — DTF and MBF vs single-node GRR, 24 pairs",
         paper: "paper AVG: DTF 3.73x, MBF 4.02x (8.06x/8.70x vs bare CUDA runtime)",
         run: |scale| fig15::table(&fig15::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::Seeds,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "ablation-design",
         title: "Ablation — design choices (pair B: DXTC + MonteCarlo, supernode)",
         paper: "slowdown of each removed mechanism vs full Strings (paper §III.B)",
         run: |scale| ablation::table(&ablation::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::Seeds,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "vmem-pressure",
         title: "Extension — vmem under memory pressure (MC burst on a 1 GiB Quadro)",
         paper: "paper assumes arrivals never exhaust memory; the Gdev/Becchi vmem removes it",
         run: |scale| vmem::table(&vmem::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::OneSeed,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "fault-isolation",
         title: "Extension — fault isolation (one backend crash, busy single GPU)",
         paper: "Design I isolates per process; Design II loses everyone; Design III replays",
         run: |scale| faults::table(&faults::run(scale)).render(),
+        sizes: Sizes::OneSeed,
         reads: Reads::Faults(faults::topology),
     },
     Experiment {
@@ -825,13 +844,15 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "Extension — CPU fallback via binary translation (paper future work)",
         paper: "the Xeon joins the gPool; RTF feedback learns what work suits it",
         run: |scale| cpu_fallback::table(&cpu_fallback::run(scale)).render(),
-        reads: Reads::Size,
+        sizes: Sizes::OneSeed,
+        reads: Reads::Nothing,
     },
     Experiment {
         name: "serve-slo",
         title: "Extension — open-loop serving SLOs (Poisson load, supernode)",
         paper: "the interposed stacks keep tail latency and shed rate below bare CUDA",
         run: |scale| serve::table(&serve::run(scale)).render(),
+        sizes: Sizes::OneSeed,
         reads: Reads::ScaledFaults(ExpScale::serve_topology),
     },
     Experiment {
@@ -839,6 +860,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "Extension — latency attribution (Poisson load, supernode)",
         paper: "Strings moves latency out of queue-wait and into actual service",
         run: |scale| attribution::table(&attribution::run(scale)).render(),
+        sizes: Sizes::OneSeed,
         reads: Reads::ScaledFaults(ExpScale::serve_topology),
     },
     Experiment {
@@ -846,6 +868,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "Extension — policy matrix (stacks x workload mixes x fault plans)",
         paper: "no single policy wins every cell; feedback and slicing pay off only where their inputs exist",
         run: |scale| policy_matrix::table(&policy_matrix::run(scale)).render(),
+        sizes: Sizes::OneSeed,
         reads: Reads::ScaledFaults(ExpScale::serve_topology),
     },
 ];
@@ -874,6 +897,17 @@ const EXPERIMENT_OPTIONS: &str = "  --quick          reduced scale (fewer reques
 ";
 
 impl Experiment {
+    fn takes(&self, flag: &str) -> bool {
+        match flag {
+            "--seeds" => self.sizes == Sizes::Seeds,
+            "--requests" => self.sizes != Sizes::Fixed,
+            "--trace" => matches!(self.reads, Reads::Trace),
+            "--faults" => matches!(self.reads, Reads::Faults(_) | Reads::ScaledFaults(_)),
+            "--topology" => matches!(self.reads, Reads::ScaledFaults(_)),
+            _ => true,
+        }
+    }
+
     /// Usage text for `strings-sim NAME --help`: the flags this row takes.
     pub fn usage(&self) -> String {
         let mut out = format!("strings-sim {} — {}\n\noptions:\n", self.name, self.title);
@@ -885,7 +919,7 @@ impl Experiment {
                 .next()
                 .filter(|f| f.starts_with("--"))
             {
-                keep = self.reads.takes(flag);
+                keep = self.takes(flag);
             }
             if keep {
                 out.push_str(line);
@@ -921,7 +955,7 @@ pub fn parse_experiment_args(exp: &Experiment, args: &[String]) -> Result<Experi
     let mut threads = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if !exp.reads.takes(arg) {
+        if !exp.takes(arg) {
             return err(format!("{} does not take {arg}", exp.name));
         }
         let mut take = || -> Result<&String, CliError> {
@@ -1247,14 +1281,11 @@ mod tests {
 
     #[test]
     fn experiment_flags_reach_the_scale() {
-        let run = exp_args(
-            "fig02-streams",
-            "--quick --seeds 2 --requests 5 --trace out.json",
-        )
-        .unwrap();
+        let run = exp_args("fig02-streams", "--quick --requests 5 --trace out.json").unwrap();
         assert_eq!(run.scale.requests, 5);
-        assert_eq!(run.scale.seeds.len(), 2);
         assert_eq!(run.scale.trace.as_deref(), Some("out.json"));
+        let run = exp_args("fig12-throughput", "--quick --seeds 2").unwrap();
+        assert_eq!(run.scale.seeds.len(), 2);
         let run = exp_args("fault-isolation", "--faults crash@10s:gid0").unwrap();
         assert_eq!(run.scale.faults.len(), 1);
     }
@@ -1287,9 +1318,9 @@ mod tests {
     fn experiment_bad_input_is_rejected() {
         let e = "fault-isolation";
         assert!(exp_args(e, "--frobnicate").is_err());
-        assert!(exp_args(e, "--seeds 0").is_err());
+        assert!(exp_args("fig12-throughput", "--seeds 0").is_err());
         assert!(exp_args(e, "--requests 0").is_err());
-        assert!(exp_args(e, "--seeds").is_err());
+        assert!(exp_args("fig12-throughput", "--seeds").is_err());
         assert!(exp_args(e, "--threads 0").is_err());
         assert!(exp_args(e, "--threads x").is_err());
         assert!(exp_args(e, "--faults meteor@1s:gid0").is_err());
@@ -1309,11 +1340,27 @@ mod tests {
         rejected("fig02-streams", "--topology", "4x2");
         rejected("fault-isolation", "--topology", "4x2");
         rejected("policy-matrix", "--trace", "t.json");
+        // A row that runs one seed, or a fixed one, takes no --seeds.
+        for name in [
+            "table1-profiles",
+            "fig01-characterization",
+            "fig02-streams",
+            "vmem-pressure",
+            "fault-isolation",
+            "cpu-fallback",
+            "serve-slo",
+            "attribution-profile",
+            "policy-matrix",
+        ] {
+            rejected(name, "--seeds", "2");
+        }
+        rejected("table1-profiles", "--requests", "5");
         // A row's usage lists only what it takes.
         let usage = experiment("fig12-throughput").unwrap().usage();
         assert!(usage.contains("--seeds N") && !usage.contains("--faults"));
         let usage = experiment("serve-slo").unwrap().usage();
         assert!(usage.contains("--topology SPEC") && !usage.contains("--trace"));
+        assert!(!usage.contains("--seeds") && usage.contains("--requests"));
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub fn run(scale: &ExpScale) -> Results {
         } else {
             0.0
         };
-        let bw_pressure = t.bandwidth.mean_over(0, end) * end as f64 / active_ns;
+        let bw_pressure = t.bandwidth().mean_over(0, end) * end as f64 / active_ns;
         let dma_pressure = t.copy.busy_ns(0, end) as f64 / active_ns;
         rows.push(Row {
             app,

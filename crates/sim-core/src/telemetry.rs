@@ -8,21 +8,31 @@
 //! * down-sampling into fixed-width buckets (for the Figure 1 heat-map and
 //!   Figure 2 utilization-vs-time series).
 //!
+//! A tracker may carry a second signal sampled at the same instants as its
+//! first ([`UtilizationTracker::record_pair`]), as a GPU's memory-bandwidth
+//! use is beside its compute occupancy. The two are lanes of one timeline:
+//! a change point stores its time once, with both lanes' levels and which
+//! lanes changed there. Each lane answers every query as a tracker of its
+//! own would ([`Lane`]); the tracker's own queries read the first lane,
+//! [`UtilizationTracker::second`] the second. A lane needs its "changed
+//! here" flag, not only its level: a same-instant blip `0.5 → 0.0` leaves a
+//! leading `0.0` change point, while a first `0.0` records none.
+//!
 //! A tracker keeps every change point of a run, so it stores them
 //! compactly: a device signal takes a handful of distinct levels, and
 //! consecutive change points are close in time. Each change point but the
 //! newest two is a LEB128 time delta plus a one-byte index into a palette
-//! of the exact `f64` levels seen (about 3–5 bytes instead of 16). The
-//! newest two stay unencoded, because [`UtilizationTracker::record`]
-//! rewrites them, and a checkpoint every [`CHECKPOINT_EVERY`] change
-//! points lets a query start near its window instead of at time zero.
-//! Queries decode the same `(at, level)` sequence, in the same order, as
-//! a plain vector of samples would hold, so every sum is bit-identical.
+//! of the exact level pairs and lane flags seen (about 3–5 bytes for
+//! both lanes, where a plain `Sample` takes 16 per lane). The newest two
+//! stay unencoded, because recording rewrites them, and a checkpoint
+//! every [`CHECKPOINT_EVERY`] change points lets a query start near its
+//! window instead of at time zero. Queries decode the same `(at, level)`
+//! sequence, in the same order, as a plain vector of the lane's samples
+//! would hold, so every sum is bit-identical.
 
 use crate::time::{SimTime, NS_PER_SEC};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::iter::{Chain, Copied};
 
 /// One step of a piecewise-constant signal: the signal holds `level` from
 /// `at` until the next sample's `at`.
@@ -41,6 +51,34 @@ pub const CHECKPOINT_EVERY: usize = 64;
 /// from 255 on).
 const ESCAPE: u8 = u8::MAX;
 
+/// Signals a tracker holds: the first, and the one
+/// [`UtilizationTracker::record_pair`] adds.
+const LANES: usize = 2;
+
+/// Both lanes at a change point.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Levels {
+    /// Each lane's level from the change point on; a lane that did not
+    /// change there keeps its previous level (0.0 before its first).
+    levels: [f64; LANES],
+    /// Bit `k` set: lane `k` changed here.
+    changed: u8,
+}
+
+impl Levels {
+    fn same_bits(&self, other: &Levels) -> bool {
+        self.changed == other.changed
+            && self.levels.map(f64::to_bits) == other.levels.map(f64::to_bits)
+    }
+}
+
+/// A change point of the timeline.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Point {
+    at: SimTime,
+    levels: Levels,
+}
+
 /// Where an encoded change point starts, for queries to decode from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct Checkpoint {
@@ -52,17 +90,18 @@ struct Checkpoint {
     base: SimTime,
 }
 
-/// Records a piecewise-constant signal over virtual time. See the module
-/// docs for how the change points are stored.
+/// Records a piecewise-constant signal, or two sampled together, over
+/// virtual time. See the module docs for how the change points are stored.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct UtilizationTracker {
     /// The change points before the newest two, oldest first: each a
     /// LEB128 delta from the previous one's time (the first from 0), then
     /// its palette index as one byte, or [`ESCAPE`] and a LEB128 index.
     bytes: Vec<u8>,
-    /// Every distinct level encoded so far, by first use, compared by bits.
-    palette: Vec<f64>,
-    /// Per hash of a level's bits: the palette index to try first.
+    /// Every distinct [`Levels`] encoded so far, by first use, compared by
+    /// bits.
+    palette: Vec<Levels>,
+    /// Per hash of a palette entry's bits: the palette index to try first.
     hints: [u8; 32],
     /// Every [`CHECKPOINT_EVERY`]-th encoded change point, from the first.
     checkpoints: Vec<Checkpoint>,
@@ -72,23 +111,25 @@ pub struct UtilizationTracker {
     encoded_at: SimTime,
     /// The newest change points, at most two, unencoded. Empty only when
     /// nothing is encoded either.
-    tail: Vec<Sample>,
+    tail: Vec<Point>,
+    /// Change points per lane.
+    counts: [usize; LANES],
 }
 
 /// Reads the encoded change points from a byte offset on.
 struct Decoder<'a> {
     bytes: &'a [u8],
-    palette: &'a [f64],
+    palette: &'a [Levels],
     pos: usize,
     /// Time of the change point before `pos`.
     at: SimTime,
 }
 
 impl Iterator for Decoder<'_> {
-    type Item = Sample;
+    type Item = Point;
 
     #[inline]
-    fn next(&mut self) -> Option<Sample> {
+    fn next(&mut self) -> Option<Point> {
         if self.pos == self.bytes.len() {
             return None;
         }
@@ -98,33 +139,30 @@ impl Iterator for Decoder<'_> {
         if index == u64::from(ESCAPE) {
             index = read_leb128(self.bytes, &mut self.pos);
         }
-        Some(Sample {
+        Some(Point {
             at: self.at,
-            level: self.palette[index as usize],
+            levels: self.palette[index as usize],
         })
     }
 }
 
 impl Decoder<'_> {
-    /// Decode the change points at or before `t`; the level of the last.
-    fn skip_through(&mut self, t: SimTime) -> Option<f64> {
-        let mut level = None;
+    /// Decode the change points at or before `t`; the levels of the last.
+    fn skip_through(&mut self, t: SimTime) -> Option<Levels> {
+        let mut levels = None;
         loop {
             let before = (self.pos, self.at);
             match self.next() {
-                Some(s) if s.at <= t => level = Some(s.level),
+                Some(p) if p.at <= t => levels = Some(p.levels),
                 Some(_) => {
                     (self.pos, self.at) = before;
-                    return level;
+                    return levels;
                 }
-                None => return level,
+                None => return levels,
             }
         }
     }
 }
-
-/// Change points in time order, decoded then unencoded.
-type Samples<'a> = Chain<Decoder<'a>, Copied<std::slice::Iter<'a, Sample>>>;
 
 /// Write `v` as LEB128 at the start of `out`; returns the bytes written
 /// (at most 10).
@@ -170,50 +208,107 @@ impl UtilizationTracker {
 
     /// Record that the signal changed to `level` at time `at`.
     ///
-    /// Consecutive equal levels are coalesced. Out-of-order records are
-    /// rejected in debug builds (the executive always observes time forward).
+    /// Consecutive equal levels are coalesced, and a second record at the
+    /// same instant replaces the first. Out-of-order records are rejected
+    /// in debug builds (the executive always observes time forward).
     pub fn record(&mut self, at: SimTime, level: f64) {
-        if let Some(last) = self.tail.last() {
-            debug_assert!(at >= last.at, "telemetry time went backwards");
-            if last.level == level {
-                return;
+        self.record_lanes(at, [Some(level), None]);
+    }
+
+    /// Record both lanes at `at`: the first changed to `first`, the second
+    /// to `second`. Each lane coalesces and replaces on its own, exactly
+    /// as [`UtilizationTracker::record`] does.
+    pub fn record_pair(&mut self, at: SimTime, first: f64, second: f64) {
+        self.record_lanes(at, [Some(first), Some(second)]);
+    }
+
+    fn record_lanes(&mut self, at: SimTime, new: [Option<f64>; LANES]) {
+        let newest = self.tail.last().copied();
+        debug_assert!(
+            newest.is_none_or(|p| at >= p.at),
+            "telemetry time went backwards"
+        );
+        let same_instant = newest.is_some_and(|p| p.at == at);
+        // The change point at `at`: the newest one, or a new one that
+        // carries every lane's level.
+        let mut levels = match newest {
+            Some(p) if same_instant => p.levels,
+            Some(p) => Levels {
+                changed: 0,
+                ..p.levels
+            },
+            None => Levels {
+                levels: [0.0; LANES],
+                changed: 0,
+            },
+        };
+        for (k, level) in new.into_iter().enumerate() {
+            let Some(level) = level else { continue };
+            let bit = 1 << k;
+            if levels.levels[k] == level {
+                // Coalesced (a first 0.0 included: the implicit zero).
+                continue;
             }
-            if last.at == at {
-                // replace instantaneous blip
+            if levels.changed & bit == 0 {
+                levels.changed |= bit;
+                self.counts[k] += 1;
+                levels.levels[k] = level;
+                continue;
+            }
+            // Replace this lane's change at the same instant; a blip back
+            // to its previous level drops the change.
+            let previous = (self.counts[k] > 1).then(|| self.level_before_newest(k));
+            match previous {
+                Some(p) if p == level => {
+                    levels.changed &= !bit;
+                    self.counts[k] -= 1;
+                    levels.levels[k] = p;
+                }
+                _ => levels.levels[k] = level,
+            }
+        }
+        if same_instant {
+            if levels.changed != 0 {
+                self.tail.last_mut().expect("the newest point").levels = levels;
+            } else {
                 self.tail.pop();
                 if self.tail.is_empty() {
                     self.unencode_newest();
                 }
-                if let Some(prev) = self.tail.last() {
-                    if prev.level == level {
-                        return;
-                    }
-                }
             }
-        } else if level == 0.0 {
-            return; // implicit leading zero
+        } else if levels.changed != 0 {
+            if self.tail.len() == 2 {
+                let oldest = self.tail.remove(0);
+                self.encode(oldest);
+            }
+            self.tail.push(Point { at, levels });
         }
-        if self.tail.len() == 2 {
-            let oldest = self.tail.remove(0);
-            self.encode(oldest);
-        }
-        self.tail.push(Sample { at, level });
     }
 
-    /// Append `s` to the encoded change points.
-    fn encode(&mut self, s: Sample) {
+    /// Lane `k`'s level before the newest change point, which has another
+    /// before it. Decodes that one into the tail when only the newest is
+    /// unencoded, which takes a blip at an instant a forward clock left.
+    fn level_before_newest(&mut self, k: usize) -> f64 {
+        if self.tail.len() < 2 {
+            self.unencode_newest();
+        }
+        self.tail[0].levels.levels[k]
+    }
+
+    /// Append `p` to the encoded change points.
+    fn encode(&mut self, p: Point) {
         if self.encoded.is_multiple_of(CHECKPOINT_EVERY) {
             reserve_slack(&mut self.checkpoints, 1, 16);
             self.checkpoints.push(Checkpoint {
                 pos: self.bytes.len(),
-                at: s.at,
+                at: p.at,
                 base: self.encoded_at,
             });
         }
-        let index = self.palette_index(s.level);
+        let index = self.palette_index(p.levels);
         // A delta, then an index byte or the escape and an index.
         let mut buf = [0u8; 21];
-        let mut n = write_leb128(&mut buf, s.at - self.encoded_at);
+        let mut n = write_leb128(&mut buf, p.at - self.encoded_at);
         match u8::try_from(index) {
             Ok(i) if i != ESCAPE => buf[n] = i,
             _ => {
@@ -224,23 +319,24 @@ impl UtilizationTracker {
         reserve_slack(&mut self.bytes, n + 1, 256);
         self.bytes.extend_from_slice(&buf[..=n]);
         self.encoded += 1;
-        self.encoded_at = s.at;
+        self.encoded_at = p.at;
     }
 
-    /// The palette index of `level`, added when new. The hint for a hash
+    /// The palette index of `levels`, added when new. The hint for a hash
     /// of its bits usually names it, so a lookup compares one entry
     /// instead of scanning the palette.
-    fn palette_index(&mut self, level: f64) -> usize {
-        let bits = level.to_bits();
+    fn palette_index(&mut self, levels: Levels) -> usize {
+        let [a, b] = levels.levels.map(f64::to_bits);
+        let bits = a ^ b.rotate_left(31) ^ u64::from(levels.changed);
         let slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59) as usize;
         let hint = usize::from(self.hints[slot]);
-        if self.palette.get(hint).is_some_and(|l| l.to_bits() == bits) {
+        if self.palette.get(hint).is_some_and(|l| l.same_bits(&levels)) {
             return hint;
         }
-        let index = match self.palette.iter().position(|l| l.to_bits() == bits) {
+        let index = match self.palette.iter().position(|l| l.same_bits(&levels)) {
             Some(i) => i,
             None => {
-                self.palette.push(level);
+                self.palette.push(levels);
                 self.palette.len() - 1
             }
         };
@@ -250,9 +346,8 @@ impl UtilizationTracker {
         index
     }
 
-    /// Move the newest encoded change point, if any, back into the empty
-    /// tail. Only a blip at the instant of the one change point left
-    /// unencoded needs it, which a forward clock never records.
+    /// Move the newest encoded change point, if any, back into the tail,
+    /// ahead of what it holds.
     fn unencode_newest(&mut self) {
         let Some(&cp) = self.checkpoints.last() else {
             return;
@@ -262,8 +357,8 @@ impl UtilizationTracker {
         let mut newest = dec.next().expect("a checkpoint starts a change point");
         loop {
             let (pos, at) = (dec.pos, dec.at);
-            let Some(s) = dec.next() else { break };
-            (start, base, newest) = (pos, at, s);
+            let Some(p) = dec.next() else { break };
+            (start, base, newest) = (pos, at, p);
         }
         self.bytes.truncate(start);
         self.encoded -= 1;
@@ -271,7 +366,7 @@ impl UtilizationTracker {
         if start == cp.pos {
             self.checkpoints.pop();
         }
-        self.tail.push(newest);
+        self.tail.insert(0, newest);
     }
 
     fn decoder(&self, pos: usize, at: SimTime) -> Decoder<'_> {
@@ -283,49 +378,130 @@ impl UtilizationTracker {
         }
     }
 
-    /// The signal's level at `t`, and its change points after `t`. Starts
-    /// at the tail when `t` reaches it, else decodes from the last
-    /// checkpoint at or before `t`.
-    fn split(&self, t: SimTime) -> (f64, Samples<'_>) {
-        let mut dec = match self.tail.first() {
-            Some(s) if s.at <= t => self.decoder(self.bytes.len(), self.encoded_at),
-            _ => match self.checkpoints.partition_point(|c| c.at <= t) {
-                0 => self.decoder(0, 0),
-                k => self.decoder(self.checkpoints[k - 1].pos, self.checkpoints[k - 1].base),
-            },
-        };
-        let mut level = dec.skip_through(t).unwrap_or(0.0);
-        let k = self.tail.partition_point(|s| s.at <= t);
-        if let Some(s) = k.checked_sub(1).map(|k| self.tail[k]) {
-            level = s.level;
+    /// The second lane, recorded by [`UtilizationTracker::record_pair`].
+    pub fn second(&self) -> Lane<'_> {
+        Lane {
+            tracker: self,
+            lane: 1,
         }
-        (level, dec.chain(self.tail[k..].iter().copied()))
+    }
+
+    fn first(&self) -> Lane<'_> {
+        Lane {
+            tracker: self,
+            lane: 0,
+        }
     }
 
     /// Number of recorded steps.
     pub fn len(&self) -> usize {
-        self.encoded + self.tail.len()
+        self.first().len()
     }
 
     /// True if nothing was recorded (signal identically zero).
     pub fn is_empty(&self) -> bool {
-        self.tail.is_empty()
+        self.first().is_empty()
     }
 
     /// Raw samples, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = Sample> + '_ {
-        self.decoder(0, 0).chain(self.tail.iter().copied())
+        self.first().samples()
     }
 
-    /// Signal level at time `t`. Queries at or after the newest steps
-    /// (the executive's metrics sample at `now`) read the tail without
-    /// decoding.
+    /// Signal level at time `t`.
     pub fn level_at(&self, t: SimTime) -> f64 {
-        self.split(t).0
+        self.first().level_at(t)
     }
 
     /// Exact time-weighted mean of the signal over `[from, to)`.
     pub fn mean_over(&self, from: SimTime, to: SimTime) -> f64 {
+        self.first().mean_over(from, to)
+    }
+
+    /// Total time in `[from, to)` during which the signal was strictly
+    /// positive ("busy time"), in nanoseconds.
+    pub fn busy_ns(&self, from: SimTime, to: SimTime) -> u64 {
+        self.first().busy_ns(from, to)
+    }
+
+    /// Down-sample into `n` equal buckets over `[from, to)`; see
+    /// [`Lane::bucketize`].
+    pub fn bucketize(&self, from: SimTime, to: SimTime, n: usize) -> Vec<f64> {
+        self.first().bucketize(from, to, n)
+    }
+
+    /// Count "idle gaps" of at least `min_gap_ns`; see [`Lane::idle_gaps`].
+    pub fn idle_gaps(&self, from: SimTime, to: SimTime, min_gap_ns: u64) -> usize {
+        self.first().idle_gaps(from, to, min_gap_ns)
+    }
+
+    /// Render the tracker as `(seconds, level)` pairs for report output.
+    pub fn as_seconds_series(&self) -> Vec<(f64, f64)> {
+        self.first().as_seconds_series()
+    }
+}
+
+/// One lane of a [`UtilizationTracker`], queried as a tracker of its own.
+#[derive(Clone, Copy)]
+pub struct Lane<'a> {
+    tracker: &'a UtilizationTracker,
+    lane: usize,
+}
+
+impl<'a> Lane<'a> {
+    /// This lane's sample at `p`, if it changed there.
+    fn sample(self, p: Point) -> Option<Sample> {
+        (p.levels.changed & (1 << self.lane) != 0).then_some(Sample {
+            at: p.at,
+            level: p.levels.levels[self.lane],
+        })
+    }
+
+    /// The lane's level at `t`, and its change points after `t`. Starts
+    /// at the tail when `t` reaches it (the executive's metrics sample at
+    /// `now`), else decodes from the last checkpoint at or before `t`.
+    fn split(self, t: SimTime) -> (f64, impl Iterator<Item = Sample> + 'a) {
+        let tr = self.tracker;
+        let mut dec = match tr.tail.first() {
+            Some(p) if p.at <= t => tr.decoder(tr.bytes.len(), tr.encoded_at),
+            _ => match tr.checkpoints.partition_point(|c| c.at <= t) {
+                0 => tr.decoder(0, 0),
+                k => tr.decoder(tr.checkpoints[k - 1].pos, tr.checkpoints[k - 1].base),
+            },
+        };
+        // Every change point carries each lane's level, changed or not.
+        let mut level = dec.skip_through(t).map_or(0.0, |l| l.levels[self.lane]);
+        let k = tr.tail.partition_point(|p| p.at <= t);
+        if let Some(p) = k.checked_sub(1).map(|k| tr.tail[k]) {
+            level = p.levels.levels[self.lane];
+        }
+        let rest = dec.chain(tr.tail[k..].iter().copied());
+        (level, rest.filter_map(move |p| self.sample(p)))
+    }
+
+    /// Number of recorded steps.
+    pub fn len(self) -> usize {
+        self.tracker.counts[self.lane]
+    }
+
+    /// True if nothing was recorded (signal identically zero).
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Raw samples, oldest first.
+    pub fn samples(self) -> impl Iterator<Item = Sample> + 'a {
+        let tr = self.tracker;
+        (tr.decoder(0, 0).chain(tr.tail.iter().copied())).filter_map(move |p| self.sample(p))
+    }
+
+    /// Signal level at time `t`.
+    pub fn level_at(self, t: SimTime) -> f64 {
+        self.split(t).0
+    }
+
+    /// Exact time-weighted mean of the signal over `[from, to)`.
+    pub fn mean_over(self, from: SimTime, to: SimTime) -> f64 {
         if to <= from {
             return 0.0;
         }
@@ -346,7 +522,7 @@ impl UtilizationTracker {
 
     /// Total time in `[from, to)` during which the signal was strictly
     /// positive ("busy time"), in nanoseconds.
-    pub fn busy_ns(&self, from: SimTime, to: SimTime) -> u64 {
+    pub fn busy_ns(self, from: SimTime, to: SimTime) -> u64 {
         if to <= from {
             return 0;
         }
@@ -378,7 +554,7 @@ impl UtilizationTracker {
     /// `[from + span*i/n, from + span*(i+1)/n)`, and the last bucket ends
     /// exactly at `to` — its mean is weighted by its *actual* width, never
     /// by a rounded-up phantom nanosecond past the window.
-    pub fn bucketize(&self, from: SimTime, to: SimTime, n: usize) -> Vec<f64> {
+    pub fn bucketize(self, from: SimTime, to: SimTime, n: usize) -> Vec<f64> {
         assert!(n > 0 && to > from);
         let span = (to - from) as u128;
         let edge = |i: usize| from + (span * i as u128 / n as u128) as u64;
@@ -400,7 +576,7 @@ impl UtilizationTracker {
     /// Count "idle gaps": maximal intervals within `[from, to)` of at least
     /// `min_gap_ns` during which the signal is zero. These are the visible
     /// "glitches" of the paper's Figure 2.
-    pub fn idle_gaps(&self, from: SimTime, to: SimTime, min_gap_ns: u64) -> usize {
+    pub fn idle_gaps(self, from: SimTime, to: SimTime, min_gap_ns: u64) -> usize {
         let mut gaps = 0;
         let mut cursor = from;
         let (mut level, rest) = self.split(from);
@@ -420,33 +596,41 @@ impl UtilizationTracker {
         gaps
     }
 
-    /// Render the tracker as `(seconds, level)` pairs for report output.
-    pub fn as_seconds_series(&self) -> Vec<(f64, f64)> {
+    /// Render the lane as `(seconds, level)` pairs for report output.
+    pub fn as_seconds_series(self) -> Vec<(f64, f64)> {
         self.samples()
             .map(|s| (s.at as f64 / NS_PER_SEC as f64, s.level))
             .collect()
     }
 }
 
-/// Renders as the plain `Vec<Sample>` it stands for:
+/// Renders as the plain `Vec<Sample>` of a standalone tracker:
 /// `UtilizationTracker { samples: [Sample { at: .., level: .. }, ..] }`.
-impl fmt::Debug for UtilizationTracker {
+impl fmt::Debug for Lane<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct List<'a>(&'a UtilizationTracker);
+        struct List<'a>(Lane<'a>);
         impl fmt::Debug for List<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 f.debug_list().entries(self.0.samples()).finish()
             }
         }
         f.debug_struct("UtilizationTracker")
-            .field("samples", &List(self))
+            .field("samples", &List(*self))
             .finish()
+    }
+}
+
+/// Renders the first lane, as [`Lane`]'s `Debug` does.
+impl fmt::Debug for UtilizationTracker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.first().fmt(f)
     }
 }
 
 /// The union of the trackers' change points within `(from, to)`, plus
 /// `from`, ascending; each with whether any tracker is strictly positive
-/// there and whether every tracker is zero there.
+/// there and whether every tracker is zero there. Reads each tracker's
+/// first lane.
 fn union_points(
     trackers: &[&UtilizationTracker],
     from: SimTime,
@@ -454,14 +638,20 @@ fn union_points(
 ) -> Vec<(SimTime, bool, bool)> {
     let mut points: Vec<SimTime> = trackers
         .iter()
-        .flat_map(|t| t.split(from).1.map(|s| s.at).take_while(|&at| at < to))
+        .flat_map(|t| {
+            t.first()
+                .split(from)
+                .1
+                .map(|s| s.at)
+                .take_while(|&at| at < to)
+        })
         .collect();
     points.push(from);
     points.sort_unstable();
     points.dedup();
     let mut cursors: Vec<_> = (trackers.iter())
         .map(|t| {
-            let (level, rest) = t.split(from);
+            let (level, rest) = t.first().split(from);
             (level, rest.peekable())
         })
         .collect();
@@ -757,9 +947,11 @@ mod differential {
     //! same levels, same `f64` sums bit for bit, same counts, same `Debug`
     //! rendering — under equal-level coalescing, same-instant blips (also
     //! back to the previous level), leading zeros, more than 255 distinct
-    //! levels and time steps of 2^32 ns or more.
+    //! levels and time steps of 2^32 ns or more. A paired tracker's two
+    //! lanes must each answer as a reference of its own, also while one
+    //! lane coalesces or blips and the other changes.
 
-    use super::{Sample, UtilizationTracker};
+    use super::{Lane, Sample, UtilizationTracker};
     use crate::time::{SimTime, NS_PER_SEC};
     use proptest::prelude::*;
 
@@ -979,8 +1171,8 @@ mod differential {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every single-tracker query, compared bit for bit.
-    fn check_one(t: &UtilizationTracker, r: &Reference, windows: &[(SimTime, SimTime)]) {
+    /// Every query of one lane, compared bit for bit.
+    fn check_one(t: Lane<'_>, r: &Reference, windows: &[(SimTime, SimTime)]) {
         assert_eq!(t.len(), r.samples.len());
         assert_eq!(t.is_empty(), r.samples.is_empty());
         assert_eq!(format!("{t:?}"), format!("{r:?}"));
@@ -1047,7 +1239,9 @@ mod differential {
             let (trackers, refs, end) = build(&ops);
             let windows = windows(end, &picks);
             for (t, r) in trackers.iter().zip(&refs) {
-                check_one(t, r, &windows);
+                check_one(t.first(), r, &windows);
+                prop_assert_eq!(format!("{t:?}"), format!("{r:?}"));
+                prop_assert_eq!(t.len(), r.samples.len());
             }
             let (t, r): (Vec<&UtilizationTracker>, Vec<&Reference>) =
                 (trackers.iter().collect(), refs.iter().collect());
@@ -1095,7 +1289,7 @@ mod differential {
                 t.record(at, l);
                 r.record(at, l);
             }
-            check_one(&t, &r, &windows(n + 6, &[(0, n), (n / 2, n + 3)]));
+            check_one(t.first(), &r, &windows(n + 6, &[(0, n), (n / 2, n + 3)]));
         }
     }
 
@@ -1113,7 +1307,120 @@ mod differential {
         let picks: Vec<(u64, u64)> = (0..40u64)
             .map(|i| (i * end / 37, (i + 3) * end / 37))
             .collect();
-        check_one(&trackers[0], &refs[0], &windows(end, &picks));
+        check_one(trackers[0].first(), &refs[0], &windows(end, &picks));
         assert!(refs[0].samples.len() > 2_000);
+    }
+
+    /// A level for one lane of a paired record, or `None` to repeat the
+    /// lane's last level (it coalesces while the other lane changes).
+    fn paired_level() -> impl Strategy<Value = Option<f64>> {
+        prop_oneof![
+            level().prop_map(Some),
+            level().prop_map(Some),
+            level().prop_map(Some),
+            Just(None),
+        ]
+    }
+
+    /// Record `ops` (step, first, second, pair) into one paired tracker
+    /// and a reference per lane; `pair == 0` records the first lane alone.
+    fn build_paired(
+        ops: &[(u64, Option<f64>, Option<f64>, u8)],
+    ) -> (UtilizationTracker, [Reference; 2], SimTime) {
+        let mut t = UtilizationTracker::new();
+        let mut refs: [Reference; 2] = Default::default();
+        let (mut now, mut last) = (0, [0.0; 2]);
+        for &(dt, a, b, pair) in ops {
+            now += dt;
+            let (a, b) = (a.unwrap_or(last[0]), b.unwrap_or(last[1]));
+            refs[0].record(now, a);
+            last[0] = a;
+            if pair == 0 {
+                t.record(now, a);
+            } else {
+                t.record_pair(now, a, b);
+                refs[1].record(now, b);
+                last[1] = b;
+            }
+        }
+        (t, refs, now)
+    }
+
+    /// Both lanes of a paired tracker, each against its reference, and the
+    /// tracker's own `Debug` and length against the first lane's.
+    fn check_paired(t: &UtilizationTracker, refs: &[Reference; 2], windows: &[(SimTime, SimTime)]) {
+        check_one(t.first(), &refs[0], windows);
+        check_one(t.second(), &refs[1], windows);
+        assert_eq!(format!("{t:?}"), format!("{:?}", refs[0]));
+        assert_eq!(t.len(), refs[0].samples.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn paired_lanes_match_two_references(
+            ops in proptest::collection::vec(
+                (step(), paired_level(), paired_level(), 0u8..8),
+                0..700,
+            ),
+            picks in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..12),
+        ) {
+            let (t, refs, end) = build_paired(&ops);
+            check_paired(&t, &refs, &windows(end, &picks));
+        }
+    }
+
+    /// The blips of `blips_at_an_older_instant_reach_the_encoded_points`
+    /// on either lane of a paired tracker. The other lane follows the
+    /// blipping one through a many-to-one map, so it coalesces at some
+    /// changes and blips back with it at the rest; the instants it leaves
+    /// behind are free for the blips to return to.
+    #[test]
+    fn paired_blips_at_an_older_instant_reach_the_encoded_points() {
+        let level = |i: u64| (i % 3 + 1) as f64;
+        let other = |l: f64| if l >= 2.0 { 0.5 } else { 0.0 };
+        for swap in [false, true] {
+            for n in [3u64, 4, 5, 64, 65, 66, 67, 130] {
+                let history = (1..=n).map(|i| (i, level(i))).chain([(n, level(n - 1))]);
+                let blips = [
+                    (n - 1, 9.0),
+                    (n - 1, level(n - 2)),
+                    (n - 2, 8.0),
+                    (n - 2, level(n - 3)),
+                    (n + 5, 7.0),
+                    (n + 6, 0.0),
+                ];
+                let mut t = UtilizationTracker::new();
+                let mut refs: [Reference; 2] = Default::default();
+                for (at, l) in history.chain(blips) {
+                    let (a, b) = if swap { (other(l), l) } else { (l, other(l)) };
+                    t.record_pair(at, a, b);
+                    refs[0].record(at, a);
+                    refs[1].record(at, b);
+                }
+                check_paired(&t, &refs, &windows(n + 6, &[(0, n), (n / 2, n + 3)]));
+            }
+        }
+    }
+
+    /// Wide steps, blips and more than 255 distinct level pairs: the
+    /// escape path and every checkpoint of a paired timeline are walked.
+    #[test]
+    fn paired_many_pairs_and_wide_steps() {
+        let ops: Vec<_> = (0..3_000u64)
+            .map(|i| {
+                let dt = if i % 5 == 4 { 0 } else { (1 << 32) + i * 977 };
+                let a = ((i * 7_919) % 1_000) as f64 / 999.0;
+                let b = (i % 7 != 3).then_some(((i * 104_729) % 300) as f64 / 299.0);
+                (dt, Some(a), b, 1)
+            })
+            .collect();
+        let (t, refs, end) = build_paired(&ops);
+        let picks: Vec<(u64, u64)> = (0..40u64)
+            .map(|i| (i * end / 37, (i + 3) * end / 37))
+            .collect();
+        check_paired(&t, &refs, &windows(end, &picks));
+        assert!(t.palette.len() > 255);
     }
 }

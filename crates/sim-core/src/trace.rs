@@ -45,6 +45,7 @@
 use crate::fxhash::FxHashMap;
 use crate::time::SimTime;
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -732,15 +733,35 @@ impl StageFold {
     /// latest row), with the requests still open counted as unfinished.
     pub fn finish(self) -> StageLedger {
         let mut rows = self.rows;
-        // Latest close first among equal ids; the sort is stable.
-        rows.reverse();
-        rows.sort_by_key(|r| r.request);
+        // Sort a permutation of 4-byte indices, latest close first among
+        // equal ids, and apply it in place: a stable sort of the rows
+        // would take a scratch buffer as large as the ledger.
+        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| (rows[i as usize].request, Reverse(i)));
+        permute_in_place(&mut rows, &mut order);
         rows.dedup_by_key(|r| r.request);
         rows.shrink_to_fit();
         StageLedger {
             requests: rows,
             inconsistent: self.inconsistent,
             unfinished: self.open.len() as u64,
+        }
+    }
+}
+
+/// Reorder `v` so that `v[i]` becomes the old `v[order[i]]`, by swaps
+/// along the permutation's cycles; `order` is left as the identity.
+fn permute_in_place<T>(v: &mut [T], order: &mut [u32]) {
+    for start in 0..v.len() {
+        let mut i = start;
+        loop {
+            let next = order[i] as usize;
+            order[i] = i as u32;
+            if next == start {
+                break;
+            }
+            v.swap(i, next);
+            i = next;
         }
     }
 }
@@ -985,6 +1006,16 @@ mod tests {
         assert_eq!(ledger.requests[0].stage(Stage::Rpc), 5);
         assert_eq!(ledger.inconsistent, 1, "the replaced row still counts");
         assert_eq!(ledger.unfinished, 1);
+    }
+
+    #[test]
+    fn permute_in_place_follows_every_cycle() {
+        // Cycles (0 3 1), (2) and (4 5).
+        let mut v = vec!['a', 'b', 'c', 'd', 'e', 'f'];
+        let mut order = vec![3, 0, 2, 1, 5, 4];
+        permute_in_place(&mut v, &mut order);
+        assert_eq!(v, vec!['d', 'a', 'c', 'b', 'f', 'e']);
+        assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

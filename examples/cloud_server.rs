@@ -70,8 +70,8 @@ fn main() {
         for (gid, tele) in stats.device_telemetry.iter().enumerate() {
             u.row(vec![
                 format!("GID{gid}"),
-                fmt_pct(tele.mean_compute(0, stats.makespan_ns)),
-                fmt_pct(tele.mean_bandwidth(0, stats.makespan_ns)),
+                fmt_pct(tele.compute.mean_over(0, stats.makespan_ns)),
+                fmt_pct(tele.bandwidth().mean_over(0, stats.makespan_ns)),
             ]);
         }
         print!("{}", u.render());

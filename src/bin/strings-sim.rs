@@ -225,8 +225,8 @@ fn main() {
     for (gid, tele) in stats.device_telemetry.iter().enumerate() {
         d.row(vec![
             format!("GID{gid}"),
-            fmt_pct(tele.mean_compute(0, stats.makespan_ns.max(1))),
-            fmt_pct(tele.mean_bandwidth(0, stats.makespan_ns.max(1))),
+            fmt_pct(tele.compute.mean_over(0, stats.makespan_ns.max(1))),
+            fmt_pct(tele.bandwidth().mean_over(0, stats.makespan_ns.max(1))),
             tele.kernels_completed.to_string(),
             tele.copies_completed.to_string(),
         ]);

@@ -65,7 +65,7 @@ fn outcome(s: &RunStats) -> Outcome {
             .collect(),
         telemetry_samples: telemetry
             .iter()
-            .map(|d| d.compute.len() + d.bandwidth.len() + d.copy.len() + d.switching.len())
+            .map(|d| d.compute.len() + d.bandwidth().len() + d.copy.len() + d.switching.len())
             .sum(),
         telemetry_fnv: fnv(&format!("{telemetry:?}")),
     }

@@ -52,6 +52,17 @@ fn a_flag_the_experiment_ignores_is_a_usage_error() {
         ("fig12-throughput", "--faults", "crash@1s:gid99"),
         ("fault-isolation", "--topology", "4x2"),
         ("serve-slo", "--trace", "t.json"),
+        // Rows that run one seed, or a fixed one, would ignore --seeds.
+        ("table1-profiles", "--seeds", "2"),
+        ("table1-profiles", "--requests", "5"),
+        ("fig01-characterization", "--seeds", "2"),
+        ("fig02-streams", "--seeds", "2"),
+        ("vmem-pressure", "--seeds", "2"),
+        ("fault-isolation", "--seeds", "2"),
+        ("cpu-fallback", "--seeds", "2"),
+        ("serve-slo", "--seeds", "2"),
+        ("attribution-profile", "--seeds", "2"),
+        ("policy-matrix", "--seeds", "2"),
     ] {
         let out = sim(&[exp, "--quick", flag, value]);
         assert_eq!(out.status.code(), Some(2), "{exp} {flag}");
