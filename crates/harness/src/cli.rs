@@ -49,6 +49,45 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
+/// `flag`'s value as a count of at least 1.
+fn parse_count(flag: &str, value: &str) -> Result<usize, CliError> {
+    match value.parse() {
+        Ok(0) => err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(_) => err(format!("bad {flag}")),
+    }
+}
+
+/// The `--nodes 1|2` sugar's topology (`--topology` wins over it).
+fn parse_nodes(value: &str) -> Result<TopologySpec, CliError> {
+    match value.parse() {
+        Ok(1) => Ok(TopologySpec::node_a()),
+        Ok(2) => Ok(TopologySpec::supernode()),
+        Ok(_) => err("--nodes must be 1 or 2"),
+        Err(_) => err("bad --nodes"),
+    }
+}
+
+/// A `--scope` value.
+fn parse_scope(value: &str) -> Result<LbScope, CliError> {
+    match value {
+        "global" => Ok(LbScope::Global),
+        "local" => Ok(LbScope::Local),
+        other => err(format!("unknown scope '{other}'")),
+    }
+}
+
+/// The stack a `--mode`, `--lb` and `--gpu-policy` name.
+fn parse_stack(mode: &str, lb: &str, gpu: &str) -> Result<StackConfig, CliError> {
+    let stack = match mode {
+        "cuda" => StackConfig::cuda_runtime(),
+        "rain" => StackConfig::rain(parse_lb(lb)?),
+        "strings" => StackConfig::strings(parse_lb(lb)?),
+        other => return err(format!("unknown mode '{other}'")),
+    };
+    Ok(stack.with_gpu_policy(parse_gpu_policy(gpu)?))
+}
+
 /// Parse an application kind mnemonic (Table I two-letter code).
 pub fn parse_app(s: &str) -> Result<AppKind, CliError> {
     AppKind::ALL
@@ -275,7 +314,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeRun, CliError> {
     let mut mode = "strings".to_string();
     let mut lb = "gwtmin".to_string();
     let mut gpu = "none".to_string();
-    let mut nodes = 2usize;
+    let mut nodes = TopologySpec::supernode();
     let mut topology: Option<TopologySpec> = None;
     let mut placement = NodePolicy::RoundRobin;
     let mut node_metrics = false;
@@ -309,14 +348,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeRun, CliError> {
             }
             "--metrics-out" => metrics_out = Some(take()?.clone()),
             "--duration" => duration = SimDuration::parse(take()?).map_err(CliError)?,
-            "--tenants" => {
-                tenants = take()?
-                    .parse()
-                    .map_err(|_| CliError("bad --tenants".into()))?;
-                if tenants == 0 {
-                    return err("--tenants must be at least 1");
-                }
-            }
+            "--tenants" => tenants = parse_count(arg, take()?)?,
             "--apps" => {
                 apps = take()?
                     .split(',')
@@ -326,14 +358,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeRun, CliError> {
                     return err("--apps wants at least one app");
                 }
             }
-            "--queue-depth" => {
-                queue_depth = take()?
-                    .parse()
-                    .map_err(|_| CliError("bad --queue-depth".into()))?;
-                if queue_depth == 0 {
-                    return err("--queue-depth must be at least 1");
-                }
-            }
+            "--queue-depth" => queue_depth = parse_count(arg, take()?)?,
             "--rate-limit" => rate_limit = Some(RateLimit::parse(take()?).map_err(CliError)?),
             "--slo-target" => {
                 let d = SimDuration::parse(take()?).map_err(CliError)?;
@@ -343,55 +368,20 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeRun, CliError> {
                 slo_target = Some(d);
             }
             "--window" => window = SimDuration::parse(take()?).map_err(CliError)?,
-            "--server-threads" => {
-                server_threads = take()?
-                    .parse()
-                    .map_err(|_| CliError("bad --server-threads".into()))?;
-                if server_threads == 0 {
-                    return err("--server-threads must be at least 1");
-                }
-            }
+            "--server-threads" => server_threads = parse_count(arg, take()?)?,
             "--mode" => mode = take()?.clone(),
             "--lb" => lb = take()?.clone(),
             "--gpu-policy" => gpu = take()?.clone(),
-            "--nodes" => {
-                nodes = take()?
-                    .parse()
-                    .map_err(|_| CliError("bad --nodes".into()))?;
-                if !(1..=2).contains(&nodes) {
-                    return err("--nodes must be 1 or 2");
-                }
-            }
+            "--nodes" => nodes = parse_nodes(take()?)?,
             "--topology" => topology = Some(TopologySpec::parse(take()?).map_err(CliError)?),
             "--placement" => placement = NodePolicy::parse(take()?).map_err(CliError)?,
             "--node-metrics" => node_metrics = true,
-            "--threads" => {
-                let n: usize = take()?
-                    .parse()
-                    .map_err(|_| CliError("bad --threads".into()))?;
-                if n == 0 {
-                    return err("--threads must be at least 1");
-                }
-                threads = Some(n);
-            }
-            "--scope" => {
-                scope = match take()?.as_str() {
-                    "global" => LbScope::Global,
-                    "local" => LbScope::Local,
-                    other => return err(format!("unknown scope '{other}'")),
-                };
-            }
+            "--threads" => threads = Some(parse_count(arg, take()?)?),
+            "--scope" => scope = parse_scope(take()?)?,
             "--seed" => {
                 seed = take()?.parse().map_err(|_| CliError("bad --seed".into()))?;
             }
-            "--seeds" => {
-                n_seeds = take()?
-                    .parse()
-                    .map_err(|_| CliError("bad --seeds".into()))?;
-                if n_seeds == 0 {
-                    return err("--seeds must be at least 1");
-                }
-            }
+            "--seeds" => n_seeds = parse_count(arg, take()?)? as u64,
             "--trace" => trace = Some(take()?.clone()),
             "--faults" => faults = FaultPlan::parse(take()?).map_err(CliError)?,
             "--burn-alert" => {
@@ -465,23 +455,11 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeRun, CliError> {
         return err("--dump-at needs --dump PATH");
     }
 
-    let mut stack = match mode.as_str() {
-        "cuda" => StackConfig::cuda_runtime(),
-        "rain" => StackConfig::rain(parse_lb(&lb)?),
-        "strings" => StackConfig::strings(parse_lb(&lb)?),
-        other => return err(format!("unknown mode '{other}'")),
-    };
-    stack = stack.with_gpu_policy(parse_gpu_policy(&gpu)?);
+    let stack = parse_stack(&mode, &lb, &gpu)?;
 
     let process = ArrivalProcess::parse(&arrivals).map_err(CliError)?;
     // --topology wins over the --nodes 1|2 sugar when both are given.
-    let topo = topology.unwrap_or_else(|| {
-        if nodes == 2 {
-            TopologySpec::supernode()
-        } else {
-            TopologySpec::node_a()
-        }
-    });
+    let topo = topology.unwrap_or(nodes);
     faults
         .check_targets(topo.num_nodes(), topo.num_devices())
         .map_err(CliError)?;
@@ -562,7 +540,7 @@ pub fn parse_args(args: &[String]) -> Result<CliRun, CliError> {
     let mut gpu = "none".to_string();
     let mut feedback: Option<(LbPolicy, u64)> = None;
     let mut streams: Vec<StreamSpec> = Vec::new();
-    let mut nodes = 1usize;
+    let mut nodes = TopologySpec::node_a();
     let mut topology: Option<TopologySpec> = None;
     let mut scope = LbScope::Global;
     let mut vmem = false;
@@ -599,34 +577,14 @@ pub fn parse_args(args: &[String]) -> Result<CliRun, CliError> {
                 let tenant = streams.len() as u32;
                 streams.push(parse_stream(&spec, tenant)?);
             }
-            "--nodes" => {
-                nodes = take()?
-                    .parse()
-                    .map_err(|_| CliError("bad --nodes".into()))?;
-                if !(1..=2).contains(&nodes) {
-                    return err("--nodes must be 1 or 2");
-                }
-            }
+            "--nodes" => nodes = parse_nodes(take()?)?,
             "--topology" => topology = Some(TopologySpec::parse(take()?).map_err(CliError)?),
-            "--scope" => {
-                scope = match take()?.as_str() {
-                    "global" => LbScope::Global,
-                    "local" => LbScope::Local,
-                    other => return err(format!("unknown scope '{other}'")),
-                };
-            }
+            "--scope" => scope = parse_scope(take()?)?,
             "--vmem" => vmem = true,
             "--seed" => {
                 seed = take()?.parse().map_err(|_| CliError("bad --seed".into()))?;
             }
-            "--seeds" => {
-                n_seeds = take()?
-                    .parse()
-                    .map_err(|_| CliError("bad --seeds".into()))?;
-                if n_seeds == 0 {
-                    return err("--seeds must be at least 1");
-                }
-            }
+            "--seeds" => n_seeds = parse_count(arg, take()?)? as u64,
             "--trace" => trace = Some(take()?.clone()),
             other => return err(format!("unknown option '{other}'\n\n{USAGE}")),
         }
@@ -635,13 +593,7 @@ pub fn parse_args(args: &[String]) -> Result<CliRun, CliError> {
         streams.push(parse_stream("MC:10:1.5", 0)?);
     }
     // --topology wins over the --nodes 1|2 sugar when both are given.
-    let topo = topology.unwrap_or_else(|| {
-        if nodes == 2 {
-            TopologySpec::supernode()
-        } else {
-            TopologySpec::node_a()
-        }
-    });
+    let topo = topology.unwrap_or(nodes);
     let n_nodes = topo.num_nodes();
     for s in &streams {
         if s.node.0 as usize >= n_nodes {
@@ -652,13 +604,7 @@ pub fn parse_args(args: &[String]) -> Result<CliRun, CliError> {
         }
     }
 
-    let mut stack = match mode.as_str() {
-        "cuda" => StackConfig::cuda_runtime(),
-        "rain" => StackConfig::rain(parse_lb(&lb)?),
-        "strings" => StackConfig::strings(parse_lb(&lb)?),
-        other => return err(format!("unknown mode '{other}'")),
-    };
-    stack = stack.with_gpu_policy(parse_gpu_policy(&gpu)?);
+    let mut stack = parse_stack(&mode, &lb, &gpu)?;
     if let Some((p, m)) = feedback {
         if mode == "cuda" {
             return err("--feedback needs an interposed mode (rain/strings)");

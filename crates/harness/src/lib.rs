@@ -28,8 +28,10 @@
 #![deny(unsafe_code)]
 
 pub mod cli;
+mod cluster;
 pub mod experiments;
 pub mod explain;
+mod gpu;
 mod observe;
 pub mod scenario;
 pub mod serve;

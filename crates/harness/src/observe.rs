@@ -25,10 +25,11 @@
 //! own), and charges the residual to `Other` before the request span
 //! closes.
 
+use crate::gpu::Gpu;
 use crate::stats::RunStats;
 use crate::world::PlannedRequest;
 use cuda_sim::host::BlockOn;
-use gpu_sim::device::{CompletedJob, Device};
+use gpu_sim::device::CompletedJob;
 use gpu_sim::ids::{ContextId, JobId, StreamId};
 use gpu_sim::job::{CopyDirection, JobKind};
 use remoting::gpool::{Gid, NodeId, ShardedGPool};
@@ -887,7 +888,7 @@ impl Observers {
         &mut self,
         now: SimTime,
         run: [f64; RUN_FAMILIES.len()],
-        devices: &[Device],
+        gpus: &[Gpu],
         gpool: &ShardedGPool,
     ) {
         let Some(m) = self.metrics.as_mut() else {
@@ -895,8 +896,8 @@ impl Observers {
         };
         let r = &mut m.registry;
         set_all(r, m.run, run);
-        for (d, &ids) in devices.iter().zip(&m.gpu) {
-            let t = &d.telemetry;
+        for (g, &ids) in gpus.iter().zip(&m.gpu) {
+            let t = &g.device.telemetry;
             let values = [
                 t.compute.level_at(now),
                 t.copy.level_at(now),
@@ -909,7 +910,7 @@ impl Observers {
         for ((_, shard), &ids) in gpool.shards().zip(&m.node) {
             let (mut kernels, mut copies, mut occ) = (0u64, 0u64, 0.0f64);
             for e in shard.entries() {
-                let t = &devices[e.gid.index()].telemetry;
+                let t = &gpus[e.gid.index()].device.telemetry;
                 kernels += t.kernels_completed;
                 copies += t.copies_completed;
                 occ += t.compute.level_at(now);
@@ -941,7 +942,7 @@ impl Observers {
         &mut self,
         q: &EventQueue<E>,
         run: [f64; RUN_FAMILIES.len()],
-        devices: &[Device],
+        gpus: &[Gpu],
         gpool: &ShardedGPool,
         stats: &mut RunStats,
     ) {
@@ -953,7 +954,7 @@ impl Observers {
             eng.finish(now);
             self.drain_alert_transitions(q);
         }
-        self.sample(now, run, devices, gpool);
+        self.sample(now, run, gpus, gpool);
         stats.metrics = self.metrics.take().map(|m| m.registry);
         stats.alerts = self.alerts.take().map(|eng| eng.report());
         if self.flight.is_on() {

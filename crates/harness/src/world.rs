@@ -6,10 +6,14 @@
 //! runtime, Rain, or Strings) onto the simulated devices; completions wake
 //! blocked hosts; the dispatcher gates per-application streams each epoch.
 //!
-//! Everything is event-driven over one deterministic queue. The world owns
-//! all state (hosts, devices, mappers, schedulers, packers) and is the only
-//! mutator, so the borrow story stays simple and a run is exactly
-//! reproducible from its seed.
+//! Everything is event-driven over one deterministic queue, and a run is
+//! exactly reproducible from its seed. The executive is split along the
+//! paper's two scheduling tiers (§III): each device's state — the device,
+//! its scheduler, packer and registered apps, and the dispatcher epoch
+//! chain — is one `Gpu` (`crate::gpu`), and what spans nodes — the gPool,
+//! network, balancers and fault state — is the `Cluster`
+//! (`crate::cluster`). The world keeps the rest: the queue, the running
+//! requests, waiters, and the host, RPC and fault paths that drive them.
 //!
 //! The world observes nothing itself: it reports each step of a request's
 //! life once, as a typed `Step`, to its `Observers` (`crate::observe`),
@@ -17,6 +21,8 @@
 //! flight recorder and the burn-rate alerts. A request ends in exactly one
 //! place, `World::finish_request`, where the run's request counters move.
 
+use crate::cluster::Cluster;
+use crate::gpu::{ClockMarks, Gpu};
 use crate::observe::{Observers, Step, RUN_FAMILIES};
 use crate::scenario::{HostCosts, LbScope};
 use crate::stats::{PhaseProfile, RunStats, TenantOutcomes};
@@ -26,13 +32,11 @@ use cuda_sim::pending::PendingOps;
 use cuda_sim::program::HostOp;
 use cuda_sim::program::HostProgram;
 use cuda_sim::registry::ContextRegistry;
-use gpu_sim::device::{CompletedJob, Device, DeviceConfig};
+use gpu_sim::device::{CompletedJob, DeviceConfig};
 use gpu_sim::ids::{ContextId, StreamId};
-use gpu_sim::job::{CopyDirection, JobKind};
+use gpu_sim::job::JobKind;
 use remoting::backend::{BackendDesign, APP_PID_BASE, HOST_PID_BASE};
-use remoting::channel::ChannelSpec;
-use remoting::gpool::{Gid, NodeId, ShardedGPool};
-use remoting::network::NetworkSpec;
+use remoting::gpool::{Gid, NodeId};
 use remoting::rpc::CONTROL_BYTES;
 use remoting::telemetry::RpcCounters;
 use remoting::topology::TopologySpec;
@@ -41,13 +45,13 @@ use sim_core::fault::{FaultKind, FaultPlan};
 use sim_core::flight::{DumpReason, FlightRecorder};
 use sim_core::rng::SimRng;
 use sim_core::trace::Stage;
-use sim_core::{EventKey, SimDuration, SimTime};
+use sim_core::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use strings_core::admission::{AdmissionConfig, AdmissionController};
 use strings_core::config::{SchedulerMode, StackConfig};
-use strings_core::device_sched::{AppWork, GpuPolicy, GpuScheduler, Phase, TenantId};
-use strings_core::mapper::{GpuAffinityMapper, WorkloadClass};
-use strings_core::packer::{ContextPacker, PackedCall};
+use strings_core::device_sched::{GpuPolicy, TenantId};
+use strings_core::mapper::WorkloadClass;
+use strings_core::packer::PackedCall;
 use strings_metrics::alerts::{BurnRateConfig, BurnRateEngine};
 use strings_metrics::slo::SloRecord;
 use strings_metrics::CompletionSet;
@@ -134,6 +138,9 @@ pub struct PlannedRequest {
 /// `World::app_slot` entry of a request that holds no slab entry.
 const NO_SLOT: u32 = u32::MAX;
 
+/// Hard cap on processed events (runaway guard).
+const MAX_EVENTS: u64 = 500_000_000;
+
 /// A per-tenant-id table as a map of the tenants it holds a value for.
 fn dense_to_map<T: Copy>(dense: &[Option<T>]) -> BTreeMap<TenantId, T> {
     dense
@@ -190,12 +197,12 @@ struct AppInstance {
 }
 
 #[derive(Debug)]
-enum Event {
+pub(crate) enum Event {
     Arrival(u32),
     /// Host CPU phase ends (app, incarnation).
     HostWake(AppId, u32),
     /// A device's next self-event is due. Staleness is handled by the
-    /// queue: the wakeup is scheduled under the device's [`EventKey`], and
+    /// queue: the wakeup is scheduled under the device's key, and
     /// a cancelled or superseded one never pops from [`EventQueue::pop`].
     Device(u32),
     Epoch(u32),
@@ -218,6 +225,22 @@ enum Event {
     DumpAt,
 }
 
+impl Event {
+    /// The app and incarnation a request's event was scheduled under; it
+    /// is dropped once an abort, failover or fault has moved the app on.
+    fn stamp(&self) -> Option<(AppId, u32)> {
+        match *self {
+            Event::HostWake(app, inc)
+            | Event::Deliver(app, _, inc)
+            | Event::Reply(app, inc)
+            | Event::Deadline(app, inc, _)
+            | Event::Retry(app, inc, _)
+            | Event::Restart(app, inc) => Some((app, inc)),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Waiter {
     app: AppId,
@@ -228,30 +251,6 @@ struct Waiter {
     direct: bool,
 }
 
-/// Where a device's dispatcher epoch chain stands. The dispatcher re-decides
-/// the awake set every epoch (paper §III.C), but between device changes
-/// (register, unregister, submit, a device resync) its inputs stand still
-/// except for the LAS decay, so the executive pops an epoch only where the
-/// decision can change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EpochState {
-    /// No [`Event::Epoch`] is queued: no app is registered on the device,
-    /// or no device policy runs.
-    Disarmed,
-    /// An [`Event::Epoch`] is queued. `settled` holds while the gates in
-    /// force are the device's `applied_awake` set, derived for its current
-    /// app set; an app registering or unregistering clears it, and it is
-    /// never set while epoch decisions are traced.
-    Armed { settled: bool },
-    /// The settled pass at boundary `T` re-derived the awake set in force,
-    /// so until the device changes every later pass would too and only roll
-    /// the decay. No epoch is queued, except under LAS at the first boundary
-    /// where the decay ties the awake app with a lower-id ready one
-    /// ([`GpuScheduler::las_handover_in`]). [`World::wake_epoch`] replays
-    /// the skipped rolls and re-arms the chain on its original phase.
-    Parked(SimTime),
-}
-
 /// The executive. Its per-request state follows the requests in flight:
 /// a running request's `AppInstance` sits in a slab slot from its start
 /// until the event that finished it has been dispatched, and only the
@@ -259,48 +258,18 @@ enum EpochState {
 /// request.
 pub struct World {
     cfg: StackConfig,
-    scope: LbScope,
     costs: HostCosts,
-    /// Inter-node network: answers "which channel joins these two nodes?".
-    net: NetworkSpec,
-    /// The cluster gPool, sharded per node. The global map drives device
-    /// construction and failure bookkeeping; local-scope balancers see
-    /// their node's shard (same global GIDs — no renumbering anywhere).
-    gpool: ShardedGPool,
-    devices: Vec<Device>,
-    schedulers: Vec<GpuScheduler>,
-    packers: Vec<ContextPacker>,
-    device_apps: Vec<Vec<AppId>>,
-    /// Per-device dispatcher epoch chain (see [`EpochState`]).
-    epochs: Vec<EpochState>,
-    /// `(t, id)` for each distinct pop time `t` within the last epoch:
-    /// `id` is the queue's next event id when the clock reached `t`. Kept
-    /// only under a device policy (see [`World::epoch_precedes_current`]).
-    clock_marks: VecDeque<(SimTime, u64)>,
-    /// Per-device: the awake set the last full [`World::apply_gating`]
-    /// pass put in force. Meaningful while the device's epoch state is
-    /// settled; reused in place so the epoch path stays allocation-free.
-    applied_awake: Vec<Vec<AppId>>,
-    shared_ctx: Vec<Option<ContextId>>,
-    master_q: Vec<VecDeque<(AppId, PackedCall)>>,
-    master_stall: Vec<Option<BlockOn>>,
-    mappers: Vec<GpuAffinityMapper>,
+    /// Per device, by gid: the device and its scheduling state.
+    gpus: Vec<Gpu>,
+    /// The gPool, network, balancers and fault state.
+    cluster: Cluster,
+    /// Recent pop times, for parked epoch chains (see [`ClockMarks`]).
+    clock_marks: ClockMarks,
     registry: ContextRegistry,
     pending: PendingOps,
     queue: EventQueue<Event>,
-    /// One cancellable queue slot per device (wakeup self-events).
-    dev_keys: Vec<EventKey>,
-    /// One cancellable queue slot per device for a parked chain's queued
-    /// LAS handover, so a device change can withdraw it (none without a
-    /// device policy). Armed chains are never withdrawn; their epochs go to
-    /// the cheaper plain queue.
-    epoch_keys: Vec<EventKey>,
     /// Reusable completion buffer (avoids a fresh `Vec` per device sync).
     done_buf: Vec<CompletedJob>,
-    /// Reusable epoch buffers: the dispatcher's work snapshot and the
-    /// awake set. They keep the epoch path allocation-free.
-    work_buf: Vec<AppWork>,
-    awake_buf: Vec<AppId>,
     /// Reusable released-waiter buffer for [`World::check_waiters`].
     ready_buf: Vec<Waiter>,
     /// The requests in flight: a slab reached through `app_slot`, so it
@@ -318,16 +287,8 @@ pub struct World {
     retired: Vec<AppId>,
     waiters: Vec<Waiter>,
     requests: Vec<PlannedRequest>,
-    /// Injected faults for this run (virtual-time-stamped, seeded).
-    plan: FaultPlan,
     /// Failure-semantics RNG (backoff jitter); reseeded by the scenario.
     rng: SimRng,
-    /// Nodes lost to `FaultKind::NodeLoss` (frontends there are dead).
-    node_lost: Vec<bool>,
-    /// Per-node partition window end (0 = not partitioned).
-    partition_until: Vec<SimTime>,
-    /// Per-node link degradation window: (end, slowdown factor).
-    degrade: Vec<(SimTime, f64)>,
     slot_inflight: Vec<usize>,
     slot_backlog: Vec<VecDeque<usize>>,
     /// Serve-mode front door (None in batch scenarios: everything admits).
@@ -345,8 +306,6 @@ pub struct World {
     tenant_service: Vec<Option<u64>>,
     tenant_outcomes: Vec<Option<TenantOutcomes>>,
     stats: RunStats,
-    /// Hard cap on processed events (runaway guard).
-    max_events: u64,
     /// Every observability sink: trace, attribution, metrics, flight
     /// recorder and alerts.
     obs: Observers,
@@ -370,84 +329,30 @@ impl World {
         requests: Vec<PlannedRequest>,
         fairness_horizon: Option<SimTime>,
     ) -> World {
-        let nodes = topology.nodes();
-        let gpool = ShardedGPool::build(nodes);
-        let n = gpool.global().len();
-        assert!(n > 0, "topology has no GPUs");
-        let devices: Vec<Device> = gpool
-            .global()
-            .entries()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let mut d = Device::new(e.local, e.model.spec(), device_cfg);
-                // Disjoint JobId ranges per device: the pending-op tracker
-                // is keyed globally by JobId.
-                d.set_job_id_base(i as u32 * 0x0100_0000);
-                d
-            })
+        let cluster = Cluster::new(topology, &cfg, scope);
+        let entries = cluster.gpool.global().entries();
+        assert!(!entries.is_empty(), "topology has no GPUs");
+        let mut queue = EventQueue::new();
+        let gpus = (entries.iter().enumerate())
+            .map(|(gid, e)| Gpu::new(gid, e, device_cfg, &cfg, &mut queue))
             .collect();
-        let schedulers = (0..n)
-            .map(|_| GpuScheduler::new(cfg.gpu_policy, cfg.epoch.as_ns()))
-            .collect();
-        let packers = (0..n).map(|_| ContextPacker::new(cfg.packer)).collect();
-        // Workload balancers: one global, or one per node (local scope).
-        // Per-node balancers see their node's gPool shard, which keeps
-        // cluster-wide GIDs — selections need no renumbering.
-        let mut mappers = match (cfg.arbiter(), scope) {
-            (None, _) => Vec::new(),
-            (Some(arb), LbScope::Global) => vec![GpuAffinityMapper::new(gpool.global(), arb)],
-            (Some(arb), LbScope::Local) => nodes
-                .iter()
-                .map(|node| {
-                    GpuAffinityMapper::new(gpool.shard(node.id).expect("shard per node"), arb)
-                })
-                .collect(),
-        };
-        if let Some(cap) = topology.slices() {
-            for m in &mut mappers {
-                m.enable_slices(cap.units);
-            }
-        }
         let n_slots = requests.iter().map(|r| r.slot + 1).max().unwrap_or(1);
         let n_tenants = requests
             .iter()
             .map(|r| r.tenant.0 as usize + 1)
             .max()
             .unwrap_or(0);
-        let slot_inflight = vec![0; n_slots];
-        let slot_backlog = (0..n_slots).map(|_| VecDeque::new()).collect();
-        let mut queue = EventQueue::new();
-        let dev_keys = (0..n).map(|_| queue.register_key()).collect();
-        let epoch_keys = match cfg.gpu_policy {
-            GpuPolicy::None => Vec::new(),
-            _ => (0..n).map(|_| queue.register_key()).collect(),
-        };
+        let nodes = cluster.nodes();
         let mut world = World {
             cfg,
-            scope,
             costs,
-            net: topology.network().clone(),
-            gpool,
-            devices,
-            schedulers,
-            packers,
-            device_apps: vec![Vec::new(); n],
-            epochs: vec![EpochState::Disarmed; n],
-            applied_awake: vec![Vec::new(); n],
-            clock_marks: VecDeque::new(),
-            shared_ctx: vec![None; n],
-            master_q: (0..n).map(|_| VecDeque::new()).collect(),
-            master_stall: vec![None; n],
-            mappers,
+            gpus,
+            cluster,
+            clock_marks: ClockMarks::new(cfg.epoch.as_ns()),
             registry: ContextRegistry::new(),
             pending: PendingOps::new(),
             queue,
-            dev_keys,
-            epoch_keys,
             done_buf: Vec::new(),
-            work_buf: Vec::new(),
-            awake_buf: Vec::new(),
             ready_buf: Vec::new(),
             apps: Vec::new(),
             free_slots: Vec::new(),
@@ -455,13 +360,9 @@ impl World {
             retired: Vec::new(),
             waiters: Vec::new(),
             requests,
-            plan: FaultPlan::none(),
             rng: SimRng::new(0x5EED_FA17),
-            node_lost: vec![false; nodes.len()],
-            partition_until: vec![0; nodes.len()],
-            degrade: vec![(0, 1.0); nodes.len()],
-            slot_inflight,
-            slot_backlog,
+            slot_inflight: vec![0; n_slots],
+            slot_backlog: (0..n_slots).map(|_| VecDeque::new()).collect(),
             admission: None,
             request_log: false,
             next_stream: 1,
@@ -473,23 +374,31 @@ impl World {
                 completions: CompletionSet::new(n_slots),
                 ..Default::default()
             },
-            max_events: 500_000_000,
-            obs: Observers::new(nodes.len()),
+            obs: Observers::new(nodes),
             rpc: RpcCounters::default(),
             self_profile: false,
         };
         // Design II/III backends own one context per GPU, created when the
         // backend daemons spawn at gPool creation (before any request).
         if world.cfg.design.shares_context() {
-            for gid in 0..world.devices.len() {
+            for gid in 0..world.gpus.len() {
                 let pid = world.cfg.design.backend_process(AppId(0), gid);
-                let (ctx, fresh) = world.registry.get_or_create(pid, gid);
-                debug_assert!(fresh);
-                world.devices[gid].create_context(ctx);
-                world.shared_ctx[gid] = Some(ctx);
+                world.open_context(pid, gid);
             }
         }
         world
+    }
+
+    /// Process `pid`'s context on device `gid` and whether it is new; a new
+    /// one advances the device's generation, so pending wakeups go stale.
+    fn open_context(&mut self, pid: ProcessId, gid: usize) -> (ContextId, bool) {
+        let (ctx, fresh) = self.registry.get_or_create(pid, gid);
+        if fresh {
+            let g = &mut self.gpus[gid];
+            g.device.create_context(ctx);
+            self.queue.invalidate(g.key);
+        }
+        (ctx, fresh)
     }
 
     /// Turn on structured tracing: every device engine, scheduler, mapper
@@ -497,28 +406,18 @@ impl World {
     /// carries the recorded [`sim_core::trace::Trace`] with its
     /// attribution ledger. Call before [`World::run`].
     pub fn enable_tracing(&mut self) {
-        // Cluster runs (3+ nodes) prefix device tracks with their node so
-        // a 64×4 trace is filterable per node in Perfetto. The paper's
-        // single-node/supernode topologies keep the historical bare
-        // `GID{g}` names (pinned by fig02's glitch query and the
-        // committed goldens).
-        let device_names: Vec<String> = if self.node_lost.len() > 2 {
-            (0..self.devices.len())
-                .map(|gid| format!("node{}/GID{gid}", self.dev_node(Gid(gid as u32)).0))
-                .collect()
-        } else {
-            (0..self.devices.len()).map(|g| format!("GID{g}")).collect()
-        };
+        let device_names: Vec<String> = (0..self.gpus.len())
+            .map(|gid| self.cluster.device_name(gid))
+            .collect();
         let slots = self.slot_inflight.len();
-        let (devices, schedulers, mappers) =
-            (&mut self.devices, &mut self.schedulers, &mut self.mappers);
+        let (gpus, mappers) = (&mut self.gpus, &mut self.cluster.mappers);
         self.obs.trace(&self.requests, slots, |tracer| {
-            for (gid, d) in devices.iter_mut().enumerate() {
-                d.set_tracer(tracer.clone(), &device_names[gid]);
+            for (g, name) in gpus.iter_mut().zip(&device_names) {
+                g.device.set_tracer(tracer.clone(), name);
             }
-            for (gid, s) in schedulers.iter_mut().enumerate() {
-                let trk = tracer.track(device_names[gid].clone(), "scheduler");
-                s.set_tracer(tracer.clone(), trk);
+            for (g, name) in gpus.iter_mut().zip(&device_names) {
+                let trk = tracer.track(name.clone(), "scheduler");
+                g.scheduler.set_tracer(tracer.clone(), trk);
             }
             for (i, m) in mappers.iter_mut().enumerate() {
                 let trk = tracer.track("balancer", format!("mapper{i}"));
@@ -560,12 +459,7 @@ impl World {
     /// bad plan fails loudly before the run starts; panics with
     /// [`FaultPlan::check_targets`]'s message.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        if let Err(e) = plan.check_targets(self.node_lost.len(), self.devices.len()) {
-            panic!("{e}");
-        }
-        for ev in plan.events() {
-            self.plan.push(ev.at, ev.kind);
-        }
+        self.cluster.add_faults(plan);
     }
 
     /// Seed the failure-semantics RNG (backoff jitter). The scenario
@@ -594,7 +488,7 @@ impl World {
     /// always on at a default depth; `0` disables it entirely (the
     /// bench overhead gate's baseline). Call before [`World::run`].
     pub fn set_flight_depth(&mut self, depth: usize) {
-        self.obs.flight = FlightRecorder::new(self.node_lost.len(), depth);
+        self.obs.flight = FlightRecorder::new(self.cluster.nodes(), depth);
     }
 
     /// Install a burn-rate alert rule. Every terminal request outcome
@@ -650,12 +544,12 @@ impl World {
             self.stats.slo_records.reserve_exact(self.requests.len());
         }
         self.obs
-            .start(&self.requests, self.devices.len(), &self.gpool);
+            .start(&self.requests, self.gpus.len(), &self.cluster.gpool);
         // Arrivals wait in the queue's cursor, not in the queue: ids 0..N,
         // as if scheduled one by one here.
         self.queue
             .schedule_arrivals(self.requests.iter().map(|r| r.arrival), Event::Arrival);
-        for (i, ev) in self.plan.events().iter().enumerate() {
+        for (i, ev) in self.cluster.plan.events().iter().enumerate() {
             self.queue.schedule(ev.at, Event::Fault(i as u32));
         }
         if let Some(at) = self.obs.dump_at {
@@ -682,10 +576,10 @@ impl World {
                 break;
             };
             if self.cfg.gpu_policy != GpuPolicy::None {
-                self.mark_clock(now);
+                self.clock_marks.mark(&self.queue, now);
             }
             assert!(
-                self.queue.popped() < self.max_events,
+                self.queue.popped() < MAX_EVENTS,
                 "event budget exhausted at t={now}: likely livelock"
             );
             if self.self_profile {
@@ -732,7 +626,7 @@ impl World {
                     a.stream
                 );
             }
-            for (g, d) in self.devices.iter().enumerate() {
+            for (g, d) in self.gpus.iter().map(|g| &g.device).enumerate() {
                 eprintln!(
                     "device {g}: pending={} idle={} next={:?}",
                     d.total_pending(),
@@ -740,11 +634,8 @@ impl World {
                     d.next_event_time(self.queue.now())
                 );
             }
-            panic!(
-                "deadlock: {} of {} finished",
-                self.finished,
-                self.requests.len()
-            );
+            let (done, all) = (self.finished, self.requests.len());
+            panic!("deadlock: {done} of {all} finished");
         }
         // Every request finished, so every arrival popped.
         assert_eq!(self.queue.pending_arrivals(), 0, "arrivals left over");
@@ -765,22 +656,19 @@ impl World {
         self.stats.completed_requests = completed;
         self.stats.tenant_service_ns = dense_to_map(&self.tenant_service);
         self.stats.tenant_outcomes = dense_to_map(&self.tenant_outcomes);
-        self.stats.context_switches = self
-            .devices
-            .iter()
-            .map(|d| d.telemetry.context_switches)
-            .sum();
+        self.stats.rpc_timeouts = self.rpc.timeouts;
+        self.stats.rpc_retries = self.rpc.retries;
+        let devices = || self.gpus.iter().map(|g| &g.device);
+        self.stats.context_switches = devices().map(|d| d.telemetry.context_switches).sum();
         self.stats.clamped_events = self.queue.clamped();
-        self.stats.stream_rows = self.devices.iter().map(|d| d.stream_rows() as u64).sum();
+        self.stats.stream_rows = devices().map(|d| d.stream_rows() as u64).sum();
         self.stats.peak_app_slots = self.apps.len() as u64;
         self.stats.slo_records.shrink_to_fit();
         if let Some(adm) = &self.admission {
             self.stats.admission = Some(adm.stats());
         }
-        let run = self.run_sample();
-        let (devices, gpool) = (&self.devices, &self.gpool);
-        self.obs
-            .finish(&self.queue, run, devices, gpool, &mut self.stats);
+        let (run, gpool) = (self.run_sample(), &self.cluster.gpool);
+        (self.obs).finish(&self.queue, run, &self.gpus, gpool, &mut self.stats);
         if self.self_profile {
             prof.wall_ns = wall_start.elapsed().as_nanos() as u64;
             self.stats.self_profile = Some(prof);
@@ -792,10 +680,8 @@ impl World {
         // (kept in place, those raised the RSS of callers that hold many
         // runs' stats). Last, because the final metrics sample still
         // reads it.
-        self.stats.device_telemetry = self
-            .devices
-            .iter_mut()
-            .map(|d| std::mem::take(&mut d.telemetry).clone())
+        self.stats.device_telemetry = (self.gpus.iter_mut())
+            .map(|g| std::mem::take(&mut g.device.telemetry).clone())
             .collect();
         self.stats
     }
@@ -804,30 +690,22 @@ impl World {
     /// self-profiler can time each dispatch; early exits that were
     /// `continue`s in the loop body are plain returns here.
     fn dispatch(&mut self, now: SimTime, ev: Event) {
+        if let Some((app, inc)) = ev.stamp() {
+            if !self.live_incarnation(app, inc) {
+                return;
+            }
+        }
         match ev {
             Event::Arrival(idx) => self.on_arrival(idx as usize, now),
-            Event::HostWake(app, inc) => {
-                if !self.live_incarnation(app, inc) {
-                    return; // raced an abort or a failover replay
-                }
-                let a = self.app_mut(app);
-                a.host.wake_and_advance(now);
-                self.after_host_step(app, now);
+            Event::HostWake(app, _) => {
+                self.advance(app, now, true);
                 self.run_host(app, now);
             }
             Event::Device(gid) => self.sync_device(gid as usize, now),
             Event::Epoch(gid) => self.on_epoch(gid as usize, now),
             Event::Fault(idx) => self.on_plan_fault(idx as usize, now),
-            Event::Deliver(app, packed, inc) => {
-                if !self.live_incarnation(app, inc) {
-                    return; // packet outlived its sender
-                }
-                self.on_deliver(app, packed, now);
-            }
-            Event::Reply(app, inc) => {
-                if !self.live_incarnation(app, inc) {
-                    return; // reply raced an injected fault
-                }
+            Event::Deliver(app, packed, _) => self.on_deliver(app, packed, now),
+            Event::Reply(app, _) => {
                 self.rpc.replies += 1;
                 let gid = self.app(app).gid;
                 self.step(app.index(), Step::RpcReply { gid });
@@ -838,24 +716,17 @@ impl World {
                     a.host.state,
                     cuda_sim::host::HostState::Blocked(_)
                 ));
-                a.host.wake_and_advance(now);
-                self.after_host_step(app, now);
+                self.advance(app, now, true);
                 self.run_host(app, now);
             }
-            Event::Deadline(app, inc, attempt) => {
-                if !self.live_incarnation(app, inc) {
-                    return;
-                }
+            Event::Deadline(app, _, attempt) => {
                 let a = self.app(app);
                 if a.attempt != attempt || a.inflight.is_none() {
                     return; // the reply won the race
                 }
                 self.on_rpc_timeout(app, now);
             }
-            Event::Retry(app, inc, attempt) => {
-                if !self.live_incarnation(app, inc) {
-                    return;
-                }
+            Event::Retry(app, _, attempt) => {
                 let a = self.app(app);
                 if a.attempt != attempt {
                     return;
@@ -865,15 +736,10 @@ impl World {
                 };
                 self.send_rpc(app, packed, true, now);
             }
-            Event::Restart(app, inc) => {
-                if !self.live_incarnation(app, inc) {
-                    return; // a later fault overtook the failover
-                }
-                self.on_restart(app, now);
-            }
+            Event::Restart(app, _) => self.on_restart(app, now),
             Event::MetricsSample => {
-                self.obs
-                    .sample(now, self.run_sample(), &self.devices, &self.gpool);
+                let run = self.run_sample();
+                (self.obs).sample(now, run, &self.gpus, &self.cluster.gpool);
                 // Re-arm only while other work remains so the run can
                 // drain; the end-of-run sample closes the series.
                 if let Some(every) = self.obs.metrics_every.filter(|_| !self.queue.is_empty()) {
@@ -981,7 +847,9 @@ impl World {
     /// ([`Observers::wait_released`]).
     fn wait_released(&mut self, app: AppId, cond: BlockOn, rel: SimTime) {
         let a = entry_mut(&mut self.apps, &self.app_slot, app).expect("app exists");
-        let switching = a.gid.map(|g| &self.devices[g.index()].telemetry.switching);
+        let switching = a
+            .gid
+            .map(|g| &self.gpus[g.index()].device.telemetry.switching);
         let id = app.index() as u64;
         self.obs
             .wait_released(a.slot, id, &mut a.charged_to, cond, rel, switching);
@@ -1009,70 +877,28 @@ impl World {
         ]
     }
 
-    /// Schedule a reply stamped with the app's current incarnation.
-    fn schedule_reply(&mut self, app: AppId, at: SimTime) {
+    /// Schedule the backend's reply at `at`, stamped with the app's
+    /// current incarnation; the host's clock is RPC time until then.
+    fn reply_at(&mut self, app: AppId, at: SimTime) {
         let inc = self.app(app).incarnation;
         self.queue.schedule(at, Event::Reply(app, inc));
+        self.charge(app, Stage::Rpc, at);
     }
 
-    /// Schedule a host wake-up stamped with the current incarnation.
-    fn schedule_wake(&mut self, app: AppId, at: SimTime) {
-        let inc = self.app(app).incarnation;
-        self.queue.schedule(at, Event::HostWake(app, inc));
-    }
-
-    /// When the `a`↔`b` link is partitioned at `now`, the virtual time the
-    /// window heals; 0 otherwise. Same-node traffic never partitions.
-    fn link_partition_heal(&self, a: NodeId, b: NodeId, now: SimTime) -> SimTime {
-        if a == b {
-            return 0;
-        }
-        let until = |n: NodeId| self.partition_until.get(n.0 as usize).copied().unwrap_or(0);
-        let h = until(a).max(until(b));
-        if h > now {
-            h
-        } else {
-            0
-        }
-    }
-
-    /// Cross-node transfer slowdown factor at `now` (1.0 = healthy).
-    fn link_factor(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
-        if a == b {
-            return 1.0;
-        }
-        let f = |n: NodeId| {
-            self.degrade
-                .get(n.0 as usize)
-                .map_or(1.0, |(until, fac)| if *until > now { *fac } else { 1.0 })
-        };
-        f(a).max(f(b)).max(1.0)
-    }
-
-    /// Hosting node of a device.
-    fn dev_node(&self, gid: Gid) -> NodeId {
-        self.gpool.global().entry(gid).expect("gid in gmap").node
-    }
-
-    fn channel(&self, node: NodeId, gid: Gid) -> ChannelSpec {
-        self.net.channel(node, self.dev_node(gid))
-    }
-
-    /// Bulk copy payloads cross the *network* channel byte for byte, but a
-    /// same-node frontend/backend pair passes buffers through shared memory
-    /// zero-copy — only the control message is marshalled.
-    fn bulk_bytes(&self, node: NodeId, gid: Gid, bytes: u64) -> u64 {
-        if self.dev_node(gid) == node {
-            0
-        } else {
-            bytes
-        }
+    /// Keep `app`'s host on the CPU until `until`, when a wake-up stamped
+    /// with its incarnation advances it past the op.
+    fn busy_until(&mut self, app: AppId, until: SimTime) {
+        let a = self.app_mut(app);
+        a.host.start_cpu(until);
+        let inc = a.incarnation;
+        self.queue.schedule(until, Event::HostWake(app, inc));
+        self.charge(app, Stage::HostCpu, until);
     }
 
     fn on_arrival(&mut self, idx: usize, now: SimTime) {
         self.step(idx, Step::Arrival);
         let r = &self.requests[idx];
-        if self.node_lost[r.node.0 as usize] {
+        if self.cluster.is_lost(r.node) {
             // The frontend's node is gone: the request is lost on arrival.
             self.finish_request(idx, now, Step::LostAtArrival);
             return;
@@ -1098,7 +924,7 @@ impl World {
     }
 
     fn start_request(&mut self, idx: usize, now: SimTime) {
-        if self.node_lost[self.requests[idx].node.0 as usize] {
+        if self.cluster.is_lost(self.requests[idx].node) {
             // Queued behind a server thread when its node died.
             self.finish_request(idx, now, Step::LostQueued);
             return;
@@ -1151,10 +977,7 @@ impl World {
             let op = *a.host.current_op().expect("ready implies op");
             match op {
                 HostOp::CpuBusy(d) => {
-                    let until = now + d.as_ns().max(1);
-                    self.app_mut(app).host.start_cpu(until);
-                    self.schedule_wake(app, until);
-                    self.charge(app, Stage::HostCpu, until);
+                    self.busy_until(app, now + d.as_ns().max(1));
                     break;
                 }
                 HostOp::Cuda(call) => {
@@ -1178,21 +1001,22 @@ impl World {
     /// Advance past the current op after `cost_ns` of host work.
     fn busy_then_advance(&mut self, app: AppId, cost_ns: u64, now: SimTime) -> bool {
         if cost_ns == 0 {
-            self.app_mut(app).host.advance(now);
-            self.after_host_step(app, now);
+            self.advance(app, now, false);
             return true;
         }
-        let until = now + cost_ns;
-        // The wake event advances past the op.
-        self.app_mut(app).host.start_cpu(until);
-        self.schedule_wake(app, until);
-        self.charge(app, Stage::HostCpu, until);
+        self.busy_until(app, now + cost_ns);
         false
     }
 
-    /// Bookkeeping when a host finishes its program.
-    fn after_host_step(&mut self, app: AppId, now: SimTime) {
+    /// Move `app`'s host past its current op (out of a CPU phase or a
+    /// block when `wake`), and finish the request if its program is done.
+    fn advance(&mut self, app: AppId, now: SimTime, wake: bool) {
         let a = self.app_mut(app);
+        if wake {
+            a.host.wake_and_advance(now);
+        } else {
+            a.host.advance(now);
+        }
         if a.host.is_done() {
             let latency = a.host.turnaround_ns().expect("done");
             // The program has run: free it now rather than at end of run.
@@ -1260,7 +1084,7 @@ impl World {
         match call {
             CudaCall::SetDevice { device } => {
                 let a = self.app(app);
-                let local = self.gpool.global().local_gids(a.node);
+                let local = self.cluster.gpool.global().local_gids(a.node);
                 assert!(!local.is_empty(), "node without GPUs");
                 let gid = local[(device as usize) % local.len()];
                 self.bind_direct(app, gid);
@@ -1268,42 +1092,24 @@ impl World {
             }
             CudaCall::Malloc { bytes } => {
                 let (gid, ctx) = self.binding(app);
-                if self.devices[gid.index()].alloc(ctx, bytes).is_err() {
+                if self.gpus[gid.index()].device.alloc(ctx, bytes).is_err() {
                     self.stats.oom_events += 1;
                 }
                 self.busy_then_advance(app, self.costs.malloc_ns, now)
             }
             CudaCall::Free { bytes } => {
                 let (gid, ctx) = self.binding(app);
-                self.devices[gid.index()].free(ctx, bytes);
-                self.app_mut(app).host.advance(now);
-                self.after_host_step(app, now);
+                self.gpus[gid.index()].device.free(ctx, bytes);
+                self.advance(app, now, false);
                 true
             }
-            CudaCall::Memcpy { dir, bytes } => {
-                let jid = self.submit_job(
-                    app,
-                    JobKind::Copy {
-                        dir,
-                        bytes,
-                        pinned: false,
-                    },
-                    true,
-                    now,
-                );
-                self.block_or_advance(app, BlockOn::Job(jid), 0, now)
-            }
-            CudaCall::MemcpyAsync { dir, bytes } => {
-                self.submit_job(
-                    app,
-                    JobKind::Copy {
-                        dir,
-                        bytes,
-                        pinned: false,
-                    },
-                    false,
-                    now,
-                );
+            CudaCall::Memcpy { dir, bytes } | CudaCall::MemcpyAsync { dir, bytes } => {
+                let sync = matches!(call, CudaCall::Memcpy { .. });
+                let pinned = false;
+                let jid = self.submit_job(app, JobKind::Copy { dir, bytes, pinned }, sync, now);
+                if sync {
+                    return self.block_or_advance(app, BlockOn::Job(jid), 0, now);
+                }
                 self.app_mut(app).host.advance(now);
                 true
             }
@@ -1323,14 +1129,14 @@ impl World {
             CudaCall::ThreadExit => {
                 let (gid, ctx) = self.binding(app);
                 self.registry.destroy(ctx);
-                self.devices[gid.index()].destroy_context(ctx);
+                let g = &mut self.gpus[gid.index()];
+                g.device.destroy_context(ctx);
                 // destroy_context advanced the device generation; pending
                 // wakeups are stale (historical semantics: discarded unrun).
-                self.queue.invalidate(self.dev_keys[gid.index()]);
+                self.queue.invalidate(g.key);
                 self.pending.forget_ctx(ctx);
                 self.obs.ctx_destroyed(ctx, self.app(app).stream);
-                self.app_mut(app).host.advance(now);
-                self.after_host_step(app, now);
+                self.advance(app, now, false);
                 true
             }
         }
@@ -1338,13 +1144,7 @@ impl World {
 
     fn bind_direct(&mut self, app: AppId, gid: Gid) {
         let pid = ProcessId(APP_PID_BASE + app.0);
-        let (ctx, fresh) = self.registry.get_or_create(pid, gid.index());
-        if fresh {
-            self.devices[gid.index()].create_context(ctx);
-            // create_context advanced the device generation; mirror the
-            // historical semantics (pending wakeups became stale).
-            self.queue.invalidate(self.dev_keys[gid.index()]);
-        }
+        let (ctx, _) = self.open_context(pid, gid.index());
         let a = self.app_mut(app);
         a.gid = Some(gid);
         a.ctx = Some(ctx);
@@ -1358,7 +1158,7 @@ impl World {
             return self.interposed_bind(app, now);
         }
         let (gid, _) = self.binding(app);
-        let packed = self.packers[gid.index()].transform(app, call);
+        let packed = self.gpus[gid.index()].packer.transform(app, call);
         let blocks = packed.host_blocks || packed.call.has_output();
         if blocks {
             // The blocking call is kept in-flight for retransmission: if
@@ -1373,8 +1173,7 @@ impl World {
         if blocks {
             false
         } else {
-            self.app_mut(app).host.advance(now);
-            self.after_host_step(app, now);
+            self.advance(app, now, false);
             true
         }
     }
@@ -1389,9 +1188,10 @@ impl World {
             let a = self.app(app);
             (a.node, a.incarnation)
         };
-        let dev_node = self.dev_node(gid);
+        let dev_node = self.cluster.dev_node(gid);
+        let heal = self.cluster.link_partition_heal(node, dev_node, now);
         let policy = self.cfg.retry;
-        if blocks && policy.is_enabled() && self.link_partition_heal(node, dev_node, now) > now {
+        if blocks && policy.is_enabled() && heal > now {
             // The packet is dropped on the floor; only the deadline tells.
             self.rpc.sent += 1;
             self.rpc.dropped += 1;
@@ -1402,16 +1202,9 @@ impl World {
                 .schedule(now + policy.deadline_ns, Event::Deadline(app, inc, attempt));
             return;
         }
-        let chan = self.channel(node, gid);
-        let control = CONTROL_BYTES;
-        let payload = self.bulk_bytes(node, gid, packed.call.rpc_payload_bytes());
-        let factor = self.link_factor(node, dev_node, now);
-        let base = chan.transfer_ns(control + payload);
-        let transfer = if factor > 1.0 {
-            (base as f64 * factor).round() as u64
-        } else {
-            base
-        };
+        let bytes =
+            CONTROL_BYTES + (self.cluster).bulk_bytes(node, gid, packed.call.rpc_payload_bytes());
+        let (transfer, stretched) = self.cluster.wire_ns(node, gid, bytes, now);
         let deliver_ns = self.cfg.rpc.send_overhead_ns(&packed.call)
             + transfer
             + self.cfg.rpc.recv_overhead_ns(&packed.call);
@@ -1420,18 +1213,16 @@ impl World {
         let mut at = (now + deliver_ns).max(self.app(app).last_deliver.saturating_add(1));
         // Non-blocking sends (or blocking with retry disabled) queue up
         // behind a partition and drain when the window heals.
-        let heal = self.link_partition_heal(node, dev_node, now);
         if heal > now {
             at = at.max(heal.saturating_add(deliver_ns));
         }
-        if factor > 1.0 || heal > now {
+        if stretched || heal > now {
             self.app_mut(app).degraded = true;
         }
         self.app_mut(app).last_deliver = at;
         self.queue.schedule(at, Event::Deliver(app, packed, inc));
         self.rpc.sent += 1;
-        self.rpc.bytes += control + payload;
-        let bytes = control + payload;
+        self.rpc.bytes += bytes;
         self.step(app.index(), Step::RpcSend { gid, bytes });
         if blocks {
             // The host is parked on the reply: its clock is RPC time
@@ -1444,7 +1235,6 @@ impl World {
     /// exponential backoff while the policy allows, then declare the
     /// backend dead (`Step::RetriesExhausted`) and fail over.
     fn on_rpc_timeout(&mut self, app: AppId, now: SimTime) {
-        self.stats.rpc_timeouts += 1;
         self.rpc.timeouts += 1;
         let (inc, attempt) = {
             let a = self.app(app);
@@ -1454,21 +1244,14 @@ impl World {
         let policy = self.cfg.retry;
         let next = attempt + 1;
         if policy.allows(next) {
-            let backoff = policy.backoff_ns(next, &mut self.rng);
-            self.stats.rpc_retries += 1;
+            let (attempt, backoff) = (next, policy.backoff_ns(next, &mut self.rng));
             self.rpc.retries += 1;
             let a = self.app_mut(app);
-            a.attempt = next;
+            a.attempt = attempt;
             a.disrupted = true;
-            self.step(
-                app.index(),
-                Step::RpcRetry {
-                    attempt: next,
-                    backoff,
-                },
-            );
+            self.step(app.index(), Step::RpcRetry { attempt, backoff });
             self.queue
-                .schedule(now + backoff, Event::Retry(app, inc, next));
+                .schedule(now + backoff, Event::Retry(app, inc, attempt));
         } else {
             let step = Step::RetriesExhausted { attempts: attempt };
             self.step(app.index(), step);
@@ -1477,23 +1260,25 @@ impl World {
     }
 
     /// The interposed `cudaSetDevice` life cycle: balancer query, backend
-    /// binding, RM registration handshake.
+    /// binding, RM registration handshake. A request whose balancer has
+    /// no live device left fails here.
     fn interposed_bind(&mut self, app: AppId, now: SimTime) -> bool {
         let (class, node, tenant, weight) = {
             let a = self.app(app);
             (a.class, a.node, a.tenant, a.weight)
         };
-        let gid = self.select_gid(app, class, node, now);
-        // Bind the app's backend worker.
-        let pid = self.cfg.design.backend_process(app, gid.index());
-        let (ctx, fresh) = self.registry.get_or_create(pid, gid.index());
-        if fresh {
-            self.devices[gid.index()].create_context(ctx);
-            // create_context advanced the device generation; mirror the
-            // historical semantics (pending wakeups became stale).
-            self.queue.invalidate(self.dev_keys[gid.index()]);
+        if !self.has_live_target(node) {
+            self.abort_app(app, now);
+            return false;
         }
-        let stream = if self.packers[gid.index()].uses_private_streams() {
+        let m = self.cluster.mapper(node).expect("live target");
+        let gid = m.select_device(class, node);
+        m.bind(gid, class);
+        m.note_placement(now, app.index() as u64, class, node, gid);
+        // Bind the app's backend worker.
+        let g = gid.index();
+        let (ctx, fresh) = self.open_context(self.cfg.design.backend_process(app, g), g);
+        let stream = if self.gpus[g].packer.uses_private_streams() {
             let s = StreamId(self.next_stream);
             self.next_stream += 1;
             s
@@ -1506,19 +1291,16 @@ impl World {
             a.ctx = Some(ctx);
             a.stream = stream;
         }
-        *self
-            .stats
-            .placements
-            .entry((self.app(app).slot, gid.index()))
-            .or_insert(0) += 1;
+        let placement = (self.app(app).slot, g);
+        *self.stats.placements.entry(placement).or_insert(0) += 1;
         self.step(app.index(), Step::Bind { gid });
         // Request Manager registration (RT-signal three-way handshake).
-        let g = gid.index();
         self.wake_epoch(g, now, true);
-        self.schedulers[g]
+        let gpu = &mut self.gpus[g];
+        (gpu.scheduler)
             .register(app, stream, tenant, weight, now)
             .expect("RT signal space exhausted");
-        self.device_apps[g].push(app);
+        gpu.apps.push((app, ctx, stream));
         let setup = if fresh {
             self.costs.ctx_create_ns
         } else {
@@ -1528,40 +1310,6 @@ impl World {
         self.busy_then_advance(app, cost, now)
     }
 
-    fn select_gid(&mut self, app: AppId, class: WorkloadClass, node: NodeId, now: SimTime) -> Gid {
-        let request = app.index() as u64;
-        // Per-node shards carry cluster-wide GIDs, so both scopes speak
-        // the same id space and nothing is renumbered.
-        let m = match self.scope {
-            LbScope::Global => &mut self.mappers[0],
-            LbScope::Local => &mut self.mappers[node.0 as usize],
-        };
-        let gid = m.select_device(class, node);
-        m.bind(gid, class);
-        m.note_placement(now, request, class, node, gid);
-        gid
-    }
-
-    fn unbind_gid(&mut self, gid: Gid, node: NodeId, class: WorkloadClass) {
-        match self.scope {
-            LbScope::Global => self.mappers[0].unbind(gid, class),
-            LbScope::Local => self.mappers[node.0 as usize].unbind(gid, class),
-        }
-    }
-
-    fn feedback_to_mapper(
-        &mut self,
-        node: NodeId,
-        gid: Gid,
-        class: WorkloadClass,
-        rec: strings_core::mapper::FeedbackRecord,
-    ) {
-        match self.scope {
-            LbScope::Global => self.mappers[0].feedback(class, gid, rec),
-            LbScope::Local => self.mappers[node.0 as usize].feedback(class, gid, rec),
-        }
-    }
-
     /// A call arrives at the backend daemon.
     fn on_deliver(&mut self, app: AppId, packed: PackedCall, now: SimTime) {
         self.rpc.delivered += 1;
@@ -1569,7 +1317,7 @@ impl World {
         let ordinal = self.rpc.delivered;
         self.step(app.index(), Step::RpcDeliver { gid, ordinal });
         if self.cfg.design == BackendDesign::SingleMaster {
-            self.master_q[gid.index()].push_back((app, packed));
+            self.gpus[gid.index()].master_q.push_back((app, packed));
             self.pump_master(gid.index(), now);
         } else {
             self.exec_backend(app, packed, now);
@@ -1579,14 +1327,11 @@ impl World {
     /// Design II: the single master thread dispatches serially and stalls
     /// on blocking synchronization.
     fn pump_master(&mut self, gid: usize, now: SimTime) {
-        while self.master_stall[gid].is_none() {
-            let Some((app, packed)) = self.master_q[gid].pop_front() else {
+        while self.gpus[gid].master_stall.is_none() {
+            let Some((app, packed)) = self.gpus[gid].master_q.pop_front() else {
                 break;
             };
-            let stall = self.exec_backend(app, packed, now);
-            if let Some(cond) = stall {
-                self.master_stall[gid] = Some(cond);
-            }
+            self.gpus[gid].master_stall = self.exec_backend(app, packed, now);
         }
     }
 
@@ -1595,32 +1340,17 @@ impl World {
     fn exec_backend(&mut self, app: AppId, packed: PackedCall, now: SimTime) -> Option<BlockOn> {
         let (gid, ctx) = self.binding(app);
         let blocks = packed.host_blocks || packed.call.has_output();
-        let a = self.app(app);
-        let node = a.node;
-        let chan = self.channel(node, gid);
-        let dev_node = self.dev_node(gid);
-        let ret = self.bulk_bytes(node, gid, packed.call.rpc_return_bytes());
-        let factor = self.link_factor(node, dev_node, now);
-        let ret_base = chan.transfer_ns(ret);
-        let ret_ns = if factor > 1.0 {
+        let node = self.app(app).node;
+        let ret = (self.cluster).bulk_bytes(node, gid, packed.call.rpc_return_bytes());
+        let (ret_ns, stretched) = self.cluster.wire_ns(node, gid, ret, now);
+        if stretched {
             self.app_mut(app).degraded = true;
-            (ret_base as f64 * factor).round() as u64
-        } else {
-            ret_base
-        };
+        }
         let reply_ns = ret_ns + self.cfg.rpc.reply_overhead_ns(&packed.call);
         match packed.call {
             CudaCall::Memcpy { dir, bytes } | CudaCall::MemcpyAsync { dir, bytes } => {
-                let jid = self.submit_job(
-                    app,
-                    JobKind::Copy {
-                        dir,
-                        bytes,
-                        pinned: packed.pinned,
-                    },
-                    blocks,
-                    now,
-                );
+                let pinned = packed.pinned;
+                let jid = self.submit_job(app, JobKind::Copy { dir, bytes, pinned }, blocks, now);
                 if blocks {
                     self.wait_or_reply(app, BlockOn::Job(jid), reply_ns, now);
                 }
@@ -1642,26 +1372,22 @@ impl World {
                 (!self.pending.is_satisfied(cond)).then_some(cond)
             }
             CudaCall::Malloc { bytes } => {
-                if self.devices[gid.index()].alloc(ctx, bytes).is_err() {
+                if self.gpus[gid.index()].device.alloc(ctx, bytes).is_err() {
                     self.stats.oom_events += 1;
                 }
-                let at = now + reply_ns + self.costs.malloc_ns;
-                self.schedule_reply(app, at);
-                self.charge(app, Stage::Rpc, at);
+                self.reply_at(app, now + reply_ns + self.costs.malloc_ns);
                 None
             }
             CudaCall::Free { bytes } => {
-                self.devices[gid.index()].free(ctx, bytes);
+                self.gpus[gid.index()].device.free(ctx, bytes);
                 if blocks {
-                    self.schedule_reply(app, now + reply_ns);
-                    self.charge(app, Stage::Rpc, now + reply_ns);
+                    self.reply_at(app, now + reply_ns);
                 }
                 None
             }
             CudaCall::ThreadExit => {
                 self.backend_thread_exit(app, gid, ctx, now);
-                self.schedule_reply(app, now + reply_ns);
-                self.charge(app, Stage::Rpc, now + reply_ns);
+                self.reply_at(app, now + reply_ns);
                 None
             }
             CudaCall::SetDevice { .. } => {
@@ -1677,17 +1403,17 @@ impl World {
         };
         // Feedback Engine: piggyback the record, then unregister.
         self.wake_epoch(gid.index(), now, true);
-        if let Some(rec) = self.schedulers[gid.index()].unregister(app, now) {
-            if !self.mappers.is_empty() {
-                self.feedback_to_mapper(node, gid, class, rec);
+        let rec = self.gpus[gid.index()].unregister(app, now);
+        if let Some(m) = self.cluster.mapper(node) {
+            if let Some(rec) = rec {
+                m.feedback(class, gid, rec);
             }
+            m.unbind(gid, class);
         }
-        self.device_apps[gid.index()].retain(|a| *a != app);
-        self.unbind_gid(gid, node, class);
         if !self.cfg.design.shares_context() {
             // Design I: the app's private backend process and context die.
             self.registry.destroy(ctx);
-            self.devices[gid.index()].destroy_context(ctx);
+            self.gpus[gid.index()].device.destroy_context(ctx);
             self.pending.forget_ctx(ctx);
             self.sync_device(gid.index(), now);
             // After the sync: it may still harvest the context's last work.
@@ -1697,7 +1423,7 @@ impl World {
             // private stream does not; without this every app that ever
             // ran keeps a row the device walks on each step.
             let stream = self.app(app).stream;
-            self.devices[gid.index()].drop_stream(ctx, stream);
+            self.gpus[gid.index()].device.drop_stream(ctx, stream);
             self.obs.stream_dropped(ctx, stream);
         }
     }
@@ -1725,7 +1451,7 @@ impl World {
         let (gid, ctx) = self.binding(app);
         let stream = self.app(app).stream;
         self.wake_epoch(gid.index(), now, false);
-        let jid = self.devices[gid.index()]
+        let jid = (self.gpus[gid.index()].device)
             .submit(ctx, stream, kind, app.0 as u64, now)
             .expect("submit to bound context");
         if awaited {
@@ -1742,8 +1468,7 @@ impl World {
     fn block_or_advance(&mut self, app: AppId, cond: BlockOn, reply_ns: u64, now: SimTime) -> bool {
         if self.pending.is_satisfied(cond) {
             self.wait_released(app, cond, now);
-            self.app_mut(app).host.advance(now);
-            self.after_host_step(app, now);
+            self.advance(app, now, false);
             return true;
         }
         self.app_mut(app).host.block(cond);
@@ -1760,8 +1485,7 @@ impl World {
     fn wait_or_reply(&mut self, app: AppId, cond: BlockOn, reply_ns: u64, now: SimTime) {
         if self.pending.is_satisfied(cond) {
             self.wait_released(app, cond, now);
-            self.charge(app, Stage::Rpc, now + reply_ns);
-            self.schedule_reply(app, now + reply_ns);
+            self.reply_at(app, now + reply_ns);
         } else {
             self.waiters.push(Waiter {
                 app,
@@ -1776,15 +1500,16 @@ impl World {
     /// reschedule its next event.
     fn sync_device(&mut self, gid: usize, now: SimTime) {
         self.wake_epoch(gid, now, false);
-        self.devices[gid].step(now);
+        let g = &mut self.gpus[gid];
+        g.device.step(now);
         // step() advanced the device's generation: every wakeup scheduled
         // before this point is now stale. Cancel them in the queue (they
         // die at their original pop slot) instead of dispatching them.
-        self.queue.invalidate(self.dev_keys[gid]);
+        self.queue.invalidate(g.key);
         // Reuse one completion buffer across syncs; a nested sync (a woken
         // host resubmitting) takes an empty stand-in and is still correct.
         let mut done = std::mem::take(&mut self.done_buf);
-        self.devices[gid].take_completions_into(&mut done);
+        g.device.take_completions_into(&mut done);
         let any = !done.is_empty();
         for c in &done {
             self.pending.complete(c.job.id);
@@ -1798,8 +1523,9 @@ impl World {
             }
             // Rain cannot separate context-switch overhead from measured
             // service (paper §V.D.1): its monitors over-report.
+            let g = &mut self.gpus[gid];
             let measured = if self.cfg.service_includes_switch_overhead {
-                service + self.devices[gid].config().context_switch_ns / 4
+                service + g.device.config().context_switch_ns / 4
             } else {
                 service
             };
@@ -1807,40 +1533,44 @@ impl World {
                 JobKind::Copy { bytes, .. } => (true, bytes),
                 JobKind::Kernel(_) => (false, 0),
             };
-            self.schedulers[gid].record_service(app, measured, is_transfer, bytes);
+            g.scheduler
+                .record_service(app, measured, is_transfer, bytes);
         }
         // Return the buffer before any re-entrant path can need it.
         done.clear();
         self.done_buf = done;
         if any {
             self.check_waiters(now);
-            self.maybe_retick(gid, now);
+            // Everything dispatchable gated while work exists: re-run the
+            // dispatcher now (work conservation between epochs).
+            if self.gpus[gid].needs_retick(now) {
+                self.apply_gating(gid, now, false);
+            }
         }
-        if let Some(t) = self.devices[gid].next_event_time(now) {
+        let g = &self.gpus[gid];
+        if let Some(t) = g.device.next_event_time(now) {
             let t = t.max(now);
-            // A nested resync of this device (check_waiters or maybe_retick
+            // A nested resync of this device (check_waiters or the retick
             // above) may already have scheduled this very wakeup. Keep it:
             // superseding it with a copy would take a new event id and
             // change the cause links of everything the wakeup schedules.
-            let key = self.dev_keys[gid];
-            if self.queue.parked_at(key) != Some(t) {
-                self.queue.schedule_keyed(key, t, Event::Device(gid as u32));
+            if self.queue.parked_at(g.key) != Some(t) {
+                self.queue
+                    .schedule_keyed(g.key, t, Event::Device(gid as u32));
             }
         }
         // Design II masters may unstall when pending work drains.
-        if self.cfg.design == BackendDesign::SingleMaster {
-            if let Some(cond) = self.master_stall[gid] {
-                if self.pending.is_satisfied(cond) {
-                    self.master_stall[gid] = None;
-                    self.pump_master(gid, now);
-                }
+        if let Some(cond) = self.gpus[gid].master_stall {
+            if self.pending.is_satisfied(cond) {
+                self.gpus[gid].master_stall = None;
+                self.pump_master(gid, now);
             }
         }
     }
 
     /// One injected fault from the plan fires.
     fn on_plan_fault(&mut self, idx: usize, now: SimTime) {
-        let ev = self.plan.events()[idx];
+        let ev = self.cluster.plan.events()[idx];
         // The record lands in the struck node's ring; device faults land
         // on the device's hosting node.
         let ring = match ev.kind {
@@ -1848,7 +1578,7 @@ impl World {
             | FaultKind::LinkDegraded { node, .. }
             | FaultKind::Partition { node, .. } => node,
             FaultKind::BackendCrash { gid } | FaultKind::DeviceFailure { gid } => {
-                self.gpool.global().entry(Gid(gid)).map_or(0, |e| e.node.0)
+                (self.cluster.gpool.global().entry(Gid(gid))).map_or(0, |e| e.node.0)
             }
         };
         self.obs.fault(&self.queue, NodeId(ring), ev.kind);
@@ -1858,15 +1588,7 @@ impl World {
             FaultKind::NodeLoss { node } => self.on_node_loss(NodeId(node), now),
             // Targets were checked against the topology when the plan was
             // installed.
-            FaultKind::LinkDegraded {
-                node,
-                factor,
-                for_ns,
-            } => self.degrade[node as usize] = (now.saturating_add(for_ns), factor.max(1.0)),
-            FaultKind::Partition { node, for_ns } => {
-                let until = &mut self.partition_until[node as usize];
-                *until = (*until).max(now.saturating_add(for_ns));
-            }
+            kind => self.cluster.strike_link(kind, now),
         }
         // Trigger after the handler so the fault-class dump window
         // includes the blast radius (aborts, failovers) just recorded.
@@ -1881,10 +1603,10 @@ impl World {
     /// lost, but its siblings' frontends reconnect to the respawned
     /// process and replay (disrupted, not lost).
     fn on_backend_crash(&mut self, gid: usize, now: SimTime) {
-        if gid >= self.devices.len() {
+        let Some(g) = self.gpus.get(gid) else {
             return;
-        }
-        let mut bound = self.device_apps[gid].clone();
+        };
+        let mut bound: Vec<AppId> = g.apps.iter().map(|&(app, ..)| app).collect();
         bound.sort();
         if bound.is_empty() {
             return;
@@ -1894,8 +1616,8 @@ impl World {
                 for app in bound {
                     self.abort_app(app, now);
                 }
-                self.master_q[gid].clear();
-                self.master_stall[gid] = None;
+                self.gpus[gid].master_q.clear();
+                self.gpus[gid].master_stall = None;
             }
             BackendDesign::PerAppProcess => {
                 self.abort_app(bound[0], now);
@@ -1916,28 +1638,19 @@ impl World {
     /// guarantee), the balancer retires its DST row, and every bound
     /// application fails over to a survivor.
     fn on_device_failure(&mut self, gid: Gid, now: SimTime) {
-        if self.gpool.global().entry(gid).is_none() || self.gpool.global().is_lost(gid) {
-            return;
+        if self.cluster.fail_device(gid, now) {
+            self.note_gmap_rebuild(now);
+            self.fail_bound_apps(gid, now);
         }
-        self.gpool.fail_device(gid).expect("known gid");
-        self.retire_gid(gid, now);
-        self.note_gmap_rebuild(now);
-        self.fail_bound_apps(gid, now);
     }
 
     /// A whole node drops out of the supernode: its devices leave the
     /// pool, its frontends die (their requests are lost outright), and
     /// remote applications bound to its devices fail over.
     fn on_node_loss(&mut self, node: NodeId, now: SimTime) {
-        let n = node.0 as usize;
-        if n >= self.node_lost.len() || self.node_lost[n] {
+        let Some(newly) = self.cluster.lose_node(node, now) else {
             return;
-        }
-        self.node_lost[n] = true;
-        let newly = self.gpool.fail_node(node);
-        for gid in &newly {
-            self.retire_gid(*gid, now);
-        }
+        };
         if !newly.is_empty() {
             self.note_gmap_rebuild(now);
         }
@@ -1952,35 +1665,14 @@ impl World {
 
     fn note_gmap_rebuild(&mut self, now: SimTime) {
         self.stats.gmap_rebuilds += 1;
-        let survivors = self.gpool.global().live_len();
+        let survivors = self.cluster.gpool.global().live_len();
         self.obs.gmap_rebuild(now, survivors);
-    }
-
-    /// Retire a lost device in whichever mapper owns it (both scopes use
-    /// the pool-wide GID — shards are not renumbered).
-    fn retire_gid(&mut self, gid: Gid, now: SimTime) {
-        if self.mappers.is_empty() {
-            return;
-        }
-        match self.scope {
-            LbScope::Global => self.mappers[0].retire(now, gid),
-            LbScope::Local => {
-                let node = self.dev_node(gid);
-                self.mappers[node.0 as usize].retire(now, gid);
-            }
-        }
     }
 
     /// Whether an application fronted on `node` can be re-placed after
     /// losing its device (needs a balancer and a surviving device).
     fn has_live_target(&self, node: NodeId) -> bool {
-        if self.cfg.mode == SchedulerMode::CudaRuntime || self.mappers.is_empty() {
-            return false;
-        }
-        match self.scope {
-            LbScope::Global => self.mappers[0].has_live_device(),
-            LbScope::Local => self.mappers[node.0 as usize].has_live_device(),
-        }
+        self.cfg.mode != SchedulerMode::CudaRuntime && self.cluster.has_live_target(node)
     }
 
     /// Every live application bound to `gid` loses its backend: failover
@@ -1995,9 +1687,9 @@ impl World {
                 self.abort_app(app, now);
             }
         }
-        let g = gid.index();
-        self.master_q[g].clear();
-        self.master_stall[g] = None;
+        let gpu = &mut self.gpus[gid.index()];
+        gpu.master_q.clear();
+        gpu.master_stall = None;
         self.check_waiters(now);
     }
 
@@ -2011,18 +1703,18 @@ impl World {
         if let (Some(gid), Some(ctx)) = (gid, ctx) {
             let g = gid.index();
             self.wake_epoch(g, now, true);
-            for jid in self.devices[g].cancel_stream(ctx, stream) {
+            let gpu = &mut self.gpus[g];
+            for jid in gpu.device.cancel_stream(ctx, stream) {
                 self.pending.complete(jid);
             }
             // The app never submits on this stream again (a re-bind gets a
             // fresh one); drop its row unless work is still running on it.
-            self.devices[g].drop_stream(ctx, stream);
+            gpu.device.drop_stream(ctx, stream);
             self.obs.stream_dropped(ctx, stream);
-            self.schedulers[g].unregister(app, now);
-            self.device_apps[g].retain(|a| *a != app);
-            self.master_q[g].retain(|(a, _)| *a != app);
-            if !self.mappers.is_empty() {
-                self.unbind_gid(gid, node, class);
+            gpu.unregister(app, now);
+            gpu.master_q.retain(|(a, _)| *a != app);
+            if let Some(m) = self.cluster.mapper(node) {
+                m.unbind(gid, class);
             }
             // Cancelling streams can change what the device runs next;
             // re-sync so its event chain keeps driving the survivors.
@@ -2097,7 +1789,7 @@ impl World {
     /// retired devices — that is the re-placement.
     fn on_restart(&mut self, app: AppId, now: SimTime) {
         let node = self.app(app).node;
-        if self.node_lost[node.0 as usize] || !self.has_live_target(node) {
+        if self.cluster.is_lost(node) || !self.has_live_target(node) {
             // Nowhere left to run: the request is lost after all.
             self.abort_app(app, now);
             return;
@@ -2128,13 +1820,10 @@ impl World {
         for w in ready.drain(..) {
             self.wait_released(w.app, w.cond, now);
             if w.direct {
-                let a = self.app_mut(w.app);
-                a.host.wake_and_advance(now);
-                self.after_host_step(w.app, now);
+                self.advance(w.app, now, true);
                 self.run_host(w.app, now);
             } else {
-                self.charge(w.app, Stage::Rpc, now + w.reply_ns);
-                self.schedule_reply(w.app, now + w.reply_ns);
+                self.reply_at(w.app, now + w.reply_ns);
             }
         }
         ready.clear();
@@ -2143,237 +1832,29 @@ impl World {
 
     // ---- dispatcher epochs ------------------------------------------------
 
+    /// A device's dispatcher epoch pops: one pass over the chain on its
+    /// [`Gpu`], re-syncing the device if the pass changed its gates.
     fn on_epoch(&mut self, gid: usize, now: SimTime) {
-        if self.device_apps[gid].is_empty() {
-            self.epochs[gid] = EpochState::Disarmed;
-            return;
-        }
-        if let EpochState::Parked(at) = self.epochs[gid] {
-            // A queued LAS handover: catch the decay up to this boundary.
-            self.replay_parked(gid, at, now);
-            self.epochs[gid] = EpochState::Armed { settled: true };
-        }
-        let settled = self.epochs[gid] == EpochState::Armed { settled: true };
-        // A pass that changed the gates re-synced the device; it parks too
-        // when the next pass would keep the new gates.
-        if self.apply_gating(gid, now, settled) || self.next_pass_keeps_gates(gid) {
-            self.park_epoch(gid, now);
-        } else {
-            self.arm_epoch(gid, now + self.cfg.epoch.as_ns());
-        }
-    }
-
-    /// True when the gates are settled and the dispatcher, run at the next
-    /// boundary on the device as it stands, would re-derive them. Leaves
-    /// that snapshot in `work_buf`.
-    fn next_pass_keeps_gates(&mut self, gid: usize) -> bool {
-        if self.epochs[gid] != (EpochState::Armed { settled: true }) {
-            return false;
-        }
-        let mut work = std::mem::take(&mut self.work_buf);
-        let mut awake = std::mem::take(&mut self.awake_buf);
-        self.collect_work(gid, &mut work);
-        self.schedulers[gid].next_awake_into(&work, &mut awake);
-        let keeps = awake == self.applied_awake[gid];
-        self.work_buf = work;
-        self.awake_buf = awake;
-        keeps
-    }
-
-    fn arm_epoch(&mut self, gid: usize, at: SimTime) {
-        self.queue.schedule(at, Event::Epoch(gid as u32));
-    }
-
-    /// Every pass after the one at `now` would re-derive the awake set in
-    /// force until the device changes — except that under LAS the decay can
-    /// tie the awake app with a lower-id ready one. Stop the chain, queueing
-    /// only that handover boundary if it comes before the device's next
-    /// engine event (which wakes the chain anyway).
-    fn park_epoch(&mut self, gid: usize, now: SimTime) {
-        self.epochs[gid] = EpochState::Parked(now);
-        let Some(&awake) = self.applied_awake[gid].first() else {
+        let Some(settled) = self.gpus[gid].begin_pass(now) else {
             return;
         };
-        let epoch = self.cfg.epoch.as_ns();
-        let before_engine = self.devices[gid]
-            .next_event_time(now)
-            .map_or(u64::MAX, |t| t.saturating_sub(now + 1) / epoch);
-        let handover = self.schedulers[gid].las_handover_in(&self.work_buf, awake, before_engine);
-        if let Some(n) = handover {
-            let key = self.epoch_keys[gid];
-            self.queue
-                .schedule_keyed(key, now + n * epoch, Event::Epoch(gid as u32));
-        }
+        let unchanged = self.apply_gating(gid, now, settled);
+        self.gpus[gid].end_pass(&mut self.queue, now, unchanged);
     }
 
-    /// The device is about to change: an app registers or unregisters
-    /// (`apps_changed`), work is submitted, or the device is re-synced. A
-    /// disarmed chain (the first app registering under a device policy)
-    /// arms one epoch out. A parked chain withdraws any queued handover,
-    /// replays the boundaries it skipped and re-arms at the next boundary
-    /// on its original phase. A changed app set unsettles the gates.
+    /// The device is about to change ([`Gpu::wake_epoch`]).
     fn wake_epoch(&mut self, gid: usize, now: SimTime, apps_changed: bool) {
-        match self.epochs[gid] {
-            EpochState::Disarmed if apps_changed && self.cfg.gpu_policy != GpuPolicy::None => {
-                self.epochs[gid] = EpochState::Armed { settled: false };
-                self.arm_epoch(gid, now + self.cfg.epoch.as_ns());
-            }
-            EpochState::Parked(at) => {
-                self.queue.invalidate(self.epoch_keys[gid]);
-                let until = if self.epoch_precedes_current(at, now) {
-                    now + 1
-                } else {
-                    now
-                };
-                let next = self.replay_parked(gid, at, until);
-                self.arm_epoch(gid, next);
-                self.epochs[gid] = EpochState::Armed {
-                    settled: !apps_changed,
-                };
-            }
-            EpochState::Armed { .. } if apps_changed => {
-                self.epochs[gid] = EpochState::Armed { settled: false };
-            }
-            _ => {}
-        }
+        let (q, marks) = (&mut self.queue, &self.clock_marks);
+        self.gpus[gid].wake_epoch(q, marks, now, apps_changed);
     }
 
-    /// Note the first pop at `now`, dropping marks older than one epoch.
-    fn mark_clock(&mut self, now: SimTime) {
-        if self.clock_marks.back().is_some_and(|&(t, _)| t == now) {
-            return;
-        }
-        self.clock_marks.push_back((now, self.queue.next_id().0));
-        let horizon = now.saturating_sub(self.cfg.epoch.as_ns());
-        while self.clock_marks.front().is_some_and(|&(t, _)| t <= horizon) {
-            self.clock_marks.pop_front();
-        }
-    }
-
-    /// Whether a chain parked at boundary `at`, had it kept ticking, would
-    /// have run its pass due at `now` before the event being dispatched.
-    /// That epoch would have been scheduled when the boundary before it
-    /// popped, so it comes first exactly when `now` is a boundary and the
-    /// event was scheduled after the clock passed the boundary before. (An
-    /// event scheduled in the very instant of that boundary is taken to
-    /// have come first.)
-    fn epoch_precedes_current(&self, at: SimTime, now: SimTime) -> bool {
-        now > at
-            && (now - at).is_multiple_of(self.cfg.epoch.as_ns())
-            && self
-                .clock_marks
-                .front()
-                .is_some_and(|&(_, id)| self.queue.current_id().0 >= id)
-    }
-
-    /// Close every epoch a chain parked at boundary `at` skipped strictly
-    /// before `until`, one LAS decay roll per boundary so the f64 state is
-    /// bit-identical to ticking through them, and return the chain's next
-    /// boundary. Debug builds run the full dispatcher at each skipped
-    /// boundary instead and assert it re-derives the awake set in force:
-    /// the shadow check of the parking rule.
-    fn replay_parked(&mut self, gid: usize, at: SimTime, until: SimTime) -> SimTime {
-        let epoch = self.cfg.epoch.as_ns();
-        let mut next = at + epoch;
-        #[cfg(debug_assertions)]
-        let (work, mut awake) = {
-            let mut work = Vec::new();
-            self.collect_work(gid, &mut work);
-            (work, Vec::new())
-        };
-        while next < until {
-            #[cfg(debug_assertions)]
-            {
-                self.schedulers[gid].epoch_tick_into(&work, next, &mut awake);
-                assert_eq!(
-                    awake, self.applied_awake[gid],
-                    "device {gid}: the dispatcher pass skipped at {next} ns changes the awake set"
-                );
-            }
-            #[cfg(not(debug_assertions))]
-            self.schedulers[gid].roll_skipped_epoch();
-            next += epoch;
-        }
-        next
-    }
-
-    /// If everything dispatchable is gated but work exists, re-run the
-    /// dispatcher immediately (work conservation between epochs).
-    fn maybe_retick(&mut self, gid: usize, now: SimTime) {
-        if self.cfg.gpu_policy == GpuPolicy::None || self.device_apps[gid].is_empty() {
-            return;
-        }
-        if self.devices[gid].next_event_time(now).is_none() && self.devices[gid].total_pending() > 0
-        {
-            self.apply_gating(gid, now, false);
-        }
-    }
-
-    /// Snapshot each registered app's dispatchable state on device `gid`
-    /// for the dispatcher.
-    fn collect_work(&self, gid: usize, work: &mut Vec<AppWork>) {
-        work.clear();
-        for &app in &self.device_apps[gid] {
-            let a = self.live(app).expect("registered app");
-            let ctx = a.ctx.expect("registered app has ctx");
-            let head = self.devices[gid].stream_head_kind(ctx, a.stream);
-            let phase = match head {
-                Some(JobKind::Kernel(_)) => Phase::KernelLaunch,
-                Some(JobKind::Copy {
-                    dir: CopyDirection::HostToDevice,
-                    ..
-                }) => Phase::H2D,
-                Some(JobKind::Copy {
-                    dir: CopyDirection::DeviceToHost,
-                    ..
-                }) => Phase::D2H,
-                None => Phase::Default,
-            };
-            work.push(AppWork {
-                app,
-                has_ready: head.is_some(),
-                phase,
-            });
-        }
-    }
-
-    /// One dispatcher pass: roll the decay, derive the awake set, gate the
-    /// device's streams to match and re-sync it. With `settled`, a pass
-    /// whose awake set equals the one already in force stops after the
-    /// decay and returns true: the gates would not change, so neither would
-    /// the device. The pass's work snapshot stays in `work_buf`.
+    /// One dispatcher pass ([`Gpu::gate`]), then a re-sync of the device if
+    /// it changed the gates. Returns true when it kept the gates in force.
     fn apply_gating(&mut self, gid: usize, now: SimTime, settled: bool) -> bool {
-        // Reused buffers keep this path allocation-free; a re-entrant call
-        // (sync_device → maybe_retick) takes empty stand-ins and is still
-        // correct, just unamortized.
-        let mut work = std::mem::take(&mut self.work_buf);
-        let mut awake = std::mem::take(&mut self.awake_buf);
-        self.collect_work(gid, &mut work);
-        self.schedulers[gid].epoch_tick_into(&work, now, &mut awake);
-        let unchanged = settled && awake == self.applied_awake[gid];
-        if !unchanged {
-            for w in &work {
-                let a = self.live(w.app).expect("registered app");
-                let (ctx, stream) = (a.ctx.expect("registered app has ctx"), a.stream);
-                self.devices[gid].set_stream_gate(ctx, stream, !awake.contains(&w.app));
-            }
-            self.applied_awake[gid].clone_from(&awake);
+        let resync = self.gpus[gid].gate(now, settled);
+        if resync {
+            self.sync_device(gid, now);
         }
-        self.work_buf = work;
-        self.awake_buf = awake;
-        if unchanged {
-            return true;
-        }
-        // The gates now match the app set, so later passes may compare
-        // against them — unless the scheduler is tracing epoch decisions,
-        // which the shortcuts would not emit. Settle before the sync: an
-        // app unregistering inside it unsettles them again.
-        if !self.schedulers[gid].tracing_epochs() {
-            if let EpochState::Armed { settled } = &mut self.epochs[gid] {
-                *settled = true;
-            }
-        }
-        self.sync_device(gid, now);
-        false
+        !resync
     }
 }

@@ -21,6 +21,7 @@ use strings_repro::gpu::job::{CopyDirection, KernelProfile};
 use strings_repro::gpu::spec::GpuModel;
 use strings_repro::harness::experiments::common::{pair_streams, ExpScale};
 use strings_repro::harness::{HostCosts, LbScope, PlannedRequest, RunStats, Scenario, World};
+use strings_repro::remoting::backend::BackendDesign;
 use strings_repro::remoting::gpool::{NodeId, NodeSpec};
 use strings_repro::remoting::topology::TopologySpec;
 use strings_repro::sim::fault::FaultPlan;
@@ -246,15 +247,32 @@ fn program(body: Vec<HostOp>) -> HostProgram {
     HostProgram::from_ops(ops)
 }
 
+/// The stack `random_mixes_match_ticking` draws: Rain's per-app backend
+/// processes (Design I), one master thread per GPU (Design II), or
+/// Strings' per-GPU process with a thread per app (Design III).
+fn stack(design: usize, policy: GpuPolicy) -> StackConfig {
+    let cfg = match design {
+        0 => StackConfig::rain(LbPolicy::GMin),
+        1 => StackConfig {
+            design: BackendDesign::SingleMaster,
+            ..StackConfig::strings(LbPolicy::GMin)
+        },
+        _ => StackConfig::strings(LbPolicy::GMin),
+    };
+    cfg.with_gpu_policy(policy)
+}
+
 /// One request per `(arrival_ms, program)`, each its own slot and tenant,
-/// on one node of `gpus` Tesla C2050s under `policy`. The C2050 is the
+/// on `nodes` nodes of `gpus` Tesla C2050s each under `cfg`; with more
+/// than one node, request `i` is fronted on node `i % nodes` and each
+/// node balances its own GPUs (`LbScope::Local`). The C2050 is the
 /// reference device and launches here cost nothing, so a kernel that
 /// starts on an epoch boundary and lasts whole epochs ends on one.
 /// `traced` turns on full tracing, which makes the executive tick every
 /// epoch.
 fn run_on(
-    gpus: usize,
-    policy: GpuPolicy,
+    (nodes, gpus): (u32, usize),
+    cfg: StackConfig,
     apps: &[(u64, HostProgram)],
     faults: &FaultPlan,
     traced: bool,
@@ -266,21 +284,26 @@ fn run_on(
             arrival: arrival_ms * MS,
             slot: i,
             class: WorkloadClass(0),
-            node: NodeId(0),
+            node: NodeId(i as u32 % nodes),
             tenant: TenantId(i as u32),
             weight: 1.0,
             server_threads: 1,
             program: program.clone().into(),
         })
         .collect();
+    let node = |id| NodeSpec::new(id, vec![GpuModel::TeslaC2050; gpus]);
     let mut world = World::new(
-        &TopologySpec::of_nodes(vec![NodeSpec::new(0, vec![GpuModel::TeslaC2050; gpus])]),
+        &TopologySpec::of_nodes((0..nodes).map(node).collect()),
         DeviceConfig {
             kernel_launch_ns: 0,
             ..DeviceConfig::default()
         },
-        StackConfig::strings(LbPolicy::GMin).with_gpu_policy(policy),
-        LbScope::Global,
+        cfg,
+        if nodes > 1 {
+            LbScope::Local
+        } else {
+            LbScope::Global
+        },
         HostCosts::default(),
         requests,
         None,
@@ -293,7 +316,8 @@ fn run_on(
 }
 
 fn one_gpu(policy: GpuPolicy, apps: &[(u64, HostProgram)], traced: bool) -> RunStats {
-    run_on(1, policy, apps, &FaultPlan::none(), traced)
+    let cfg = StackConfig::strings(LbPolicy::GMin).with_gpu_policy(policy);
+    run_on((1, 1), cfg, apps, &FaultPlan::none(), traced)
 }
 
 /// Run parked and ticking (traced); the outcomes must agree. Returns the
@@ -503,16 +527,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random mixes of 4–11 apps on two devices (2–6 per device) under a
-    /// random policy, with no fault, a backend crash or a device failure.
+    /// random policy and backend design (I, II or III), on one node or on
+    /// two nodes of one device each with a balancer per node, with no
+    /// fault, a backend crash, a device failure or a node loss.
     /// Whole-millisecond kernels of mixed occupancy, some of them over 3 s
     /// (long enough for LAS decay ties), and host gaps give parked spans,
-    /// boundary collisions and handovers. Every request finishes, a rerun
-    /// is byte-identical, and the parked run matches the ticking one;
-    /// debug builds also shadow-check every parked span.
+    /// boundary collisions, handovers and Design II master stalls. Every
+    /// request finishes, a rerun is byte-identical, and the parked run
+    /// matches the ticking one; debug builds also shadow-check every
+    /// parked span.
     #[test]
     fn random_mixes_match_ticking(
         policy in 0usize..3,
-        fault in 0usize..3,
+        design in 0usize..3,
+        nodes in 1u32..3,
+        fault in 0usize..4,
         fault_ms in 0u64..400,
         apps in proptest::collection::vec(
             (
@@ -542,20 +571,23 @@ proptest! {
                 (arrival * 5, program(body))
             })
             .collect();
+        let topology = (nodes, 2 / nodes as usize);
         let (at, gid) = (fault_ms * MS, (fault_ms % 2) as u32);
         let faults = match fault {
             0 => FaultPlan::none(),
             1 => FaultPlan::none().crash_at(at, gid),
-            _ => FaultPlan::none().device_failure_at(at, gid),
+            2 => FaultPlan::none().device_failure_at(at, gid),
+            _ => FaultPlan::none().node_loss_at(at, gid % topology.0),
         };
-        let parked = run_on(2, policy, &apps, &faults, false);
+        let cfg = stack(design, policy);
+        let parked = run_on(topology, cfg, &apps, &faults, false);
         prop_assert_eq!(
             parked.completed_requests + parked.failed_requests + parked.shed_requests,
             apps.len() as u64
         );
-        let rerun = run_on(2, policy, &apps, &faults, false);
+        let rerun = run_on(topology, cfg, &apps, &faults, false);
         prop_assert_eq!(format!("{parked:?}"), format!("{rerun:?}"));
-        let ticking = run_on(2, policy, &apps, &faults, true);
+        let ticking = run_on(topology, cfg, &apps, &faults, true);
         prop_assert_eq!(outcome(&parked), outcome(&ticking));
         prop_assert_eq!(parked.failed_requests, ticking.failed_requests);
     }
