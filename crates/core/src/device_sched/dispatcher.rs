@@ -19,7 +19,7 @@
 //! * **None** — no gating (every thread awake); used by the baselines and
 //!   by Strings configurations that rely on workload balancing alone.
 
-use super::rcb::Rcb;
+use super::rcb::{Rcb, RcbEntry};
 use cuda_sim::host::AppId;
 use serde::{Deserialize, Serialize};
 
@@ -113,15 +113,7 @@ pub fn awake_set_into(policy: GpuPolicy, rcb: &Rcb, work: &[AppWork], out: &mut 
                 });
             out.extend(pick.map(|e| e.app));
         }
-        GpuPolicy::Las => {
-            // One thread awake: least decayed cumulative service.
-            let pick = work
-                .iter()
-                .filter(|w| w.has_ready)
-                .filter_map(|w| rcb.get(w.app))
-                .min_by(|a, b| a.cgs_ns.total_cmp(&b.cgs_ns).then(a.app.cmp(&b.app)));
-            out.extend(pick.map(|e| e.app));
-        }
+        GpuPolicy::Las => out.extend(las_pick(rcb, work, |e| e.cgs_ns)),
         GpuPolicy::Ps => {
             let awake = out;
             // First pass: the least-served ready thread of each phase.
@@ -162,6 +154,21 @@ pub fn awake_set_into(policy: GpuPolicy, rcb: &Rcb, work: &[AppWork], out: &mut 
             }
         }
     }
+}
+
+/// LAS: the ready app with the least decayed cumulative service, as
+/// `cgs` reads it off its row; ties go to the lower id.
+pub(crate) fn las_pick(
+    rcb: &Rcb,
+    work: &[AppWork],
+    cgs: impl Fn(&RcbEntry) -> f64,
+) -> Option<AppId> {
+    work.iter()
+        .filter(|w| w.has_ready)
+        .filter_map(|w| rcb.get(w.app))
+        .map(|e| (cgs(e), e.app))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .map(|(_, app)| app)
 }
 
 #[cfg(test)]

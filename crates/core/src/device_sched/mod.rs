@@ -35,8 +35,6 @@ pub struct GpuScheduler {
     policy: GpuPolicy,
     epoch_ns: u64,
     rcb: Rcb,
-    /// Scratch copy of `rcb` for looking one epoch ahead.
-    lookahead: Rcb,
     monitor: RequestMonitor,
     signals: SignalProtocol,
     tracer: Tracer,
@@ -50,7 +48,6 @@ impl GpuScheduler {
             policy,
             epoch_ns,
             rcb: Rcb::new(),
-            lookahead: Rcb::new(),
             monitor: RequestMonitor::new(),
             signals: SignalProtocol::new(),
             tracer: Tracer::off(),
@@ -152,30 +149,30 @@ impl GpuScheduler {
         }
     }
 
-    /// Close an epoch whose dispatcher pass the executive skipped because it
-    /// could not change the awake set in force: only the LAS decay (Eq. 1)
-    /// rolls. An executive that stops ticking a device between device
-    /// changes calls this once per skipped epoch boundary when the device
-    /// changes: one call per boundary (not a closed-form power of `1 − k`)
-    /// keeps the f64 decay bit-identical to ticking through them. See
+    /// Close `n` epochs whose dispatcher passes the executive skipped
+    /// because they could not change the awake set in force: only the LAS
+    /// decay (Eq. 1) rolls. An executive that stops ticking a device
+    /// between device changes calls this once, when the device changes,
+    /// for every boundary it skipped. [`Rcb::roll_epochs`] runs the decay
+    /// step by step (not as a closed-form power of `1 − k`), so the f64
+    /// state is bit-identical to ticking through them. See
     /// [`GpuScheduler::tracing_epochs`] for when passes must not be skipped.
-    pub fn roll_skipped_epoch(&mut self) {
-        self.rcb.roll_epoch();
+    pub fn roll_skipped_epochs(&mut self, n: u64) {
+        self.rcb.roll_epochs(n);
     }
 
     /// The awake set the next epoch's [`GpuScheduler::epoch_tick_into`]
-    /// would derive from `work` if nothing changed before it. The LAS decay
-    /// it would roll first is rolled on a scratch copy of the RCB; the live
-    /// table is untouched.
-    pub fn next_awake_into(&mut self, work: &[AppWork], awake: &mut Vec<AppId>) {
-        let rcb = if self.policy == GpuPolicy::Las {
-            self.lookahead.clone_from(&self.rcb);
-            self.lookahead.roll_epoch();
-            &self.lookahead
+    /// would derive from `work` if nothing changed before it. Under LAS the
+    /// ready apps rank by the CGS that pass's roll would give them
+    /// ([`RcbEntry::next_cgs_ns`]), read off the live rows; the table is
+    /// untouched.
+    pub fn next_awake_into(&self, work: &[AppWork], awake: &mut Vec<AppId>) {
+        if self.policy == GpuPolicy::Las {
+            awake.clear();
+            awake.extend(dispatcher::las_pick(&self.rcb, work, RcbEntry::next_cgs_ns));
         } else {
-            &self.rcb
-        };
-        dispatcher::awake_set_into(self.policy, rcb, work, awake);
+            dispatcher::awake_set_into(self.policy, &self.rcb, work, awake);
+        }
     }
 
     /// How many epochs after the last pass the LAS dispatcher would stop
@@ -193,15 +190,14 @@ impl GpuScheduler {
         // The first roll folds in whatever service this epoch has accrued;
         // later ones only decay, which is monotone, so from there on the
         // least-served lower-id contender ties first.
-        let first = |e: &RcbEntry| rcb::eq1(e.cgs_ns, e.epoch_service_ns);
-        let mut mine = first(self.rcb.get(awake)?);
+        let mut mine = self.rcb.get(awake)?.next_cgs_ns();
         let mut rival = work
             .iter()
             .filter(|w| w.has_ready && w.app < awake)
             .filter_map(|w| self.rcb.get(w.app))
-            .map(first)
+            .map(RcbEntry::next_cgs_ns)
             .min_by(f64::total_cmp)?;
-        // Both values reach 0 within ~1,100 steps, so the loop is short
+        // Both values reach 0 within about 900 steps, so the loop is short
         // even when `max` is not.
         for n in 1..=max {
             if n > 1 {
@@ -371,8 +367,69 @@ mod tests {
     }
 
     #[test]
+    fn roll_skipped_epochs_decays_like_ticking() {
+        let mut ticked = las_pair();
+        ticked.record_service(AppId(0), 10_000_000, false, 0);
+        let mut skipped = las_pair();
+        skipped.record_service(AppId(0), 10_000_000, false, 0);
+        let mut awake = Vec::new();
+        for _ in 0..30 {
+            ticked.epoch_tick_into(&[ready(0), ready(1)], 0, &mut awake);
+        }
+        skipped.roll_skipped_epochs(30);
+        let cgs = |s: &GpuScheduler| -> Vec<u64> {
+            s.rcb().entries().map(|e| e.cgs_ns.to_bits()).collect()
+        };
+        assert_eq!(cgs(&ticked), cgs(&skipped));
+    }
+
+    #[test]
     fn unregister_unknown_app_is_none() {
         let mut s = GpuScheduler::new(GpuPolicy::Las, 1_000);
         assert!(s.unregister(AppId(9), 5).is_none());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Under LAS, the look-ahead picks what rolling a copy of the table
+        /// and running the dispatcher on it picks. Services come from a few
+        /// values, so equal CGS (and the id tie rule) are common.
+        #[test]
+        fn las_look_ahead_matches_rolling_a_copy(
+            apps in proptest::collection::vec((0u64..4, 0u64..4, 0u64..3, proptest::bool::ANY), 1..8),
+        ) {
+            let mut s = GpuScheduler::new(GpuPolicy::Las, 5_000_000);
+            for i in 0..apps.len() as u32 {
+                s.register(AppId(i), StreamId(i + 1), TenantId(i), 1.0, 0).unwrap();
+            }
+            // Service before and after one closed epoch, then `rolls`
+            // more epochs rolled before the open one's service.
+            for (i, &(before, after, rolls, _)) in apps.iter().enumerate() {
+                s.record_service(AppId(i as u32), before * 1_000, false, 0);
+                s.rcb.roll_epoch();
+                s.record_service(AppId(i as u32), after * 1_000, false, 0);
+                s.roll_skipped_epochs(rolls);
+            }
+            let work: Vec<AppWork> = apps
+                .iter()
+                .enumerate()
+                .map(|(i, &(.., has_ready))| AppWork {
+                    app: AppId(i as u32),
+                    has_ready,
+                    phase: Phase::KernelLaunch,
+                })
+                .collect();
+            let mut rolled = s.rcb().clone();
+            rolled.roll_epoch();
+            let want = dispatcher::awake_set(GpuPolicy::Las, &rolled, &work);
+            let mut got = vec![AppId(99)];
+            s.next_awake_into(&work, &mut got);
+            prop_assert_eq!(got, want);
+        }
     }
 }

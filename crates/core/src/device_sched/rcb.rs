@@ -18,6 +18,12 @@ use sim_core::SimTime;
 /// Decay constant of Eq. 1.
 pub const LAS_K: f64 = 0.8;
 
+/// The factor an epoch without service scales CGS by: Eq. 1 with
+/// `GS_n = 0` is `0 + (1 − k) · CGS`, and adding `+0.0` to the product
+/// changes no non-negative value, so `(1 − k) · CGS` is bit for bit the
+/// same step.
+const IDLE_DECAY: f64 = 1.0 - LAS_K;
+
 /// One step of Eq. 1: fold an epoch's attained service into the decayed
 /// cumulative GPU service. The one place this arithmetic lives, so anything
 /// that predicts the decay computes exactly what [`Rcb::roll_epoch`] does.
@@ -59,11 +65,20 @@ pub struct RcbEntry {
     pub registered_at: SimTime,
 }
 
+impl RcbEntry {
+    /// The CGS the next [`Rcb::roll_epoch`] gives this row: Eq. 1 folding
+    /// in the service of the epoch it closes.
+    #[inline]
+    pub fn next_cgs_ns(&self) -> f64 {
+        eq1(self.cgs_ns, self.epoch_service_ns)
+    }
+}
+
 /// The table, kept sorted by application id for deterministic iteration.
 /// A sorted `Vec` (not a tree map): tables hold a handful of rows, and
 /// [`Rcb::roll_epoch`] walks every row once per scheduling epoch — the
 /// hottest loop in the executive — where contiguous storage wins.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Rcb {
     rows: Vec<RcbEntry>,
     /// Monotone watermark: the largest minimum-vruntime the table has
@@ -72,22 +87,6 @@ pub struct Rcb {
     /// new busy period would restart at vruntime 0 and starve everyone
     /// that joins behind it until it caught up.
     min_vruntime_floor: f64,
-}
-
-impl Clone for Rcb {
-    fn clone(&self) -> Self {
-        Rcb {
-            rows: self.rows.clone(),
-            min_vruntime_floor: self.min_vruntime_floor,
-        }
-    }
-
-    /// Reuses `self`'s row storage: a scratch copy refreshed every epoch
-    /// does not allocate.
-    fn clone_from(&mut self, source: &Self) {
-        self.rows.clone_from(&source.rows);
-        self.min_vruntime_floor = source.min_vruntime_floor;
-    }
 }
 
 impl Rcb {
@@ -165,7 +164,28 @@ impl Rcb {
     /// decayed CGS (Eq. 1) and reset the epoch accumulator.
     pub fn roll_epoch(&mut self) {
         for e in &mut self.rows {
-            e.cgs_ns = eq1(e.cgs_ns, e.epoch_service_ns);
+            e.cgs_ns = e.next_cgs_ns();
+            e.epoch_service_ns = 0;
+        }
+    }
+
+    /// Close `n` epochs in one go, leaving every row bit-identical to `n`
+    /// calls of [`Rcb::roll_epoch`]: the first folds the epoch's service,
+    /// each later one only decays by `1 − k`, and a row whose CGS has
+    /// reached zero (within about 900 steps from any finite value) stays
+    /// there.
+    pub fn roll_epochs(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        for e in &mut self.rows {
+            let mut cgs = e.next_cgs_ns();
+            let mut left = n - 1;
+            while left > 0 && cgs != 0.0 {
+                cgs *= IDLE_DECAY;
+                left -= 1;
+            }
+            e.cgs_ns = cgs;
             e.epoch_service_ns = 0;
         }
     }
@@ -319,5 +339,50 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert!(r.get(AppId(0)).is_none());
         assert_eq!(r.entries().count(), 1);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A CGS value: zero, subnormal, tiny, or anything up to 1e15 ns.
+    fn cgs() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            Just(1e-300),
+            0.0..1.0,
+            0.0..1e15,
+        ]
+    }
+
+    proptest! {
+        /// One batched roll of `n` epochs leaves every row bit-identical to
+        /// `n` single rolls, across the whole run to zero (about 480 steps
+        /// from 1e15) and past it.
+        #[test]
+        fn batched_roll_matches_single_rolls(
+            rows in proptest::collection::vec((cgs(), 0u64..=1_000_000_000), 1..6),
+            n in prop_oneof![0u64..4, 0u64..=2_000],
+        ) {
+            let mut batched = Rcb::new();
+            for (i, &(cgs, service)) in rows.iter().enumerate() {
+                let app = AppId(i as u32);
+                batched.register(app, StreamId(i as u32), TenantId(0), 1.0, 0);
+                batched.add_service(app, service);
+                batched.rows[i].cgs_ns = cgs;
+            }
+            let mut single = batched.clone();
+            batched.roll_epochs(n);
+            for _ in 0..n {
+                single.roll_epoch();
+            }
+            for (b, s) in batched.entries().zip(single.entries()) {
+                prop_assert_eq!(b.cgs_ns.to_bits(), s.cgs_ns.to_bits(), "{:?}", b.app);
+                prop_assert_eq!(b.epoch_service_ns, s.epoch_service_ns);
+            }
+        }
     }
 }

@@ -13,6 +13,8 @@ use sim_core::event::EventQueue;
 use sim_core::{EventKey, SimTime};
 use std::collections::VecDeque;
 use strings_core::config::StackConfig;
+#[cfg(debug_assertions)]
+use strings_core::device_sched::{dispatcher::awake_set_into, Rcb};
 use strings_core::device_sched::{AppWork, GpuPolicy, GpuScheduler, Phase};
 use strings_core::mapper::FeedbackRecord;
 use strings_core::packer::{ContextPacker, PackedCall};
@@ -36,50 +38,21 @@ enum EpochState {
     /// so until the device changes every later pass would too and only roll
     /// the decay. No epoch is queued, except under LAS at the first boundary
     /// where the decay ties the awake app with a lower-id ready one
-    /// ([`GpuScheduler::las_handover_in`]). [`Gpu::wake_epoch`] replays
-    /// the skipped rolls and re-arms the chain on its original phase.
+    /// ([`GpuScheduler::las_handover_in`]). [`Gpu::wake_epoch`] catches
+    /// the decay up over the skipped boundaries in one batched roll and
+    /// re-arms the chain on its original phase.
     Parked(SimTime),
 }
 
-/// `(t, id)` for each distinct pop time `t` within the last epoch: `id` is
-/// the queue's next event id when the clock reached `t`. Kept only under a
-/// device policy (see [`ClockMarks::epoch_precedes_current`]).
-pub(crate) struct ClockMarks {
-    epoch: u64,
-    marks: VecDeque<(SimTime, u64)>,
-}
-
-impl ClockMarks {
-    /// No marks yet, for dispatcher epochs `epoch` ns long.
-    pub(crate) fn new(epoch: u64) -> ClockMarks {
-        let marks = VecDeque::new();
-        ClockMarks { epoch, marks }
-    }
-
-    /// Note the first pop at `now`, dropping marks older than one epoch.
-    pub(crate) fn mark(&mut self, q: &EventQueue<Event>, now: SimTime) {
-        if self.marks.back().is_some_and(|&(t, _)| t == now) {
-            return;
-        }
-        self.marks.push_back((now, q.next_id().0));
-        let horizon = now.saturating_sub(self.epoch);
-        while self.marks.front().is_some_and(|&(t, _)| t <= horizon) {
-            self.marks.pop_front();
-        }
-    }
-
-    /// Whether a chain parked at boundary `at`, had it kept ticking, would
-    /// have run its pass due at `now` before the event being dispatched.
-    /// That epoch would have been scheduled when the boundary before it
-    /// popped, so it comes first exactly when `now` is a boundary and the
-    /// event was scheduled after the clock passed the boundary before. (An
-    /// event scheduled in the very instant of that boundary is taken to
-    /// have come first.)
-    fn epoch_precedes_current(&self, q: &EventQueue<Event>, at: SimTime, now: SimTime) -> bool {
-        now > at
-            && (now - at).is_multiple_of(self.epoch)
-            && (self.marks.front()).is_some_and(|&(_, id)| q.current_id().0 >= id)
-    }
+/// Whether a chain of `epoch`-ns passes parked at boundary `at`, had it
+/// kept ticking, would have run its pass due at `now` before the event
+/// being dispatched. That pass would have been scheduled when the boundary
+/// before it popped, so it comes first exactly when `now` is a boundary
+/// and the event was scheduled after the clock passed the boundary before.
+/// (An event scheduled in the very instant of that boundary is taken to
+/// have come first.)
+fn epoch_precedes_current(q: &EventQueue<Event>, epoch: u64, at: SimTime, now: SimTime) -> bool {
+    now > at && (now - at).is_multiple_of(epoch) && q.current_scheduled_at() > now - epoch
 }
 
 pub(crate) struct Gpu {
@@ -270,12 +243,11 @@ impl Gpu {
     /// (`apps_changed`), work is submitted, or the device is re-synced. A
     /// disarmed chain (the first app registering under a device policy)
     /// arms one epoch out. A parked chain withdraws any queued handover,
-    /// replays the boundaries it skipped and re-arms at the next boundary
-    /// on its original phase. A changed app set unsettles the gates.
+    /// catches the decay up over the boundaries it skipped and re-arms at
+    /// the next boundary on its original phase. A changed app set unsettles the gates.
     pub(crate) fn wake_epoch(
         &mut self,
         q: &mut EventQueue<Event>,
-        marks: &ClockMarks,
         now: SimTime,
         apps_changed: bool,
     ) {
@@ -289,7 +261,7 @@ impl Gpu {
                 if let Some(key) = self.epoch_key {
                     q.invalidate(key);
                 }
-                let until = if marks.epoch_precedes_current(q, at, now) {
+                let until = if epoch_precedes_current(q, epoch, at, now) {
                     now + 1
                 } else {
                     now
@@ -308,30 +280,99 @@ impl Gpu {
     }
 
     /// Close every epoch a chain parked at boundary `at` skipped strictly
-    /// before `until`, one LAS decay roll per boundary so the f64 state is
+    /// before `until` with one batched LAS decay roll, whose f64 state is
     /// bit-identical to ticking through them, and return the chain's next
-    /// boundary. Debug builds run the full dispatcher at each skipped
-    /// boundary instead and assert it re-derives the awake set in force:
-    /// the shadow check of the parking rule.
+    /// boundary. Debug builds also run the dispatcher at each skipped
+    /// boundary on a copy of the RCB rolled one boundary at a time, assert
+    /// it re-derives the awake set in force (the shadow check of the
+    /// parking rule), and assert the batched roll left the rows exactly
+    /// where the copy's single rolls did.
     fn replay_parked(&mut self, at: SimTime, until: SimTime) -> SimTime {
         let epoch = self.scheduler.epoch_ns();
-        let mut next = at + epoch;
+        let skipped = until.saturating_sub(at + 1) / epoch;
         #[cfg(debug_assertions)]
+        let shadow = self.shadow_skipped(at, skipped);
+        self.scheduler.roll_skipped_epochs(skipped);
+        #[cfg(debug_assertions)]
+        assert!(
+            (self.scheduler.rcb().entries().zip(shadow.entries())).all(|(a, b)| {
+                a.cgs_ns.to_bits() == b.cgs_ns.to_bits() && a.epoch_service_ns == b.epoch_service_ns
+            }),
+            "device {}: the batched roll over {skipped} epochs diverged",
+            self.id
+        );
+        at + (skipped + 1) * epoch
+    }
+
+    /// The debug shadow of [`Gpu::replay_parked`]: roll a copy of the RCB
+    /// through the `skipped` boundaries after `at` one at a time, running
+    /// the dispatcher at each, and return the copy.
+    #[cfg(debug_assertions)]
+    fn shadow_skipped(&mut self, at: SimTime, skipped: u64) -> Rcb {
+        let (epoch, policy) = (self.scheduler.epoch_ns(), self.scheduler.policy());
+        let mut shadow = self.scheduler.rcb().clone();
         self.collect_work();
-        while next < until {
-            #[cfg(debug_assertions)]
-            {
-                (self.scheduler).epoch_tick_into(&self.work, next, &mut self.awake);
-                assert_eq!(
-                    self.awake, self.applied_awake,
-                    "device {}: the dispatcher pass skipped at {next} ns changes the awake set",
-                    self.id
-                );
-            }
-            #[cfg(not(debug_assertions))]
-            self.scheduler.roll_skipped_epoch();
-            next += epoch;
+        for k in 1..=skipped {
+            shadow.roll_epoch();
+            awake_set_into(policy, &shadow, &self.work, &mut self.awake);
+            assert_eq!(
+                self.awake,
+                self.applied_awake,
+                "device {}: the dispatcher pass skipped at {} ns changes the awake set",
+                self.id,
+                at + k * epoch
+            );
         }
-        next
+        shadow
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const EPOCH: u64 = 5_000;
+
+    fn pop(q: &mut EventQueue<Event>) -> SimTime {
+        q.pop().expect("an event is queued").0
+    }
+
+    /// Whether a chain parked at `at` would have run its pass at each of
+    /// the events popping at 10,000 first; one was scheduled at each of
+    /// `scheduled`, in that order.
+    fn verdicts(at: SimTime, scheduled: &[SimTime]) -> Vec<bool> {
+        let mut q = EventQueue::new();
+        for &t in scheduled {
+            q.schedule(t, Event::MetricsSample);
+        }
+        for _ in scheduled {
+            pop(&mut q);
+            q.schedule(10_000, Event::DumpAt);
+        }
+        (scheduled.iter())
+            .map(|_| {
+                assert_eq!(pop(&mut q), 10_000);
+                epoch_precedes_current(&q, EPOCH, at, 10_000)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn epoch_precedes_only_events_scheduled_after_the_previous_boundary() {
+        // The pass at 10,000 would have been queued when the boundary at
+        // 5,000 popped: after an event scheduled just before it, and (by
+        // convention) after one scheduled in that very instant.
+        let around = [4_999, 5_000, 5_001];
+        assert_eq!(verdicts(0, &around), [false, false, true]);
+        assert_eq!(verdicts(5_000, &around), [false, false, true]);
+        // 10,000 is not a boundary of a chain parked at 2,500, and a chain
+        // parked at 10,000 has run that pass already.
+        assert_eq!(verdicts(2_500, &around), [false; 3]);
+        assert_eq!(verdicts(10_000, &around), [false; 3]);
+        // Setup-time events (scheduled before the first pop) come first.
+        let mut q = EventQueue::new();
+        q.schedule(10_000, Event::DumpAt);
+        assert_eq!(pop(&mut q), 10_000);
+        assert!(!epoch_precedes_current(&q, EPOCH, 0, 10_000));
     }
 }

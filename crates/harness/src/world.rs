@@ -22,7 +22,7 @@
 //! place, `World::finish_request`, where the run's request counters move.
 
 use crate::cluster::Cluster;
-use crate::gpu::{ClockMarks, Gpu};
+use crate::gpu::Gpu;
 use crate::observe::{Observers, Step, RUN_FAMILIES};
 use crate::scenario::{HostCosts, LbScope};
 use crate::stats::{PhaseProfile, RunStats, TenantOutcomes};
@@ -49,7 +49,7 @@ use sim_core::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use strings_core::admission::{AdmissionConfig, AdmissionController};
 use strings_core::config::{SchedulerMode, StackConfig};
-use strings_core::device_sched::{GpuPolicy, TenantId};
+use strings_core::device_sched::TenantId;
 use strings_core::mapper::WorkloadClass;
 use strings_core::packer::PackedCall;
 use strings_metrics::alerts::{BurnRateConfig, BurnRateEngine};
@@ -263,8 +263,6 @@ pub struct World {
     gpus: Vec<Gpu>,
     /// The gPool, network, balancers and fault state.
     cluster: Cluster,
-    /// Recent pop times, for parked epoch chains (see [`ClockMarks`]).
-    clock_marks: ClockMarks,
     registry: ContextRegistry,
     pending: PendingOps,
     queue: EventQueue<Event>,
@@ -348,7 +346,6 @@ impl World {
             costs,
             gpus,
             cluster,
-            clock_marks: ClockMarks::new(cfg.epoch.as_ns()),
             registry: ContextRegistry::new(),
             pending: PendingOps::new(),
             queue,
@@ -575,9 +572,6 @@ impl World {
             let Some((now, ev)) = next else {
                 break;
             };
-            if self.cfg.gpu_policy != GpuPolicy::None {
-                self.clock_marks.mark(&self.queue, now);
-            }
             assert!(
                 self.queue.popped() < MAX_EVENTS,
                 "event budget exhausted at t={now}: likely livelock"
@@ -1844,8 +1838,7 @@ impl World {
 
     /// The device is about to change ([`Gpu::wake_epoch`]).
     fn wake_epoch(&mut self, gid: usize, now: SimTime, apps_changed: bool) {
-        let (q, marks) = (&mut self.queue, &self.clock_marks);
-        self.gpus[gid].wake_epoch(q, marks, now, apps_changed);
+        self.gpus[gid].wake_epoch(&mut self.queue, now, apps_changed);
     }
 
     /// One dispatcher pass ([`Gpu::gate`]), then a re-sync of the device if

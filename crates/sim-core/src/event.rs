@@ -9,7 +9,8 @@
 //!
 //! The heap holds only 24-byte `(time, seq, slot)` handles, so a sift
 //! moves small entries whatever the payload type. Each entry's payload,
-//! key and cause wait in a slab at the handle's `slot`, read only when
+//! key, cause and scheduling instant wait in a slab at the handle's
+//! `slot`, read only when
 //! the handle pops; the slot then returns to a free list for the next
 //! schedule, so the slab never holds more slots than the heap's peak
 //! length. `seq` is unique, so the slot never decides the order.
@@ -88,6 +89,8 @@ struct Payload<E> {
     /// scheduled (`u64::MAX` when scheduled outside any dispatch). Pure
     /// bookkeeping: never consulted by ordering or accounting.
     cause: u64,
+    /// The clock when the entry was scheduled.
+    scheduled_at: SimTime,
     event: E,
 }
 
@@ -105,6 +108,8 @@ struct Arrivals<E> {
     /// Cause stamped on every arrival: the event being dispatched when
     /// they were scheduled.
     cause: u64,
+    /// The clock when they were scheduled.
+    scheduled_at: SimTime,
     /// Builds the payload of arrival `index`.
     make: fn(u32) -> E,
 }
@@ -187,6 +192,8 @@ pub struct EventQueue<E> {
     cur_id: u64,
     /// That event's own cause, exposed for provenance recording.
     cur_cause: u64,
+    /// The clock when that event was scheduled.
+    cur_scheduled_at: SimTime,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -214,6 +221,7 @@ impl<E> EventQueue<E> {
             arrivals: None,
             cur_id: u64::MAX,
             cur_cause: u64::MAX,
+            cur_scheduled_at: 0,
         }
     }
 
@@ -232,12 +240,12 @@ impl<E> EventQueue<E> {
         EventId(self.cur_cause)
     }
 
-    /// Id the next scheduled event will get. Ids grow with scheduling
-    /// order, so an event whose id is at least the value read at some
-    /// moment was scheduled after that moment.
+    /// The clock when the event currently being dispatched was scheduled:
+    /// the time of the event whose handler scheduled it, or the clock at
+    /// setup for roots. 0 before the first pop.
     #[inline]
-    pub fn next_id(&self) -> EventId {
-        EventId(self.next_seq)
+    pub fn current_scheduled_at(&self) -> SimTime {
+        self.cur_scheduled_at
     }
 
     /// Current virtual time (time of the most recently popped event).
@@ -351,6 +359,7 @@ impl<E> EventQueue<E> {
             next: 0,
             base,
             cause: self.cur_id,
+            scheduled_at: now,
             make,
         });
         self.note_depth();
@@ -404,8 +413,8 @@ impl<E> EventQueue<E> {
         self.live[key.0 as usize].map(|(time, _)| time)
     }
 
-    /// Queue an entry stamped with the next sequence number and the current
-    /// cause; returns its `(time, seq)`. The payload takes a free slab slot
+    /// Queue an entry stamped with the next sequence number, the current
+    /// cause and the clock; returns its `(time, seq)`. The payload takes a free slab slot
     /// (the slab grows only when every slot is full), and the heap gets its
     /// handle.
     fn push(&mut self, at: SimTime, key: u32, event: E) -> (SimTime, u64) {
@@ -417,6 +426,7 @@ impl<E> EventQueue<E> {
         let payload = Some(Payload {
             key,
             cause: self.cur_id,
+            scheduled_at: self.now,
             event,
         });
         let slot = match self.free.pop() {
@@ -478,6 +488,7 @@ impl<E> EventQueue<E> {
             self.popped += 1;
             self.cur_id = seq;
             self.cur_cause = p.cause;
+            self.cur_scheduled_at = p.scheduled_at;
             return Some((time, p.event));
         }
     }
@@ -492,6 +503,7 @@ impl<E> EventQueue<E> {
         self.popped += 1;
         self.cur_id = a.base + u64::from(index);
         self.cur_cause = a.cause;
+        self.cur_scheduled_at = a.scheduled_at;
         Some((time, (a.make)(index)))
     }
 }
@@ -534,13 +546,27 @@ mod tests {
     }
 
     #[test]
-    fn next_id_is_the_id_the_next_schedule_gets() {
+    fn entries_remember_the_clock_they_were_scheduled_at() {
         let mut q = EventQueue::new();
-        let before = q.next_id();
-        q.schedule(10, "a");
-        assert_eq!(q.pop(), Some((10, "a")));
-        assert_eq!(q.current_id(), before);
-        assert_eq!(q.next_id(), EventId(before.0 + 1));
+        let key = q.register_key();
+        q.schedule_arrivals([40], |_| "arrival");
+        q.schedule(10, "root");
+        assert_eq!(q.pop(), Some((10, "root")));
+        assert_eq!(q.current_scheduled_at(), 0, "setup-time roots");
+        q.schedule(30, "plain");
+        q.schedule_keyed(key, 20, "keyed");
+        q.schedule(5, "clamped"); // lands at 10, scheduled at 10
+        assert_eq!(q.pop(), Some((10, "clamped")));
+        assert_eq!(q.current_scheduled_at(), 10);
+        assert_eq!(q.pop(), Some((20, "keyed")));
+        assert_eq!(q.current_scheduled_at(), 10);
+        q.schedule(30, "later");
+        assert_eq!(q.pop(), Some((30, "plain")));
+        assert_eq!(q.current_scheduled_at(), 10);
+        assert_eq!(q.pop(), Some((30, "later")));
+        assert_eq!(q.current_scheduled_at(), 20);
+        assert_eq!(q.pop(), Some((40, "arrival")));
+        assert_eq!(q.current_scheduled_at(), 0, "arrivals keep setup's clock");
     }
 
     #[test]
@@ -760,7 +786,7 @@ mod tests {
     fn arrivals_keep_their_ids_and_win_ties() {
         let mut q: EventQueue<&str> = EventQueue::new();
         q.schedule_arrivals([20, 10, 20], |i| ["a0", "a1", "a2"][i as usize]);
-        assert_eq!(q.next_id(), EventId(3), "ids 0..3 are the arrivals'");
+        assert_eq!(q.next_seq, 3, "ids 0..3 are the arrivals'");
         q.schedule(10, "plain"); // id 3
         assert_eq!(q.live_len(), 1, "pending arrivals are not queued");
         assert_eq!(q.pending_arrivals(), 3);
@@ -851,9 +877,10 @@ mod differential {
     //! Heap-vs-scan differential harness: the queue must pop exactly what
     //! a plain `Vec` scanned for its `(time, seq)` minimum pops — same
     //! sequence (FIFO tie-break at equal timestamps), same clock, same
-    //! popped / cancelled / clamped accounting, same live depth — under
-    //! any interleaving of schedules, keyed schedules, invalidations and
-    //! pops. The reference shares no structure with the queue: no heap, no
+    //! popped / cancelled / clamped accounting, same live depth, and the
+    //! same id, cause and scheduling instant for the event being
+    //! dispatched — under any interleaving of schedules, keyed schedules,
+    //! invalidations and pops. The reference shares no structure with the queue: no heap, no
     //! per-key table, and cancellation removes entries eagerly.
 
     use super::*;
@@ -863,15 +890,27 @@ mod differential {
     /// removes its entries on the spot with a `retain`, and a keyed
     /// schedule invalidates its key first.
     pub struct VecQueue<E> {
-        /// `(time, seq, key, payload)`, in no particular order.
-        entries: Vec<(SimTime, u64, Option<usize>, E)>,
+        /// Every queued entry, in no particular order.
+        entries: Vec<Entry<E>>,
         next_seq: u64,
         now: SimTime,
+        /// `(id, cause, scheduled_at)` of the last popped entry.
+        current: (u64, u64, SimTime),
         popped: u64,
         cancelled: u64,
         clamped: u64,
         /// High-water mark of `live_len()` at each schedule.
         peak: usize,
+    }
+
+    struct Entry<E> {
+        time: SimTime,
+        seq: u64,
+        key: Option<usize>,
+        /// Seq of the entry popped last when this one was scheduled.
+        cause: u64,
+        scheduled_at: SimTime,
+        event: E,
     }
 
     impl<E> VecQueue<E> {
@@ -880,6 +919,7 @@ mod differential {
                 entries: Vec::new(),
                 next_seq: 0,
                 now: 0,
+                current: (u64::MAX, u64::MAX, 0),
                 popped: 0,
                 cancelled: 0,
                 clamped: 0,
@@ -900,15 +940,21 @@ mod differential {
             if at < self.now {
                 self.clamped += 1;
             }
-            self.entries
-                .push((at.max(self.now), self.next_seq, key, event));
+            self.entries.push(Entry {
+                time: at.max(self.now),
+                seq: self.next_seq,
+                key,
+                cause: self.current.0,
+                scheduled_at: self.now,
+                event,
+            });
             self.next_seq += 1;
             self.peak = self.peak.max(self.live_len());
         }
 
         pub fn invalidate(&mut self, key: usize) {
             let before = self.entries.len();
-            self.entries.retain(|e| e.2 != Some(key));
+            self.entries.retain(|e| e.key != Some(key));
             self.cancelled += (before - self.entries.len()) as u64;
         }
 
@@ -917,11 +963,12 @@ mod differential {
                 .entries
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, e)| (e.0, e.1))?;
-            let (time, _, _, event) = self.entries.swap_remove(i);
-            self.now = time;
+                .min_by_key(|(_, e)| (e.time, e.seq))?;
+            let e = self.entries.swap_remove(i);
+            self.now = e.time;
             self.popped += 1;
-            Some((time, event))
+            self.current = (e.seq, e.cause, e.scheduled_at);
+            Some((e.time, e.event))
         }
 
         pub fn now(&self) -> SimTime {
@@ -933,7 +980,10 @@ mod differential {
         }
 
         pub fn parked_at(&self, key: usize) -> Option<SimTime> {
-            self.entries.iter().find(|e| e.2 == Some(key)).map(|e| e.0)
+            self.entries
+                .iter()
+                .find(|e| e.key == Some(key))
+                .map(|e| e.time)
         }
     }
 
@@ -949,7 +999,15 @@ mod differential {
             "live depth diverged"
         );
         assert_eq!(q.peak_backlog(), h.peak, "backlog high-water diverged");
-        assert_eq!(q.next_id().0, h.next_seq, "event ids diverged");
+        assert_eq!(q.next_seq, h.next_seq, "event ids diverged");
+        let (id, cause, scheduled_at) = h.current;
+        assert_eq!(q.current_id().0, id, "current id diverged");
+        assert_eq!(q.current_cause().0, cause, "current cause diverged");
+        assert_eq!(
+            q.current_scheduled_at(),
+            scheduled_at,
+            "current scheduling instant diverged"
+        );
     }
 
     /// Payload tag of arrival `i`, distinct from every plain payload (the
@@ -1076,11 +1134,7 @@ mod differential {
             assert_same_parked(&q, &h, d);
             if x & 3 != 0 {
                 assert_eq!(q.pop(), h.pop(), "storm pop diverged at step {i}");
-                assert_eq!(
-                    q.live_len(),
-                    h.live_len(),
-                    "storm depth diverged at step {i}"
-                );
+                assert_same_state(&q, &h);
             }
         }
         drain_both(&mut q, &mut h);
@@ -1374,6 +1428,7 @@ mod differential {
             };
             for _ in 0..pops {
                 assert_eq!(q.pop(), h.pop(), "slab storm diverged at step {i}");
+                assert_same_state(&q, &h);
             }
             assert!(
                 q.slab.len() <= peak_heap,
@@ -1450,8 +1505,7 @@ mod differential {
                         }
                         _ => {
                             prop_assert_eq!(q.pop(), h.pop());
-                            prop_assert_eq!(q.now(), h.now());
-                            prop_assert_eq!(q.live_len(), h.live_len());
+                            assert_same_state(&q, &h);
                         }
                     }
                     prop_assert_eq!(q.parked_at(keys[k]), h.parked_at(k));
@@ -1536,8 +1590,7 @@ mod differential {
                         }
                         _ => {
                             prop_assert_eq!(q.pop(), h.pop());
-                            prop_assert_eq!(q.now(), h.now());
-                            prop_assert_eq!(q.live_len(), h.live_len());
+                            assert_same_state(&q, &h);
                         }
                     }
                     prop_assert_eq!(q.parked_at(keys[k]), h.parked_at(k));

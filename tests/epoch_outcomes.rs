@@ -3,15 +3,18 @@
 //! The device scheduler re-decides its awake set every 5 ms epoch, but the
 //! executive only pops an epoch where the decision can change: once a pass
 //! finds (or leaves) gates the next pass would re-derive, the device parks
-//! its chain until it changes, and the wake replays the skipped LAS decay
-//! steps; under LAS a decay tie that hands the GPU to a lower-id app is
-//! queued ahead. These are pure cost cuts, so every simulated outcome must
-//! match the values pinned here, which were recorded from executives that
-//! ticked every epoch. A traced run still ticks every epoch (tracing
-//! disables the shortcuts), so the small scenarios below also compare the
-//! parked run against a traced one in the same process. Debug builds
-//! additionally run the dispatcher at every skipped boundary and assert it
-//! keeps the gates in force.
+//! its chain until it changes, and the wake catches the skipped LAS decay
+//! steps up in one batched roll per RCB row; under LAS a decay tie that
+//! hands the GPU to a lower-id app is queued ahead. These are pure cost
+//! cuts, so every simulated outcome must match the values pinned here,
+//! which were recorded from executives that ticked every epoch. A traced
+//! run still ticks every epoch (tracing disables the shortcuts), so the
+//! small scenarios below also compare the parked run against a traced one
+//! in the same process. Debug builds additionally run the dispatcher at
+//! every skipped boundary, on a copy of the RCB rolled one boundary at a
+//! time, and assert it keeps the gates in force and that the batched roll
+//! left the rows bit-identical to that copy; release builds (which CI also
+//! runs this file under) take the batched roll alone.
 
 use proptest::prelude::*;
 use strings_repro::cuda::call::CudaCall;
@@ -444,6 +447,39 @@ fn submit_on_a_parked_boundary_waits_like_ticking() {
             assert_eq!(parked.makespan_ns, makespan_ns, "{policy:?}");
         }
     }
+}
+
+#[test]
+fn completion_rearmed_on_the_previous_boundary_precedes_the_pass() {
+    // App 1's 10 ms kernel completes at 35 ms. The device last re-armed
+    // that wakeup in the resync of the 30 ms pass, in the very instant of
+    // the boundary before 35 ms; a ticking executive queued its 35 ms pass
+    // only after that resync, so the completion pops first and the pass
+    // sees it. A chain parked at 30 ms must re-arm its 35 ms pass behind
+    // the completion: rolling that boundary ahead of it instead delays the
+    // pass to 40 ms, and app 2 finishes at 75 ms, not 70 ms.
+    let half = |ms| kernel_sharing(ms, 0.5);
+    let apps = [
+        (
+            0,
+            program(vec![cpu(15), kernel(5), sync(), cpu(10), half(15), sync()]),
+        ),
+        (0, program(vec![cpu(20), half(10), sync(), cpu(10)])),
+        (0, program(vec![cpu(15), kernel(20), half(15), sync()])),
+    ];
+    let (parked, ticking) = parked_matches_ticking(GpuPolicy::Las, &apps);
+    let (_, ends) = epochs_and_kernel_ends(&ticking);
+    assert_eq!(ends[..2], [25 * MS, 35 * MS]);
+    assert_eq!(
+        parked,
+        Outcome {
+            makespan_ns: 70_013_007,
+            completions: vec![(1, 70013007.0), (1, 45013007.0), (1, 70013007.0)],
+            tenant_service_ns: vec![(0, 20_000_000), (1, 10_000_000), (2, 35_000_000)],
+            telemetry_samples: 7,
+            telemetry_fnv: 9711623939427226441,
+        }
+    );
 }
 
 #[test]
