@@ -10,10 +10,9 @@
 //! The heap holds only 24-byte `(time, seq, slot)` handles, so a sift
 //! moves small entries whatever the payload type. Each entry's payload,
 //! key, cause and scheduling instant wait in a slab at the handle's
-//! `slot`, read only when
-//! the handle pops; the slot then returns to a free list for the next
-//! schedule, so the slab never holds more slots than the heap's peak
-//! length. `seq` is unique, so the slot never decides the order.
+//! `slot`, read only when the handle pops; the slot then returns to a free
+//! list for the next schedule, so the slab never holds more slots than the
+//! heap's peak length. `seq` is unique, so the slot never decides the order.
 //!
 //! Components that re-derive their own next event whenever their state
 //! changes (e.g. a GPU compute engine re-solving kernel completion times when
@@ -414,9 +413,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Queue an entry stamped with the next sequence number, the current
-    /// cause and the clock; returns its `(time, seq)`. The payload takes a free slab slot
-    /// (the slab grows only when every slot is full), and the heap gets its
-    /// handle.
+    /// cause and the clock; returns its `(time, seq)`. The payload takes a
+    /// free slab slot (the slab grows only when every slot is full), and the
+    /// heap gets its handle.
     fn push(&mut self, at: SimTime, key: u32, event: E) -> (SimTime, u64) {
         if at < self.now {
             self.clamped += 1;
